@@ -14,7 +14,7 @@ from padicfft.planner import predicted_cost
 pipe = build_pipeline(3, 32, N=100)
 plan = pipe.plan
 print(f"p=3, N=100 -> s={plan.s} = {plan.radices}, ring degree {pipe.d}, K=32")
-print(f"engine: {plan.engine}")
+print(f"backend dtype: {plan.table.dtype}")
 
 rng = random.Random(0)
 x = [plan.ring.element([rng.randrange(3**32) for _ in range(pipe.d)]) for _ in range(plan.s)]

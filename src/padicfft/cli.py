@@ -36,11 +36,6 @@ def _add_seed(sp):
                     help="RNG seed for the tower construction (default 0x5eed)")
 
 
-def _add_engine(sp):
-    sp.add_argument("--engine", choices=("auto", "python", "numpy"), default="auto",
-                    help="transform backend (default auto)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="padicfft",
@@ -67,7 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("-s", type=int, help="transform length (default: planner on the degree)")
     group.add_argument("-N", type=int, help="let the planner pick s > N")
     _add_seed(sp)
-    _add_engine(sp)
 
     sp = sub.add_parser("idft", help="recover a polynomial file from an evaluation file")
     sp.add_argument("-i", "--input", required=True, metavar="EVALS")
@@ -75,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-p", type=int, required=True, help="prime (evaluation files do not carry it)")
     sp.add_argument("-K", type=int, default=DEFAULT_K)
     _add_seed(sp)
-    _add_engine(sp)
 
     sp = sub.add_parser("mul", help="multiply two polynomial files exactly")
     sp.add_argument("inputs", nargs=2, metavar="POLY")
@@ -86,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("-s", type=int)
     group.add_argument("-N", type=int)
     _add_seed(sp)
-    _add_engine(sp)
 
     sp = sub.add_parser("selftest", help="run the acceptance suite")
     sp.add_argument("--only", type=str, default=None,
@@ -100,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--no-measure", action="store_true",
                     help="emit only the predicted columns")
     _add_seed(sp)
-    _add_engine(sp)
     return ap
 
 
@@ -130,9 +121,9 @@ def _cmd_root(args) -> int:
 
 def _plan_for(args, p: int, K: int, degree: int):
     if args.s is not None:
-        return build_pipeline(p, K, s=args.s, seed=args.seed, engine=args.engine).plan
+        return build_pipeline(p, K, s=args.s, seed=args.seed).plan
     N = args.N if args.N is not None else max(1, degree)
-    return build_pipeline(p, K, N=N, seed=args.seed, engine=args.engine).plan
+    return build_pipeline(p, K, N=N, seed=args.seed).plan
 
 
 def _cmd_dft(args) -> int:
@@ -153,7 +144,7 @@ def _cmd_dft(args) -> int:
 
 def _cmd_idft(args) -> int:
     data = polyio.read_evals(args.input)
-    plan = build_pipeline(args.p, args.K, s=data.s, seed=args.seed, engine=args.engine).plan
+    plan = build_pipeline(args.p, args.K, s=data.s, seed=args.seed).plan
     if plan.ring.degree != data.d:
         raise LengthMismatch(
             f"file carries degree {data.d}, ring for (p={args.p}, s={data.s}) has {plan.ring.degree}")
@@ -178,8 +169,7 @@ def _cmd_mul(args) -> int:
     if args.s is not None or args.N is not None:
         bound = max(1, (len(a.coeffs) - 1) + (len(b.coeffs) - 1))
         plan = _plan_for(args, p, K, bound)
-    coeffs = poly_multiply(a.coeffs, b.coeffs, p, K, plan=plan,
-                           rng=random.Random(args.seed), engine=args.engine)
+    coeffs = poly_multiply(a.coeffs, b.coeffs, p, K, plan=plan, rng=random.Random(args.seed))
     polyio.write_poly(args.output, polyio.PolyData(p=p, K=K, exp=a.exp + b.exp, coeffs=coeffs))
     return 0
 
@@ -192,8 +182,8 @@ def _cmd_selftest(args) -> int:
     return 0 if results and all(r.passed for r in results) else 4
 
 
-def _measured_count(p: int, K: int, N: int, seed: int, engine: str) -> int:
-    pipe = build_pipeline(p, K, N=N, seed=seed, engine=engine)
+def _measured_count(p: int, K: int, N: int, seed: int) -> int:
+    pipe = build_pipeline(p, K, N=N, seed=seed)
     plan = pipe.plan
     plan.ring.counter.reset()
     dft([plan.ring.zero()] * plan.s, plan)
@@ -205,7 +195,7 @@ def _cmd_bench(args) -> int:
     csv = report_csv(rows)
     if not args.no_measure:
         lines = csv.rstrip("\n").split("\n")
-        counts = [_measured_count(args.p, args.K, row.N, args.seed, args.engine) for row in rows]
+        counts = [_measured_count(args.p, args.K, row.N, args.seed) for row in rows]
         lines[0] += ",measured_mults"
         for i, c in enumerate(counts):
             lines[i + 1] += f",{c}"

@@ -9,14 +9,15 @@ instrumented count depends only on d and the radix schedule. The inverse
 transform runs the same schedule with negated exponents into the same power
 table and one final multiplication by s^(-1).
 
-Two interchangeable engines: a pure-Python one over RingElements, and a
-vectorized one on int64 arrays for p^K up to 2^51. They follow the same
-call structure, so their operation counts are identical.
+One schedule runs on an (s, d) array whose dtype is the backend: int64 with
+the float-assisted kernels when p^K <= 2^51 and every radix sum fits in
+int64, else numpy object arrays of Python ints. make_plan picks the dtype
+once, as the dtype of the power table; both dtypes give the same outputs
+and the same counts.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
@@ -36,7 +37,7 @@ from .errors import (
     RootNotPrimitive,
 )
 from .orders import FactoredOrder
-from .padic import RingExtension, residue_inverse, ring_mul, ring_pow, scalar_mul
+from .padic import RingExtension, residue_inverse, ring_mul, ring_pow
 from .planner import choose_parameters
 
 
@@ -53,11 +54,9 @@ class FFTPlan:
     radices: tuple
     ring: RingExtension
     root: object
-    root_powers: list
     inv_s: int
     permutation: tuple
-    engine: str
-    table: object  # (s, d) int64 array for the numpy engine, else None
+    table: np.ndarray  # (s, d) powers of root; its dtype is the transform's backend
 
     @property
     def p(self) -> int:
@@ -85,7 +84,7 @@ def digit_reversal_permutation(radices) -> tuple:
     return tuple(out)
 
 
-def make_plan(s, lift, K: int, engine: str = "auto") -> FFTPlan:
+def make_plan(s, lift, K: int) -> FFTPlan:
     """Build the transform schedule from a lifted root.
 
     The lift's ring and root are truncated from their own precision down to
@@ -101,12 +100,6 @@ def make_plan(s, lift, K: int, engine: str = "auto") -> FFTPlan:
     p = ring.ctx.p
     if s.value % p == 0:
         raise NotCoprime("s must be coprime to p")
-    if engine == "auto":
-        engine = "numpy" if kernels.supports_modulus(ring.ctx.pK) else "python"
-    if engine not in ("python", "numpy"):
-        raise BadInput(f"unknown engine {engine!r}")
-    if engine == "numpy" and not kernels.supports_modulus(ring.ctx.pK):
-        raise BadInput(f"numpy engine needs p^K <= 2^51, got {ring.ctx.pK}")
     root = ring.element(lift.root.coeffs)
     if ring_pow(root, s.value) != ring.one():
         raise RootNotPrimitive(f"root^{s.value} is not 1 at precision {K}")
@@ -115,99 +108,63 @@ def make_plan(s, lift, K: int, engine: str = "auto") -> FFTPlan:
             raise RootNotPrimitive(f"root order divides {s.value}/{q}")
 
     m = ring.ctx.pK
-    d = ring.degree
-    cost = ring.mul_cost()
-    if engine == "numpy":
-        fhead = np.asarray(ring.modulus[:-1], dtype=np.int64)
-        table = kernels.power_table(np.asarray(root.coeffs, dtype=np.int64), s.value, fhead, m)
-        ring.counter.add(max(0, s.value - 2) * cost)
-        powers = [ring.element(row.tolist()) for row in table]
-    else:
-        table = None
-        powers = [ring.one()]
-        if s.value > 1:
-            powers.append(root)
-        for _ in range(s.value - 2):
-            powers.append(ring_mul(powers[-1], root))
+    radices = tuple(s.radix_schedule())
+    dtype = np.int64 if kernels.int64_fits(m, max(radices, default=1)) else object
+    table = kernels.power_table(np.asarray(root.coeffs, dtype=dtype), s.value, _fhead(ring, dtype), m)
+    ring.counter.add(max(0, s.value - 2) * ring.mul_cost())
     return FFTPlan(
         s=s.value,
         s_factored=s,
-        radices=tuple(s.radix_schedule()),
+        radices=radices,
         ring=ring,
         root=root,
-        root_powers=powers,
         inv_s=residue_inverse(s.value % m, ring.ctx),
-        permutation=digit_reversal_permutation(s.radix_schedule()),
-        engine=engine,
+        permutation=digit_reversal_permutation(radices),
         table=table,
     )
 
 
-def _check_input(values, plan: FFTPlan):
+def _fhead(ring: RingExtension, dtype):
+    """The modulus F without its monic leading 1, as a kernel operand."""
+    return np.asarray(ring.modulus[:-1], dtype=dtype)
+
+
+def _to_array(values, plan: FFTPlan):
+    """(s, d) array of the coefficients of plan-ring elements."""
     if len(values) != plan.s:
         raise LengthMismatch(f"expected {plan.s} elements, got {len(values)}")
     for v in values:
         if not v.parent.same(plan.ring):
             raise ParentMismatch("element does not belong to the plan's ring")
+    return np.array([v.coeffs for v in values], dtype=plan.table.dtype)
+
+
+def _to_elements(arr, plan: FFTPlan):
+    return [plan.ring.element(row) for row in arr.tolist()]
 
 
 def dft(coeffs, plan: FFTPlan):
     """Evaluations [f(alpha^0), ..., f(alpha^(s-1))] of sum coeffs[i] Y^i."""
-    _check_input(coeffs, plan)
-    if plan.engine == "numpy":
-        return _transform_numpy(coeffs, plan, invert=False)
-    return _transform_python(coeffs, plan, invert=False)
+    return _to_elements(_transform(_to_array(coeffs, plan), plan, invert=False), plan)
 
 
 def idft(evals, plan: FFTPlan):
     """Exact inverse of dft: coefficients from evaluations."""
-    _check_input(evals, plan)
-    if plan.engine == "numpy":
-        out = _transform_numpy(evals, plan, invert=True)
-    else:
-        out = _transform_python(evals, plan, invert=True)
-    return [scalar_mul(plan.inv_s, v) for v in out]
+    ring = plan.ring
+    out = _transform(_to_array(evals, plan), plan, invert=True)
+    ring.counter.add(plan.s * ring.degree)  # scaling by s^-1, d multiplications per element
+    return _to_elements(kernels.mul_mod(out, plan.inv_s, ring.ctx.pK), plan)
 
 
-def _transform_python(values, plan: FFTPlan, invert: bool):
-    s = plan.s
-    table = plan.root_powers
-    data = [values[i] for i in plan.permutation]
-    t = 1
-    for r in reversed(plan.radices):
-        big = r * t
-        out = list(data)
-        stage_stride = s // big
-        radix_stride = s // r
-        for base in range(0, s, big):
-            for k1 in range(t):
-                u = []
-                for j in range(r):
-                    v = data[base + j * t + k1]
-                    e = stage_stride * j * k1
-                    if e:
-                        v = ring_mul(v, table[s - e if invert else e])
-                    u.append(v)
-                for k2 in range(r):
-                    acc = u[0]
-                    for j in range(1, r):
-                        e = radix_stride * (j * k2 % r)
-                        acc = acc + (ring_mul(u[j], table[s - e if invert else e]) if e else u[j])
-                    out[base + k2 * t + k1] = acc
-        data = out
-        t = big
-    return data
-
-
-def _transform_numpy(values, plan: FFTPlan, invert: bool):
+def _transform(arr, plan: FFTPlan, invert: bool):
     s = plan.s
     ring = plan.ring
     m = ring.ctx.pK
     d = ring.degree
     cost = ring.mul_cost()
-    fhead = np.asarray(ring.modulus[:-1], dtype=np.int64)
     table = plan.table
-    arr = np.array([v.coeffs for v in values], dtype=np.int64)[list(plan.permutation)]
+    fhead = _fhead(ring, table.dtype)
+    arr = arr[list(plan.permutation)]
     t = 1
     for r in reversed(plan.radices):
         big = r * t
@@ -225,7 +182,7 @@ def _transform_numpy(values, plan: FFTPlan, invert: bool):
         out = np.empty_like(view)
         out[:, 0, :, :] = np.mod(view.sum(axis=1), m)
         for k2 in range(1, r):
-            acc = view[:, 0, :, :].astype(np.int64)
+            acc = view[:, 0, :, :]
             for j in range(1, r):
                 e = radix_stride * (j * k2 % r)
                 idx = (s - e) if invert else e
@@ -234,7 +191,7 @@ def _transform_numpy(values, plan: FFTPlan, invert: bool):
             out[:, k2, :, :] = np.mod(acc, m)
         arr = out.reshape(s, d)
         t = big
-    return [ring.element(row.tolist()) for row in arr]
+    return arr
 
 
 def naive_dft(coeffs, root, s: int):
@@ -254,25 +211,16 @@ def naive_dft(coeffs, root, s: int):
 
 def cyclic_convolution(x, y, plan: FFTPlan):
     """Length-s cyclic convolution via dft, pointwise product, idft."""
-    fx = dft(x, plan)
-    fy = dft(y, plan)
-    return idft(_pointwise(fx, fy, plan), plan)
-
-
-def _pointwise(a, b, plan: FFTPlan):
     ring = plan.ring
-    if plan.engine == "numpy":
-        m = ring.ctx.pK
-        fhead = np.asarray(ring.modulus[:-1], dtype=np.int64)
-        xa = np.array([v.coeffs for v in a], dtype=np.int64)
-        xb = np.array([v.coeffs for v in b], dtype=np.int64)
-        ring.counter.add(plan.s * ring.mul_cost())
-        return [ring.element(row.tolist()) for row in kernels.ring_mul_batch(xa, xb, fhead, m)]
-    return [ring_mul(u, v) for u, v in zip(a, b)]
+    fx = _to_array(dft(x, plan), plan)
+    fy = _to_array(dft(y, plan), plan)
+    ring.counter.add(plan.s * ring.mul_cost())
+    prod = kernels.ring_mul_batch(fx, fy, _fhead(ring, plan.table.dtype), ring.ctx.pK)
+    return idft(_to_elements(prod, plan), plan)
 
 
 def poly_multiply(f, g, p: int, K: int, planner=choose_parameters, plan: FFTPlan | None = None,
-                  rng: random.Random | None = None, engine: str = "auto"):
+                  rng: random.Random | None = None):
     """Exact product of two Z/p^K coefficient sequences via the transform.
 
     Inputs are embedded as constant ring elements; the planner hook picks s
@@ -295,7 +243,7 @@ def poly_multiply(f, g, p: int, K: int, planner=choose_parameters, plan: FFTPlan
             raise DegreeOverflow(f"no transform length above {bound} is available") from exc
         from .pipeline import build_pipeline
 
-        plan = build_pipeline(p, K, s=chosen.s_factored, rng=rng, engine=engine).plan
+        plan = build_pipeline(p, K, s=chosen.s_factored, rng=rng).plan
     if bound >= plan.s:
         raise DegreeOverflow(f"product degree {bound} needs s > {bound}, plan has s = {plan.s}")
     ring = plan.ring

@@ -150,15 +150,6 @@ def padic_valuation(n: int, p: int) -> int:
     return v
 
 
-def euler_phi(n: int) -> int:
-    if n < 1:
-        raise BadInput("totient needs a positive integer")
-    out = 1
-    for q, v in factorize(n):
-        out *= (q - 1) * q ** (v - 1)
-    return out
-
-
 def multiplicative_order(x: int, m: int) -> int:
     """Order of x in (Z/m)^*. Factors the group exponent and strips primes."""
     if m < 1:

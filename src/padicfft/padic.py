@@ -12,18 +12,15 @@ on the operand values, so instrumented totals are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     BadInput,
     DegreeTooSmall,
     EvenPrime,
     NonUnit,
     ParentMismatch,
-    ZeroInput,
 )
 from .ffield import ExtensionField, MulCounter, PrimeField, is_irreducible
-from .orders import is_prime, padic_valuation
+from .orders import is_prime
 
 
 class PadicContext:
@@ -295,37 +292,3 @@ def ring_inverse_unit(a: RingElement) -> RingElement:
         prec *= 2
     return w
 
-
-@dataclass
-class ScaledElement:
-    """p-power exponent plus mantissa coefficients: value = p^exponent * mantissa."""
-
-    exponent: int
-    mantissa: list[int]
-
-
-def scale_normalize(pairs, ctx: PadicContext) -> ScaledElement:
-    """Pull the largest common p-power out of (exponent, coefficient) pairs.
-
-    The returned exponent is the minimum valuation over the nonzero entries;
-    each mantissa is the exact integer p^(e_i - e) * m_i reduced mod p^K.
-    """
-    pairs = [(e, m % ctx.pK) for e, m in pairs]
-    if not pairs:
-        raise ZeroInput("need at least one coefficient")
-    p = ctx.p
-    vals = [e + padic_valuation(m, p) for e, m in pairs if m != 0]
-    if not vals:
-        return ScaledElement(0, [0] * len(pairs))
-    e = min(vals)
-    out = []
-    for ei, m in pairs:
-        shift = ei - e
-        if shift >= 0:
-            out.append(m * p**shift % ctx.pK)
-        else:
-            q, r = divmod(m, p**-shift)
-            if r:
-                raise BadInput("entry is not divisible by its claimed p-power")
-            out.append(q % ctx.pK)
-    return ScaledElement(e, out)

@@ -47,8 +47,7 @@ def precision_steps(K: int) -> int:
 
 
 def build_pipeline(p: int, K: int, N: int | None = None, s=None,
-                   rng: random.Random | None = None, seed: int | None = None,
-                   engine: str = "auto") -> PipelineResult:
+                   rng: random.Random | None = None, seed: int | None = None) -> PipelineResult:
     """Build everything needed to transform length-s vectors over Z/p^K.
 
     Exactly one of N (planner picks s above it) and s must be given. The
@@ -67,6 +66,6 @@ def build_pipeline(p: int, K: int, N: int | None = None, s=None,
         rng = random.Random(DEFAULT_SEED if seed is None else seed)
     tower = build_root_of_unity(p, s_factored, rng)
     lift = newton_lift_root(tower.modulus, s_factored, precision_steps(K), p)
-    plan = make_plan(s_factored, lift, K, engine=engine)
+    plan = make_plan(s_factored, lift, K)
     return PipelineResult(p=p, K=K, s_factored=s_factored, planner_result=planner_result,
                           tower=tower, lift=lift, plan=plan)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from padicfft.errors import OutOfRange
-from padicfft.kernels import MODULUS_LIMIT, mul_mod, power_table, ring_mul_batch, scale_mod, supports_modulus
+from padicfft.kernels import MODULUS_LIMIT, int64_fits, mul_mod, power_table, ring_mul_batch, supports_modulus
 from padicfft.padic import PadicContext, RingExtension, ring_mul, ring_pow
 
 MODULI = [3, 19, 2**51, 2**51 - 1, 3**32, 5**21, 7**18, 2**51 - 33]
@@ -88,12 +88,34 @@ def test_ring_mul_batch_accumulator_guard():
         ring_mul_batch(x, x, np.zeros(d, dtype=np.int64), m)
 
 
-def test_scale_mod():
-    rng = random.Random(3)
-    m = 3**32
-    x = np.array([rng.randrange(m) for _ in range(100)], dtype=np.int64)
-    c = rng.randrange(m)
-    assert scale_mod(c, x, m).tolist() == [(c * int(v)) % m for v in x]
+def test_int64_fits_boundary():
+    # a radix-r stage sums r residues below m, so int64 needs r*(m-1) < 2^63
+    assert int64_fits(3**32, 4977)
+    assert not int64_fits(3**32, 4978)
+    assert int64_fits(MODULUS_LIMIT, 4096)
+    assert not int64_fits(MODULUS_LIMIT, 4097)
+    assert int64_fits(MODULUS_LIMIT, 1)
+    assert not int64_fits(MODULUS_LIMIT + 1, 1)
+
+
+def test_object_backend_matches_python_ints():
+    rng = random.Random(4)
+    for p, K, d in ((19, 32, 3), (7, 32, 1), (3, 8, 4)):
+        ring = _random_ring(rng, p, K, d)
+        m = ring.ctx.pK
+        fhead = np.array(ring.modulus[:-1], dtype=object)
+        x = np.array([[rng.randrange(m) for _ in range(d)] for _ in range(20)], dtype=object)
+        y = np.array([[rng.randrange(m) for _ in range(d)] for _ in range(20)], dtype=object)
+        assert mul_mod(x, y, m).tolist() == [[a * b % m for a, b in zip(u, v)] for u, v in zip(x, y)]
+        got = ring_mul_batch(x, y, fhead, m)
+        assert got.dtype == object
+        for row in range(20):
+            expect = ring_mul(ring.element(x[row].tolist()), ring.element(y[row].tolist()))
+            assert got[row].tolist() == list(expect.coeffs)
+        table = power_table(x[0], 30, fhead, m)
+        assert table.dtype == object
+        for k in (0, 1, 2, 17, 29):
+            assert table[k].tolist() == list(ring_pow(ring.element(x[0].tolist()), k).coeffs)
 
 
 def test_power_table_matches_ring_pow():

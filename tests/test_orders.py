@@ -7,7 +7,6 @@ from padicfft.orders import (
     FactoredOrder,
     cyclotomic_degree,
     cyclotomic_polynomial,
-    euler_phi,
     factorize,
     is_prime,
     multiplicative_order,
@@ -73,12 +72,6 @@ def test_padic_valuation_examples():
         padic_valuation(0, 3)
     with pytest.raises(BadInput):
         padic_valuation(12, 4)
-
-
-def test_euler_phi():
-    assert euler_phi(104) == 48
-    assert euler_phi(1) == 1
-    assert [euler_phi(n) for n in range(2, 11)] == [1, 2, 2, 4, 2, 6, 4, 6, 4]
 
 
 def test_multiplicative_order_examples():

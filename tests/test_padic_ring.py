@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padicfft.errors import BadInput, EvenPrime, NonUnit, ParentMismatch, ZeroInput
+from padicfft.errors import BadInput, EvenPrime, NonUnit, ParentMismatch
 from padicfft.padic import (
     PadicContext,
     RingExtension,
@@ -13,7 +13,6 @@ from padicfft.padic import (
     ring_mul,
     ring_pow,
     scalar_mul,
-    scale_normalize,
 )
 
 CTX81 = PadicContext(3, 4)
@@ -164,34 +163,6 @@ def test_truncate():
     assert (y * y).reduce_mod(1) == (360 % 19, 356 % 19)
     with pytest.raises(BadInput):
         A361.truncate(3)
-
-
-def test_scale_normalize_examples():
-    got = scale_normalize([(1, 1), (0, 1)], CTX81)
-    assert (got.exponent, got.mantissa) == (0, [3, 1])
-    got = scale_normalize([(2, 1), (3, 1)], CTX81)
-    assert (got.exponent, got.mantissa) == (2, [1, 3])
-    got = scale_normalize([(0, 0), (0, 0)], CTX81)
-    assert (got.exponent, got.mantissa) == (0, [0, 0])
-    got = scale_normalize([(-2, 9), (0, 1)], CTX81)  # 9/9 = 1 at valuation 0
-    assert (got.exponent, got.mantissa) == (0, [1, 1])
-    with pytest.raises(ZeroInput):
-        scale_normalize([], CTX81)
-
-
-def test_scale_normalize_reconstruction():
-    rng = random.Random(11)
-    ctx = PadicContext(3, 6)
-    for _ in range(50):
-        pairs = [(rng.randrange(-2, 4), rng.randrange(ctx.pK)) for _ in range(4)]
-        se = scale_normalize(pairs, ctx)
-        # p^e * mantissa must reproduce p^ei * mi to K digits above p^e;
-        # clear denominators with a common shift so everything is an integer
-        shift = max(0, -min(se.exponent, *(e for e, _ in pairs)))
-        for (ei, mi), out in zip(pairs, se.mantissa):
-            lhs = out * 3 ** (se.exponent + shift)
-            rhs = mi * 3 ** (ei + shift)
-            assert (lhs - rhs) % (3 ** (ctx.K + se.exponent + shift)) == 0
 
 
 def test_rendering():
