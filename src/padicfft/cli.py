@@ -31,13 +31,20 @@ from .selftest import run_selftest
 DEFAULT_K = 32
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose usage errors print one `error usage` line, like every other error."""
+
+    def error(self, message):
+        self.exit(2, f"error usage ArgumentError: {' '.join(message.split())}\n")
+
+
 def _add_seed(sp):
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED,
                     help="RNG seed for the tower construction (default 0x5eed)")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="padicfft",
         description="Exact DFT, inverse DFT, and polynomial multiplication over Z/p^K "
                     "via a root of unity lifted from a finite-field tower.")

@@ -3,17 +3,23 @@
 The input is permuted by mixed-radix digit reversal, then one stage per
 radix (last radix first) combines blocks: a twiddle pass multiplies entry
 (j, k1) by alpha^((s/L) j k1), and a radix-r pass evaluates the short DFT
-sum with the fixed powers alpha^((s/r) j k2). Multiplications are skipped
-exactly when the exponent is zero, never based on operand values, so the
-instrumented count depends only on d and the radix schedule. The inverse
-transform runs the same schedule with negated exponents into the same power
-table and one final multiplication by s^(-1).
+sum with the fixed powers alpha^((s/r) j k2). The inverse transform runs
+the same schedule with negated exponents into the same power table and one
+final multiplication by s^(-1).
 
-One schedule runs on an (s, d) array whose dtype is the backend: int64 with
-the float-assisted kernels when p^K <= 2^51 and every radix sum fits in
-int64, else numpy object arrays of Python ints. make_plan picks the dtype
-once, as the dtype of the power table; both dtypes give the same outputs
-and the same counts.
+Twiddles are elementwise ring products. The radix-r pass is the same
+Z/p^K-linear map of size rd x rd for every block of a stage: block (j, k2)
+is the multiplication matrix of alpha^((s/r) j k2). It is built per stage
+from the power table and applied to all rows at once by the exact float64
+matmul of kernels.matmul_mod, in tiles bounded by TILE. The multiplication
+counter still charges the schoolbook model: a twiddle or a butterfly
+product is counted exactly when its exponent is nonzero, never based on
+operand values, so the count depends only on d and the radix schedule.
+
+One schedule runs on an (s, d) array whose dtype is the backend: int64 when
+p^K <= 2^51, else numpy object arrays of Python ints. make_plan picks the
+dtype once, as the dtype of the power table; both dtypes give the same
+outputs and the same counts.
 """
 
 from __future__ import annotations
@@ -39,6 +45,10 @@ from .errors import (
 from .orders import FactoredOrder
 from .padic import RingExtension, residue_inverse, ring_mul, ring_pow
 from .planner import choose_parameters
+
+# Elements per row tile, and the widest contraction or output tile, of a
+# butterfly product: bounds every temporary the product makes.
+TILE = 1 << 13
 
 
 @dataclass
@@ -109,7 +119,7 @@ def make_plan(s, lift, K: int) -> FFTPlan:
 
     m = ring.ctx.pK
     radices = tuple(s.radix_schedule())
-    dtype = np.int64 if kernels.int64_fits(m, max(radices, default=1)) else object
+    dtype = np.int64 if kernels.supports_modulus(m) else object
     table = kernels.power_table(np.asarray(root.coeffs, dtype=dtype), s.value, _fhead(ring, dtype), m)
     ring.counter.add(max(0, s.value - 2) * ring.mul_cost())
     return FFTPlan(
@@ -171,7 +181,6 @@ def _transform(arr, plan: FFTPlan, invert: bool):
         blocks = s // big
         view = arr.reshape(blocks, r, t, d)
         stage_stride = s // big
-        radix_stride = s // r
         if t > 1:
             k1 = np.arange(1, t)
             for j in range(1, r):
@@ -179,19 +188,58 @@ def _transform(arr, plan: FFTPlan, invert: bool):
                 idx = (s - e) if invert else e
                 view[:, j, 1:, :] = kernels.ring_mul_batch(view[:, j, 1:, :], table[idx], fhead, m)
                 ring.counter.add(blocks * (t - 1) * cost)
-        out = np.empty_like(view)
-        out[:, 0, :, :] = np.mod(view.sum(axis=1), m)
-        for k2 in range(1, r):
-            acc = view[:, 0, :, :]
-            for j in range(1, r):
-                e = radix_stride * (j * k2 % r)
-                idx = (s - e) if invert else e
-                acc = acc + kernels.ring_mul_batch(view[:, j, :, :], table[idx], fhead, m)
-                ring.counter.add(blocks * t * cost)
-            out[:, k2, :, :] = np.mod(acc, m)
-        arr = out.reshape(s, d)
+        maps = _multiplication_maps(table[(s // r) * np.arange(r)], fhead, m)
+        arr = _butterfly(view, maps, invert, m).reshape(s, d)
+        ring.counter.add((r - 1) ** 2 * blocks * t * cost)  # the schoolbook products with exponent j*k2 != 0
         t = big
     return arr
+
+
+def _multiplication_maps(powers, fhead, m: int):
+    """(r, d, d) array: row a of map u holds X^a * powers[u] mod F, so x @ maps[u] is x * powers[u]."""
+    r, d = powers.shape
+    maps = np.empty((r, d, d), dtype=powers.dtype)
+    row = powers
+    maps[:, 0] = row
+    for a in range(1, d):
+        shifted = np.zeros_like(row)
+        shifted[:, 1:] = row[:, :-1]
+        row = (shifted - kernels.mul_mod(row[:, -1:], fhead, m)) % m
+        maps[:, a] = row
+    return maps
+
+
+def _butterfly(view, maps, invert: bool, m: int):
+    """Radix-r pass: out[b, k2, i] = sum_j view[b, j, i] * alpha^((s/r) j k2), as one exact matmul.
+
+    The pass is the (r d) x (r d) map whose block (j, k2) is maps[j k2 mod r]
+    (maps[-j k2 mod r] for the inverse), applied to the rows (b, i) of view.
+    It runs in tiles of whole radix digits: contraction and output widths of
+    at most TILE, a map tile no larger than the stage's own array, and row
+    tiles of at most TILE elements.
+    """
+    blocks, r, t, d = view.shape
+    out = np.empty_like(view)
+    j_step = min(r, max(1, min(TILE, kernels.contraction_limit(m)) // d))
+    k_step = min(r, max(1, min(TILE, view.size // (j_step * d)) // d))
+    rows = max(1, TILE // (max(j_step, k_step) * d))
+    b_step, i_step = max(1, rows // t), min(t, rows)
+    sign = -1 if invert else 1
+    digits = np.arange(r)
+    for k0 in range(0, r, k_step):
+        ks = digits[k0 : k0 + k_step]
+        for j0 in range(0, r, j_step):
+            js = digits[j0 : j0 + j_step]
+            block = maps[(sign * js[:, None] * ks[None, :]) % r]
+            b_limbs = kernels.split_limbs(block.transpose(0, 2, 1, 3).reshape(len(js) * d, len(ks) * d), m)
+            for b0 in range(0, blocks, b_step):
+                for i0 in range(0, t, i_step):
+                    x = view[b0 : b0 + b_step, j0 : j0 + j_step, i0 : i0 + i_step].transpose(0, 2, 1, 3)
+                    y = kernels.matmul_mod(x.reshape(-1, len(js) * d), b_limbs, m)
+                    y = y.reshape(x.shape[0], x.shape[1], len(ks), d).transpose(0, 2, 1, 3)
+                    dst = out[b0 : b0 + b_step, k0 : k0 + k_step, i0 : i0 + i_step]
+                    dst[...] = (dst + y) % m if j0 else y
+    return out
 
 
 def naive_dft(coeffs, root, s: int):

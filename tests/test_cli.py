@@ -88,6 +88,18 @@ def test_exit_code_usage(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+    # argparse's own errors are one `error usage` line too
+    for argv in (["dft", "-i", str(bad), "-o", str(tmp_path / "o"), "-s", "8", "--engine", "numpy"],
+                 ["plan", "-p", "3", "-N", "abc"], ["frobnicate"]):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error usage")
+    with pytest.raises(SystemExit) as exc:
+        main(["plan", "--help"])
+    assert exc.value.code == 0
 
 
 def test_exit_code_precondition(capsys):

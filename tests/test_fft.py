@@ -23,6 +23,7 @@ from padicfft.fft import (
     poly_multiply,
 )
 from padicfft.lifting import newton_lift_root
+from padicfft.padic import ring_pow
 from padicfft.pipeline import build_pipeline
 from padicfft.planner import choose_parameters
 
@@ -148,6 +149,35 @@ def test_engine_parity():
             counts.append(counter.count)
         assert outs[0] == outs[1]
         assert counts[0] == counts[1] > 0
+
+
+@pytest.mark.parametrize("p,K,s", [(3, 32, 104), (7, 32, 2736)])
+def test_tiled_butterflies_match_untiled(monkeypatch, p, K, s):
+    # a tiny tile splits the radix-13 (s=104) and radix-19 (s=2736, object
+    # arrays) stages into several contraction, output and row tiles
+    import padicfft.fft as fft_mod
+
+    plan = build_pipeline(p, K, s=s, rng=random.Random(2)).plan
+    counter = plan.ring.counter
+    rng = random.Random(s)
+    x = random_vector(plan.ring, s, rng)
+    y = random_vector(plan.ring, s, rng)
+    runs = []
+    for tile in (fft_mod.TILE, 64):
+        monkeypatch.setattr(fft_mod, "TILE", tile)
+        outs, counts = [], []
+        for op, args in ((dft, (x,)), (idft, (x,)), (cyclic_convolution, (x, y))):
+            counter.reset()
+            outs.append(op(*args, plan))
+            counts.append(counter.count)
+        runs.append((outs, counts))
+    assert runs[0] == runs[1]
+    evals = runs[1][0][0]
+    if s <= 104:
+        assert evals == naive_dft(x, plan.root, s)
+    else:
+        for j in (1, 5, 144, s - 1):
+            assert evals[j] == naive_dft(x, ring_pow(plan.root, j), 2)[1]
 
 
 def test_count_is_input_independent():

@@ -6,7 +6,17 @@ import numpy as np
 import pytest
 
 from padicfft.errors import OutOfRange
-from padicfft.kernels import MODULUS_LIMIT, int64_fits, mul_mod, power_table, ring_mul_batch, supports_modulus
+from padicfft.kernels import (
+    MODULUS_LIMIT,
+    contraction_limit,
+    limb_count,
+    matmul_mod,
+    mul_mod,
+    power_table,
+    ring_mul_batch,
+    split_limbs,
+    supports_modulus,
+)
 from padicfft.padic import PadicContext, RingExtension, ring_mul, ring_pow
 
 MODULI = [3, 19, 2**51, 2**51 - 1, 3**32, 5**21, 7**18, 2**51 - 33]
@@ -88,16 +98,6 @@ def test_ring_mul_batch_accumulator_guard():
         ring_mul_batch(x, x, np.zeros(d, dtype=np.int64), m)
 
 
-def test_int64_fits_boundary():
-    # a radix-r stage sums r residues below m, so int64 needs r*(m-1) < 2^63
-    assert int64_fits(3**32, 4977)
-    assert not int64_fits(3**32, 4978)
-    assert int64_fits(MODULUS_LIMIT, 4096)
-    assert not int64_fits(MODULUS_LIMIT, 4097)
-    assert int64_fits(MODULUS_LIMIT, 1)
-    assert not int64_fits(MODULUS_LIMIT + 1, 1)
-
-
 def test_object_backend_matches_python_ints():
     rng = random.Random(4)
     for p, K, d in ((19, 32, 3), (7, 32, 1), (3, 8, 4)):
@@ -134,3 +134,47 @@ def test_power_table_edges():
     assert one.tolist() == [[1, 0]]
     two = power_table(np.array([5, 7], dtype=np.int64), 2, fhead, 81)
     assert two.tolist() == [[1, 0], [5, 7]]
+
+
+def _matmul_reference(a, b, m):
+    return [[sum(int(x) * int(y) for x, y in zip(row, col)) % m for col in zip(*b)] for row in a]
+
+
+@pytest.mark.parametrize("m", [2, 3**8, 3**32, 2**51, 7**32, 19**32])
+def test_matmul_mod_differential(m):
+    dtype = np.int64 if supports_modulus(m) else object
+    rng = random.Random(m % 1000)
+    for rows, n, cols in ((7, 13, 5), (0, 4, 3), (1, 9, 2), (6, 1, 4), (40, 60, 30)):
+        a = np.array([rng.randrange(m) for _ in range(rows * n)], dtype=dtype).reshape(rows, n)
+        b = np.array([rng.randrange(m) for _ in range(n * cols)], dtype=dtype).reshape(n, cols)
+        got = matmul_mod(a, split_limbs(b, m), m)
+        assert got.dtype == dtype and got.shape == (rows, cols)
+        assert got.tolist() == _matmul_reference(a, b, m)
+    top = np.full((3, 50), m - 1, dtype=dtype)
+    assert matmul_mod(top, split_limbs(top.T, m), m).tolist() == _matmul_reference(top, top.T, m)
+
+
+def test_split_limbs_round_trip():
+    for m in (2, 3**32, 2**51, 7**32, 19**32):
+        values = [0, 1, m - 1, m // 3, (1 << 17) % m, ((1 << 51) - 1) % m]
+        x = np.array(values, dtype=np.int64 if supports_modulus(m) else object)
+        limbs = split_limbs(x, m)
+        assert limbs.dtype == np.float64 and limbs.shape == (limb_count(m), len(values))
+        assert limbs.max() < 1 << 17
+        back = [sum(int(limb[i]) << (17 * k) for k, limb in enumerate(limbs)) for i in range(len(values))]
+        assert back == values
+    assert [limb_count(m) for m in (2, 1 << 17, (1 << 17) + 1, 3**32, 7**16, 7**32)] == [1, 1, 2, 3, 3, 6]
+
+
+def test_matmul_mod_float_bound():
+    # L = 3 limbs for 3^32: every class sum stays below L*n*2^34, exact while that is < 2^53
+    m = 3**32
+    n = contraction_limit(m)
+    assert n == 174762 and 3 * n << 34 < 1 << 53 <= 3 * (n + 1) << 34
+    a = np.full((1, n), m - 1, dtype=np.int64)
+    assert matmul_mod(a, split_limbs(a.T, m), m).tolist() == [[n * (m - 1) ** 2 % m]]
+    a = np.full((1, n + 1), m - 1, dtype=np.int64)
+    with pytest.raises(OutOfRange):
+        matmul_mod(a, split_limbs(a.T, m), m)
+    with pytest.raises(OutOfRange):
+        matmul_mod(a[:, :4], split_limbs(a[0, :4, None], 7**32), m)
