@@ -20,10 +20,18 @@ One schedule runs on an (s, d) array whose dtype is the backend: int64 when
 p^K <= 2^51, else numpy object arrays of Python ints. make_plan picks the
 dtype once, as the dtype of the power table; both dtypes give the same
 outputs and the same counts.
+
+dft, idft and cyclic_convolution take either a list of s plan-ring elements
+or an (s, d) integer array of their coefficients, and answer in the same
+form: arrays come back in plan.table.dtype. poly_multiply stays in arrays.
+Called without a plan and without rng, it reuses the plans it built before
+from a bounded per-process cache keyed by (p, K, s); a shared plan's
+ring.counter accumulates the work of every caller.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -49,6 +57,9 @@ from .planner import choose_parameters
 # Elements per row tile, and the widest contraction or output tile, of a
 # butterfly product: bounds every temporary the product makes.
 TILE = 1 << 13
+# Plans poly_multiply keeps for reuse. The largest one it reaches in practice
+# (p=3, s=12584, d=30) holds a 3 MB int64 table, so the cache stays within tens of MB.
+PLAN_CACHE_SIZE = 8
 
 
 @dataclass
@@ -56,7 +67,9 @@ class FFTPlan:
     """Precomputed schedule for length-s transforms at precision K.
 
     Immutable once built; dft/idft never write to it, so one plan can serve
-    concurrent calls on distinct buffers.
+    concurrent calls on distinct buffers. Only ring.counter changes: every
+    transform on the plan adds its modelled multiplications there, including
+    those of other callers of a plan poly_multiply shares from its cache.
     """
 
     s: int
@@ -140,9 +153,25 @@ def _fhead(ring: RingExtension, dtype):
 
 
 def _to_array(values, plan: FFTPlan):
-    """(s, d) array of the coefficients of plan-ring elements."""
-    if len(values) != plan.s:
-        raise LengthMismatch(f"expected {plan.s} elements, got {len(values)}")
+    """(s, d) array of plan.table.dtype holding the coefficients of values.
+
+    values is a list of plan-ring elements or an integer array of residues
+    mod p^K; arrays come from outside, so their shape, type and range are checked.
+    """
+    s, d, m = plan.s, plan.ring.degree, plan.ring.ctx.pK
+    if isinstance(values, np.ndarray):
+        if values.shape != (s, d):
+            raise LengthMismatch(f"expected an array of shape {(s, d)}, got {values.shape}")
+        if values.dtype == object:
+            if not all(isinstance(v, int) for v in values.flat):
+                raise BadInput("object arrays must hold Python ints")
+        elif values.dtype.kind not in "iu":
+            raise BadInput(f"array entries must be integers, got dtype {values.dtype}")
+        if values.size and (values.min() < 0 or values.max() >= m):
+            raise BadInput(f"array entries must lie in [0, {m})")
+        return values.astype(plan.table.dtype, copy=False)
+    if len(values) != s:
+        raise LengthMismatch(f"expected {s} elements, got {len(values)}")
     for v in values:
         if not v.parent.same(plan.ring):
             raise ParentMismatch("element does not belong to the plan's ring")
@@ -154,16 +183,23 @@ def _to_elements(arr, plan: FFTPlan):
 
 
 def dft(coeffs, plan: FFTPlan):
-    """Evaluations [f(alpha^0), ..., f(alpha^(s-1))] of sum coeffs[i] Y^i."""
-    return _to_elements(_transform(_to_array(coeffs, plan), plan, invert=False), plan)
+    """Evaluations [f(alpha^0), ..., f(alpha^(s-1))] of sum coeffs[i] Y^i.
+
+    coeffs is a list of s plan-ring elements, giving a list, or an (s, d)
+    integer array of their coefficients in [0, p^K), giving an array of
+    plan.table.dtype.
+    """
+    out = _transform(_to_array(coeffs, plan), plan, invert=False)
+    return out if isinstance(coeffs, np.ndarray) else _to_elements(out, plan)
 
 
 def idft(evals, plan: FFTPlan):
-    """Exact inverse of dft: coefficients from evaluations."""
+    """Exact inverse of dft: coefficients from evaluations, in the form of evals."""
     ring = plan.ring
     out = _transform(_to_array(evals, plan), plan, invert=True)
     ring.counter.add(plan.s * ring.degree)  # scaling by s^-1, d multiplications per element
-    return _to_elements(kernels.mul_mod(out, plan.inv_s, ring.ctx.pK), plan)
+    out = kernels.mul_mod(out, plan.inv_s, ring.ctx.pK)
+    return out if isinstance(evals, np.ndarray) else _to_elements(out, plan)
 
 
 def _transform(arr, plan: FFTPlan, invert: bool):
@@ -258,23 +294,39 @@ def naive_dft(coeffs, root, s: int):
 
 
 def cyclic_convolution(x, y, plan: FFTPlan):
-    """Length-s cyclic convolution via dft, pointwise product, idft."""
+    """Length-s cyclic convolution via dft, pointwise product, idft.
+
+    An array when x and y are both (s, d) arrays, else a list of plan-ring elements.
+    """
     ring = plan.ring
-    fx = _to_array(dft(x, plan), plan)
-    fy = _to_array(dft(y, plan), plan)
+    fx, fy = (dft(v if isinstance(v, np.ndarray) else _to_array(v, plan), plan) for v in (x, y))
     ring.counter.add(plan.s * ring.mul_cost())
-    prod = kernels.ring_mul_batch(fx, fy, _fhead(ring, plan.table.dtype), ring.ctx.pK)
-    return idft(_to_elements(prod, plan), plan)
+    prod = idft(kernels.ring_mul_batch(fx, fy, _fhead(ring, plan.table.dtype), ring.ctx.pK), plan)
+    return prod if isinstance(x, np.ndarray) and isinstance(y, np.ndarray) else _to_elements(prod, plan)
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _default_plan(p: int, K: int, s) -> FFTPlan:
+    """build_pipeline's plan for (p, K, s) at its default seed, which determines it."""
+    from . import pipeline
+
+    return pipeline.build_pipeline(p, K, s=s).plan
 
 
 def poly_multiply(f, g, p: int, K: int, planner=choose_parameters, plan: FFTPlan | None = None,
                   rng: random.Random | None = None):
     """Exact product of two Z/p^K coefficient sequences via the transform.
 
-    Inputs are embedded as constant ring elements; the planner hook picks s
-    above deg f + deg g unless a prebuilt plan is supplied. Output results
-    must come back constant, coefficient by coefficient.
+    Inputs are embedded as constant ring elements: column 0 of two (s, d)
+    arrays. A prebuilt plan must be over Z/p^K. Without one, the planner hook
+    picks s above deg f + deg g. With rng None the plan comes from a
+    per-process cache of PLAN_CACHE_SIZE plans keyed by (p, K, s), each built
+    once at build_pipeline's default seed, and its ring.counter accumulates
+    the work of every caller; with rng a fresh plan is built on every call.
+    Output results must come back constant, coefficient by coefficient.
     """
+    if plan is not None and (plan.p, plan.K) != (p, K):
+        raise ParentMismatch(f"plan is over Z/{plan.p}^{plan.K}, not Z/{p}^{K}")
     fc = [c % p**K for c in f]
     gc = [c % p**K for c in g]
     while fc and fc[-1] == 0:
@@ -289,20 +341,23 @@ def poly_multiply(f, g, p: int, K: int, planner=choose_parameters, plan: FFTPlan
             chosen = planner(p, max(bound, 1))
         except (OutOfRange, FactoringFailure) as exc:
             raise DegreeOverflow(f"no transform length above {bound} is available") from exc
-        from .pipeline import build_pipeline
+        if rng is None:
+            plan = _default_plan(p, K, chosen.s_factored)
+        else:
+            from . import pipeline
 
-        plan = build_pipeline(p, K, s=chosen.s_factored, rng=rng).plan
+            plan = pipeline.build_pipeline(p, K, s=chosen.s_factored, rng=rng).plan
     if bound >= plan.s:
         raise DegreeOverflow(f"product degree {bound} needs s > {bound}, plan has s = {plan.s}")
-    ring = plan.ring
-    xs = [ring.from_int(c) for c in fc] + [ring.zero()] * (plan.s - len(fc))
-    ys = [ring.from_int(c) for c in gc] + [ring.zero()] * (plan.s - len(gc))
+    xs = np.zeros((plan.s, plan.ring.degree), dtype=plan.table.dtype)
+    ys = np.zeros_like(xs)
+    xs[: len(fc), 0] = fc
+    ys[: len(gc), 0] = gc
     prod = cyclic_convolution(xs, ys, plan)
-    out = []
-    for i, v in enumerate(prod):
-        if any(v.coeffs[1:]):
-            raise CoefficientNotRational(f"product coefficient {i} is not in Z/p^K")
-        out.append(v.coeffs[0])
+    bad = np.flatnonzero((prod[:, 1:] != 0).any(axis=1))
+    if bad.size:
+        raise CoefficientNotRational(f"product coefficient {bad[0]} is not in Z/p^K")
+    out = prod[:, 0].tolist()
     while out and out[-1] == 0:
         out.pop()
     return out

@@ -33,6 +33,16 @@ def random_vector(ring, s, rng):
             for _ in range(s)]
 
 
+def schoolbook(f, g, m):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % m
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
 def test_digit_reversal_permutation():
     assert digit_reversal_permutation([]) == (0,)
     assert digit_reversal_permutation([3]) == (0, 1, 2)
@@ -131,8 +141,9 @@ def test_convolution_matches_schoolbook():
 
 
 def test_engine_parity():
-    # one plan, two backends (int64 and Python-int object arrays): identical
-    # outputs and identical counted work
+    # one plan, two backends (int64 and Python-int object arrays), and two
+    # input forms (RingElement lists and (s, d) arrays): identical outputs
+    # and identical counted work
     pipe = build_pipeline(3, 8, s=104, rng=random.Random(2))
     fast = pipe.plan
     slow = dataclasses.replace(fast, table=fast.table.astype(object))
@@ -141,14 +152,21 @@ def test_engine_parity():
     rng = random.Random(17)
     x = random_vector(fast.ring, 104, rng)
     y = random_vector(fast.ring, 104, rng)
-    for op, args in ((dft, (x,)), (idft, (x,)), (cyclic_convolution, (x, y))):
+    xa, ya = (np.array([v.coeffs for v in vec]) for vec in (x, y))
+    for op, forms in ((dft, ((x,), (xa,))), (idft, ((x,), (xa,))), (cyclic_convolution, ((x, y), (xa, ya)))):
         outs, counts = [], []
         for plan in (fast, slow):
-            counter.reset()
-            outs.append([v.coeffs for v in op(*args, plan)])
-            counts.append(counter.count)
-        assert outs[0] == outs[1]
-        assert counts[0] == counts[1] > 0
+            for args in forms:
+                counter.reset()
+                out = op(*args, plan)
+                counts.append(counter.count)
+                if isinstance(out, np.ndarray):
+                    assert out.dtype == plan.table.dtype
+                    outs.append([tuple(row) for row in out.tolist()])
+                else:
+                    outs.append([v.coeffs for v in out])
+        assert outs[0] == outs[1] == outs[2] == outs[3]
+        assert counts[0] == counts[1] == counts[2] == counts[3] > 0
 
 
 @pytest.mark.parametrize("p,K,s", [(3, 32, 104), (7, 32, 2736)])
@@ -217,13 +235,7 @@ def test_poly_multiply_prebuilt_plan():
     for _ in range(20):
         fc = [rng.randrange(m) for _ in range(rng.randrange(1, 42))]
         gc = [rng.randrange(m) for _ in range(rng.randrange(1, 42))]
-        school = [0] * (len(fc) + len(gc) - 1)
-        for i, a in enumerate(fc):
-            for j, b in enumerate(gc):
-                school[i + j] = (school[i + j] + a * b) % m
-        while school and school[-1] == 0:
-            school.pop()
-        assert poly_multiply(fc, gc, 3, 8, plan=pipe.plan) == school
+        assert poly_multiply(fc, gc, 3, 8, plan=pipe.plan) == schoolbook(fc, gc, m)
 
 
 def test_poly_multiply_degree_overflow():
@@ -236,6 +248,49 @@ def test_poly_multiply_degree_overflow():
         return choose_parameters(p, 1)
     with pytest.raises(DegreeOverflow):
         poly_multiply(f, f, 3, 4, planner=tiny_planner)
+
+
+def test_poly_multiply_plan_mismatch():
+    # a plan over Z/3^4 must not silently reduce a product asked mod 3^8 or 5^4
+    plan = build_pipeline(3, 4, s=8, rng=random.Random(2)).plan
+    assert poly_multiply([100], [100], 3, 4, plan=plan) == [10000 % 3**4]
+    with pytest.raises(ParentMismatch):
+        poly_multiply([100], [100], 3, 8, plan=plan)
+    with pytest.raises(ParentMismatch):
+        poly_multiply([100], [100], 5, 4, plan=plan)
+
+
+def test_poly_multiply_reuses_default_plan(monkeypatch):
+    import padicfft.fft as fft_mod
+    import padicfft.pipeline as pipeline_mod
+
+    builds = []
+    real_build = pipeline_mod.build_pipeline
+
+    def counting_build(*args, **kwargs):
+        builds.append(kwargs.get("s"))
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline_mod, "build_pipeline", counting_build)
+    fft_mod._default_plan.cache_clear()
+    rng = random.Random(29)
+    for K, dtype in ((16, np.int64), (32, object)):
+        m = 7**K
+        f, g = ([rng.randrange(m) for _ in range(n)] for n in (20, 15))
+        assert poly_multiply(f, g, 7, K) == schoolbook(f, g, m)
+        assert [s.value for s in builds] == [48]  # each K builds its own plan
+        f, g = ([rng.randrange(m) for _ in range(n)] for n in (10, 30))
+        assert poly_multiply(f, g, 7, K) == schoolbook(f, g, m)  # s=48 again: no build
+        assert len(builds) == 1
+        plan = fft_mod._default_plan(7, K, builds[0])
+        assert plan.table.dtype == dtype
+        for _ in range(2):
+            assert poly_multiply(f, g, 7, K, rng=random.Random(3)) == schoolbook(f, g, m)
+        assert len(builds) == 3  # an explicit rng builds every time
+        fresh = real_build(7, K, s=plan.s).plan
+        x = np.array([[rng.randrange(m) for _ in range(plan.ring.degree)] for _ in range(plan.s)])
+        assert dft(x, plan).tolist() == dft(x, fresh).tolist()
+        builds.clear()
 
 
 def test_validation():
@@ -256,6 +311,25 @@ def test_validation():
     from padicfft.errors import NotCoprime
     with pytest.raises(NotCoprime):
         make_plan(9, pipe.lift, 4)
+    # arrays come from outside: shape, type and range are checked on both backends
+    m, d = plan.ring.ctx.pK, plan.ring.degree
+    for pl in (plan, dataclasses.replace(plan, table=plan.table.astype(object))):
+        for form in (np.int64, object):
+            good = np.zeros((8, d), dtype=form)
+            for op, args in ((dft, (good,)), (idft, (good,)), (cyclic_convolution, (good, good))):
+                op(*args, pl)
+                for shape in ((7, d), (8, d + 1), (8 * d,)):
+                    with pytest.raises(LengthMismatch):
+                        op(*(np.zeros(shape, dtype=form) for _ in args), pl)
+                for value in (m, -1):
+                    wrong = good.copy()
+                    wrong[3, 1] = value
+                    with pytest.raises(BadInput):
+                        op(*(wrong for _ in args), pl)
+    with pytest.raises(BadInput):
+        dft(np.zeros((8, d)), plan)
+    with pytest.raises(BadInput):
+        dft(np.full((8, d), 0.5, dtype=object), plan)
 
 
 def test_projection_failure_detected(monkeypatch):
@@ -265,7 +339,8 @@ def test_projection_failure_detected(monkeypatch):
 
     pipe = build_pipeline(3, 4, s=4, rng=random.Random(7))
     plan = pipe.plan
-    gen = plan.ring.element([0, 1])
-    monkeypatch.setattr(fft_mod, "cyclic_convolution", lambda x, y, p: [gen] * 4)
-    with pytest.raises(CoefficientNotRational):
+    bad = np.ones((4, 2), dtype=plan.table.dtype)
+    bad[0, 1] = 0
+    monkeypatch.setattr(fft_mod, "cyclic_convolution", lambda x, y, p: bad)
+    with pytest.raises(CoefficientNotRational, match="coefficient 1 "):
         poly_multiply([1, 1], [1, 1], 3, 4, plan=plan)
