@@ -26,7 +26,7 @@ from .lifting import expand_lifted_factor
 from .padic import poly_text
 from .pipeline import DEFAULT_SEED, build_pipeline
 from .planner import asymptotic_report, choose_parameters, report_csv
-from .selftest import run_selftest
+from .selftest import CRITERIA, run_selftest
 
 DEFAULT_K = 32
 
@@ -36,6 +36,14 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(2, f"error usage ArgumentError: {' '.join(message.split())}\n")
+
+
+def _criterion_numbers(text: str) -> set:
+    """--only value: comma-separated criterion numbers, each in 1..len(CRITERIA)."""
+    parts = text.split(",")
+    if not all(part.strip().isdigit() and 1 <= int(part) <= len(CRITERIA) for part in parts):
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers in 1..{len(CRITERIA)}, got {text!r}")
+    return {int(part) for part in parts}
 
 
 def _add_seed(sp):
@@ -88,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed(sp)
 
     sp = sub.add_parser("selftest", help="run the acceptance suite")
-    sp.add_argument("--only", type=str, default=None,
+    sp.add_argument("--only", type=_criterion_numbers, default=None,
                     help="comma-separated criterion numbers, e.g. 1,6,10")
 
     sp = sub.add_parser("bench", help="planner sweep with instrumented transform counts")
@@ -182,10 +190,7 @@ def _cmd_mul(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    numbers = None
-    if args.only:
-        numbers = {int(x) for x in args.only.split(",")}
-    results = run_selftest(numbers=numbers)
+    results = run_selftest(numbers=args.only)
     return 0 if results and all(r.passed for r in results) else 4
 
 

@@ -7,14 +7,20 @@ sum with the fixed powers alpha^((s/r) j k2). The inverse transform runs
 the same schedule with negated exponents into the same power table and one
 final multiplication by s^(-1).
 
-Twiddles are elementwise ring products. The radix-r pass is the same
-Z/p^K-linear map of size rd x rd for every block of a stage: block (j, k2)
-is the multiplication matrix of alpha^((s/r) j k2). It is built per stage
-from the power table and applied to all rows at once by the exact float64
-matmul of kernels.matmul_mod, in tiles bounded by TILE. The multiplication
-counter still charges the schoolbook model: a twiddle or a butterfly
-product is counted exactly when its exponent is nonzero, never based on
-operand values, so the count depends only on d and the radix schedule.
+Every product inside a stage runs on the exact float64 matmul of
+kernels.matmul_mod, in tiles bounded by TILE. A ring product by a fixed
+element is the d x d multiplication matrix of that element, built from the
+power table. The twiddle pass splits each twiddle into two factors, each
+shared by whole rows of the stage, and multiplies every group of rows by
+its factor's matrix in one batched product (see _twiddle). The radix-r
+pass is the same Z/p^K-linear map of size rd x rd for every block of a
+stage: block (j, k2) is the multiplication matrix of alpha^((s/r) j k2),
+applied to all rows at once. The power table itself is two short tables
+and one batched product.
+The multiplication counter still charges the schoolbook model: a twiddle
+or a butterfly product is counted exactly when its exponent is nonzero,
+never based on operand values, so the count depends only on d and the
+radix schedule.
 
 One schedule runs on an (s, d) array whose dtype is the backend: int64 when
 p^K <= 2^51, else numpy object arrays of Python ints. make_plan picks the
@@ -32,6 +38,7 @@ ring.counter accumulates the work of every caller.
 from __future__ import annotations
 
 import functools
+import math
 import random
 from dataclasses import dataclass
 
@@ -55,7 +62,8 @@ from .padic import RingExtension, residue_inverse, ring_mul, ring_pow
 from .planner import choose_parameters
 
 # Elements per row tile, and the widest contraction or output tile, of a
-# butterfly product: bounds every temporary the product makes.
+# butterfly product, and elements per batch tile of a twiddle or power-table
+# product: bounds every temporary a product makes.
 TILE = 1 << 13
 # Plans poly_multiply keeps for reuse. The largest one it reaches in practice
 # (p=3, s=12584, d=30) holds a 3 MB int64 table, so the cache stays within tens of MB.
@@ -133,7 +141,7 @@ def make_plan(s, lift, K: int) -> FFTPlan:
     m = ring.ctx.pK
     radices = tuple(s.radix_schedule())
     dtype = np.int64 if kernels.supports_modulus(m) else object
-    table = kernels.power_table(np.asarray(root.coeffs, dtype=dtype), s.value, _fhead(ring, dtype), m)
+    table = _power_table(np.asarray(root.coeffs, dtype=dtype), s.value, _fhead(ring, dtype), m)
     ring.counter.add(max(0, s.value - 2) * ring.mul_cost())
     return FFTPlan(
         s=s.value,
@@ -216,14 +224,8 @@ def _transform(arr, plan: FFTPlan, invert: bool):
         big = r * t
         blocks = s // big
         view = arr.reshape(blocks, r, t, d)
-        stage_stride = s // big
-        if t > 1:
-            k1 = np.arange(1, t)
-            for j in range(1, r):
-                e = stage_stride * j * k1
-                idx = (s - e) if invert else e
-                view[:, j, 1:, :] = kernels.ring_mul_batch(view[:, j, 1:, :], table[idx], fhead, m)
-                ring.counter.add(blocks * (t - 1) * cost)
+        _twiddle(view, table, fhead, m, invert)
+        ring.counter.add((r - 1) * blocks * (t - 1) * cost)  # the products with exponent j*k1 != 0
         maps = _multiplication_maps(table[(s // r) * np.arange(r)], fhead, m)
         arr = _butterfly(view, maps, invert, m).reshape(s, d)
         ring.counter.add((r - 1) ** 2 * blocks * t * cost)  # the schoolbook products with exponent j*k2 != 0
@@ -243,6 +245,61 @@ def _multiplication_maps(powers, fhead, m: int):
         row = (shifted - kernels.mul_mod(row[:, -1:], fhead, m)) % m
         maps[:, a] = row
     return maps
+
+
+def _twiddle(view, table, fhead, m: int, invert: bool):
+    """Twiddle pass, in place: entry (b, j, k1) of view times alpha^(blocks j k1), as batched exact matmuls.
+
+    With k1 = h c + l the twiddle is alpha^(blocks j l) * alpha^(blocks j c h),
+    c the smallest divisor of t with c^2 >= t: one pass multiplies the rows
+    sharing (j, l) by one map, a second those sharing (j, h). So a stage
+    builds (r-1)(c + t/c) maps rather than one per twiddle. A single pass
+    (c = t) runs when its (r-1) t maps of d x d hold no more entries than
+    the stage's own array. Factors with exponent 0 are skipped.
+    """
+    blocks, r, t, d = view.shape
+    s = table.shape[0]
+    if (r - 1) * t * d <= s:
+        c = t
+    else:
+        c = next(q for q in range(1, t + 1) if t % q == 0 and q * q >= t)
+    grid = view.reshape(blocks, r, t // c, c, d)
+    sign = -1 if invert else 1
+    # pass 1 batches over (j, l >= 1), pass 2 over (j, h >= 1); the rows are the other two axes
+    for x, unit in ((grid[:, 1:, :, 1:].transpose(1, 3, 0, 2, 4), 1), (grid[:, 1:, 1:].transpose(1, 2, 0, 3, 4), c)):
+        if x.size:
+            e = blocks * unit * np.arange(1, r)[:, None] * np.arange(1, x.shape[1] + 1)
+            powers = table[(sign * e).ravel() % s]
+            x[...] = _ring_scale(x.reshape(powers.shape[0], -1, d), powers, fhead, m).reshape(x.shape)
+
+
+def _ring_scale(x, powers, fhead, m: int):
+    """out[u] = x[u] * powers[u] in the ring, for x of shape (n, rows, d) and powers of shape (n, d).
+
+    Each power becomes its multiplication map, and the maps act on their
+    rows in stacked kernels.matmul_mod products. A tile takes whole batch
+    entries, at most TILE elements of x unless one entry alone holds more.
+    """
+    n, rows, d = x.shape
+    maps = _multiplication_maps(powers, fhead, m)
+    out = np.empty(x.shape, dtype=powers.dtype)
+    step = max(1, TILE // (rows * d))
+    for u in range(0, n, step):
+        out[u : u + step] = kernels.matmul_mod(x[u : u + step], kernels.split_limbs(maps[u : u + step], m), m)
+    return out
+
+
+def _power_table(root, s: int, fhead, m: int):
+    """(s, d) array of root^0 .. root^(s-1), root given as a coefficient array.
+
+    Row h c + l is (root^c)^h * root^l with c = ceil(sqrt(s)): kernels.power_table
+    builds the two short tables, and one batched product fills the rest.
+    """
+    d = root.shape[0]
+    c = math.isqrt(s - 1) + 1
+    low = kernels.power_table(root, c + 1, fhead, m)
+    high = kernels.power_table(low[c], -(-s // c), fhead, m)
+    return _ring_scale(np.broadcast_to(low[:c], (len(high), c, d)), high, fhead, m).reshape(-1, d)[:s]
 
 
 def _butterfly(view, maps, invert: bool, m: int):

@@ -131,14 +131,18 @@ def split_limbs(x, m: int):
 
 
 def matmul_mod(a, b_limbs, m: int):
-    """Exact (a @ b) % m for a of shape (rows, n) in [0, m) and b_limbs = split_limbs(b, m).
+    """Exact (a @ b) % m for a of shape (..., rows, n) in [0, m) and b_limbs = split_limbs(b, m).
 
-    The result has a's dtype. Weight class w sums the limb products
-    a_i @ b_j with i + j = w. The classes are carried into 17-bit digits and
-    packed three to an int64 word, and the words are recombined mod m: with
-    mul_mod on int64, with shifts of Python ints on object arrays.
+    b has shape (n, k) or a stack (..., n, k) that broadcasts against a like
+    numpy's @, so one call multiplies a batch of matrices by a batch of
+    maps; n, the contraction length the float64 bound applies to, is
+    b_limbs.shape[-2]. The result has a's dtype. Weight class w sums the
+    limb products a_i @ b_j with i + j = w. The classes are carried into
+    17-bit digits and packed three to an int64 word, and the words are
+    recombined mod m: with mul_mod on int64, with shifts of Python ints on
+    object arrays.
     """
-    L, n = b_limbs.shape[:2]
+    L, n = b_limbs.shape[0], b_limbs.shape[-2]
     if L != limb_count(m):
         raise OutOfRange(f"{L} limbs do not hold residues mod {m}")
     if n > contraction_limit(m):

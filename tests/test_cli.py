@@ -90,7 +90,9 @@ def test_exit_code_usage(tmp_path, capsys):
     assert exc.value.code == 2
     # argparse's own errors are one `error usage` line too
     for argv in (["dft", "-i", str(bad), "-o", str(tmp_path / "o"), "-s", "8", "--engine", "numpy"],
-                 ["plan", "-p", "3", "-N", "abc"], ["frobnicate"]):
+                 ["plan", "-p", "3", "-N", "abc"], ["frobnicate"],
+                 ["selftest", "--only", "abc"], ["selftest", "--only", "99"], ["selftest", "--only", "0"],
+                 ["selftest", "--only", "1,,2"], ["selftest", "--only", ""], ["selftest", "--only", "-1"]):
         capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
             main(argv)

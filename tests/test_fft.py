@@ -172,24 +172,54 @@ def test_engine_parity():
 @pytest.mark.parametrize("p,K,s", [(3, 32, 104), (7, 32, 2736)])
 def test_tiled_butterflies_match_untiled(monkeypatch, p, K, s):
     # a tiny tile splits the radix-13 (s=104) and radix-19 (s=2736, object
-    # arrays) stages into several contraction, output and row tiles
+    # arrays) stages into several contraction, output and row tiles, and the
+    # twiddle and power-table products into several batch tiles
     import padicfft.fft as fft_mod
+    from padicfft import kernels
 
-    plan = build_pipeline(p, K, s=s, rng=random.Random(2)).plan
+    pipe = build_pipeline(p, K, s=s, rng=random.Random(2))
+    plan = pipe.plan
     counter = plan.ring.counter
     rng = random.Random(s)
     x = random_vector(plan.ring, s, rng)
     y = random_vector(plan.ring, s, rng)
+    root = np.asarray(plan.root.coeffs, dtype=plan.table.dtype)
+    one_product_per_row = kernels.power_table(root, s, fft_mod._fhead(plan.ring, root.dtype), plan.ring.ctx.pK)
+    # log of twiddle stages (view shape), their batched products (x shape) and the stacked matmuls under them
+    log = []
+    real = fft_mod._twiddle, fft_mod._ring_scale, kernels.matmul_mod
+    monkeypatch.setattr(fft_mod, "_twiddle", lambda view, *a: log.append(("stage", view.shape)) or real[0](view, *a))
+    monkeypatch.setattr(fft_mod, "_ring_scale", lambda x, *a: log.append(("pass", x.shape)) or real[1](x, *a))
+    monkeypatch.setattr(kernels, "matmul_mod",
+                        lambda a, *rest: (a.ndim == 3 and log.append(("tile", a.shape))) or real[2](a, *rest))
     runs = []
     for tile in (fft_mod.TILE, 64):
         monkeypatch.setattr(fft_mod, "TILE", tile)
+        assert np.array_equal(make_plan(plan.s_factored, pipe.lift, K).table, one_product_per_row)
         outs, counts = [], []
         for op, args in ((dft, (x,)), (idft, (x,)), (cyclic_convolution, (x, y))):
             counter.reset()
+            log.clear()
             outs.append(op(*args, plan))
             counts.append(counter.count)
+            if op is dft:
+                dft_log = list(log)
         runs.append((outs, counts))
     assert runs[0] == runs[1]
+    # per twiddle stage of the TILE = 64 dft: t -> its passes, each with its tile count
+    stages = {}
+    for kind, shape in dft_log:
+        if kind == "stage":
+            passes = stages.setdefault(shape[2], [])
+        elif kind == "pass":
+            passes.append([shape, 0])
+        else:
+            passes[-1][1] += 1
+    two_factor = [t for t, passes in stages.items() if len(passes) == 2]
+    assert two_factor and any(tiles > 1 for passes in stages.values() for _, tiles in passes)
+    if s == 104:
+        assert len(stages[13]) == 1 and stages[13][0][0][0] == 12  # one pass: (r-1)(t-1) twiddles
+        assert [shape[0] for shape, _ in stages[26]] == [12, 1]  # c = 13: (r-1)(c-1), then (r-1)(t/c - 1)
     evals = runs[1][0][0]
     if s <= 104:
         assert evals == naive_dft(x, plan.root, s)

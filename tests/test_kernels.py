@@ -152,6 +152,13 @@ def test_matmul_mod_differential(m):
         assert got.tolist() == _matmul_reference(a, b, m)
     top = np.full((3, 50), m - 1, dtype=dtype)
     assert matmul_mod(top, split_limbs(top.T, m), m).tolist() == _matmul_reference(top, top.T, m)
+    # stacked: a batch of (rows, n) matrices times a batch of (n, cols) maps, entry by entry
+    for batch, rows, n, cols in ((4, 7, 13, 5), (3, 1, 30, 30), (1, 20, 2, 2)):
+        a = np.array([rng.randrange(m) for _ in range(batch * rows * n)], dtype=dtype).reshape(batch, rows, n)
+        b = np.array([rng.randrange(m) for _ in range(batch * n * cols)], dtype=dtype).reshape(batch, n, cols)
+        got = matmul_mod(a, split_limbs(b, m), m)
+        assert got.dtype == dtype and got.shape == (batch, rows, cols)
+        assert got.tolist() == [_matmul_reference(u, v, m) for u, v in zip(a, b)]
 
 
 def test_split_limbs_round_trip():
@@ -178,3 +185,9 @@ def test_matmul_mod_float_bound():
         matmul_mod(a, split_limbs(a.T, m), m)
     with pytest.raises(OutOfRange):
         matmul_mod(a[:, :4], split_limbs(a[0, :4, None], 7**32), m)
+    # a stacked b is bounded by its own contraction axis, not by its batch size
+    stacked = np.full((2, 1, n + 1), m - 1, dtype=np.int64)
+    with pytest.raises(OutOfRange):
+        matmul_mod(stacked, split_limbs(stacked.transpose(0, 2, 1), m), m)
+    wide = np.full((n + 1, 1, 3), m - 1, dtype=np.int64)
+    assert matmul_mod(wide, split_limbs(wide[:, 0, :, None], m), m).tolist() == [[[3 * (m - 1) ** 2 % m]]] * (n + 1)
