@@ -10,7 +10,6 @@ constant so repeated runs produce byte-identical artifacts. Exit codes:
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 
 from . import polyio
@@ -184,7 +183,7 @@ def _cmd_mul(args) -> int:
     if args.s is not None or args.N is not None:
         bound = max(1, (len(a.coeffs) - 1) + (len(b.coeffs) - 1))
         plan = _plan_for(args, p, K, bound)
-    coeffs = poly_multiply(a.coeffs, b.coeffs, p, K, plan=plan, rng=random.Random(args.seed))
+    coeffs = poly_multiply(a.coeffs, b.coeffs, p, K, plan=plan, seed=args.seed)
     polyio.write_poly(args.output, polyio.PolyData(p=p, K=K, exp=a.exp + b.exp, coeffs=coeffs))
     return 0
 

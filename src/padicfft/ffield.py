@@ -44,11 +44,11 @@ class PrimeField:
 
     __slots__ = ("p", "counter")
 
-    def __init__(self, p: int, counter: MulCounter | None = None):
+    def __init__(self, p: int):
         if not is_prime(p):
             raise BadInput(f"{p} is not prime")
         self.p = p
-        self.counter = counter if counter is not None else MulCounter()
+        self.counter = MulCounter()
 
     order = property(lambda self: self.p)
     char = property(lambda self: self.p)
@@ -173,12 +173,9 @@ class ExtensionField:
                     prod[i - d + j] = bb.sub(prod[i - d + j], bb.mul(c, fj))
         return tuple(prod[:d])
 
-    def square(self, a):
-        return self.mul(a, a)
-
     def pow(self, a, e: int):
         if e < 0:
-            return self.pow(self.inv(a), -e)
+            raise BadInput("exponent must be nonnegative")
         out = self.one()
         acc = a
         while e:
@@ -334,13 +331,6 @@ def ff_poly_modpow(F, g, e: int, f):
         acc = poly_mod(F, poly_mul(F, acc, acc), f)
         e >>= 1
     return out
-
-
-def poly_eval(F, a, x):
-    acc = F.zero()
-    for c in reversed(a):
-        acc = F.add(F.mul(acc, x), c)
-    return acc
 
 
 def poly_from_ints(F, ints):

@@ -30,16 +30,15 @@ outputs and the same counts.
 dft, idft and cyclic_convolution take either a list of s plan-ring elements
 or an (s, d) integer array of their coefficients, and answer in the same
 form: arrays come back in plan.table.dtype. poly_multiply stays in arrays.
-Called without a plan and without rng, it reuses the plans it built before
-from a bounded per-process cache keyed by (p, K, s); a shared plan's
-ring.counter accumulates the work of every caller.
+Called without a plan, it reuses the plans it built before from a bounded
+per-process cache keyed by (p, K, s, seed); a shared plan's ring.counter
+accumulates the work of every caller.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -363,29 +362,33 @@ def cyclic_convolution(x, y, plan: FFTPlan):
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _default_plan(p: int, K: int, s) -> FFTPlan:
-    """build_pipeline's plan for (p, K, s) at its default seed, which determines it."""
+def _default_plan(p: int, K: int, s, seed: int | None) -> FFTPlan:
+    """build_pipeline's plan for (p, K, s) at seed, which determines it."""
     from . import pipeline
 
-    return pipeline.build_pipeline(p, K, s=s).plan
+    return pipeline.build_pipeline(p, K, s=s, seed=seed).plan
 
 
 def poly_multiply(f, g, p: int, K: int, planner=choose_parameters, plan: FFTPlan | None = None,
-                  rng: random.Random | None = None):
+                  seed: int | None = None):
     """Exact product of two Z/p^K coefficient sequences via the transform.
 
-    Inputs are embedded as constant ring elements: column 0 of two (s, d)
-    arrays. A prebuilt plan must be over Z/p^K. Without one, the planner hook
-    picks s above deg f + deg g. With rng None the plan comes from a
-    per-process cache of PLAN_CACHE_SIZE plans keyed by (p, K, s), each built
-    once at build_pipeline's default seed, and its ring.counter accumulates
-    the work of every caller; with rng a fresh plan is built on every call.
-    Output results must come back constant, coefficient by coefficient.
+    Coefficients must be Python or numpy integers. Inputs are embedded as
+    constant ring elements: column 0 of two (s, d) arrays. A prebuilt plan
+    must be over Z/p^K. Without one, the planner hook picks s above
+    deg f + deg g, and the plan comes from a per-process cache of
+    PLAN_CACHE_SIZE plans keyed by (p, K, s, seed), each built once by
+    build_pipeline at that seed (its default when None); a cached plan's
+    ring.counter accumulates the work of every caller. Output results must
+    come back constant, coefficient by coefficient.
     """
     if plan is not None and (plan.p, plan.K) != (p, K):
         raise ParentMismatch(f"plan is over Z/{plan.p}^{plan.K}, not Z/{p}^{K}")
-    fc = [c % p**K for c in f]
-    gc = [c % p**K for c in g]
+    for c in (*f, *g):
+        if not isinstance(c, (int, np.integer)):
+            raise BadInput(f"coefficient {c!r} is not an integer")
+    fc = [int(c) % p**K for c in f]
+    gc = [int(c) % p**K for c in g]
     while fc and fc[-1] == 0:
         fc.pop()
     while gc and gc[-1] == 0:
@@ -398,12 +401,7 @@ def poly_multiply(f, g, p: int, K: int, planner=choose_parameters, plan: FFTPlan
             chosen = planner(p, max(bound, 1))
         except (OutOfRange, FactoringFailure) as exc:
             raise DegreeOverflow(f"no transform length above {bound} is available") from exc
-        if rng is None:
-            plan = _default_plan(p, K, chosen.s_factored)
-        else:
-            from . import pipeline
-
-            plan = pipeline.build_pipeline(p, K, s=chosen.s_factored, rng=rng).plan
+        plan = _default_plan(p, K, chosen.s_factored, seed)
     if bound >= plan.s:
         raise DegreeOverflow(f"product degree {bound} needs s > {bound}, plan has s = {plan.s}")
     xs = np.zeros((plan.s, plan.ring.degree), dtype=plan.table.dtype)

@@ -19,7 +19,7 @@ from .errors import (
     NonUnit,
     ParentMismatch,
 )
-from .ffield import ExtensionField, MulCounter, PrimeField, is_irreducible
+from .ffield import MulCounter, PrimeField, is_irreducible
 from .orders import is_prime
 
 
@@ -64,7 +64,7 @@ def residue_inverse(u: int, ctx: PadicContext) -> int:
 class RingExtension:
     """(Z/p^K)[X]/(F) with F monic and irreducible mod p."""
 
-    __slots__ = ("ctx", "modulus", "degree", "counter", "_residue_field")
+    __slots__ = ("ctx", "modulus", "degree", "counter")
 
     def __init__(self, ctx: PadicContext, modulus, check: bool = True):
         modulus = [c % ctx.pK for c in modulus]
@@ -76,17 +76,8 @@ class RingExtension:
         self.modulus = tuple(modulus)
         self.degree = len(modulus) - 1
         self.counter = MulCounter()
-        self._residue_field = None
         if check and not is_irreducible(PrimeField(ctx.p), [c % ctx.p for c in modulus]):
             raise BadInput("modulus is not irreducible mod p")
-
-    @property
-    def residue_field(self) -> ExtensionField:
-        if self._residue_field is None:
-            p = self.ctx.p
-            fbar = [c % p for c in self.modulus]
-            self._residue_field = ExtensionField(PrimeField(p), fbar, check=False)
-        return self._residue_field
 
     def same(self, other: "RingExtension") -> bool:
         return self.ctx.same(other.ctx) and self.modulus == other.modulus
@@ -192,14 +183,6 @@ class RingElement:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def inverse(self) -> "RingElement":
-        return ring_inverse_unit(self)
-
-    def reduce_mod(self, K: int) -> tuple:
-        """Coefficients reduced to a lower precision p^K."""
-        q = self.parent.ctx.p**K
-        return tuple(c % q for c in self.coeffs)
-
     def __str__(self):
         A = self.parent
         body = poly_text(self.coeffs, monic_top=False)
@@ -253,7 +236,7 @@ def ring_mul(a: RingElement, b: RingElement) -> RingElement:
 
 def ring_pow(a: RingElement, e: int) -> RingElement:
     if e < 0:
-        return ring_pow(ring_inverse_unit(a), -e)
+        raise BadInput("exponent must be nonnegative")
     out = a.parent.one()
     acc = a
     while e:
@@ -271,24 +254,4 @@ def scalar_mul(c: int, a: RingElement) -> RingElement:
     pK = A.ctx.pK
     c %= pK
     return RingElement(A, tuple(c * x % pK for x in a.coeffs))
-
-
-def ring_inverse_unit(a: RingElement) -> RingElement:
-    """Invert a unit: invert in the residue field, then Newton-double.
-
-    A unit is an element whose reduction mod p is nonzero; each step
-    w <- w*(2 - a*w) doubles the number of correct p-adic digits.
-    """
-    A = a.parent
-    Fbar = A.residue_field
-    abar = tuple(c % A.ctx.p for c in a.coeffs)
-    if Fbar.is_zero(abar):
-        raise NonUnit("element is divisible by p")
-    w = A.element(Fbar.inv(abar))
-    two = A.from_int(2)
-    prec = 1
-    while prec < A.ctx.K:
-        w = ring_mul(w, two - ring_mul(a, w))
-        prec *= 2
-    return w
 

@@ -46,8 +46,7 @@ def precision_steps(K: int) -> int:
     return (K - 1).bit_length()
 
 
-def build_pipeline(p: int, K: int, N: int | None = None, s=None,
-                   rng: random.Random | None = None, seed: int | None = None) -> PipelineResult:
+def build_pipeline(p: int, K: int, N: int | None = None, s=None, seed: int | None = None) -> PipelineResult:
     """Build everything needed to transform length-s vectors over Z/p^K.
 
     Exactly one of N (planner picks s above it) and s must be given. The
@@ -62,8 +61,7 @@ def build_pipeline(p: int, K: int, N: int | None = None, s=None,
         s_factored = planner_result.s_factored
     else:
         s_factored = s if isinstance(s, FactoredOrder) else FactoredOrder.of(s)
-    if rng is None:
-        rng = random.Random(DEFAULT_SEED if seed is None else seed)
+    rng = random.Random(DEFAULT_SEED if seed is None else seed)
     tower = build_root_of_unity(p, s_factored, rng)
     lift = newton_lift_root(tower.modulus, s_factored, precision_steps(K), p)
     plan = make_plan(s_factored, lift, K)

@@ -1,12 +1,18 @@
 """Finding a primitive s-th root of unity over F_p by a tower of extensions.
 
-One prime power of s at a time: adjoin a primitive p0-th root by splitting the
-p0-th cyclotomic polynomial, climb p0-power levels with binomials X^p0 - root,
-then flatten the working tower back to a single extension F_p[Y]/f(Y) whose
-generator is the combined root so far. Splitting is randomized equal-degree
-(gcd of a random g, else gcd of g^((q^e-1)/2) - 1) and every target degree is
-derived from exact multiplicative orders, never from closed-form level
-thresholds, which misjudge some power-of-two boundary cases.
+One prime power p0^v of s at a time, level by level, with one step per level:
+take the level's polynomial (the cyclotomic Phi_p0 first, then the binomial
+X^p0 - cur over the root cur found so far, or X^(p0^n) - cur for all n
+remaining levels when the exact orders show it is irreducible), split off a
+factor of the degree e the exact orders predict, and take its root: -fac[0]
+in the same field when e = 1, else the generator of the extension by fac.
+After the last level, zeta_a * cur (zeta_a the root for the primes before
+p0) is flattened back to a single extension F_p[Y]/f(Y) by its minimal
+polynomial, and its class Y is the root carried on to the next prime. Splitting
+is randomized equal-degree (gcd of a random g, else gcd of g^((q^e-1)/2) - 1)
+and every target degree is derived from exact multiplicative orders, never
+from closed-form level thresholds, which misjudge some power-of-two boundary
+cases.
 """
 
 from __future__ import annotations
@@ -83,15 +89,6 @@ def _smaller_factor(field, f, h):
 
 
 @dataclass
-class TowerState:
-    """Progress while absorbing prime powers of s one at a time."""
-
-    field: object  # flattened F_p[Y]/f for everything absorbed so far
-    a: int  # product of the prime powers already absorbed
-    zeta: object  # primitive a-th root of unity, the generator of `field`
-
-
-@dataclass
 class UnityRoot:
     """A primitive s-th root of unity presented as the generator of F_p[Y]/f."""
 
@@ -120,77 +117,35 @@ def build_root_of_unity(p: int, s_factored, rng: random.Random) -> UnityRoot:
     if p == 2:
         raise EvenCharacteristic("p must be odd")
     prime = PrimeField(p)
-    state = TowerState(field=prime, a=1, zeta=prime.one())
+    field, zeta, a = prime, prime.one(), 1  # zeta: primitive a-th root generating field
 
     for p0, v in s.factors:
-        work = state.field
-        zeta_a = state.zeta
-        root = _adjoin_prime_root(work, state.a, p, p0, rng)
-        if isinstance(root, _Extended):
-            work, zeta_a, cur = root.field, root.embed(zeta_a), root.root
-        else:
-            cur = root
-        j = 1
+        work, zeta_a = field, zeta
+        poly = [work.from_int(c) for c in cyclotomic_polynomial(p0)]
+        j = 0  # cur, once set, is a primitive p0^j-th root in work
         while j < v:
-            e_next = tower_step_degree(p, state.a, p0, j + 1)
-            rem = v - j
-            total = multiplicative_order(p, state.a * p0**v) // multiplicative_order(p, state.a * p0**j)
-            if e_next > 1 and total == p0**rem:
-                # all remaining levels multiply: one irreducible binomial
-                ext = _binomial_extension(work, cur, p0**rem)
-                work, zeta_a, cur = ext.field, ext.embed(zeta_a), ext.root
-                j = v
-                continue
-            binom = [work.neg(cur)] + [work.zero()] * (p0 - 1) + [work.one()]
-            fac = cz_split(work, binom, e_next, rng)
-            if e_next == 1:
+            n, e = 1, tower_step_degree(p, a, p0, j + 1)
+            if j:
+                rest = multiplicative_order(p, a * p0**v) // multiplicative_order(p, a * p0**j)
+                if e > 1 and rest == p0 ** (v - j):  # the remaining levels are one irreducible binomial
+                    n, e = v - j, rest
+                poly = [work.neg(cur)] + [work.zero()] * (p0**n - 1) + [work.one()]
+            fac = cz_split(work, poly, e, rng)
+            if e == 1:
                 cur = work.neg(fac[0])
             else:
-                ext = _Extended(ExtensionField(work, fac, check=False))
-                work, zeta_a, cur = ext.field, ext.embed(zeta_a), ext.root
-            j += 1
-        state.a *= p0**v
-        beta = work.mul(zeta_a, cur)
-        mp = minimal_poly_from_orbit(work, beta)
-        if len(mp) - 1 != multiplicative_order(p, state.a):
+                work = ExtensionField(work, fac, check=False)
+                zeta_a, cur = work.embed(zeta_a), work.gen()
+            j += n
+        a *= p0**v
+        mp = minimal_poly_from_orbit(work, work.mul(zeta_a, cur))
+        if len(mp) - 1 != multiplicative_order(p, a):
             raise OrbitNotClosed("flattened degree does not match the exact order")
-        flat = ExtensionField(prime, list(mp), check=True)
-        state.field = flat
-        state.zeta = flat.gen()
+        field = ExtensionField(prime, list(mp), check=True)
+        zeta = field.gen()
 
-    field = state.field
-    if isinstance(field, PrimeField):  # cannot happen for s >= 2, kept defensive
-        raise OrbitNotClosed("tower finished without an extension")
-    _verify_primitive(field, state.zeta, s)
-    return UnityRoot(p=p, s=s.value, modulus=tuple(field.modulus), field=field, zeta=state.zeta)
-
-
-class _Extended:
-    """A fresh top level of the working tower plus its embedding map."""
-
-    def __init__(self, field: ExtensionField):
-        self.field = field
-        self.root = field.gen()
-
-    def embed(self, x):
-        return self.field.embed(x)
-
-
-def _binomial_extension(work, cur, n: int) -> _Extended:
-    binom = [work.neg(cur)] + [work.zero()] * (n - 1) + [work.one()]
-    return _Extended(ExtensionField(work, binom, check=False))
-
-
-def _adjoin_prime_root(work, a: int, p: int, p0: int, rng):
-    """A primitive p0-th root of unity: -1 for p0 = 2, else split Phi_p0."""
-    if p0 == 2:
-        return work.neg(work.one())
-    e1 = tower_step_degree(p, a, p0, 1)
-    phi = [work.from_int(c) for c in cyclotomic_polynomial(p0)]
-    fac = cz_split(work, phi, e1, rng)
-    if e1 == 1:
-        return work.neg(fac[0])
-    return _Extended(ExtensionField(work, fac, check=False))
+    _verify_primitive(field, zeta, s)
+    return UnityRoot(p=p, s=s.value, modulus=tuple(field.modulus), field=field, zeta=zeta)
 
 
 def _verify_primitive(field, zeta, s: FactoredOrder):

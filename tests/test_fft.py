@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -55,7 +56,7 @@ def test_digit_reversal_permutation():
 def test_frozen_length_four():
     # p=3, K=4: the tower gives f = Y^2 + 1 and the lifted root is Y itself,
     # so f(Y) = 1 + Y evaluates to 2, 1+Y, 0, 1-Y at the four powers.
-    pipe = build_pipeline(3, 4, s=4, rng=random.Random(7))
+    pipe = build_pipeline(3, 4, s=4, seed=7)
     plan = pipe.plan
     assert plan.ring.modulus == (1, 0, 1)
     assert plan.root.coeffs == (0, 1)
@@ -69,7 +70,7 @@ def test_frozen_length_four():
 @pytest.mark.parametrize("p,s", [(3, 2), (3, 4), (3, 8), (3, 104),
                                  (5, 6), (5, 12), (5, 24), (19, 5), (19, 8)])
 def test_matches_naive(p, s):
-    pipe = build_pipeline(p, 3, s=s, rng=random.Random(1))
+    pipe = build_pipeline(p, 3, s=s, seed=1)
     plan = pipe.plan
     rng = random.Random(s * 1000 + p)
     x = random_vector(plan.ring, s, rng)
@@ -78,7 +79,7 @@ def test_matches_naive(p, s):
 
 def test_matches_naive_above_int64():
     # 19^32 > 2^51, so the transform runs on Python ints
-    pipe = build_pipeline(19, 32, s=40, rng=random.Random(1))
+    pipe = build_pipeline(19, 32, s=40, seed=1)
     plan = pipe.plan
     assert plan.table.dtype == object
     x = random_vector(plan.ring, 40, random.Random(40))
@@ -88,7 +89,7 @@ def test_matches_naive_above_int64():
 @pytest.mark.parametrize("K", [1, 8, 32])
 @pytest.mark.parametrize("s", [2, 4, 8, 104])
 def test_round_trip(s, K):
-    pipe = build_pipeline(3, K, s=s, rng=random.Random(5))
+    pipe = build_pipeline(3, K, s=s, seed=5)
     plan = pipe.plan
     rng = random.Random(s + K)
     x = random_vector(plan.ring, s, rng)
@@ -98,7 +99,7 @@ def test_round_trip(s, K):
 
 def test_round_trip_python_engine():
     # 19^32 is far beyond the vector kernel's modulus bound
-    pipe = build_pipeline(19, 32, s=40, rng=random.Random(4))
+    pipe = build_pipeline(19, 32, s=40, seed=4)
     plan = pipe.plan
     assert plan.table.dtype == object
     rng = random.Random(9)
@@ -115,7 +116,7 @@ def test_length_one_plan():
 
 
 def test_linearity():
-    pipe = build_pipeline(3, 8, s=8, rng=random.Random(2))
+    pipe = build_pipeline(3, 8, s=8, seed=2)
     plan = pipe.plan
     rng = random.Random(11)
     x = random_vector(plan.ring, 8, rng)
@@ -126,7 +127,7 @@ def test_linearity():
 
 
 def test_convolution_matches_schoolbook():
-    pipe = build_pipeline(3, 8, s=8, rng=random.Random(2))
+    pipe = build_pipeline(3, 8, s=8, seed=2)
     plan = pipe.plan
     ring = plan.ring
     m = ring.ctx.pK
@@ -144,7 +145,7 @@ def test_engine_parity():
     # one plan, two backends (int64 and Python-int object arrays), and two
     # input forms (RingElement lists and (s, d) arrays): identical outputs
     # and identical counted work
-    pipe = build_pipeline(3, 8, s=104, rng=random.Random(2))
+    pipe = build_pipeline(3, 8, s=104, seed=2)
     fast = pipe.plan
     slow = dataclasses.replace(fast, table=fast.table.astype(object))
     assert fast.table.dtype == np.int64
@@ -177,7 +178,7 @@ def test_tiled_butterflies_match_untiled(monkeypatch, p, K, s):
     import padicfft.fft as fft_mod
     from padicfft import kernels
 
-    pipe = build_pipeline(p, K, s=s, rng=random.Random(2))
+    pipe = build_pipeline(p, K, s=s, seed=2)
     plan = pipe.plan
     counter = plan.ring.counter
     rng = random.Random(s)
@@ -229,7 +230,7 @@ def test_tiled_butterflies_match_untiled(monkeypatch, p, K, s):
 
 
 def test_count_is_input_independent():
-    pipe = build_pipeline(3, 8, s=104, rng=random.Random(3))
+    pipe = build_pipeline(3, 8, s=104, seed=3)
     plan = pipe.plan
     rng = random.Random(19)
     plan.ring.counter.reset()
@@ -259,7 +260,7 @@ def test_poly_multiply_planner_path():
 
 
 def test_poly_multiply_prebuilt_plan():
-    pipe = build_pipeline(3, 8, s=104, rng=random.Random(3))
+    pipe = build_pipeline(3, 8, s=104, seed=3)
     m = 3**8
     rng = random.Random(23)
     for _ in range(20):
@@ -269,7 +270,7 @@ def test_poly_multiply_prebuilt_plan():
 
 
 def test_poly_multiply_degree_overflow():
-    pipe = build_pipeline(3, 4, s=8, rng=random.Random(2))
+    pipe = build_pipeline(3, 4, s=8, seed=2)
     f = [1] * 5
     with pytest.raises(DegreeOverflow):
         poly_multiply(f, f, 3, 4, plan=pipe.plan)
@@ -282,12 +283,22 @@ def test_poly_multiply_degree_overflow():
 
 def test_poly_multiply_plan_mismatch():
     # a plan over Z/3^4 must not silently reduce a product asked mod 3^8 or 5^4
-    plan = build_pipeline(3, 4, s=8, rng=random.Random(2)).plan
+    plan = build_pipeline(3, 4, s=8, seed=2).plan
     assert poly_multiply([100], [100], 3, 4, plan=plan) == [10000 % 3**4]
     with pytest.raises(ParentMismatch):
         poly_multiply([100], [100], 3, 8, plan=plan)
     with pytest.raises(ParentMismatch):
         poly_multiply([100], [100], 5, 4, plan=plan)
+
+
+def test_poly_multiply_rejects_non_integer_coefficients():
+    # 3^8 runs on int64, where a float used to be truncated silently; 7^32 runs on object arrays
+    for p, K in ((3, 8), (7, 32)):
+        assert poly_multiply([np.int64(2), 1], [3, np.uint8(1)], p, K) == [6, 5, 1]
+        for f, g in (([1.5], [2]), ([1, 2.7], [3, 1]), (["1"], [1]), ([1], [np.float64(2)]),
+                     ([1], [Fraction(2)])):
+            with pytest.raises(BadInput):
+                poly_multiply(f, g, p, K)
 
 
 def test_poly_multiply_reuses_default_plan(monkeypatch):
@@ -312,11 +323,12 @@ def test_poly_multiply_reuses_default_plan(monkeypatch):
         f, g = ([rng.randrange(m) for _ in range(n)] for n in (10, 30))
         assert poly_multiply(f, g, 7, K) == schoolbook(f, g, m)  # s=48 again: no build
         assert len(builds) == 1
-        plan = fft_mod._default_plan(7, K, builds[0])
+        plan = fft_mod._default_plan(7, K, builds[0], None)
         assert plan.table.dtype == dtype
         for _ in range(2):
-            assert poly_multiply(f, g, 7, K, rng=random.Random(3)) == schoolbook(f, g, m)
-        assert len(builds) == 3  # an explicit rng builds every time
+            assert poly_multiply(f, g, 7, K, seed=3) == schoolbook(f, g, m)
+        assert len(builds) == 2  # another seed builds once, then reuses its plan
+        assert fft_mod._default_plan(7, K, builds[1], 3).root == real_build(7, K, s=plan.s, seed=3).plan.root
         fresh = real_build(7, K, s=plan.s).plan
         x = np.array([[rng.randrange(m) for _ in range(plan.ring.degree)] for _ in range(plan.s)])
         assert dft(x, plan).tolist() == dft(x, fresh).tolist()
@@ -324,12 +336,12 @@ def test_poly_multiply_reuses_default_plan(monkeypatch):
 
 
 def test_validation():
-    pipe = build_pipeline(3, 4, s=8, rng=random.Random(2))
+    pipe = build_pipeline(3, 4, s=8, seed=2)
     plan = pipe.plan
     x = [plan.ring.zero()] * 8
     with pytest.raises(LengthMismatch):
         dft(x[:-1], plan)
-    other = build_pipeline(3, 4, s=4, rng=random.Random(2)).plan
+    other = build_pipeline(3, 4, s=4, seed=2).plan
     with pytest.raises(ParentMismatch):
         dft([other.ring.zero()] * 8, plan)
     with pytest.raises(PrecisionTooLow):
@@ -367,7 +379,7 @@ def test_projection_failure_detected(monkeypatch):
     # to show the projection check actually fires
     import padicfft.fft as fft_mod
 
-    pipe = build_pipeline(3, 4, s=4, rng=random.Random(7))
+    pipe = build_pipeline(3, 4, s=4, seed=7)
     plan = pipe.plan
     bad = np.ones((4, 2), dtype=plan.table.dtype)
     bad[0, 1] = 0

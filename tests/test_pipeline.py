@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from padicfft.errors import BadInput
@@ -49,9 +47,3 @@ def test_seed_determinism():
     # the two known factors of the degree-2 case show up under other seeds
     c = build_pipeline(19, 2, s=5)  # default seed
     assert c.tower.modulus != a.tower.modulus
-
-
-def test_explicit_rng_wins_over_seed():
-    a = build_pipeline(19, 2, s=5, rng=random.Random(1))
-    b = build_pipeline(19, 2, s=5, seed=1)
-    assert a.tower.modulus == b.tower.modulus

@@ -1,5 +1,6 @@
 """Tests for equal-degree splitting and the root-of-unity tower."""
 
+import hashlib
 import random
 
 import pytest
@@ -12,11 +13,9 @@ from padicfft.errors import (
     RandomnessFailure,
 )
 from padicfft.ffield import (
-    ExtensionField,
     PrimeField,
     is_irreducible,
     poly_divmod,
-    poly_eval,
     poly_from_ints,
     poly_mul,
 )
@@ -170,5 +169,21 @@ def test_build_root_zeta_conjugates_are_roots_of_modulus():
     mod = poly_from_ints(f, root.modulus)
     conj = root.zeta
     for _ in range(root.degree):
-        assert poly_eval(f, mod, conj) == f.zero()
+        value = f.zero()
+        for c in reversed(mod):
+            value = f.add(f.mul(value, conj), c)
+        assert value == f.zero()
         conj = f.pow(conj, 19)
+
+
+def test_build_root_outputs_pinned():
+    # modulus, zeta and base-multiplication count over 2-power ladders, the case
+    # ord_8(19) = ord_4(19), several primes in one s and binomial shortcuts of degree 2, 3, 4, 9
+    rows = []
+    for p, s in [(3, 2), (3, 4), (3, 8), (3, 16), (3, 40), (3, 104), (5, 8), (5, 16), (5, 24),
+                 (7, 9), (7, 16), (7, 27), (19, 5), (19, 8), (19, 40)]:
+        for seed in (0, 1, 0x5EED):
+            r = build_root_of_unity(p, s, random.Random(seed))
+            rows.append((p, s, seed, r.modulus, r.zeta, r.base_counter.count))
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "26f481e589d5f1177dfb37dc9a554ad790c6a4316b6671f6fd0a01f40f7891da"
