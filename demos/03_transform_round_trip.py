@@ -9,7 +9,6 @@ import random
 import time
 
 from padicfft import build_pipeline, dft, idft, naive_dft
-from padicfft.planner import predicted_cost
 
 pipe = build_pipeline(3, 32, N=100)
 plan = pipe.plan
@@ -24,7 +23,7 @@ evals = dft(x, plan)
 used = plan.ring.counter.count
 back = idft(evals, plan)
 print(f"round trip exact: {back == x}")
-print(f"one dft: {used} base multiplications, planner predicted about {predicted_cost(pipe.planner_result)}")
+print(f"one dft: {used} base multiplications, planner predicted about {pipe.planner_result.predicted_mults}")
 
 # agreement with the quadratic evaluation loop
 assert evals == naive_dft(x, plan.root, plan.s)

@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from . import polyio
 from .errors import (
     CoefficientNotRational,
@@ -147,12 +149,10 @@ def _cmd_dft(args) -> int:
     plan = _plan_for(args, p, K, max(1, len(data.coeffs) - 1))
     if len(data.coeffs) > plan.s:
         raise LengthMismatch(f"{len(data.coeffs)} coefficients do not fit in length {plan.s}")
-    ring = plan.ring
-    xs = [ring.from_int(c) for c in data.coeffs]
-    xs += [ring.zero()] * (plan.s - len(xs))
-    evals = dft(xs, plan)
-    polyio.write_evals(args.output, polyio.EvalData(
-        s=plan.s, d=ring.degree, exp=data.exp, elements=[v.coeffs for v in evals]))
+    xs = np.zeros((plan.s, plan.ring.degree), dtype=object)
+    xs[: len(data.coeffs), 0] = data.coeffs
+    evals = [tuple(v) for v in dft(xs, plan).tolist()]
+    polyio.write_evals(args.output, polyio.EvalData(s=plan.s, d=plan.ring.degree, exp=data.exp, elements=evals))
     return 0
 
 
@@ -162,13 +162,11 @@ def _cmd_idft(args) -> int:
     if plan.ring.degree != data.d:
         raise LengthMismatch(
             f"file carries degree {data.d}, ring for (p={args.p}, s={data.s}) has {plan.ring.degree}")
-    out = idft([plan.ring.element(e) for e in data.elements], plan)
-    coeffs = []
-    for i, v in enumerate(out):
-        if any(v.coeffs[1:]):
-            raise CoefficientNotRational(f"coefficient {i} of the inverse transform is not in Z/p^K")
-        coeffs.append(v.coeffs[0])
-    polyio.write_poly(args.output, polyio.PolyData(p=args.p, K=args.K, exp=data.exp, coeffs=coeffs))
+    out = idft(np.array(data.elements, dtype=object), plan)
+    bad = np.flatnonzero((out[:, 1:] != 0).any(axis=1))
+    if bad.size:
+        raise CoefficientNotRational(f"coefficient {bad[0]} of the inverse transform is not in Z/p^K")
+    polyio.write_poly(args.output, polyio.PolyData(p=args.p, K=args.K, exp=data.exp, coeffs=out[:, 0].tolist()))
     return 0
 
 

@@ -24,6 +24,23 @@ from .errors import (
 from .orders import is_prime
 
 
+def power(mul, one, a, e: int):
+    """a^e by square and multiply with the product mul, starting from one.
+
+    Every pow in the package runs this loop, so the sequence of products (and
+    each counter's tally) is the same wherever a power is taken.
+    """
+    if e < 0:
+        raise BadInput("exponent must be nonnegative")
+    out, acc = one, a
+    while e:
+        if e & 1:
+            out = mul(out, acc)
+        acc = mul(acc, acc)
+        e >>= 1
+    return out
+
+
 class MulCounter:
     """Mutable tally of base-ring multiplications."""
 
@@ -174,16 +191,7 @@ class ExtensionField:
         return tuple(prod[:d])
 
     def pow(self, a, e: int):
-        if e < 0:
-            raise BadInput("exponent must be nonnegative")
-        out = self.one()
-        acc = a
-        while e:
-            if e & 1:
-                out = self.mul(out, acc)
-            acc = self.mul(acc, acc)
-            e >>= 1
-        return out
+        return power(self.mul, self.one(), a, e)
 
     def inv(self, a):
         if self.is_zero(a):
@@ -319,18 +327,9 @@ def ff_poly_gcd(F, a, b):
 
 def ff_poly_modpow(F, g, e: int, f):
     """g^e mod f by square and multiply."""
-    if e < 0:
-        raise BadInput("exponent must be nonnegative")
     if poly_deg(f) < 1:
         raise DegreeTooSmall("modulus must have degree >= 1")
-    out = [F.one()]
-    acc = poly_mod(F, g, f)
-    while e:
-        if e & 1:
-            out = poly_mod(F, poly_mul(F, out, acc), f)
-        acc = poly_mod(F, poly_mul(F, acc, acc), f)
-        e >>= 1
-    return out
+    return power(lambda u, v: poly_mod(F, poly_mul(F, u, v), f), [F.one()], poly_mod(F, g, f), e)
 
 
 def poly_from_ints(F, ints):

@@ -57,7 +57,7 @@ from .errors import (
     RootNotPrimitive,
 )
 from .orders import FactoredOrder
-from .padic import RingExtension, residue_inverse, ring_mul, ring_pow
+from .padic import PadicContext, RingExtension, residue_inverse, ring_mul, ring_pow
 from .planner import choose_parameters
 
 # Elements per row tile, and the widest contraction or output tile, of a
@@ -382,13 +382,14 @@ def poly_multiply(f, g, p: int, K: int, planner=choose_parameters, plan: FFTPlan
     ring.counter accumulates the work of every caller. Output results must
     come back constant, coefficient by coefficient.
     """
+    m = PadicContext(p, K).pK
     if plan is not None and (plan.p, plan.K) != (p, K):
         raise ParentMismatch(f"plan is over Z/{plan.p}^{plan.K}, not Z/{p}^{K}")
     for c in (*f, *g):
         if not isinstance(c, (int, np.integer)):
             raise BadInput(f"coefficient {c!r} is not an integer")
-    fc = [int(c) % p**K for c in f]
-    gc = [int(c) % p**K for c in g]
+    fc = [int(c) % m for c in f]
+    gc = [int(c) % m for c in g]
     while fc and fc[-1] == 0:
         fc.pop()
     while gc and gc[-1] == 0:

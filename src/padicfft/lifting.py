@@ -8,9 +8,12 @@ per precision doubling:
 
 where (2 - alpha^s) stands in for alpha^(-s): when u = 1 + eps with eps = 0
 mod p^k, u*(2 - u) = 1 - eps^2 = 1 mod p^2k, so the inverse comes for free at
-exactly the precision the step needs. The lifted factor of Y^s - 1 is then
-the product of (Y - alpha^(p^j)) over the Frobenius orbit, and a classical
-linear Hensel factor lift is kept alongside as an independent cross-check.
+exactly the precision the step needs: the correction costs two ring
+products beyond alpha^s and no separate inversion. The lifted factor of
+Y^s - 1 is then the product of (Y - alpha^(p^j)) over the Frobenius orbit,
+and a classical linear Hensel factor lift is kept alongside as an
+independent cross-check; it runs on ffield's polynomial functions with
+PadicContext(p, k+1) as the coefficient ring.
 """
 
 from __future__ import annotations
@@ -44,17 +47,6 @@ from .orders import FactoredOrder, padic_valuation
 from .padic import PadicContext, RingExtension, residue_inverse, ring_mul, ring_pow, scalar_mul
 
 
-def inverse_power_update(w, u):
-    """One Newton step w(2 - uw) toward u^(-1); doubles the precision of uw = 1."""
-    a = w.parent
-    t = ring_mul(u, w)
-    p = a.ctx.p
-    drift = [c % p for c in (t - a.one()).coeffs]
-    if any(drift):
-        raise PreconditionFailed("u*w must be 1 mod p")
-    return ring_mul(w, 2 - t)
-
-
 @dataclass
 class LiftResult:
     """Outcome of the Newton lift.
@@ -76,7 +68,8 @@ def newton_lift_root(fbar, s, n: int, p: int, lift_coeffs=None, trace=None) -> L
     fbar must be monic irreducible over F_p and divide Y^s - 1 there. The
     ring modulus is lift_coeffs when given (any monic lift of fbar), else
     fbar itself. When trace is a list, one (step, precision, residual
-    valuation) triple is appended per Newton step.
+    valuation) triple is appended per Newton step; tracing leaves
+    base_mults unchanged.
     """
     if not isinstance(s, FactoredOrder):
         s = FactoredOrder.of(s)
@@ -117,8 +110,7 @@ def newton_lift_root(fbar, s, n: int, p: int, lift_coeffs=None, trace=None) -> L
         ring = RingExtension(PadicContext(p, ki), [c % p**ki for c in modulus], check=False)
         alpha = ring.element(coeffs)
         power = ring_pow(alpha, s.value)
-        residual = power - ring.one()
-        correction = ring_mul(residual, ring_mul(alpha, inverse_power_update(ring.one(), power)))
+        correction = (power - 1) * alpha * (2 - power)
         sinv = residue_inverse(s.value % p**ki, ring.ctx)
         alpha = alpha - scalar_mul(sinv, correction)
         coeffs = list(alpha.coeffs)
@@ -138,7 +130,9 @@ def newton_lift_root(fbar, s, n: int, p: int, lift_coeffs=None, trace=None) -> L
 
 
 def _residual_valuation(ring, alpha, s: int) -> int:
-    res = ring_pow(alpha, s) - ring.one()
+    """Valuation of alpha^s - 1, evaluated on an unbilled copy of ring."""
+    copy = ring.truncate(ring.ctx.K)
+    res = ring_pow(copy.element(alpha.coeffs), s) - copy.one()
     vals = [padic_valuation(c, ring.ctx.p) for c in res.coeffs if c]
     return min(vals) if vals else ring.ctx.K
 
@@ -179,21 +173,21 @@ def linear_hensel_step(p: int, k: int, h, f, g, a, b):
     """
     if k < 1:
         raise BadInput("need k >= 1")
-    m = p ** (k + 1)
-    h, f, g = [list(u) for u in (h, f, g)]
-    if not (h and f and g and h[-1] % m == 1 and f[-1] % m == 1 and g[-1] % m == 1):
+    ring = PadicContext(p, k + 1)
+    h, f, g, a, b = [[c % ring.pK for c in u] for u in (h, f, g, a, b)]
+    if not (h and f and g and h[-1] == 1 and f[-1] == 1 and g[-1] == 1):
         raise BadInput("h, f, g must be monic")
     base = PrimeField(p)
     lhs = poly_add(base, poly_mul(base, poly_from_ints(base, a), poly_from_ints(base, f)),
                    poly_mul(base, poly_from_ints(base, b), poly_from_ints(base, g)))
     if lhs != [base.one()]:
         raise BezoutFailure("a*f + b*g is not 1 mod p")
-    err = _zsub(h, _zmul(f, g, m), m)
+    err = poly_sub(ring, h, poly_mul(ring, f, g))
     if any(c % p**k for c in err):
         raise PreconditionFailed(f"h - f*g is not 0 mod p^{k}")
-    df = _zmod(_zmul(b, err, m), f, m)
-    dg = _zmod(_zmul(a, err, m), g, m)
-    return _zadd(f, df, m), _zadd(g, dg, m)
+    df = poly_divmod(ring, poly_mul(ring, b, err), f)[1]
+    dg = poly_divmod(ring, poly_mul(ring, a, err), g)[1]
+    return poly_add(ring, f, df), poly_add(ring, g, dg)
 
 
 def hensel_factor_oracle(h, f0, g0, p: int, K: int):
@@ -235,42 +229,3 @@ def _bezout_fp(F, f, g):
     inv = F.inv(r0[0])
     return [c for c in poly_scale(F, inv, a0)], [c for c in poly_scale(F, inv, b0)]
 
-
-def _ztrim(u):
-    while u and u[-1] == 0:
-        u.pop()
-    return u
-
-
-def _zadd(u, v, m):
-    n = max(len(u), len(v))
-    return _ztrim([((u[i] if i < len(u) else 0) + (v[i] if i < len(v) else 0)) % m for i in range(n)])
-
-
-def _zsub(u, v, m):
-    n = max(len(u), len(v))
-    return _ztrim([((u[i] if i < len(u) else 0) - (v[i] if i < len(v) else 0)) % m for i in range(n)])
-
-
-def _zmul(u, v, m):
-    if not u or not v:
-        return []
-    out = [0] * (len(u) + len(v) - 1)
-    for i, ui in enumerate(u):
-        if ui:
-            for j, vj in enumerate(v):
-                out[i + j] += ui * vj
-    return _ztrim([c % m for c in out])
-
-
-def _zmod(u, f, m):
-    """u mod f for monic f, coefficients mod m."""
-    r = [c % m for c in u]
-    df = len(f) - 1
-    for i in range(len(r) - 1, df - 1, -1):
-        c = r[i]
-        if c:
-            r[i] = 0
-            for j in range(df):
-                r[i - df + j] = (r[i - df + j] - c * f[j]) % m
-    return _ztrim(r[:df])

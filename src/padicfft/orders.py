@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import BadInput, FactoringFailure, NotCoprime, OutOfRange, ZeroInput
 
@@ -176,40 +175,6 @@ def _order_mod_prime_power(x: int, q: int, v: int) -> int:
         while t % ell == 0 and pow(x, t // ell, qv) == 1:
             t //= ell
     return t
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(s: int) -> tuple[int, ...]:
-    """Coefficients of the s-th cyclotomic polynomial, constant term first."""
-    if s < 1:
-        raise BadInput("index must be positive")
-    if s > 10**6:
-        raise OutOfRange("cyclotomic index beyond desk scale")
-    if s == 1:
-        return (-1, 1)
-    # divide X^s - 1 by the product of all lower-index cyclotomics
-    num = [0] * (s + 1)
-    num[0], num[s] = -1, 1
-    for d in range(1, s):
-        if s % d == 0:
-            num = _exact_div(num, cyclotomic_polynomial(d))
-    return tuple(num)
-
-
-def _exact_div(num: list[int], den: tuple[int, ...]) -> list[int]:
-    # long division of integer polynomials known to divide exactly; den is monic
-    num = list(num)
-    dn, dd = len(num) - 1, len(den) - 1
-    out = [0] * (dn - dd + 1)
-    for i in range(dn - dd, -1, -1):
-        c = num[i + dd]
-        out[i] = c
-        if c:
-            for j in range(dd + 1):
-                num[i + j] -= c * den[j]
-    if any(num[:dd]):
-        raise BadInput("division was not exact")
-    return out
 
 
 def cyclotomic_degree(p: int, s: int, n: int) -> int:

@@ -1,9 +1,12 @@
 """Truncated p-adic arithmetic: Z/p^K and its unramified extensions.
 
 A context fixes the prime p >= 3 and the digit count K, so base elements are
-plain ints kept canonical in [0, p^K). RingExtension is (Z/p^K)[X]/(F) for a
-monic F whose reduction mod p is irreducible; its elements carry coefficient
-tuples of length deg F, constant first.
+plain ints kept canonical in [0, p^K). The context also carries ffield's
+coefficient-ring methods (zero, one, add, sub, neg, mul, inv, is_zero), so
+ffield's poly_* functions work over Z/p^K unchanged; inv takes units only.
+RingExtension is (Z/p^K)[X]/(F) for a monic F whose reduction mod p is
+irreducible; its elements carry coefficient tuples of length deg F,
+constant first.
 
 Every ring multiplication adds the schoolbook cost d^2 + d*(d-1) to the
 extension's counter. The count deliberately depends only on the degree, not
@@ -19,12 +22,12 @@ from .errors import (
     NonUnit,
     ParentMismatch,
 )
-from .ffield import MulCounter, PrimeField, is_irreducible
+from .ffield import MulCounter, PrimeField, is_irreducible, power
 from .orders import is_prime
 
 
 class PadicContext:
-    """The base ring Z/p^K."""
+    """The base ring Z/p^K, also usable as a coefficient ring for ffield's poly_* functions."""
 
     __slots__ = ("p", "K", "pK")
 
@@ -42,23 +45,40 @@ class PadicContext:
     def same(self, other: "PadicContext") -> bool:
         return self.p == other.p and self.K == other.K
 
+    def zero(self):
+        return 0
+
+    def one(self):
+        return 1
+
+    def add(self, a, b):
+        return (a + b) % self.pK
+
+    def sub(self, a, b):
+        return (a - b) % self.pK
+
+    def neg(self, a):
+        return -a % self.pK
+
+    def mul(self, a, b):
+        return a * b % self.pK
+
+    def inv(self, a):
+        return residue_inverse(a, self)
+
+    def is_zero(self, a):
+        return a == 0
+
     def __repr__(self):
         return f"PadicContext(p={self.p}, K={self.K})"
 
 
 def residue_inverse(u: int, ctx: PadicContext) -> int:
-    """Inverse of a unit in Z/p^K: invert mod p, then double precision
-    with the Newton step w <- w*(2 - u*w)."""
-    p, pK = ctx.p, ctx.pK
-    u %= pK
-    if u % p == 0:
-        raise NonUnit(f"{u} is divisible by {p}")
-    w = pow(u, -1, p)
-    prec = 1
-    while prec < ctx.K:
-        w = w * (2 - u * w) % pK
-        prec *= 2
-    return w
+    """Inverse of a unit in Z/p^K."""
+    u %= ctx.pK
+    if u % ctx.p == 0:
+        raise NonUnit(f"{u} is divisible by {ctx.p}")
+    return pow(u, -1, ctx.pK)
 
 
 class RingExtension:
@@ -235,16 +255,7 @@ def ring_mul(a: RingElement, b: RingElement) -> RingElement:
 
 
 def ring_pow(a: RingElement, e: int) -> RingElement:
-    if e < 0:
-        raise BadInput("exponent must be nonnegative")
-    out = a.parent.one()
-    acc = a
-    while e:
-        if e & 1:
-            out = ring_mul(out, acc)
-        acc = ring_mul(acc, acc)
-        e >>= 1
-    return out
+    return power(ring_mul, a.parent.one(), a, e)
 
 
 def scalar_mul(c: int, a: RingElement) -> RingElement:

@@ -55,6 +55,7 @@ def build_pipeline(p: int, K: int, N: int | None = None, s=None, seed: int | Non
     """
     if (N is None) == (s is None):
         raise BadInput("give exactly one of N and s")
+    steps = precision_steps(K)
     planner_result = None
     if N is not None:
         planner_result = choose_parameters(p, N)
@@ -63,7 +64,7 @@ def build_pipeline(p: int, K: int, N: int | None = None, s=None, seed: int | Non
         s_factored = s if isinstance(s, FactoredOrder) else FactoredOrder.of(s)
     rng = random.Random(DEFAULT_SEED if seed is None else seed)
     tower = build_root_of_unity(p, s_factored, rng)
-    lift = newton_lift_root(tower.modulus, s_factored, precision_steps(K), p)
+    lift = newton_lift_root(tower.modulus, s_factored, steps, p)
     plan = make_plan(s_factored, lift, K)
     return PipelineResult(p=p, K=K, s_factored=s_factored, planner_result=planner_result,
                           tower=tower, lift=lift, plan=plan)

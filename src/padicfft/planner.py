@@ -81,12 +81,6 @@ def choose_parameters(p: int, N: int) -> PlannerResult:
     )
 
 
-def predicted_cost(result: PlannerResult) -> int:
-    """d^2 * s * sum(v_i p_i), the baseline the instrumented counter compares to."""
-    weight = sum(v * q for q, v in result.s_factored.factors)
-    return result.d * result.d * result.s * weight
-
-
 @dataclass(frozen=True)
 class ReportRow:
     N: int

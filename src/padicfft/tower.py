@@ -41,7 +41,7 @@ from .ffield import (
     poly_sub,
     poly_trim,
 )
-from .orders import FactoredOrder, cyclotomic_polynomial, multiplicative_order, tower_step_degree
+from .orders import FactoredOrder, multiplicative_order, tower_step_degree
 
 
 def cz_split(field, f, e: int, rng: random.Random):
@@ -121,7 +121,7 @@ def build_root_of_unity(p: int, s_factored, rng: random.Random) -> UnityRoot:
 
     for p0, v in s.factors:
         work, zeta_a = field, zeta
-        poly = [work.from_int(c) for c in cyclotomic_polynomial(p0)]
+        poly = [work.one()] * p0  # Phi_p0 = 1 + X + ... + X^(p0-1), p0 prime
         j = 0  # cur, once set, is a primitive p0^j-th root in work
         while j < v:
             n, e = 1, tower_step_degree(p, a, p0, j + 1)

@@ -120,6 +120,20 @@ def test_exit_code_internal(tmp_path, capsys):
     assert code == 4 and err.startswith("error internal")
 
 
+def test_out_of_range_coordinates_are_refused(tmp_path, capsys):
+    # coordinates must lie in [0, p^K); they used to be reduced silently
+    evals = tmp_path / "big.evals"
+    evals.write_text("2 1\n0\n5\n7\n")
+    out = tmp_path / "o.poly"
+    code, _, err = run(capsys, "idft", "-i", str(evals), "-o", str(out), "-p", "3", "-K", "1")
+    assert code == 3 and len(err.splitlines()) == 1 and err.startswith("error precondition BadInput")
+    src = tmp_path / "f.poly"
+    write_poly(src, PolyData(3, 4, 0, [1, 80]))
+    code, _, err = run(capsys, "dft", "-i", str(src), "-o", str(out), "-s", "8", "-K", "2")
+    assert code == 3 and len(err.splitlines()) == 1 and err.startswith("error precondition BadInput")
+    assert not out.exists()
+
+
 def test_idft_degree_mismatch(tmp_path, capsys):
     evals = tmp_path / "bad.evals"
     evals.write_text("4 3\n0\n" + "0\n" * 12)

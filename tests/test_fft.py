@@ -291,6 +291,16 @@ def test_poly_multiply_plan_mismatch():
         poly_multiply([100], [100], 5, 4, plan=plan)
 
 
+def test_poly_multiply_validates_precision():
+    # K and p are checked before any planning; K = 0 used to return [], K < 0 reduced by a float
+    def tripwire(p, N):
+        raise AssertionError("planner called")
+
+    for p, K in ((3, 0), (3, -1), (4, 2)):
+        with pytest.raises(BadInput):
+            poly_multiply([1, 2], [3], p, K, planner=tripwire)
+
+
 def test_poly_multiply_rejects_non_integer_coefficients():
     # 3^8 runs on int64, where a float used to be truncated silently; 7^32 runs on object arrays
     for p, K in ((3, 8), (7, 32)):

@@ -1,5 +1,6 @@
 """Tests for the Newton root lift and the classical Hensel cross-check."""
 
+import hashlib
 import random
 
 import pytest
@@ -17,7 +18,6 @@ from padicfft.lifting import (
     _bezout_fp,
     expand_lifted_factor,
     hensel_factor_oracle,
-    inverse_power_update,
     linear_hensel_step,
     newton_lift_root,
 )
@@ -116,8 +116,12 @@ def test_successive_precisions_agree_and_converge():
 
 def test_trace_records_one_entry_per_doubling():
     tr = []
-    newton_lift_root(FBAR104, 104, 3, 3, trace=tr)
-    assert tr == [(1, 2, 2), (2, 4, 4), (3, 8, 8)]
+    traced = newton_lift_root(FBAR104, 104, 5, 3, trace=tr)
+    assert tr == [(1, 2, 2), (2, 4, 4), (3, 8, 8), (4, 16, 16), (5, 32, 32)]
+    # tracing must not change the lift or its bill
+    plain = newton_lift_root(FBAR104, 104, 5, 3)
+    assert traced.root == plain.root
+    assert traced.base_mults == plain.base_mults == 4650
 
 
 def test_lift_choice_does_not_change_the_factor():
@@ -170,13 +174,12 @@ def test_linear_hensel_step_and_its_errors():
         linear_hensel_step(19, 1, bad_h, [1, 5, 1], [1, 15, 1], a, b)
 
 
-def test_inverse_power_update_lemma():
+def test_two_minus_power_inverts_power():
+    # u = 1 + eps with eps = 0 mod p^k gives u*(2 - u) = 1 - eps^2 = 1 mod p^2k
     ring = RingExtension(PadicContext(19, 2), [1, 5, 1])
     u = ring.element([1 + 19, 19 * 4])
-    w = inverse_power_update(ring.one(), u)
-    assert ring_mul(u, w) == ring.one()
-    with pytest.raises(PreconditionFailed):
-        inverse_power_update(ring.one(), ring.gen())
+    assert ring_mul(u, 2 - u) == ring.one()
+    assert ring_mul(ring.gen(), 2 - ring.gen()) != ring.one()
 
 
 def test_newton_lift_validation():
@@ -199,3 +202,22 @@ def test_lift_work_is_counted_and_ring_counter_starts_clean():
     assert out.ring.counter.count == 0
     d, n, log2s = 6, 5, 7
     assert 0 < out.base_mults <= 32 * d * d * n * log2s
+
+
+def test_lift_outputs_pinned():
+    # root, modulus and bill of newton_lift_root, plus the Hensel oracle on criterion 4's cases
+    rows = []
+    for p, s in [(3, 8), (3, 104), (5, 24), (7, 9), (19, 5), (19, 40)]:
+        fbar = build_root_of_unity(p, s, random.Random(0)).modulus
+        for n in (0, 1, 3):
+            lift = newton_lift_root(fbar, s, n, p)
+            rows.append((p, s, n, lift.root.coeffs, lift.ring.modulus, lift.base_mults))
+    cases = [(19, 5, n) for n in range(1, 6)] + [(3, 8, n) for n in range(1, 6)] + [(3, 104, 4)]
+    for p, s, n in cases:
+        fbar = list(build_root_of_unity(p, s, random.Random(3)).modulus)
+        K = 2**n
+        h = [p**K - 1] + [0] * (s - 1) + [1]
+        quo = poly_divmod(PrimeField(p), [p - 1] + [0] * (s - 1) + [1], fbar)[0]
+        rows.append((p, s, n, hensel_factor_oracle(h, fbar, quo, p, K)))
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "dd4ed8674c1be9e3a237910fcf9d5d5fb25aba1f5e8196c13a120fa96e000b58"

@@ -6,7 +6,6 @@ from padicfft.errors import BadInput, NotCoprime, OutOfRange, ZeroInput
 from padicfft.orders import (
     FactoredOrder,
     cyclotomic_degree,
-    cyclotomic_polynomial,
     factorize,
     is_prime,
     multiplicative_order,
@@ -92,38 +91,6 @@ def test_multiplicative_order_against_oracle():
     for x, m in [(3, 12584), (19, 12584), (5, 9973), (7, 7663536)]:
         want = order_oracle(x, m)
         assert multiplicative_order(x, m) == want
-
-
-def test_cyclotomic_polynomial_examples():
-    assert cyclotomic_polynomial(1) == (-1, 1)
-    assert cyclotomic_polynomial(4) == (1, 0, 1)
-    assert cyclotomic_polynomial(5) == (1, 1, 1, 1, 1)
-    assert cyclotomic_polynomial(2) == (1, 1)
-    assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
-
-
-def test_cyclotomic_degrees_sum_to_s():
-    # product over divisors of X^d - 1 factors: degrees must add up to s
-    for s in [1, 2, 8, 12, 104, 300]:
-        total = sum(len(cyclotomic_polynomial(d)) - 1 for d in range(1, s + 1) if s % d == 0)
-        assert total == s
-
-
-def test_cyclotomic_product_is_xs_minus_one():
-    for s in [6, 8, 12, 30]:
-        prod = [1]
-        for d in range(1, s + 1):
-            if s % d:
-                continue
-            phi = cyclotomic_polynomial(d)
-            nxt = [0] * (len(prod) + len(phi) - 1)
-            for i, a in enumerate(prod):
-                for j, b in enumerate(phi):
-                    nxt[i + j] += a * b
-            prod = nxt
-        want = [0] * (s + 1)
-        want[0], want[s] = -1, 1
-        assert prod == want
 
 
 def test_cyclotomic_degree_examples():

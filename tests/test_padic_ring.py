@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicfft.errors import BadInput, EvenPrime, NonUnit, ParentMismatch
+from padicfft.ffield import poly_divmod, poly_mul, poly_sub
 from padicfft.padic import (
     PadicContext,
     RingExtension,
@@ -51,6 +52,16 @@ def test_residue_inverse_matches_euclid_oracle():
             if u % p == 0:
                 continue
             assert residue_inverse(u, ctx) == pow(u, -1, ctx.pK)
+
+
+def test_context_is_a_coefficient_ring():
+    # (X + 80)(X + 1) = X^2 - 1 and (X^2 - 1) mod (X - 1) = 0 over Z/81
+    assert poly_mul(CTX81, [80, 1], [1, 1]) == [80, 0, 1]
+    assert poly_divmod(CTX81, [80, 0, 1], [80, 1]) == ([1, 1], [])
+    assert poly_sub(CTX81, [1, 2], [1, 2]) == []
+    assert CTX81.inv(2) == 41 and CTX81.neg(1) == 80 and CTX81.is_zero(CTX81.zero())
+    with pytest.raises(NonUnit):
+        poly_divmod(CTX81, [1, 1], [0, 3])
 
 
 def test_ring_mul_examples():

@@ -15,6 +15,18 @@ def test_precision_steps():
         precision_steps(0)
 
 
+def test_precision_checked_before_the_tower(monkeypatch):
+    from padicfft import pipeline
+
+    def tripwire(*args):
+        raise AssertionError("tower built")
+
+    monkeypatch.setattr(pipeline, "build_root_of_unity", tripwire)
+    for K in (0, -3):
+        with pytest.raises(BadInput):
+            build_pipeline(3, K, N=10**4)
+
+
 def test_exactly_one_size_argument():
     with pytest.raises(BadInput):
         build_pipeline(3, 4)

@@ -5,12 +5,10 @@ import math
 import pytest
 
 from padicfft.errors import BadInput
-from padicfft.orders import FactoredOrder, multiplicative_order
+from padicfft.orders import multiplicative_order
 from padicfft.planner import (
-    PlannerResult,
     asymptotic_report,
     choose_parameters,
-    predicted_cost,
     report_csv,
     report_table,
 )
@@ -69,19 +67,16 @@ def test_minimality_and_coprimality_sweep():
 
 
 def test_predicted_cost_frozen():
-    assert predicted_cost(choose_parameters(3, 1)) == 192
-    assert predicted_cost(choose_parameters(3, 100)) == 71136
-    degenerate = PlannerResult(
-        p=3, N=1, r=1, s=2, s_factored=FactoredOrder.of(2), d=1,
-        predicted_mults=4, d_matches_prime_product=True, small_d_regime=False,
-    )
-    assert predicted_cost(degenerate) == 4
+    assert choose_parameters(3, 1).predicted_mults == 192
+    assert choose_parameters(3, 100).predicted_mults == 71136
 
 
 def test_predicted_matches_result_field():
+    # d^2 * s * sum(v_i p_i) over s = prod p_i^v_i
     for p, N in ((3, 50), (5, 300), (7, 1000)):
         res = choose_parameters(p, N)
-        assert res.predicted_mults == predicted_cost(res)
+        weight = sum(v * q for q, v in res.s_factored.factors)
+        assert res.predicted_mults == res.d * res.d * res.s * weight
 
 
 def test_asymptotic_report_rows():
