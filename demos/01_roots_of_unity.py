@@ -9,7 +9,7 @@ factor-splitting that picks f.
 import random
 
 from padicfft import build_root_of_unity, cz_split, multiplicative_order
-from padicfft.ffield import PrimeField, ff_poly_modpow
+from padicfft.ffield import PrimeField, ff_poly_modpow, packed
 
 # The classic small case: 5th roots of unity over F_19. The 5th cyclotomic
 # polynomial splits into two quadratics; which one we land on depends on
@@ -28,6 +28,7 @@ for p, s in [(19, 5), (3, 8), (3, 104), (19, 8)]:
     print(f"p={p:2d} s={s:3d}: degree {d} = ord_{s}({p}) = {multiplicative_order(p, s)}")
     print(f"         f = {root.modulus}")
     # Y^s mod f must be 1, and no smaller prime quotient of s may reach 1
-    assert ff_poly_modpow(PrimeField(p), [0, 1], s, list(root.modulus)) == [1]
+    F = PrimeField(p)
+    assert ff_poly_modpow(F, packed(F, [0, 1]), s, packed(F, root.modulus)).tolist() == [[1]]
 print()
 print("in each ring, Y^s = 1 and s is the exact order of Y")

@@ -1,43 +1,59 @@
 """Finite fields presented as quotient towers, and polynomials over them.
 
-A field is either PrimeField(p) with int elements, or ExtensionField(base, f)
-whose elements are tuples of base elements (coefficients of degree < deg f,
-constant first). Towers nest: ExtensionField over ExtensionField is how a
-transient two-level extension is represented before it gets flattened back to
-a single step over F_p.
+A field is PrimeField(p) with int elements, or ExtensionField(base, f), also
+nested, with elements as flat tuples of D ints mod p (D its degree over F_p):
+coordinate k*D_base + i is coordinate i of the Z^k coefficient over base.
 
-Polynomials over a field F are plain Python lists of F elements, constant
-term first, with no trailing zeros; the empty list is the zero polynomial.
-All base multiplications in F_p are tallied on the prime field's counter so
-tests can assert cost-model bounds.
-"""
+The poly_* functions take lists over any coefficient ring with the small
+protocol below (a field, or padic.PadicContext), constant first, no trailing
+zeros. The ff_* functions, which the tower runs on, take packed polynomials
+over a field: (n, D) int arrays, row i the X^i coefficient. ff_poly_mul is
+the one product of field elements: X and every tower variable go to one
+Python int on fixed-width byte slots (Kronecker substitution, multiplied by
+CPython's Karatsuba), and each coefficient's slots are reduced by the field's
+F_p-linear map R (U x D, U the product of 2e - 1 over the tower's variables
+of degree e). Division is by monic polynomials, through a Newton inverse, and
+gcds use pseudo-remainders, so neither takes a field inverse.
+
+Coordinates are int64 for p < 2^16, where no Kronecker slot (at most
+min(n1, n2)*D*(p-1)^2) or R contraction (U*(p-1)^2) reaches 2^63 before an
+array outgrows memory, else object arrays of Python ints, as in kernels;
+ff_poly_mul raises OutOfRange past either bound on int64 operands. Each call
+charges the prime field's counter n1*n2*(D^2 + D(D-1)), the schoolbook model
+for n1 by n2 coefficients; PrimeField.mul is not charged."""
 
 from __future__ import annotations
+
+import numpy as np
 
 from .errors import (
     BadInput,
     DegreeTooSmall,
     NonUnit,
     OrbitNotClosed,
+    OutOfRange,
     ZeroInput,
 )
-from .orders import is_prime
+from .orders import factorize, is_prime
 
 
 def power(mul, one, a, e: int):
-    """a^e by square and multiply with the product mul, starting from one.
+    """a^e by left-to-right square and multiply with the product mul.
 
-    Every pow in the package runs this loop, so the sequence of products (and
-    each counter's tally) is the same wherever a power is taken.
+    bit_length(e) - 1 squarings and popcount(e) - 1 products with a; one is
+    returned for e = 0 and never multiplied. Every pow in the package runs
+    this loop, so the sequence of products (and each counter's tally) is the
+    same wherever a power is taken.
     """
     if e < 0:
         raise BadInput("exponent must be nonnegative")
-    out, acc = one, a
-    while e:
-        if e & 1:
-            out = mul(out, acc)
-        acc = mul(acc, acc)
-        e >>= 1
+    if e == 0:
+        return one
+    out = a
+    for bit in bin(e)[3:]:
+        out = mul(out, out)
+        if bit == "1":
+            out = mul(out, a)
     return out
 
 
@@ -57,19 +73,24 @@ class MulCounter:
 
 
 class PrimeField:
-    """F_p with canonical int representatives in [0, p)."""
+    """F_p with canonical int representatives in [0, p); counter is the tower's cost model."""
 
-    __slots__ = ("p", "counter")
+    __slots__ = ("p", "counter", "dtype", "reduce_map")
+    span = 1
+    slots = np.zeros(1, dtype=np.intp)
 
     def __init__(self, p: int):
         if not is_prime(p):
             raise BadInput(f"{p} is not prime")
         self.p = p
         self.counter = MulCounter()
+        self.dtype = np.int64 if p < 1 << 16 else object
+        self.reduce_map = np.ones((1, 1), dtype=self.dtype)
 
     order = property(lambda self: self.p)
     char = property(lambda self: self.p)
     degree_over_prime = property(lambda self: 1)
+    prime = property(lambda self: self)
 
     def zero(self):
         return 0
@@ -79,6 +100,9 @@ class PrimeField:
 
     def from_int(self, n: int):
         return n % self.p
+
+    def element(self, row):
+        return row[0]
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -90,7 +114,6 @@ class PrimeField:
         return -a % self.p
 
     def mul(self, a, b):
-        self.counter.add()
         return a * b % self.p
 
     def inv(self, a):
@@ -114,9 +137,12 @@ class PrimeField:
 
 
 class ExtensionField:
-    """base[Y]/(modulus) for monic irreducible modulus over base."""
+    """base[Z]/(modulus) for monic irreducible modulus over base, on flat coordinates.
 
-    __slots__ = ("base", "modulus", "degree")
+    Coordinate k*D_base + i goes to Kronecker slot k*base.span + base.slots[i]
+    (span and slots), and reduce_map is the R that takes slots back to coordinates."""
+
+    __slots__ = ("base", "modulus", "degree", "prime", "dtype", "span", "slots", "reduce_map")
 
     def __init__(self, base, modulus, check: bool = True):
         modulus = list(modulus)
@@ -124,117 +150,97 @@ class ExtensionField:
             raise DegreeTooSmall("modulus must have degree >= 1")
         if modulus[-1] != base.one():
             raise BadInput("modulus must be monic")
-        self.base = base
-        self.modulus = tuple(modulus)
-        self.degree = len(modulus) - 1
         if check and not is_irreducible(base, modulus):
             raise BadInput("modulus is not irreducible over the base field")
+        e = len(modulus) - 1
+        self.base = base
+        self.modulus = tuple(modulus)
+        self.degree = e
+        self.prime = base.prime
+        self.dtype = base.dtype
+        self.span = base.span * (2 * e - 1)
+        self.slots = (np.arange(e)[:, None] * base.span + base.slots).ravel()
+        self.reduce_map = _reduce_map(base, packed(base, modulus))
 
     order = property(lambda self: self.base.order**self.degree)
-    char = property(lambda self: self.base.char)
+    char = property(lambda self: self.prime.p)
     degree_over_prime = property(lambda self: self.base.degree_over_prime * self.degree)
 
     def zero(self):
-        return (self.base.zero(),) * self.degree
+        return (0,) * self.degree_over_prime
 
     def one(self):
         return self.embed(self.base.one())
 
     def embed(self, c):
         """Base element as a constant of this field."""
-        return (c,) + (self.base.zero(),) * (self.degree - 1)
+        return tuple(packed(self.base, [c])[0].tolist()) + (0,) * (self.degree_over_prime - self.base.degree_over_prime)
 
     def from_int(self, n: int):
         return self.embed(self.base.from_int(n))
 
+    def element(self, row):
+        return tuple(row)
+
     def gen(self):
-        """Image of the adjoined variable Y."""
+        """Image of the adjoined variable Z."""
         if self.degree == 1:
-            return (self.base.neg(self.modulus[0]),)
-        b = self.base
-        return (b.zero(), b.one()) + (b.zero(),) * (self.degree - 2)
+            return self.embed(self.base.neg(self.modulus[0]))
+        at = self.base.degree_over_prime
+        return tuple(int(i == at) for i in range(self.degree_over_prime))
 
     def add(self, a, b):
-        bb = self.base
-        return tuple(bb.add(x, y) for x, y in zip(a, b))
+        p = self.char
+        return tuple((x + y) % p for x, y in zip(a, b))
 
     def sub(self, a, b):
-        bb = self.base
-        return tuple(bb.sub(x, y) for x, y in zip(a, b))
+        p = self.char
+        return tuple((x - y) % p for x, y in zip(a, b))
 
     def neg(self, a):
-        bb = self.base
-        return tuple(bb.neg(x) for x in a)
+        p = self.char
+        return tuple(-x % p for x in a)
 
     def mul(self, a, b):
-        bb = self.base
-        d = self.degree
-        prod = [bb.zero()] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if bb.is_zero(x):
-                continue
-            for j, y in enumerate(b):
-                prod[i + j] = bb.add(prod[i + j], bb.mul(x, y))
-        return self._reduce(prod)
-
-    def _reduce(self, prod):
-        bb = self.base
-        d = self.degree
-        for i in range(len(prod) - 1, d - 1, -1):
-            c = prod[i]
-            if bb.is_zero(c):
-                continue
-            for j in range(d):
-                fj = self.modulus[j]
-                if not bb.is_zero(fj):
-                    prod[i - d + j] = bb.sub(prod[i - d + j], bb.mul(c, fj))
-        return tuple(prod[:d])
+        return self.element(ff_poly_mul(self, packed(self, [a]), packed(self, [b]))[0].tolist())
 
     def pow(self, a, e: int):
-        return power(self.mul, self.one(), a, e)
+        out = power(lambda u, v: ff_poly_mul(self, u, v), packed(self, [self.one()]), packed(self, [a]), e)
+        return self.element(out[0].tolist())
 
     def inv(self, a):
         if self.is_zero(a):
             raise NonUnit("zero has no inverse")
-        num = poly_trim(self.base, list(a))
-        r0, r1 = list(self.modulus), num
-        s0, s1 = [], [self.base.one()]
-        while poly_deg(r1) > 0:
-            q, r = poly_divmod(self.base, r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, poly_sub(self.base, s0, poly_mul(self.base, q, s1))
-        if not r1:
-            raise NonUnit("element shares a factor with the modulus")
-        c = self.base.inv(r1[0])
-        out = [self.base.mul(c, x) for x in s1]
-        out += [self.base.zero()] * (self.degree - len(out))
-        return tuple(out[: self.degree])
+        return self.pow(a, self.order - 2)
 
     def is_zero(self, a):
-        bb = self.base
-        return all(bb.is_zero(x) for x in a)
+        return not any(a)
 
     def rand(self, rng):
-        bb = self.base
-        return tuple(bb.rand(rng) for _ in range(self.degree))
+        p = self.char
+        return tuple(rng.randrange(p) for _ in range(self.degree_over_prime))
 
     def __repr__(self):
         return f"ExtensionField(deg {self.degree} over {self.base!r})"
 
 
-def as_prime_int(field, x) -> int:
-    """Extract a tower element that is actually a prime-field constant."""
-    if isinstance(field, PrimeField):
-        return x
-    bb = field.base
-    for c in x[1:]:
-        if not bb.is_zero(c):
-            raise OrbitNotClosed("coefficient is not a prime-field constant")
-    return as_prime_int(bb, x[0])
+def _reduce_map(base, g):
+    """R of base[Z]/g: row k*base.span + u holds the coordinates of Z^k times row u of base's R."""
+    e, db, ub = len(g) - 1, base.degree_over_prime, base.span
+    z = np.zeros((2 * e - 1, e, db), dtype=base.dtype)  # z[k] = Z^k mod g, a polynomial over base
+    z[np.arange(e), np.arange(e), 0] = 1
+    for k in range(e, 2 * e - 1):
+        z[k, 1:] = z[k - 1, :-1]
+        z[k] = (z[k] - ff_poly_mul(base, z[k - 1, -1:], g[:-1])) % base.char
+    # one product gives every z[k, t] times every row u of base's R, at row (k*e + t)*ub + u
+    spread = np.zeros((len(z) * e * ub, db), dtype=base.dtype)
+    spread[::ub] = z.reshape(-1, db)
+    prod = ff_poly_mul(base, spread, base.reduce_map)[: len(spread)]
+    return prod.reshape(2 * e - 1, e, ub, db).transpose(0, 2, 1, 3).reshape(-1, e * db)
 
 
 # ---------------------------------------------------------------------------
-# polynomials over a field
+# polynomials over a coefficient ring, as lists
 
 
 def poly_trim(F, cs):
@@ -303,37 +309,126 @@ def poly_divmod(F, num, den):
     return poly_trim(F, q), poly_trim(F, num[:dd])
 
 
-def poly_mod(F, num, den):
-    return poly_divmod(F, num, den)[1]
+def poly_from_ints(F, ints):
+    return [F.from_int(n) for n in ints]
 
 
-def poly_monic(F, a):
-    if not a:
-        raise ZeroInput("cannot normalize the zero polynomial")
-    if F.is_zero(F.sub(a[-1], F.one())):
-        return list(a)
-    return poly_scale(F, F.inv(a[-1]), a)
+# ---------------------------------------------------------------------------
+# packed polynomials over a field
+
+
+def packed(F, poly):
+    """(n, D) canonical coordinate array of a list of F elements."""
+    return np.array(poly, dtype=F.dtype).reshape(len(poly), F.degree_over_prime) % F.char
+
+
+def unpacked(F, a):
+    """List of F elements of a packed polynomial."""
+    return [F.element(row) for row in a.tolist()]
+
+
+def ff_trim(a):
+    """a without its zero top rows."""
+    nonzero = np.flatnonzero(a.any(axis=1))
+    return a[: nonzero[-1] + 1 if len(nonzero) else 0]
+
+
+def ff_poly_sub(F, a, b, shift: int = 0):
+    """a - X^shift * b, trimmed."""
+    out = np.zeros((max(len(a), len(b) + shift), F.degree_over_prime), dtype=np.result_type(a, b))
+    out[: len(a)] += a
+    out[shift : shift + len(b)] -= b
+    return ff_trim(out % F.char)
+
+
+def _kronecker(F, a, width: int) -> int:
+    """a on byte slots of the given width: a[n, i] fills slot n*F.span + F.slots[i]."""
+    buf = np.zeros((len(a), F.span, width), dtype=np.uint8)
+    for k in range(-(-(F.char - 1).bit_length() // 8)):
+        buf[:, F.slots, k] = (a >> 8 * k) & 255
+    return int.from_bytes(buf.tobytes(), "little")
+
+
+def ff_poly_mul(F, a, b):
+    """Product of canonical packed polynomials over F, all n1 + n2 - 1 rows.
+
+    One Python-int product of the Kronecker images, then F's R on each row's slots.
+    """
+    n1, n2, D = len(a), len(b), F.degree_over_prime
+    dtype = np.result_type(a, b)
+    if not n1 or not n2:
+        return np.zeros((0, D), dtype=dtype)
+    p, span = F.char, F.span
+    F.prime.counter.add(n1 * n2 * (2 * D * D - D))
+    bound = min(n1, n2) * D * (p - 1) ** 2  # the largest value one product slot can hold
+    if dtype != object and bound >> 63:
+        raise OutOfRange(f"Kronecker slots of {bound} overflow int64")
+    width = -(-bound.bit_length() // 8)
+    n = n1 + n2 - 1
+    product = _kronecker(F, a, width) * _kronecker(F, b, width)
+    digits = np.frombuffer(product.to_bytes(n * span * width, "little"), dtype=np.uint8)
+    weights = np.array([1 << 8 * k for k in range(width)], dtype=dtype)
+    slots = digits.reshape(n, span, width).astype(dtype) @ weights % p
+    if dtype != object and span * (p - 1) ** 2 >> 63:
+        raise OutOfRange(f"R contraction over {span} slots overflows int64 mod {p}")
+    return slots @ F.reduce_map % p
+
+
+def _reversed_inverse(F, f, k: int):
+    """The first k coefficients of 1 / rev(f), by Newton iteration; f must be monic."""
+    one = packed(F, [F.one()])
+    if not np.array_equal(f[-1:], one):
+        raise BadInput("divisor must be monic")
+    rev, inv, prec = f[::-1], one, 1
+    while prec < k:
+        prec = min(2 * prec, k)
+        err = ff_poly_mul(F, rev[:prec], inv)[:prec]  # 1 + O(X^(old prec))
+        err[0, 0] = (err[0, 0] - 1) % F.char
+        inv = (np.pad(inv, ((0, prec - len(inv)), (0, 0))) - ff_poly_mul(F, inv, err)[:prec]) % F.char
+    return inv
+
+
+def ff_poly_divmod(F, a, f, inv=None):
+    """(q, r) with a = q*f + r and deg r < deg f, for a trimmed a and a monic f; inv, when
+    given, is _reversed_inverse(F, f, k) for some k >= len(a) - deg f."""
+    m = len(f) - 1
+    k = len(a) - m
+    if k <= 0:
+        return a[:0], a
+    if inv is None:
+        inv = _reversed_inverse(F, f, k)
+    q = ff_poly_mul(F, a[::-1][:k], inv[:k])[:k][::-1]
+    return q, ff_poly_sub(F, a[:m], ff_poly_mul(F, q[:m], f[:m])[:m])
+
+
+def ff_poly_monic(F, a):
+    """a scaled to leading coefficient 1; a must be trimmed and nonzero."""
+    if len(a) == 1:
+        return packed(F, [F.one()])
+    return ff_poly_mul(F, a, packed(F, [F.inv(F.element(a[-1].tolist()))]))
 
 
 def ff_poly_gcd(F, a, b):
-    """Monic gcd by the Euclidean algorithm; gcd(0, 0) is an error."""
-    a, b = poly_trim(F, a), poly_trim(F, b)
-    if not a and not b:
+    """Monic gcd by Euclid on pseudo-remainders; gcd(0, 0) is an error."""
+    a, b = ff_trim(a), ff_trim(b)
+    if not len(a) and not len(b):
         raise ZeroInput("gcd of two zero polynomials")
-    while b:
-        a, b = b, poly_mod(F, a, b)
-    return poly_monic(F, a)
+    while len(b):
+        lead = b[-1:]
+        while len(a) >= len(b):  # lc(b)*a - lc(a)*X^k*b cancels the top of a
+            top = ff_poly_mul(F, a[-1:], b[:-1])
+            a = ff_poly_sub(F, ff_poly_mul(F, lead, a[:-1]), top, len(a) - len(b))
+        a, b = b, a
+    return ff_poly_monic(F, a)
 
 
 def ff_poly_modpow(F, g, e: int, f):
-    """g^e mod f by square and multiply."""
-    if poly_deg(f) < 1:
+    """g^e mod f by square and multiply, for a monic f."""
+    if len(f) < 2:
         raise DegreeTooSmall("modulus must have degree >= 1")
-    return power(lambda u, v: poly_mod(F, poly_mul(F, u, v), f), [F.one()], poly_mod(F, g, f), e)
-
-
-def poly_from_ints(F, ints):
-    return [F.from_int(n) for n in ints]
+    inv = _reversed_inverse(F, f, len(f) - 2)  # enough for any product of two remainders
+    return power(lambda u, v: ff_poly_divmod(F, ff_poly_mul(F, u, v), f, inv)[1],
+                 packed(F, [F.one()]), ff_poly_divmod(F, ff_trim(g), f)[1], e)
 
 
 def is_irreducible(F, modulus) -> bool:
@@ -343,25 +438,23 @@ def is_irreducible(F, modulus) -> bool:
     prime ell dividing d; in particular the Frobenius orbit of Y has full
     length d.
     """
-    from .orders import factorize
-
-    f = poly_trim(F, modulus)
-    d = poly_deg(f)
+    f = ff_trim(packed(F, modulus))
+    d = len(f) - 1
     if d < 1:
         return False
     if d == 1:
         return True
     q = F.order
     proper = {d // ell for ell, _ in factorize(d)}
-    y = [F.zero(), F.one()]
-    power = y
+    y = packed(F, [F.zero(), F.one()])
+    frob = y
     for j in range(1, d + 1):
-        power = ff_poly_modpow(F, power, q, f)
+        frob = ff_poly_modpow(F, frob, q, f)
         if j in proper:
-            diff = poly_sub(F, power, y)
-            if not diff or poly_deg(ff_poly_gcd(F, diff, f)) > 0:
+            diff = ff_poly_sub(F, frob, y)
+            if not len(diff) or len(ff_poly_gcd(F, diff, f)) > 1:
                 return False
-    return poly_sub(F, power, y) == []
+    return not len(ff_poly_sub(F, frob, y))
 
 
 def frobenius_orbit(field, beta):
@@ -384,15 +477,16 @@ def minimal_poly_from_orbit(field, beta):
     Expands the product of (Y - conjugate) over the Frobenius orbit and checks
     that every coefficient lands in the prime field.
     """
-    orbit = frobenius_orbit(field, beta)
-    poly = [field.one()]
-    for c in orbit:
-        poly = poly_mul(field, poly, [field.neg(c), field.one()])
-    return tuple(as_prime_int(field, c) for c in poly)
+    poly = packed(field, [field.one()])
+    for c in frobenius_orbit(field, beta):
+        poly = ff_poly_mul(field, poly, packed(field, [field.neg(c), field.one()]))
+    if poly[:, 1:].any():
+        raise OrbitNotClosed("coefficient is not a prime-field constant")
+    return tuple(poly[:, 0].tolist())
 
 
 def ff_random_monic(field, deg_bound: int, rng):
-    """Uniform monic polynomial of degree in [1, deg_bound).
+    """Uniform monic packed polynomial of degree in [1, deg_bound).
 
     Uniform over the whole set, so degree k is drawn with weight q^k (there
     are q^k monic polynomials of degree k).
@@ -408,4 +502,4 @@ def ff_random_monic(field, deg_bound: int, rng):
         u -= bucket
         k += 1
         bucket = q**k
-    return [field.rand(rng) for _ in range(k)] + [field.one()]
+    return packed(field, [field.rand(rng) for _ in range(k)] + [field.one()])

@@ -35,6 +35,7 @@ from .ffield import (
     PrimeField,
     ff_poly_modpow,
     is_irreducible,
+    packed,
     poly_add,
     poly_deg,
     poly_divmod,
@@ -86,7 +87,7 @@ def newton_lift_root(fbar, s, n: int, p: int, lift_coeffs=None, trace=None) -> L
     fbar_p = poly_from_ints(base, fbar)
     if not is_irreducible(base, fbar_p):
         raise BadInput("fbar must be irreducible")
-    if ff_poly_modpow(base, [0, 1], s.value, fbar_p) != [base.one()]:
+    if ff_poly_modpow(base, packed(base, [0, 1]), s.value, packed(base, fbar_p)).tolist() != [[1]]:
         raise NotAFactor(f"fbar does not divide Y^{s.value} - 1 mod {p}")
 
     K = 2**n

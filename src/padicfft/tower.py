@@ -13,6 +13,9 @@ is randomized equal-degree (gcd of a random g, else gcd of g^((q^e-1)/2) - 1)
 and every target degree is derived from exact multiplicative orders, never
 from closed-form level thresholds, which misjudge some power-of-two boundary
 cases.
+
+Splitting runs on ffield's packed polynomials over flat F_p coordinates, and
+the prime field's counter (base_counter) models the work from operand sizes.
 """
 
 from __future__ import annotations
@@ -31,15 +34,17 @@ from .errors import (
 from .ffield import (
     ExtensionField,
     PrimeField,
+    ff_poly_divmod,
     ff_poly_gcd,
     ff_poly_modpow,
+    ff_poly_monic,
+    ff_poly_sub,
     ff_random_monic,
+    ff_trim,
     minimal_poly_from_orbit,
+    packed,
     poly_deg,
-    poly_divmod,
-    poly_monic,
-    poly_sub,
-    poly_trim,
+    unpacked,
 )
 from .orders import FactoredOrder, multiplicative_order, tower_step_degree
 
@@ -55,13 +60,13 @@ def cz_split(field, f, e: int, rng: random.Random):
     q = field.order
     if q % 2 == 0:
         raise EvenCharacteristic("splitting needs an odd field order")
-    f = poly_trim(field, list(f))
+    f = ff_trim(packed(field, f))
     deg = poly_deg(f)
     if deg < 1:
         raise DegreeTooSmall("cannot split a constant")
     if e < 1 or deg % e:
         raise BadInput(f"target degree {e} does not divide {deg}")
-    f = poly_monic(field, f)
+    f = ff_poly_monic(field, f)
     half = (q**e - 1) // 2
     cap = 64 * max(1, (deg - 1).bit_length())
     rounds = 0
@@ -72,18 +77,18 @@ def cz_split(field, f, e: int, rng: random.Random):
         g = ff_random_monic(field, poly_deg(f), rng)
         piece = _smaller_factor(field, f, ff_poly_gcd(field, g, f))
         if piece is None:
-            w = poly_sub(field, ff_poly_modpow(field, g, half, f), [field.one()])
-            if w:
+            w = ff_poly_sub(field, ff_poly_modpow(field, g, half, f), packed(field, [field.one()]))
+            if len(w):
                 piece = _smaller_factor(field, f, ff_poly_gcd(field, w, f))
         if piece is not None:
             f = piece
-    return f
+    return unpacked(field, f)
 
 
 def _smaller_factor(field, f, h):
     dh = poly_deg(h)
     if 0 < dh < poly_deg(f):
-        other = poly_divmod(field, f, h)[0]
+        other = ff_poly_divmod(field, f, h)[0]
         return h if dh <= poly_deg(other) else other
     return None
 

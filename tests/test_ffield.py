@@ -6,18 +6,20 @@ from padicfft.errors import BadInput, DegreeTooSmall, NonUnit, ZeroInput
 from padicfft.ffield import (
     ExtensionField,
     PrimeField,
-    as_prime_int,
     ff_poly_gcd,
     ff_poly_modpow,
     ff_random_monic,
     frobenius_orbit,
     is_irreducible,
     minimal_poly_from_orbit,
+    packed,
     poly_divmod,
     poly_from_ints,
     poly_mul,
     poly_sub,
     poly_trim,
+    power,
+    unpacked,
 )
 
 PHI5 = [1, 1, 1, 1, 1]
@@ -69,7 +71,7 @@ def test_degree_one_extension():
     F = ExtensionField(PrimeField(5), [3, 1])  # Y + 3, so Y = 2
     assert F.gen() == (2,)
     assert F.mul((2,), (2,)) == (4,)
-    assert as_prime_int(F, F.from_int(7)) == 2
+    assert F.from_int(7) == (2,)
 
 
 def test_pow_matches_repeated_mul():
@@ -103,17 +105,21 @@ def test_poly_divmod_property():
         assert back == a
 
 
+def _gcd(F, a, b):
+    return unpacked(F, ff_poly_gcd(F, packed(F, a), packed(F, b)))
+
+
 def test_gcd_examples():
     F3 = PrimeField(3)
-    assert ff_poly_gcd(F3, [2, 0, 1], [1, 1]) == [1, 1]  # gcd(X^2-1, X+1) = X+1
+    assert _gcd(F3, [2, 0, 1], [1, 1]) == [1, 1]  # gcd(X^2-1, X+1) = X+1
     F19 = PrimeField(19)
     # (X-4)(X-5) = X^2 - 9X + 20
     g = poly_from_ints(F19, [20, -9, 1])
     # neither 4 nor 5 is a root of X^4+X^3+X^2+X+1 mod 19, so the gcd is 1
     assert all(sum(x**k for k in range(5)) % 19 != 0 for x in (4, 5))
-    assert ff_poly_gcd(F19, poly_from_ints(F19, PHI5), g) == [1]
+    assert _gcd(F19, poly_from_ints(F19, PHI5), g) == [1]
     with pytest.raises(ZeroInput):
-        ff_poly_gcd(F19, [], [])
+        _gcd(F19, [], [])
 
 
 def test_gcd_divides_both():
@@ -124,20 +130,36 @@ def test_gcd_divides_both():
         b = poly_trim(F, [F.rand(rng) for _ in range(rng.randrange(1, 8))])
         if not a or not b:
             continue
-        g = ff_poly_gcd(F, a, b)
+        g = _gcd(F, a, b)
         assert poly_divmod(F, a, g)[1] == []
         assert poly_divmod(F, b, g)[1] == []
 
 
 def test_modpow_example():
     F19 = PrimeField(19)
-    f = poly_from_ints(F19, [1, 5, 1])
+    f = packed(F19, [1, 5, 1])
+    x = packed(F19, [0, 1])
     # X represents a primitive 5th root of unity, so X^180 = (X^5)^36 = 1
-    assert ff_poly_modpow(F19, [0, 1], (19**2 - 1) // 2, f) == [1]
-    assert ff_poly_modpow(F19, [0, 1], 5, f) == [1]
-    assert ff_poly_modpow(F19, [0, 1], 0, f) == [1]
+    assert ff_poly_modpow(F19, x, (19**2 - 1) // 2, f).tolist() == [[1]]
+    assert ff_poly_modpow(F19, x, 5, f).tolist() == [[1]]
+    assert ff_poly_modpow(F19, x, 0, f).tolist() == [[1]]
     with pytest.raises(BadInput):
-        ff_poly_modpow(F19, [0, 1], -1, f)
+        ff_poly_modpow(F19, x, -1, f)
+    with pytest.raises(BadInput):
+        ff_poly_modpow(F19, x, 5, packed(F19, [1, 5, 2]))  # division needs a monic modulus
+
+
+@pytest.mark.parametrize("e", [0, 1, 2, 3, 104, (3**10 - 1) // 2, 2**64 + 1])
+def test_power_squares_once_per_bit_below_the_top(e):
+    calls = []
+
+    def mul(u, v):
+        calls.append("square" if u is v else "multiply")
+        return [u[0] * v[0] % 1000003]
+
+    assert power(mul, [1], [3], e) == [pow(3, e, 1000003)]
+    assert calls.count("square") == max(0, e.bit_length() - 1)
+    assert calls.count("multiply") == max(0, bin(e).count("1") - 1)
 
 
 def test_frobenius_orbit_quadratic():
@@ -203,7 +225,7 @@ def test_random_monic_distribution():
     counts = {1: 0, 2: 0, 3: 0}
     n = 4000
     for _ in range(n):
-        g = ff_random_monic(F3, 4, rng)
+        g = unpacked(F3, ff_random_monic(F3, 4, rng))
         assert g[-1] == 1
         counts[len(g) - 1] += 1
     total = 3 + 9 + 27
@@ -215,11 +237,16 @@ def test_random_monic_distribution():
 
 
 def test_counter_tallies_base_mults():
+    # each product of n1 by n2 coefficients over a degree-D field charges n1*n2*(D^2 + D(D-1))
     F3 = PrimeField(3)
     c = F3.counter
     F9 = ExtensionField(F3, [1, 0, 1])
-    before = c.count
+    c.reset()
+    F3.mul(2, 2)
+    assert c.count == 0
     F9.mul(F9.gen(), F9.gen())
-    assert c.count > before
+    assert c.count == 6
+    F9.mul(F9.zero(), F9.zero())  # the model ignores operand values
+    assert c.count == 12
     c.reset()
     assert c.count == 0

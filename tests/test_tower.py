@@ -20,7 +20,9 @@ from padicfft.ffield import (
     poly_mul,
 )
 from padicfft.orders import factorize, multiplicative_order
-from padicfft.tower import build_root_of_unity, cz_split
+from padicfft.pipeline import DEFAULT_SEED
+from padicfft.planner import choose_parameters
+from padicfft.tower import _verify_primitive, build_root_of_unity, cz_split
 
 F19 = PrimeField(19)
 F3 = PrimeField(3)
@@ -46,6 +48,8 @@ def test_cz_split_factor_divides_input():
         _, rem = poly_divmod(F19, PHI5_19, fac)
         assert rem == []
         assert is_irreducible(F19, fac)
+        # coefficients outside [0, p) name the same polynomial
+        assert cz_split(F19, [20, -18, 1, 39, 1], 2, random.Random(seed)) == fac
 
 
 def test_cz_split_returns_input_when_degree_matches():
@@ -177,13 +181,31 @@ def test_build_root_zeta_conjugates_are_roots_of_modulus():
 
 
 def test_build_root_outputs_pinned():
-    # modulus, zeta and base-multiplication count over 2-power ladders, the case
-    # ord_8(19) = ord_4(19), several primes in one s and binomial shortcuts of degree 2, 3, 4, 9
-    rows = []
-    for p, s in [(3, 2), (3, 4), (3, 8), (3, 16), (3, 40), (3, 104), (5, 8), (5, 16), (5, 24),
-                 (7, 9), (7, 16), (7, 27), (19, 5), (19, 8), (19, 40)]:
-        for seed in (0, 1, 0x5EED):
-            r = build_root_of_unity(p, s, random.Random(seed))
-            rows.append((p, s, seed, r.modulus, r.zeta, r.base_counter.count))
+    # modulus and zeta over 2-power ladders, the case ord_8(19) = ord_4(19), several primes in
+    # one s, binomial shortcuts of degree 2, 3, 4, 9, the towers of the three benchmark workloads
+    # and a degree-2 level over a prime beyond the int64 coordinates; the digest is the one the
+    # nested-tuple arithmetic gave before the packed form replaced it
+    rows, counts = [], []
+    cases = [(p, s, seed) for p, s in [(3, 2), (3, 4), (3, 8), (3, 16), (3, 40), (3, 104), (5, 8), (5, 16),
+                                       (5, 24), (7, 9), (7, 16), (7, 27), (19, 5), (19, 8), (19, 40)]
+             for seed in (0, 1, 0x5EED)]
+    cases += [(3, 12584, DEFAULT_SEED), (7, 2736, DEFAULT_SEED), (7, 48, DEFAULT_SEED), (2**61 - 1, 40, DEFAULT_SEED)]
+    for p, s, seed in cases:
+        r = build_root_of_unity(p, s, random.Random(seed))
+        rows.append((p, s, seed, r.modulus, r.zeta))
+        counts.append(r.base_counter.count)
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
-    assert digest == "26f481e589d5f1177dfb37dc9a554ad790c6a4316b6671f6fd0a01f40f7891da"
+    assert digest == "7db77dacbf8a5848a279cd11b0d34a18790232a9571b537440a240d65e972057"
+    # the modelled base multiplications of the same builds
+    assert (sum(counts[:-4]), counts[-4:]) == (258350, [11558342, 1659798, 2055, 60119])
+
+
+def test_build_root_next_planner_rung():
+    # p=5, N=1000 plans s=581064 = 2^3*3*11*31*71, d=30, which the nested-tuple tower did not
+    # finish in minutes
+    res = choose_parameters(5, 1000)
+    assert (res.s, res.d) == (581064, 30)
+    root = build_root_of_unity(5, res.s_factored, random.Random(DEFAULT_SEED))
+    assert root.degree == 30
+    assert is_irreducible(PrimeField(5), list(root.modulus))
+    _verify_primitive(root.field, root.zeta, res.s_factored)
