@@ -1,11 +1,12 @@
 """Mixed-radix decimation-in-time transform over (Z/p^K)[X]/F.
 
-The input is permuted by mixed-radix digit reversal, then one stage per
-radix (last radix first) combines blocks: a twiddle pass multiplies entry
-(j, k1) by alpha^((s/L) j k1), and a radix-r pass evaluates the short DFT
-sum with the fixed powers alpha^((s/r) j k2). The inverse transform runs
-the same schedule with negated exponents into the same power table and one
-final multiplication by s^(-1).
+The input is permuted by mixed-radix digit reversal, a transpose of its
+digit axes, then one stage per radix (last radix first) combines blocks: a
+twiddle pass multiplies entry (j, k1) by alpha^((s/L) j k1), and a radix-r
+pass evaluates the short DFT sum with the fixed powers alpha^((s/r) j k2).
+There is one direction: idft(X)[n] = s^(-1) dft(X)[-n mod s], so idft runs
+the forward schedule on its input read at -k mod s and multiplies the
+result by s^(-1).
 
 Every product inside a stage runs on the exact float64 matmul of
 kernels.matmul_mod, in tiles bounded by TILE. A ring product by a fixed
@@ -85,7 +86,6 @@ class FFTPlan:
     ring: RingExtension
     root: object
     inv_s: int
-    permutation: tuple
     table: np.ndarray  # (s, d) powers of root; its dtype is the transform's backend
 
     @property
@@ -95,23 +95,6 @@ class FFTPlan:
     @property
     def K(self) -> int:
         return self.ring.ctx.K
-
-
-def digit_reversal_permutation(radices) -> tuple:
-    """Gather indices: position j*t + i reads input j + r*sub[i]."""
-    radices = list(radices)
-    if not radices:
-        return (0,)
-    if len(radices) == 1:
-        return tuple(range(radices[0]))
-    r = radices[0]
-    sub = digit_reversal_permutation(radices[1:])
-    t = len(sub)
-    out = [0] * (r * t)
-    for j in range(r):
-        for i in range(t):
-            out[j * t + i] = j + r * sub[i]
-    return tuple(out)
 
 
 def make_plan(s, lift, K: int) -> FFTPlan:
@@ -149,7 +132,6 @@ def make_plan(s, lift, K: int) -> FFTPlan:
         ring=ring,
         root=root,
         inv_s=residue_inverse(s.value % m, ring.ctx),
-        permutation=digit_reversal_permutation(radices),
         table=table,
     )
 
@@ -196,20 +178,20 @@ def dft(coeffs, plan: FFTPlan):
     integer array of their coefficients in [0, p^K), giving an array of
     plan.table.dtype.
     """
-    out = _transform(_to_array(coeffs, plan), plan, invert=False)
+    out = _transform(_to_array(coeffs, plan), plan)
     return out if isinstance(coeffs, np.ndarray) else _to_elements(out, plan)
 
 
 def idft(evals, plan: FFTPlan):
     """Exact inverse of dft: coefficients from evaluations, in the form of evals."""
     ring = plan.ring
-    out = _transform(_to_array(evals, plan), plan, invert=True)
+    out = _transform(_to_array(evals, plan)[-np.arange(plan.s) % plan.s], plan)
     ring.counter.add(plan.s * ring.degree)  # scaling by s^-1, d multiplications per element
     out = kernels.mul_mod(out, plan.inv_s, ring.ctx.pK)
     return out if isinstance(evals, np.ndarray) else _to_elements(out, plan)
 
 
-def _transform(arr, plan: FFTPlan, invert: bool):
+def _transform(arr, plan: FFTPlan):
     s = plan.s
     ring = plan.ring
     m = ring.ctx.pK
@@ -217,16 +199,20 @@ def _transform(arr, plan: FFTPlan, invert: bool):
     cost = ring.mul_cost()
     table = plan.table
     fhead = _fhead(ring, table.dtype)
-    arr = arr[list(plan.permutation)]
+    # digit reversal: input n_0 + n_1 r_0 + n_2 r_0 r_1 + ... moves to the position whose digits, most
+    # significant first, are n_0, n_1, ...; with one radix arr stays a view of the caller's array, which
+    # the first stage (t = 1, no twiddles) only reads
+    n = len(plan.radices)
+    arr = arr.reshape(plan.radices[::-1] + (d,)).transpose(*range(n - 1, -1, -1), n).reshape(s, d)
     t = 1
     for r in reversed(plan.radices):
         big = r * t
         blocks = s // big
         view = arr.reshape(blocks, r, t, d)
-        _twiddle(view, table, fhead, m, invert)
+        _twiddle(view, table, fhead, m)
         ring.counter.add((r - 1) * blocks * (t - 1) * cost)  # the products with exponent j*k1 != 0
         maps = _multiplication_maps(table[(s // r) * np.arange(r)], fhead, m)
-        arr = _butterfly(view, maps, invert, m).reshape(s, d)
+        arr = _butterfly(view, maps, m).reshape(s, d)
         ring.counter.add((r - 1) ** 2 * blocks * t * cost)  # the schoolbook products with exponent j*k2 != 0
         t = big
     return arr
@@ -246,7 +232,7 @@ def _multiplication_maps(powers, fhead, m: int):
     return maps
 
 
-def _twiddle(view, table, fhead, m: int, invert: bool):
+def _twiddle(view, table, fhead, m: int):
     """Twiddle pass, in place: entry (b, j, k1) of view times alpha^(blocks j k1), as batched exact matmuls.
 
     With k1 = h c + l the twiddle is alpha^(blocks j l) * alpha^(blocks j c h),
@@ -263,12 +249,11 @@ def _twiddle(view, table, fhead, m: int, invert: bool):
     else:
         c = next(q for q in range(1, t + 1) if t % q == 0 and q * q >= t)
     grid = view.reshape(blocks, r, t // c, c, d)
-    sign = -1 if invert else 1
     # pass 1 batches over (j, l >= 1), pass 2 over (j, h >= 1); the rows are the other two axes
     for x, unit in ((grid[:, 1:, :, 1:].transpose(1, 3, 0, 2, 4), 1), (grid[:, 1:, 1:].transpose(1, 2, 0, 3, 4), c)):
         if x.size:
             e = blocks * unit * np.arange(1, r)[:, None] * np.arange(1, x.shape[1] + 1)
-            powers = table[(sign * e).ravel() % s]
+            powers = table[e.ravel()]
             x[...] = _ring_scale(x.reshape(powers.shape[0], -1, d), powers, fhead, m).reshape(x.shape)
 
 
@@ -301,11 +286,11 @@ def _power_table(root, s: int, fhead, m: int):
     return _ring_scale(np.broadcast_to(low[:c], (len(high), c, d)), high, fhead, m).reshape(-1, d)[:s]
 
 
-def _butterfly(view, maps, invert: bool, m: int):
+def _butterfly(view, maps, m: int):
     """Radix-r pass: out[b, k2, i] = sum_j view[b, j, i] * alpha^((s/r) j k2), as one exact matmul.
 
-    The pass is the (r d) x (r d) map whose block (j, k2) is maps[j k2 mod r]
-    (maps[-j k2 mod r] for the inverse), applied to the rows (b, i) of view.
+    The pass is the (r d) x (r d) map whose block (j, k2) is maps[j k2 mod r],
+    applied to the rows (b, i) of view.
     It runs in tiles of whole radix digits: contraction and output widths of
     at most TILE, a map tile no larger than the stage's own array, and row
     tiles of at most TILE elements.
@@ -316,13 +301,12 @@ def _butterfly(view, maps, invert: bool, m: int):
     k_step = min(r, max(1, min(TILE, view.size // (j_step * d)) // d))
     rows = max(1, TILE // (max(j_step, k_step) * d))
     b_step, i_step = max(1, rows // t), min(t, rows)
-    sign = -1 if invert else 1
     digits = np.arange(r)
     for k0 in range(0, r, k_step):
         ks = digits[k0 : k0 + k_step]
         for j0 in range(0, r, j_step):
             js = digits[j0 : j0 + j_step]
-            block = maps[(sign * js[:, None] * ks[None, :]) % r]
+            block = maps[(js[:, None] * ks[None, :]) % r]
             b_limbs = kernels.split_limbs(block.transpose(0, 2, 1, 3).reshape(len(js) * d, len(ks) * d), m)
             for b0 in range(0, blocks, b_step):
                 for i0 in range(0, t, i_step):

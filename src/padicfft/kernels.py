@@ -67,8 +67,6 @@ def ring_mul_batch(x, y, fhead, m: int):
     x = np.asarray(x, dtype=dtype)
     y = np.asarray(y, dtype=dtype)
     d = x.shape[-1]
-    if d == 1:
-        return mul_mod(x, y, m)
     if dtype is object:
         mul = np.multiply
     elif d * (m - 1) >= 1 << 62:

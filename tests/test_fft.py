@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 from fractions import Fraction
 
@@ -17,7 +18,6 @@ from padicfft.errors import (
 from padicfft.fft import (
     cyclic_convolution,
     dft,
-    digit_reversal_permutation,
     idft,
     make_plan,
     naive_dft,
@@ -42,15 +42,6 @@ def schoolbook(f, g, m):
     while out and out[-1] == 0:
         out.pop()
     return out
-
-
-def test_digit_reversal_permutation():
-    assert digit_reversal_permutation([]) == (0,)
-    assert digit_reversal_permutation([3]) == (0, 1, 2)
-    assert digit_reversal_permutation([2, 2]) == (0, 2, 1, 3)
-    assert digit_reversal_permutation([2, 2, 2]) == (0, 4, 2, 6, 1, 5, 3, 7)
-    # a permutation of range(s) in every case
-    assert sorted(digit_reversal_permutation([2, 2, 13])) == list(range(52))
 
 
 def test_frozen_length_four():
@@ -168,6 +159,42 @@ def test_engine_parity():
                     outs.append([v.coeffs for v in out])
         assert outs[0] == outs[1] == outs[2] == outs[3]
         assert counts[0] == counts[1] == counts[2] == counts[3] > 0
+
+
+def test_transform_outputs_pinned():
+    # outputs and per-call counter deltas of every transform entry point, over int64 plans, their
+    # object-table copies and object plans, up to the transform-large plan (s=12584, d=30); the
+    # digest is the one the transform gave while it kept a separate inverse schedule
+    everything = ("dft", "idft", "idft list", "convolution", "product")
+    arrays = ("dft", "idft")
+    cases = [(3, 4, 4, everything), (3, 1, 8, everything), (5, 8, 24, everything), (7, 16, 48, everything),
+             (19, 32, 40, everything), (3, 32, 104, everything), (7, 16, 2736, everything),
+             (7, 32, 2736, arrays), (3, 32, 12584, arrays)]
+    rows = []
+    for p, K, s, ops in cases:
+        plan = build_pipeline(p, K, s=s, seed=2).plan
+        variants = [(plan, ops)]
+        if plan.table.dtype == np.int64 and s <= 2736:
+            variants.append((dataclasses.replace(plan, table=plan.table.astype(object)), ops if s < 1000 else arrays))
+        ring, m = plan.ring, plan.ring.ctx.pK
+        rng = random.Random(s * 100 + K)
+        x, y = ([[rng.randrange(m) for _ in range(ring.degree)] for _ in range(s)] for _ in range(2))
+        f, g = ([rng.randrange(m) for _ in range(s // 2)] for _ in range(2))
+        for q, names in variants:
+            xa, ya = (np.array(v, dtype=q.table.dtype) for v in (x, y))
+            calls = {"dft": lambda: dft(xa, q), "idft": lambda: idft(xa, q),
+                     "idft list": lambda: [v.coeffs for v in idft([ring.element(c) for c in x], q)],
+                     "convolution": lambda: cyclic_convolution(xa, ya, q),
+                     "product": lambda: poly_multiply(f, g, p, K, plan=q)}
+            for name in names:
+                ring.counter.reset()
+                out = calls[name]()
+                if isinstance(out, np.ndarray):
+                    assert out.dtype == q.table.dtype
+                    out = out.tolist()
+                rows.append((p, K, s, str(q.table.dtype), name, ring.counter.count, out))
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "1a604c47f0d66affe44f1a5f6fd1406cbabaac6fb0d2d62bb0c654507f7f4d4f"
 
 
 @pytest.mark.parametrize("p,K,s", [(3, 32, 104), (7, 32, 2736)])

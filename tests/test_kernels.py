@@ -64,7 +64,7 @@ def _random_ring(rng, p, K, d):
 
 def test_ring_mul_batch_differential():
     rng = random.Random(1)
-    for p, K, d in ((3, 8, 2), (3, 8, 6), (19, 2, 5), (3, 32, 4), (5, 21, 3), (3, 1, 6)):
+    for p, K, d in ((3, 8, 2), (3, 8, 6), (19, 2, 5), (3, 32, 4), (5, 21, 3), (3, 1, 6), (7, 16, 1)):
         ring = _random_ring(rng, p, K, d)
         m = ring.ctx.pK
         fhead = np.array(ring.modulus[:-1], dtype=np.int64)

@@ -33,6 +33,20 @@ def test_is_prime_small():
         assert not is_prime(n)
 
 
+def test_is_prime_past_the_twelve_prime_bases():
+    # psi_12 is the least strong pseudoprime to every prime base up to 37; base 41 exposes it
+    psi12 = 318665857834031151167461
+    assert not is_prime(psi12)
+    assert factorize(psi12) == [(399165290221, 1), (798330580441, 1)]
+    for q in (41, 2**61 - 1, 10**24 + 7):
+        assert is_prime(q)
+    sieve = [True] * 20000
+    for n in range(2, 20000):
+        if sieve[n]:
+            sieve[n * n :: n] = [False] * len(range(n * n, 20000, n))
+    assert [n for n in range(20000) if is_prime(n)] == [n for n in range(2, 20000) if sieve[n]]
+
+
 def test_factorize_roundtrip():
     for n in [2, 8, 104, 12584, 360, 2**10 * 3**5, 1093 * 12584, 7663536]:
         fac = factorize(n)
