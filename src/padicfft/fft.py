@@ -9,7 +9,8 @@ the forward schedule on its input read at -k mod s and multiplies the
 result by s^(-1).
 
 Every product inside a stage runs on the exact float64 matmul of
-kernels.matmul_mod, in tiles bounded by TILE. A ring product by a fixed
+kernels.matmul_mod, which owns the limb format and cuts the rows into
+tiles of at most kernels.TILE elements. A ring product by a fixed
 element is the d x d multiplication matrix of that element, built from the
 power table. The twiddle pass splits each twiddle into two factors, each
 shared by whole rows of the stage, and multiplies every group of rows by
@@ -58,13 +59,9 @@ from .errors import (
     RootNotPrimitive,
 )
 from .orders import FactoredOrder
-from .padic import PadicContext, RingExtension, residue_inverse, ring_mul, ring_pow
+from .padic import PadicContext, RingElement, RingExtension, residue_inverse, ring_mul, ring_pow
 from .planner import choose_parameters
 
-# Elements per row tile, and the widest contraction or output tile, of a
-# butterfly product, and elements per batch tile of a twiddle or power-table
-# product: bounds every temporary a product makes.
-TILE = 1 << 13
 # Plans poly_multiply keeps for reuse. The largest one it reaches in practice
 # (p=3, s=12584, d=30) holds a 3 MB int64 table, so the cache stays within tens of MB.
 PLAN_CACHE_SIZE = 8
@@ -162,6 +159,8 @@ def _to_array(values, plan: FFTPlan):
     if len(values) != s:
         raise LengthMismatch(f"expected {s} elements, got {len(values)}")
     for v in values:
+        if not isinstance(v, RingElement):
+            raise BadInput(f"entry {v!r} is not a ring element")
         if not v.parent.same(plan.ring):
             raise ParentMismatch("element does not belong to the plan's ring")
     return np.array([v.coeffs for v in values], dtype=plan.table.dtype)
@@ -254,23 +253,8 @@ def _twiddle(view, table, fhead, m: int):
         if x.size:
             e = blocks * unit * np.arange(1, r)[:, None] * np.arange(1, x.shape[1] + 1)
             powers = table[e.ravel()]
-            x[...] = _ring_scale(x.reshape(powers.shape[0], -1, d), powers, fhead, m).reshape(x.shape)
-
-
-def _ring_scale(x, powers, fhead, m: int):
-    """out[u] = x[u] * powers[u] in the ring, for x of shape (n, rows, d) and powers of shape (n, d).
-
-    Each power becomes its multiplication map, and the maps act on their
-    rows in stacked kernels.matmul_mod products. A tile takes whole batch
-    entries, at most TILE elements of x unless one entry alone holds more.
-    """
-    n, rows, d = x.shape
-    maps = _multiplication_maps(powers, fhead, m)
-    out = np.empty(x.shape, dtype=powers.dtype)
-    step = max(1, TILE // (rows * d))
-    for u in range(0, n, step):
-        out[u : u + step] = kernels.matmul_mod(x[u : u + step], kernels.split_limbs(maps[u : u + step], m), m)
-    return out
+            maps = _multiplication_maps(powers, fhead, m)
+            x[...] = kernels.matmul_mod(x.reshape(len(maps), -1, d), maps, m).reshape(x.shape)
 
 
 def _power_table(root, s: int, fhead, m: int):
@@ -283,38 +267,35 @@ def _power_table(root, s: int, fhead, m: int):
     c = math.isqrt(s - 1) + 1
     low = kernels.power_table(root, c + 1, fhead, m)
     high = kernels.power_table(low[c], -(-s // c), fhead, m)
-    return _ring_scale(np.broadcast_to(low[:c], (len(high), c, d)), high, fhead, m).reshape(-1, d)[:s]
+    maps = _multiplication_maps(high, fhead, m)
+    return kernels.matmul_mod(np.broadcast_to(low[:c], (len(high), c, d)), maps, m).reshape(-1, d)[:s]
 
 
 def _butterfly(view, maps, m: int):
-    """Radix-r pass: out[b, k2, i] = sum_j view[b, j, i] * alpha^((s/r) j k2), as one exact matmul.
+    """Radix-r pass: out[b, k2, i] = sum_j view[b, j, i] * alpha^((s/r) j k2), as exact matmuls.
 
     The pass is the (r d) x (r d) map whose block (j, k2) is maps[j k2 mod r],
-    applied to the rows (b, i) of view.
-    It runs in tiles of whole radix digits: contraction and output widths of
-    at most TILE, a map tile no larger than the stage's own array, and row
-    tiles of at most TILE elements.
+    applied to the rows (b, i) of view, copied once into contiguous rows.
+    The map runs in tiles of whole radix digits: contraction and output
+    widths of at most kernels.TILE, the contraction within the float64
+    bound, and a map tile no larger than the stage's own array; each map
+    tile is one kernels.matmul_mod product over all rows.
     """
     blocks, r, t, d = view.shape
+    rows = view.transpose(0, 2, 1, 3).reshape(blocks * t, r * d)
     out = np.empty_like(view)
-    j_step = min(r, max(1, min(TILE, kernels.contraction_limit(m)) // d))
-    k_step = min(r, max(1, min(TILE, view.size // (j_step * d)) // d))
-    rows = max(1, TILE // (max(j_step, k_step) * d))
-    b_step, i_step = max(1, rows // t), min(t, rows)
+    by_row = out.transpose(0, 2, 1, 3)
+    j_step = min(r, max(1, min(kernels.TILE, kernels.contraction_limit(m)) // d))
+    k_step = min(r, max(1, min(kernels.TILE, view.size // (j_step * d)) // d))
     digits = np.arange(r)
     for k0 in range(0, r, k_step):
         ks = digits[k0 : k0 + k_step]
+        dst = by_row[:, :, k0 : k0 + k_step]
         for j0 in range(0, r, j_step):
             js = digits[j0 : j0 + j_step]
-            block = maps[(js[:, None] * ks[None, :]) % r]
-            b_limbs = kernels.split_limbs(block.transpose(0, 2, 1, 3).reshape(len(js) * d, len(ks) * d), m)
-            for b0 in range(0, blocks, b_step):
-                for i0 in range(0, t, i_step):
-                    x = view[b0 : b0 + b_step, j0 : j0 + j_step, i0 : i0 + i_step].transpose(0, 2, 1, 3)
-                    y = kernels.matmul_mod(x.reshape(-1, len(js) * d), b_limbs, m)
-                    y = y.reshape(x.shape[0], x.shape[1], len(ks), d).transpose(0, 2, 1, 3)
-                    dst = out[b0 : b0 + b_step, k0 : k0 + k_step, i0 : i0 + i_step]
-                    dst[...] = (dst + y) % m if j0 else y
+            block = maps[(js[:, None] * ks[None, :]) % r].transpose(0, 2, 1, 3).reshape(len(js) * d, len(ks) * d)
+            y = kernels.matmul_mod(rows[:, j0 * d : (j0 + j_step) * d], block, m).reshape(dst.shape)
+            dst[...] = (dst + y) % m if j0 else y
     return out
 
 

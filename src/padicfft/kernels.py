@@ -7,13 +7,13 @@ wrapping uint64 arithmetic, reinterpreted as signed (it lies in (-2m, 3m),
 far inside int64), and snapped into [0, m) with one mod. On object arrays
 of Python ints, for any m, the product is plain (a*b) % m.
 
-matmul_mod multiplies matrices mod m on float64 BLAS, exactly. Both
-operands are split into L limbs of 17 bits, L = ceil(bits(m-1)/17), and
-each limb pair is one float64 matmul. Every entry of a weight class (the
-limb pairs i+j = w) is an integer below L*n*2^34 for contraction length n,
-so it is exact while L*n*2^34 < 2^53; matmul_mod checks that bound and
-raises OutOfRange beyond it. The class sums are recombined mod m in
-integers, so no rounding reaches any result.
+matmul_mod multiplies matrices mod m on float64 BLAS, exactly, and owns
+the limb format and the tiling. Both operands are split into L limbs of
+17 bits, L = ceil(bits(m-1)/17), and each limb pair is one float64 matmul.
+Every entry of a weight class (the limb pairs i+j = w) is an integer below
+L*n*2^34 for contraction length n, so it is exact while L*n*2^34 < 2^53;
+matmul_mod checks that bound and raises OutOfRange beyond it. The class
+sums are recombined mod m in integers, so no rounding reaches any result.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ LIMB_BITS = 17
 LIMB_MASK = (1 << LIMB_BITS) - 1
 WORD_MASK = (1 << 3 * LIMB_BITS) - 1
 FLOAT_EXACT = 1 << 53
+# Elements per matmul_mod tile: bounds every temporary a product makes.
+TILE = 1 << 13
 
 
 def supports_modulus(m: int) -> bool:
@@ -128,23 +130,38 @@ def split_limbs(x, m: int):
     return out
 
 
-def matmul_mod(a, b_limbs, m: int):
-    """Exact (a @ b) % m for a of shape (..., rows, n) in [0, m) and b_limbs = split_limbs(b, m).
+def matmul_mod(a, b, m: int):
+    """Exact (a @ b) % m for a and b in [0, m); the result has a's dtype.
 
-    b has shape (n, k) or a stack (..., n, k) that broadcasts against a like
-    numpy's @, so one call multiplies a batch of matrices by a batch of
-    maps; n, the contraction length the float64 bound applies to, is
-    b_limbs.shape[-2]. The result has a's dtype. Weight class w sums the
-    limb products a_i @ b_j with i + j = w. The classes are carried into
-    17-bit digits and packed three to an int64 word, and the words are
-    recombined mod m: with mul_mod on int64, with shifts of Python ints on
-    object arrays.
+    b is one (n, k) map for a of shape (rows, n), split into limbs once, with
+    a cut into tiles of TILE // max(n, k) rows. Or b is a stack of maps
+    (N, n, k) for a of shape (N, rows, n), entry by entry, cut with a into
+    tiles of whole entries, at most TILE elements of a unless one entry alone
+    holds more; each tile's maps are split on their own.
     """
-    L, n = b_limbs.shape[0], b_limbs.shape[-2]
-    if L != limb_count(m):
-        raise OutOfRange(f"{L} limbs do not hold residues mod {m}")
+    n, k = b.shape[-2:]
     if n > contraction_limit(m):
-        raise OutOfRange(f"contraction length {n} with {L} limbs exceeds the float64 bound")
+        raise OutOfRange(f"contraction length {n} with {limb_count(m)} limbs exceeds the float64 bound")
+    out = np.empty(a.shape[:-1] + (k,), dtype=_dtype(a))
+    if b.ndim == 2:
+        step, b_limbs = max(1, TILE // max(1, n, k)), split_limbs(b, m)
+    else:
+        step = max(1, TILE // max(1, a.shape[1] * n))
+    for u in range(0, len(a), step):
+        tile_limbs = b_limbs if b.ndim == 2 else split_limbs(b[u : u + step], m)
+        out[u : u + step] = _limb_matmul(a[u : u + step], tile_limbs, m)
+    return out
+
+
+def _limb_matmul(a, b_limbs, m: int):
+    """One tile of matmul_mod, b given as split_limbs(b, m).
+
+    Weight class w sums the limb products a_i @ b_j with i + j = w. The
+    classes are carried into 17-bit digits packed three to an int64 word,
+    and the words are recombined mod m: by mul_mod on int64, by shifts of
+    Python ints on object arrays.
+    """
+    L = b_limbs.shape[0]
     a_limbs = split_limbs(a, m)
     words, carry = [], 0
     for w in range(2 * L - 1):

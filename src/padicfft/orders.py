@@ -126,7 +126,7 @@ class FactoredOrder:
 
     @classmethod
     def of(cls, n: int) -> "FactoredOrder":
-        return cls(n, tuple(factorize(n))) if n > 1 else cls(n, ())
+        return cls(n, tuple(factorize(n)))
 
     def radix_schedule(self) -> list[int]:
         """All prime factors with multiplicity, ascending."""

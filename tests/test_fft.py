@@ -213,16 +213,15 @@ def test_tiled_butterflies_match_untiled(monkeypatch, p, K, s):
     y = random_vector(plan.ring, s, rng)
     root = np.asarray(plan.root.coeffs, dtype=plan.table.dtype)
     one_product_per_row = kernels.power_table(root, s, fft_mod._fhead(plan.ring, root.dtype), plan.ring.ctx.pK)
-    # log of twiddle stages (view shape), their batched products (x shape) and the stacked matmuls under them
+    # log of stages (view shape), their matmul_mod products (a and b shapes) and the tiles under each product
     log = []
-    real = fft_mod._twiddle, fft_mod._ring_scale, kernels.matmul_mod
+    real = fft_mod._twiddle, kernels.matmul_mod, kernels._limb_matmul
     monkeypatch.setattr(fft_mod, "_twiddle", lambda view, *a: log.append(("stage", view.shape)) or real[0](view, *a))
-    monkeypatch.setattr(fft_mod, "_ring_scale", lambda x, *a: log.append(("pass", x.shape)) or real[1](x, *a))
-    monkeypatch.setattr(kernels, "matmul_mod",
-                        lambda a, *rest: (a.ndim == 3 and log.append(("tile", a.shape))) or real[2](a, *rest))
+    monkeypatch.setattr(kernels, "matmul_mod", lambda a, b, m: log.append(("product", a.shape, b.shape)) or real[1](a, b, m))
+    monkeypatch.setattr(kernels, "_limb_matmul", lambda *a: log.append(("tile",)) or real[2](*a))
     runs = []
-    for tile in (fft_mod.TILE, 64):
-        monkeypatch.setattr(fft_mod, "TILE", tile)
+    for tile in (kernels.TILE, 64):
+        monkeypatch.setattr(kernels, "TILE", tile)
         assert np.array_equal(make_plan(plan.s_factored, pipe.lift, K).table, one_product_per_row)
         outs, counts = [], []
         for op, args in ((dft, (x,)), (idft, (x,)), (cyclic_convolution, (x, y))):
@@ -234,20 +233,27 @@ def test_tiled_butterflies_match_untiled(monkeypatch, p, K, s):
                 dft_log = list(log)
         runs.append((outs, counts))
     assert runs[0] == runs[1]
-    # per twiddle stage of the TILE = 64 dft: t -> its passes, each with its tile count
+    # per stage of the TILE = 64 dft: t -> its view shape, twiddle passes and butterfly products, each with
+    # its a shape, b shape and tile count
     stages = {}
-    for kind, shape in dft_log:
+    for kind, *shapes in dft_log:
         if kind == "stage":
-            passes = stages.setdefault(shape[2], [])
-        elif kind == "pass":
-            passes.append([shape, 0])
+            stage = stages.setdefault(shapes[0][2], (shapes[0], [], []))
+        elif kind == "product":
+            product = [*shapes, 0]
+            stage[1 if len(shapes[1]) == 3 else 2].append(product)
         else:
-            passes[-1][1] += 1
-    two_factor = [t for t, passes in stages.items() if len(passes) == 2]
-    assert two_factor and any(tiles > 1 for passes in stages.values() for _, tiles in passes)
+            product[2] += 1
+    two_factor = [t for t, (_, passes, _) in stages.items() if len(passes) == 2]
+    assert two_factor and any(tiles > 1 for _, passes, _ in stages.values() for _, _, tiles in passes)
     if s == 104:
-        assert len(stages[13]) == 1 and stages[13][0][0][0] == 12  # one pass: (r-1)(t-1) twiddles
-        assert [shape[0] for shape, _ in stages[26]] == [12, 1]  # c = 13: (r-1)(c-1), then (r-1)(t/c - 1)
+        assert [a[0] for a, _, _ in stages[13][1]] == [12]  # one pass: (r-1)(t-1) twiddles
+        assert [a[0] for a, _, _ in stages[26][1]] == [12, 1]  # c = 13: (r-1)(c-1), then (r-1)(t/c - 1)
+    # the widest radix stage runs several contraction and output tiles, each in several row tiles
+    (_, r, t, d), _, products = max(stages.values(), key=lambda stage: stage[0][1])
+    assert sum(b[0] * b[1] for _, b, _ in products) == (r * d) ** 2  # the map tiles cover the map once
+    assert all(b[0] < r * d and b[1] < r * d for _, b, _ in products)
+    assert all(a[0] == s // r and tiles > 1 for a, _, tiles in products)
     evals = runs[1][0][0]
     if s <= 104:
         assert evals == naive_dft(x, plan.root, s)
@@ -381,6 +387,11 @@ def test_validation():
     other = build_pipeline(3, 4, s=4, seed=2).plan
     with pytest.raises(ParentMismatch):
         dft([other.ring.zero()] * 8, plan)
+    # list entries that are not ring elements at all
+    for bad in ([[1, 0]] * 8, list(range(8))):
+        for op, args in ((dft, (bad,)), (idft, (bad,)), (cyclic_convolution, (bad, x))):
+            with pytest.raises(BadInput, match="not a ring element"):
+                op(*args, plan)
     with pytest.raises(PrecisionTooLow):
         make_plan(8, pipe.lift, 5)
     with pytest.raises(BadInput):

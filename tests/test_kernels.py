@@ -147,16 +147,16 @@ def test_matmul_mod_differential(m):
     for rows, n, cols in ((7, 13, 5), (0, 4, 3), (1, 9, 2), (6, 1, 4), (40, 60, 30)):
         a = np.array([rng.randrange(m) for _ in range(rows * n)], dtype=dtype).reshape(rows, n)
         b = np.array([rng.randrange(m) for _ in range(n * cols)], dtype=dtype).reshape(n, cols)
-        got = matmul_mod(a, split_limbs(b, m), m)
+        got = matmul_mod(a, b, m)
         assert got.dtype == dtype and got.shape == (rows, cols)
         assert got.tolist() == _matmul_reference(a, b, m)
     top = np.full((3, 50), m - 1, dtype=dtype)
-    assert matmul_mod(top, split_limbs(top.T, m), m).tolist() == _matmul_reference(top, top.T, m)
+    assert matmul_mod(top, top.T, m).tolist() == _matmul_reference(top, top.T, m)
     # stacked: a batch of (rows, n) matrices times a batch of (n, cols) maps, entry by entry
     for batch, rows, n, cols in ((4, 7, 13, 5), (3, 1, 30, 30), (1, 20, 2, 2)):
         a = np.array([rng.randrange(m) for _ in range(batch * rows * n)], dtype=dtype).reshape(batch, rows, n)
         b = np.array([rng.randrange(m) for _ in range(batch * n * cols)], dtype=dtype).reshape(batch, n, cols)
-        got = matmul_mod(a, split_limbs(b, m), m)
+        got = matmul_mod(a, b, m)
         assert got.dtype == dtype and got.shape == (batch, rows, cols)
         assert got.tolist() == [_matmul_reference(u, v, m) for u, v in zip(a, b)]
 
@@ -179,15 +179,50 @@ def test_matmul_mod_float_bound():
     n = contraction_limit(m)
     assert n == 174762 and 3 * n << 34 < 1 << 53 <= 3 * (n + 1) << 34
     a = np.full((1, n), m - 1, dtype=np.int64)
-    assert matmul_mod(a, split_limbs(a.T, m), m).tolist() == [[n * (m - 1) ** 2 % m]]
+    assert matmul_mod(a, a.T, m).tolist() == [[n * (m - 1) ** 2 % m]]
     a = np.full((1, n + 1), m - 1, dtype=np.int64)
     with pytest.raises(OutOfRange):
-        matmul_mod(a, split_limbs(a.T, m), m)
-    with pytest.raises(OutOfRange):
-        matmul_mod(a[:, :4], split_limbs(a[0, :4, None], 7**32), m)
+        matmul_mod(a, a.T, m)
     # a stacked b is bounded by its own contraction axis, not by its batch size
     stacked = np.full((2, 1, n + 1), m - 1, dtype=np.int64)
     with pytest.raises(OutOfRange):
-        matmul_mod(stacked, split_limbs(stacked.transpose(0, 2, 1), m), m)
+        matmul_mod(stacked, stacked.transpose(0, 2, 1), m)
     wide = np.full((n + 1, 1, 3), m - 1, dtype=np.int64)
-    assert matmul_mod(wide, split_limbs(wide[:, 0, :, None], m), m).tolist() == [[[3 * (m - 1) ** 2 % m]]] * (n + 1)
+    assert matmul_mod(wide, wide[:, 0, :, None], m).tolist() == [[[3 * (m - 1) ** 2 % m]]] * (n + 1)
+
+
+@pytest.mark.parametrize("m", [3**8, 2**51 - 1, 7**32])
+def test_matmul_mod_tiles(monkeypatch, m):
+    # a 16-element tile cuts every product below into several tiles, the last one short
+    import padicfft.kernels as kernels_mod
+
+    monkeypatch.setattr(kernels_mod, "TILE", 16)
+    tiles = []
+    real = kernels_mod._limb_matmul
+    monkeypatch.setattr(kernels_mod, "_limb_matmul", lambda a, *rest: tiles.append(len(a)) or real(a, *rest))
+    dtype = np.int64 if supports_modulus(m) else object
+    rng = random.Random(m % 997)
+
+    def rand(*shape):
+        return np.array([rng.randrange(m) for _ in range(int(np.prod(shape)))], dtype=dtype).reshape(shape)
+
+    def check(a, b, want, sizes):
+        tiles.clear()
+        got = matmul_mod(a, b, m)
+        assert got.dtype == dtype and got.tolist() == want
+        assert tiles == sizes
+
+    # 2-D b: row tiles of 16 // max(n, k) rows, at least one
+    for rows, n, cols, sizes in ((11, 5, 3, [3, 3, 3, 2]), (11, 20, 4, [1] * 11), (7, 2, 30, [1] * 7)):
+        a, b = rand(rows, n), rand(n, cols)
+        check(a, b, _matmul_reference(a, b, m), sizes)
+    # a non-contiguous column slice of a, as the butterflies pass their contraction tiles
+    wide, b = rand(9, 12), rand(5, 3)
+    check(wide[:, 4:9], b, _matmul_reference(wide[:, 4:9], b, m), [3, 3, 3])
+    # stacked b: tiles of whole batch entries, 16 // (rows * n) of them, or one when an entry alone is larger
+    for batch, rows, n, cols, sizes in ((7, 1, 3, 3, [5, 2]), (5, 2, 3, 3, [2, 2, 1]), (3, 4, 5, 5, [1, 1, 1])):
+        a, b = rand(batch, rows, n), rand(batch, n, cols)
+        check(a, b, [_matmul_reference(u, v, m) for u, v in zip(a, b)], sizes)
+    # a broadcast a, one low table against a batch of maps, as the power table passes it
+    low, maps = rand(3, 4), rand(7, 4, 4)
+    check(np.broadcast_to(low, (7, 3, 4)), maps, [_matmul_reference(low, v, m) for v in maps], [1] * 7)

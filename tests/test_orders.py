@@ -67,7 +67,10 @@ def test_factored_order_validation():
     fo = FactoredOrder.of(104)
     assert fo.value == 104 and fo.factors == ((2, 3), (13, 1))
     assert fo.radix_schedule() == [2, 2, 2, 13]
-    assert FactoredOrder.of(1).factors == ()
+    assert FactoredOrder.of(1) == FactoredOrder(1, ())
+    for n in (0, -5):
+        with pytest.raises(BadInput, match="factorize needs a positive integer"):
+            FactoredOrder.of(n)
     with pytest.raises(BadInput):
         FactoredOrder(12, ((2, 1), (3, 1)))
     with pytest.raises(BadInput):
