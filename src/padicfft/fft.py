@@ -4,6 +4,9 @@ The input is permuted by mixed-radix digit reversal, a transpose of its
 digit axes, then one stage per radix (last radix first) combines blocks: a
 twiddle pass multiplies entry (j, k1) by alpha^((s/L) j k1), and a radix-r
 pass evaluates the short DFT sum with the fixed powers alpha^((s/r) j k2).
+The stages run fused prime powers: each q^v dividing s as radices q^a, a
+the largest exponent whose map fits in the stage array (see _fused_radices),
+so s = 2736 = 2^4 3^2 19 at d = 6 makes three passes, not seven.
 There is one direction: idft(X)[n] = s^(-1) dft(X)[-n mod s], so idft runs
 the forward schedule on its input read at -k mod s and multiplies the
 result by s^(-1).
@@ -19,10 +22,11 @@ pass is the same Z/p^K-linear map of size rd x rd for every block of a
 stage: block (j, k2) is the multiplication matrix of alpha^((s/r) j k2),
 applied to all rows at once. The power table itself is two short tables
 and one batched product.
-The multiplication counter still charges the schoolbook model: a twiddle
-or a butterfly product is counted exactly when its exponent is nonzero,
-never based on operand values, so the count depends only on d and the
-radix schedule.
+The multiplication counter is a model, not a timer: it charges the
+schoolbook products of the paper's prime schedule plan.radices, whatever
+radices the stages run. A twiddle or a butterfly product is counted exactly
+when its exponent is nonzero, never based on operand values, so the count
+depends only on d and the plan.
 
 One schedule runs on an (s, d) array whose dtype is the backend: int64 when
 p^K <= 2^51, else numpy object arrays of Python ints. make_plan picks the
@@ -167,7 +171,8 @@ def _to_array(values, plan: FFTPlan):
 
 
 def _to_elements(arr, plan: FFTPlan):
-    return [plan.ring.element(row) for row in arr.tolist()]
+    """Plan-ring elements of the rows of a transform output, which are already canonical."""
+    return [RingElement(plan.ring, tuple(row)) for row in arr.tolist()]
 
 
 def dft(coeffs, plan: FFTPlan):
@@ -195,26 +200,42 @@ def _transform(arr, plan: FFTPlan):
     ring = plan.ring
     m = ring.ctx.pK
     d = ring.degree
-    cost = ring.mul_cost()
     table = plan.table
     fhead = _fhead(ring, table.dtype)
+    radices = _fused_radices(plan.s_factored, d)
     # digit reversal: input n_0 + n_1 r_0 + n_2 r_0 r_1 + ... moves to the position whose digits, most
     # significant first, are n_0, n_1, ...; with one radix arr stays a view of the caller's array, which
     # the first stage (t = 1, no twiddles) only reads
-    n = len(plan.radices)
-    arr = arr.reshape(plan.radices[::-1] + (d,)).transpose(*range(n - 1, -1, -1), n).reshape(s, d)
+    n = len(radices)
+    arr = arr.reshape(radices[::-1] + (d,)).transpose(*range(n - 1, -1, -1), n).reshape(s, d)
     t = 1
-    for r in reversed(plan.radices):
-        big = r * t
-        blocks = s // big
-        view = arr.reshape(blocks, r, t, d)
+    for r in reversed(radices):
+        view = arr.reshape(s // (r * t), r, t, d)
         _twiddle(view, table, fhead, m)
-        ring.counter.add((r - 1) * blocks * (t - 1) * cost)  # the products with exponent j*k1 != 0
         maps = _multiplication_maps(table[(s // r) * np.arange(r)], fhead, m)
         arr = _butterfly(view, maps, m).reshape(s, d)
-        ring.counter.add((r - 1) ** 2 * blocks * t * cost)  # the schoolbook products with exponent j*k2 != 0
-        t = big
+        t *= r
+    # the count models the paper's prime-radix stages, whatever radices ran: per stage the twiddle
+    # products with exponent j*k1 != 0, then the schoolbook products with exponent j*k2 != 0
+    t = 1
+    for r in reversed(plan.radices):
+        blocks = s // (r * t)
+        ring.counter.add(((r - 1) * blocks * (t - 1) + (r - 1) ** 2 * blocks * t) * ring.mul_cost())
+        t *= r
     return arr
+
+
+def _fused_radices(s: FactoredOrder, d: int) -> tuple:
+    """The radices the stages run: each q^v of s as chunks of q^a, the remainder last.
+
+    a is the largest exponent <= v whose (q^a d) x (q^a d) map holds no more
+    entries than the (s, d) stage array, and 1 when even q's map does not.
+    """
+    radices = []
+    for q, v in s.factors:
+        a = max((a for a in range(2, v + 1) if (q**a * d) ** 2 <= s.value * d), default=1)
+        radices += [q**a] * (v // a) + ([q ** (v % a)] if v % a else [])
+    return tuple(radices)
 
 
 def _multiplication_maps(powers, fhead, m: int):

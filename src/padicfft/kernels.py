@@ -30,7 +30,7 @@ LIMB_MASK = (1 << LIMB_BITS) - 1
 WORD_MASK = (1 << 3 * LIMB_BITS) - 1
 FLOAT_EXACT = 1 << 53
 # Elements per matmul_mod tile: bounds every temporary a product makes.
-TILE = 1 << 13
+TILE = 1 << 15
 
 
 def supports_modulus(m: int) -> bool:

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from padicfft.errors import (
     RootNotPrimitive,
 )
 from padicfft.fft import (
+    _fused_radices,
     cyclic_convolution,
     dft,
     idft,
@@ -24,6 +26,7 @@ from padicfft.fft import (
     poly_multiply,
 )
 from padicfft.lifting import newton_lift_root
+from padicfft.orders import FactoredOrder, is_prime
 from padicfft.padic import ring_pow
 from padicfft.pipeline import build_pipeline
 from padicfft.planner import choose_parameters
@@ -248,7 +251,8 @@ def test_tiled_butterflies_match_untiled(monkeypatch, p, K, s):
     assert two_factor and any(tiles > 1 for _, passes, _ in stages.values() for _, _, tiles in passes)
     if s == 104:
         assert [a[0] for a, _, _ in stages[13][1]] == [12]  # one pass: (r-1)(t-1) twiddles
-        assert [a[0] for a, _, _ in stages[26][1]] == [12, 1]  # c = 13: (r-1)(c-1), then (r-1)(t/c - 1)
+        # the t = 26 stage runs the fused radix 4 = 2^2; c = 13: (r-1)(c-1), then (r-1)(t/c - 1)
+        assert [a[0] for a, _, _ in stages[26][1]] == [36, 3]
     # the widest radix stage runs several contraction and output tiles, each in several row tiles
     (_, r, t, d), _, products = max(stages.values(), key=lambda stage: stage[0][1])
     assert sum(b[0] * b[1] for _, b, _ in products) == (r * d) ** 2  # the map tiles cover the map once
@@ -260,6 +264,40 @@ def test_tiled_butterflies_match_untiled(monkeypatch, p, K, s):
     else:
         for j in (1, 5, 144, s - 1):
             assert evals[j] == naive_dft(x, ring_pow(plan.root, j), 2)[1]
+
+
+@pytest.mark.parametrize("s,d,fused", [(12584, 30, (8, 11, 11, 13)), (2736, 6, (16, 9, 19)), (48, 2, (4, 4, 3)),
+                                       (104, 6, (4, 2, 13))])
+def test_fused_radices(s, d, fused):
+    # each prime power q^v runs as stages of the largest q^a whose map fits in the stage array, remainder last
+    assert _fused_radices(FactoredOrder.of(s), d) == fused
+
+
+def test_fused_radices_cover_s():
+    for s in range(1, 400):
+        for d in (1, 2, 6, 30):
+            radices = _fused_radices(FactoredOrder.of(s), d)
+            assert math.prod(radices) == s
+            assert all((r * d) ** 2 <= s * d or is_prime(r) for r in radices)
+
+
+def test_fused_stages_match_naive():
+    # s = 48 runs stages (4, 4, 3) on both backends, while the plan and its count keep the prime schedule
+    plan = build_pipeline(7, 16, s=48, seed=2).plan
+    assert plan.radices == (2, 2, 2, 2, 3)
+    assert _fused_radices(plan.s_factored, plan.ring.degree) == (4, 4, 3)
+    x = random_vector(plan.ring, 48, random.Random(48))
+    want = naive_dft(x, plan.root, 48)
+    counts = []
+    for q in (plan, dataclasses.replace(plan, table=plan.table.astype(object))):
+        plan.ring.counter.reset()
+        assert dft(x, q) == want
+        counts.append(plan.ring.counter.count)
+        assert idft(want, q) == x
+    cost = plan.ring.mul_cost()
+    # the schoolbook prime-radix model: stages r = 3, 2, 2, 2, 2 at t = 1, 3, 6, 12, 24
+    model = sum((r - 1) * (48 // (r * t)) * ((t - 1) + (r - 1) * t) for r, t in ((3, 1), (2, 3), (2, 6), (2, 12), (2, 24)))
+    assert counts == [model * cost] * 2
 
 
 def test_count_is_input_independent():
