@@ -14,14 +14,14 @@ result by s^(-1).
 Every product inside a stage runs on the exact float64 matmul of
 kernels.matmul_mod, which owns the limb format and cuts the rows into
 tiles of at most kernels.TILE elements. A ring product by a fixed
-element is the d x d multiplication matrix of that element, built from the
-power table. The twiddle pass splits each twiddle into two factors, each
-shared by whole rows of the stage, and multiplies every group of rows by
-its factor's matrix in one batched product (see _twiddle). The radix-r
-pass is the same Z/p^K-linear map of size rd x rd for every block of a
-stage: block (j, k2) is the multiplication matrix of alpha^((s/r) j k2),
-applied to all rows at once. The power table itself is two short tables
-and one batched product.
+element is the d x d multiplication matrix of that element, which
+kernels.multiplication_maps builds from rows of the power table that
+make_plan gets from kernels.power_table. The twiddle pass splits each
+twiddle into two factors, each shared by whole rows of the stage, and
+multiplies every group of rows by its factor's matrix in one batched
+product (see _twiddle). The radix-r pass is the same Z/p^K-linear map of
+size rd x rd for every block of a stage: block (j, k2) is the
+multiplication matrix of alpha^((s/r) j k2), applied to all rows at once.
 The multiplication counter is a model, not a timer: it charges the
 schoolbook products of the paper's prime schedule plan.radices, whatever
 radices the stages run. A twiddle or a butterfly product is counted exactly
@@ -44,7 +44,6 @@ accumulates the work of every caller.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,7 +123,7 @@ def make_plan(s, lift, K: int) -> FFTPlan:
     m = ring.ctx.pK
     radices = tuple(s.radix_schedule())
     dtype = np.int64 if kernels.supports_modulus(m) else object
-    table = _power_table(np.asarray(root.coeffs, dtype=dtype), s.value, _fhead(ring, dtype), m)
+    table = kernels.power_table(np.asarray(root.coeffs, dtype=dtype), s.value, _fhead(ring, dtype), m)
     ring.counter.add(max(0, s.value - 2) * ring.mul_cost())
     return FFTPlan(
         s=s.value,
@@ -212,7 +211,7 @@ def _transform(arr, plan: FFTPlan):
     for r in reversed(radices):
         view = arr.reshape(s // (r * t), r, t, d)
         _twiddle(view, table, fhead, m)
-        maps = _multiplication_maps(table[(s // r) * np.arange(r)], fhead, m)
+        maps = kernels.multiplication_maps(table[(s // r) * np.arange(r)], fhead, m)
         arr = _butterfly(view, maps, m).reshape(s, d)
         t *= r
     # the count models the paper's prime-radix stages, whatever radices ran: per stage the twiddle
@@ -238,20 +237,6 @@ def _fused_radices(s: FactoredOrder, d: int) -> tuple:
     return tuple(radices)
 
 
-def _multiplication_maps(powers, fhead, m: int):
-    """(r, d, d) array: row a of map u holds X^a * powers[u] mod F, so x @ maps[u] is x * powers[u]."""
-    r, d = powers.shape
-    maps = np.empty((r, d, d), dtype=powers.dtype)
-    row = powers
-    maps[:, 0] = row
-    for a in range(1, d):
-        shifted = np.zeros_like(row)
-        shifted[:, 1:] = row[:, :-1]
-        row = (shifted - kernels.mul_mod(row[:, -1:], fhead, m)) % m
-        maps[:, a] = row
-    return maps
-
-
 def _twiddle(view, table, fhead, m: int):
     """Twiddle pass, in place: entry (b, j, k1) of view times alpha^(blocks j k1), as batched exact matmuls.
 
@@ -274,22 +259,8 @@ def _twiddle(view, table, fhead, m: int):
         if x.size:
             e = blocks * unit * np.arange(1, r)[:, None] * np.arange(1, x.shape[1] + 1)
             powers = table[e.ravel()]
-            maps = _multiplication_maps(powers, fhead, m)
+            maps = kernels.multiplication_maps(powers, fhead, m)
             x[...] = kernels.matmul_mod(x.reshape(len(maps), -1, d), maps, m).reshape(x.shape)
-
-
-def _power_table(root, s: int, fhead, m: int):
-    """(s, d) array of root^0 .. root^(s-1), root given as a coefficient array.
-
-    Row h c + l is (root^c)^h * root^l with c = ceil(sqrt(s)): kernels.power_table
-    builds the two short tables, and one batched product fills the rest.
-    """
-    d = root.shape[0]
-    c = math.isqrt(s - 1) + 1
-    low = kernels.power_table(root, c + 1, fhead, m)
-    high = kernels.power_table(low[c], -(-s // c), fhead, m)
-    maps = _multiplication_maps(high, fhead, m)
-    return kernels.matmul_mod(np.broadcast_to(low[:c], (len(high), c, d)), maps, m).reshape(-1, d)[:s]
 
 
 def _butterfly(view, maps, m: int):
@@ -348,7 +319,7 @@ def cyclic_convolution(x, y, plan: FFTPlan):
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _default_plan(p: int, K: int, s, seed: int | None) -> FFTPlan:
+def _default_plan(p: int, K: int, s, seed: int) -> FFTPlan:
     """build_pipeline's plan for (p, K, s) at seed, which determines it."""
     from . import pipeline
 
@@ -364,7 +335,7 @@ def poly_multiply(f, g, p: int, K: int, planner=choose_parameters, plan: FFTPlan
     must be over Z/p^K. Without one, the planner hook picks s above
     deg f + deg g, and the plan comes from a per-process cache of
     PLAN_CACHE_SIZE plans keyed by (p, K, s, seed), each built once by
-    build_pipeline at that seed (its default when None); a cached plan's
+    build_pipeline at that seed, None being pipeline.DEFAULT_SEED; a cached plan's
     ring.counter accumulates the work of every caller. Output results must
     come back constant, coefficient by coefficient.
     """
@@ -388,7 +359,9 @@ def poly_multiply(f, g, p: int, K: int, planner=choose_parameters, plan: FFTPlan
             chosen = planner(p, max(bound, 1))
         except (OutOfRange, FactoringFailure) as exc:
             raise DegreeOverflow(f"no transform length above {bound} is available") from exc
-        plan = _default_plan(p, K, chosen.s_factored, seed)
+        from .pipeline import DEFAULT_SEED
+
+        plan = _default_plan(p, K, chosen.s_factored, DEFAULT_SEED if seed is None else seed)
     if bound >= plan.s:
         raise DegreeOverflow(f"product degree {bound} needs s > {bound}, plan has s = {plan.s}")
     xs = np.zeros((plan.s, plan.ring.degree), dtype=plan.table.dtype)

@@ -14,6 +14,10 @@ Every entry of a weight class (the limb pairs i+j = w) is an integer below
 L*n*2^34 for contraction length n, so it is exact while L*n*2^34 < 2^53;
 matmul_mod checks that bound and raises OutOfRange beyond it. The class
 sums are recombined mod m in integers, so no rounding reaches any result.
+
+multiplication_maps turns fixed elements of (Z/m)[X]/F into the d x d
+matrices of their ring products, so a batch of products is one matmul_mod;
+power_table doubles on them, one matmul_mod per doubling.
 """
 
 from __future__ import annotations
@@ -86,22 +90,36 @@ def ring_mul_batch(x, y, fhead, m: int):
     return conv[..., :d]
 
 
+def multiplication_maps(powers, fhead, m: int):
+    """(r, d, d) array: row a of map u holds X^a * powers[u] mod F, so x @ maps[u] is x * powers[u]."""
+    r, d = powers.shape
+    maps = np.empty((r, d, d), dtype=powers.dtype)
+    row = powers
+    maps[:, 0] = row
+    for a in range(1, d):
+        shifted = np.zeros_like(row)
+        shifted[:, 1:] = row[:, :-1]
+        row = (shifted - mul_mod(row[:, -1:], fhead, m)) % m
+        maps[:, a] = row
+    return maps
+
+
 def power_table(elt, s: int, fhead, m: int):
-    """Array of shape (s, d) and elt's dtype: rows elt^0 .. elt^(s-1), one ring product per row."""
+    """Array of shape (s, d) and elt's dtype: rows elt^0 .. elt^(s-1) for elt in [0, m)^d, by doubling.
+
+    With rows [0, h) filled and step = elt^h, one matmul_mod of the rows
+    [table[:take]; step] by step's multiplication map fills rows [h, h + take)
+    and leaves elt^(2h) in its last row.
+    """
     elt = np.asarray(elt, dtype=_dtype(elt))
-    d = elt.shape[0]
-    table = np.zeros((s, d), dtype=elt.dtype)
-    table[0, 0] = 1 % m
-    if s == 1:
-        return table
-    table[1] = np.mod(elt, m)
-    have = 2
-    while have < s:
-        table[have] = ring_mul_batch(table[have - 1 : have], table[1], fhead, m)[0]
-        take = min(have - 1, s - have - 1)
-        if take > 0:
-            table[have + 1 : have + 1 + take] = ring_mul_batch(table[1 : 1 + take], table[have], fhead, m)
-        have += 1 + take
+    table = np.zeros((s, elt.shape[0]), dtype=elt.dtype)
+    table[0, 0] = 1
+    step, h = elt, 1
+    while h < s:
+        take = min(h, s - h)
+        out = matmul_mod(np.vstack([table[:take], step]), multiplication_maps(step[None], fhead, m)[0], m)
+        table[h : h + take], step = out[:take], out[take]
+        h += take
     return table
 
 

@@ -7,15 +7,19 @@ then s*d coefficient lines, the d coordinates of each ring element
 consecutive with the inner degree running fastest.
 
 Writers emit canonical form (LF newlines, no trailing zero coefficient
-lines on polynomials), so equal content means equal bytes. Readers accept
-any trailing zeros.
+lines on polynomials), so equal content means equal bytes. Readers take
+UTF-8 text, accept any trailing zeros, and refuse every number that is not
+an ASCII decimal [+-]?[0-9]+ (no digit separators, no other scripts' digits).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import FileFormatError
+
+DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
 @dataclass
@@ -63,10 +67,12 @@ def _ints(line: str, want: int, what: str) -> list:
     parts = line.split()
     if len(parts) != want:
         raise FileFormatError(f"{what}: expected {want} fields, got {len(parts)}")
+    if not all(DECIMAL.fullmatch(x) for x in parts):
+        raise FileFormatError(f"{what}: not an ASCII decimal integer")
     try:
         return [int(x) for x in parts]
-    except ValueError as exc:
-        raise FileFormatError(f"{what}: not a decimal integer") from exc
+    except ValueError as exc:  # more digits than int() converts
+        raise FileFormatError(f"{what}: {exc}") from exc
 
 
 def read_poly_text(text: str) -> PolyData:
@@ -107,9 +113,16 @@ def write_evals_text(data: EvalData) -> str:
     return "\n".join(out) + "\n"
 
 
-def read_poly(path) -> PolyData:
+def _read_text(path) -> str:
     with open(path, encoding="utf-8") as fh:
-        return read_poly_text(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise FileFormatError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+
+
+def read_poly(path) -> PolyData:
+    return read_poly_text(_read_text(path))
 
 
 def write_poly(path, data: PolyData):
@@ -118,8 +131,7 @@ def write_poly(path, data: PolyData):
 
 
 def read_evals(path) -> EvalData:
-    with open(path, encoding="utf-8") as fh:
-        return read_evals_text(fh.read())
+    return read_evals_text(_read_text(path))
 
 
 def write_evals(path, data: EvalData):

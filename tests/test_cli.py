@@ -85,6 +85,15 @@ def test_exit_code_usage(tmp_path, capsys):
     assert code == 2 and err.startswith("error usage")
     code, _, err = run(capsys, "dft", "-i", str(tmp_path / "nope"), "-o", str(tmp_path / "o"), "-s", "4")
     assert code == 2 and "OSError" in err
+    # bytes that are not UTF-8 are a format error too, not a traceback
+    good = tmp_path / "good.poly"
+    write_poly(good, PolyData(3, 4, 0, [1, 1]))
+    bad.write_bytes(b"3 4\n0\n1\xff\n")
+    for argv in (["mul", str(good), str(bad)], ["dft", "-i", str(bad), "-s", "8"],
+                 ["idft", "-i", str(bad), "-p", "3", "-K", "4"]):
+        code, _, err = run(capsys, *argv, "-o", str(tmp_path / "o"))
+        assert code == 2 and len(err.splitlines()) == 1 and err.startswith("error usage FileFormatError")
+    assert not (tmp_path / "o").exists()
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2

@@ -27,7 +27,7 @@ from padicfft.fft import (
 )
 from padicfft.lifting import newton_lift_root
 from padicfft.orders import FactoredOrder, is_prime
-from padicfft.padic import ring_pow
+from padicfft.padic import ring_mul, ring_pow
 from padicfft.pipeline import build_pipeline
 from padicfft.planner import choose_parameters
 
@@ -203,8 +203,9 @@ def test_transform_outputs_pinned():
 @pytest.mark.parametrize("p,K,s", [(3, 32, 104), (7, 32, 2736)])
 def test_tiled_butterflies_match_untiled(monkeypatch, p, K, s):
     # a tiny tile splits the radix-13 (s=104) and radix-19 (s=2736, object
-    # arrays) stages into several contraction, output and row tiles, and the
-    # twiddle and power-table products into several batch tiles
+    # arrays) stages into several contraction, output and row tiles, the
+    # twiddle products into several batch tiles and the power-table products
+    # into several row tiles
     import padicfft.fft as fft_mod
     from padicfft import kernels
 
@@ -214,8 +215,11 @@ def test_tiled_butterflies_match_untiled(monkeypatch, p, K, s):
     rng = random.Random(s)
     x = random_vector(plan.ring, s, rng)
     y = random_vector(plan.ring, s, rng)
-    root = np.asarray(plan.root.coeffs, dtype=plan.table.dtype)
-    one_product_per_row = kernels.power_table(root, s, fft_mod._fhead(plan.ring, root.dtype), plan.ring.ctx.pK)
+    # an independent reference for every row of the power table: a chain of ring products
+    powers = [plan.ring.one()]
+    for _ in range(s - 1):
+        powers.append(ring_mul(powers[-1], plan.root))
+    chain = np.array([x.coeffs for x in powers], dtype=plan.table.dtype)
     # log of stages (view shape), their matmul_mod products (a and b shapes) and the tiles under each product
     log = []
     real = fft_mod._twiddle, kernels.matmul_mod, kernels._limb_matmul
@@ -225,7 +229,7 @@ def test_tiled_butterflies_match_untiled(monkeypatch, p, K, s):
     runs = []
     for tile in (kernels.TILE, 64):
         monkeypatch.setattr(kernels, "TILE", tile)
-        assert np.array_equal(make_plan(plan.s_factored, pipe.lift, K).table, one_product_per_row)
+        assert np.array_equal(make_plan(plan.s_factored, pipe.lift, K).table, chain)
         outs, counts = [], []
         for op, args in ((dft, (x,)), (idft, (x,)), (cyclic_convolution, (x, y))):
             counter.reset()
@@ -403,8 +407,10 @@ def test_poly_multiply_reuses_default_plan(monkeypatch):
         assert [s.value for s in builds] == [48]  # each K builds its own plan
         f, g = ([rng.randrange(m) for _ in range(n)] for n in (10, 30))
         assert poly_multiply(f, g, 7, K) == schoolbook(f, g, m)  # s=48 again: no build
-        assert len(builds) == 1
-        plan = fft_mod._default_plan(7, K, builds[0], None)
+        assert poly_multiply(f, g, 7, K, seed=pipeline_mod.DEFAULT_SEED) == schoolbook(f, g, m)
+        assert len(builds) == 1  # seed None is DEFAULT_SEED, one cache entry
+        assert fft_mod._default_plan.cache_info().currsize == (1 if K == 16 else 3)  # K=16 left two plans
+        plan = fft_mod._default_plan(7, K, builds[0], pipeline_mod.DEFAULT_SEED)
         assert plan.table.dtype == dtype
         for _ in range(2):
             assert poly_multiply(f, g, 7, K, seed=3) == schoolbook(f, g, m)

@@ -119,13 +119,17 @@ def test_object_backend_matches_python_ints():
 
 
 def test_power_table_matches_ring_pow():
-    ring = RingExtension(PadicContext(3, 8), [1, 0, 1])
-    m = ring.ctx.pK
-    fhead = np.array([1, 0], dtype=np.int64)
-    alpha = ring.gen()
-    table = power_table(np.array(alpha.coeffs, dtype=np.int64), 104, fhead, m)
-    for k in (0, 1, 2, 3, 7, 50, 103):
-        assert table[k].tolist() == list(ring_pow(alpha, k).coeffs)
+    # every row, for lengths that end a doubling early, exactly, or past it, on both dtypes
+    rng = random.Random(5)
+    for p, K, d, dtype in ((3, 8, 2, np.int64), (3, 32, 4, np.int64), (7, 32, 3, object), (3, 8, 1, object)):
+        ring = _random_ring(rng, p, K, d)
+        m = ring.ctx.pK
+        fhead = np.array(ring.modulus[:-1], dtype=dtype)
+        elt = ring.element([rng.randrange(m) for _ in range(d)])
+        for s in (1, 2, 3, 5, 7, 104):
+            table = power_table(np.array(elt.coeffs, dtype=dtype), s, fhead, m)
+            assert table.dtype == dtype and table.shape == (s, d)
+            assert table.tolist() == [list(ring_pow(elt, k).coeffs) for k in range(s)]
 
 
 def test_power_table_edges():

@@ -26,6 +26,7 @@ def test_poly_round_trip():
     assert (data.p, data.K, data.exp) == (19, 2, -3)
     assert data.coeffs == [0, 360, 5]
     assert write_poly_text(data) == text
+    assert read_poly_text("+3 08\n-2\n+5\n007\n") == PolyData(p=3, K=8, exp=-2, coeffs=[5, 7])
 
 
 def test_poly_writer_strips_trailing_zeros():
@@ -49,6 +50,20 @@ def test_poly_format_errors():
         read_poly_text("3 0\n0\n")  # K >= 1
     with pytest.raises(FileFormatError):
         PolyData(p=3, K=2, exp=0, coeffs=[-1])
+    # int() also takes digit separators and other scripts' digits; the formats take ASCII [+-]?[0-9]+ only
+    for field in ("1_000", "\uff11\uff12", "\u0661\u0662", "12\u0663", "+-1", "0x1f", "1.0", "-"):
+        for text in (f"3 8\n0\n{field}\n", f"3 8\n{field}\n", f"{field} 8\n0\n"):
+            with pytest.raises(FileFormatError):
+                read_poly_text(text)
+
+
+def test_undecodable_file(tmp_path):
+    path = tmp_path / "f"
+    path.write_bytes(b"3 4\n0\n\xff\n")
+    with pytest.raises(FileFormatError):
+        read_poly(path)
+    with pytest.raises(FileFormatError):
+        read_evals(path)
 
 
 def test_evals_round_trip():
@@ -64,6 +79,8 @@ def test_evals_format_errors():
         read_evals_text("2 2\n0\n1\n2\n3\n")  # needs s*d = 4 lines, got 3
     with pytest.raises(FileFormatError):
         read_evals_text("0 2\n0\n")
+    with pytest.raises(FileFormatError):
+        read_evals_text("1 1\n0\n\u0661\n")
     with pytest.raises(FileFormatError):
         EvalData(s=1, d=2, exp=0, elements=[(1,)])
     with pytest.raises(FileFormatError):
