@@ -1,12 +1,18 @@
-"""Mixed-radix decimation-in-time transform over (Z/p^K)[X]/F.
+"""Good-Thomas transform between the prime powers of s, Cooley-Tukey inside each.
 
-The input is permuted by mixed-radix digit reversal, a transpose of its
-digit axes, then one stage per radix (last radix first) combines blocks: a
-twiddle pass multiplies entry (j, k1) by alpha^((s/L) j k1), and a radix-r
-pass evaluates the short DFT sum with the fixed powers alpha^((s/r) j k2).
-The stages run fused prime powers: each q^v dividing s as radices q^a, a
-the largest exponent whose map fits in the stage array (see _fused_radices),
-so s = 2736 = 2^4 3^2 19 at d = 6 makes three passes, not seven.
+The coprime prime powers g of s are the axes of a multi-dimensional
+transform (see _index_maps): one gather reads the input in Good's
+index order, each axis runs a decimation-in-time transform of length g
+on its own, and one scatter writes the output in CRT order. Inside an
+axis the input is digit-reversed over its radices and one stage per radix
+(last radix first) combines blocks: a twiddle pass multiplies entry
+(j, k1) by alpha^((s/(r t)) j k1), t the length combined so far on that
+axis, and a radix-r pass evaluates the short DFT sum with the fixed powers
+alpha^((s/r) j k2). Each q^v runs fused as radices q^a, a the largest
+exponent whose map fits in the stage array (see _fused_radices), so only
+an axis with two or more stages makes twiddles: s = 2736 = 2^4 3^2 19 at
+d = 6 runs stages 16, 9 and 19 with none, and s = 12584 = 2^3 11^2 13 at
+d = 30 runs 8, 11, 11 and 13 with one twiddle pass, inside 11^2.
 There is one direction: idft(X)[n] = s^(-1) dft(X)[-n mod s], so idft runs
 the forward schedule on its input read at -k mod s and multiplies the
 result by s^(-1).
@@ -16,12 +22,13 @@ kernels.matmul_mod, which owns the limb format and cuts the rows into
 tiles of at most kernels.TILE elements. A ring product by a fixed
 element is the d x d multiplication matrix of that element, which
 kernels.multiplication_maps builds from rows of the power table that
-make_plan gets from kernels.power_table. The twiddle pass splits each
-twiddle into two factors, each shared by whole rows of the stage, and
-multiplies every group of rows by its factor's matrix in one batched
-product (see _twiddle). The radix-r pass is the same Z/p^K-linear map of
-size rd x rd for every block of a stage: block (j, k2) is the
-multiplication matrix of alpha^((s/r) j k2), applied to all rows at once.
+make_plan gets from kernels.power_table. A twiddle pass shares each
+twiddle with the rows of the later axes, may split it into two factors
+each shared by more rows, and multiplies every group of rows by its
+factor's matrix in one batched product (see _twiddle). The radix-r pass
+is the same Z/p^K-linear map of size rd x rd for every block of a stage:
+block (j, k2) is the multiplication matrix of alpha^((s/r) j k2), applied
+to all rows at once.
 The multiplication counter is a model, not a timer: it charges the
 schoolbook products of the paper's prime schedule plan.radices, whatever
 radices the stages run. A twiddle or a butterfly product is counted exactly
@@ -44,6 +51,7 @@ accumulates the work of every caller.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,19 +209,24 @@ def _transform(arr, plan: FFTPlan):
     d = ring.degree
     table = plan.table
     fhead = _fhead(ring, table.dtype)
-    radices = _fused_radices(plan.s_factored, d)
-    # digit reversal: input n_0 + n_1 r_0 + n_2 r_0 r_1 + ... moves to the position whose digits, most
-    # significant first, are n_0, n_1, ...; with one radix arr stays a view of the caller's array, which
-    # the first stage (t = 1, no twiddles) only reads
-    n = len(radices)
-    arr = arr.reshape(radices[::-1] + (d,)).transpose(*range(n - 1, -1, -1), n).reshape(s, d)
-    t = 1
-    for r in reversed(radices):
-        view = arr.reshape(s // (r * t), r, t, d)
-        _twiddle(view, table, fhead, m)
-        maps = kernels.multiplication_maps(table[(s // r) * np.arange(r)], fhead, m)
-        arr = _butterfly(view, maps, m).reshape(s, d)
-        t *= r
+    groups = _fused_radices(plan.s_factored, d)
+    gather, scatter = _index_maps(groups, s)
+    arr = arr[gather]
+    pre = 1
+    for radices in groups:
+        g = math.prod(radices)
+        post = s // (pre * g)
+        t = 1
+        for r in reversed(radices):
+            blocks = pre * g // (r * t)
+            view = arr.reshape(blocks, r, t, post, d)
+            _twiddle(view, table, fhead, m)
+            maps = kernels.multiplication_maps(table[(s // r) * np.arange(r)], fhead, m)
+            arr = _butterfly(view.reshape(blocks, r, t * post, d), maps, m).reshape(s, d)
+            t *= r
+        pre *= g
+    out = np.empty_like(arr)
+    out[scatter] = arr
     # the count models the paper's prime-radix stages, whatever radices ran: per stage the twiddle
     # products with exponent j*k1 != 0, then the schoolbook products with exponent j*k2 != 0
     t = 1
@@ -221,43 +234,68 @@ def _transform(arr, plan: FFTPlan):
         blocks = s // (r * t)
         ring.counter.add(((r - 1) * blocks * (t - 1) + (r - 1) ** 2 * blocks * t) * ring.mul_cost())
         t *= r
-    return arr
+    return out
+
+
+def _index_maps(groups, s: int):
+    """Good-Thomas input and output index maps for the prime-power axes whose radices are groups.
+
+    With input n = sum n_g s/g and output k = sum k_g e_g (mod s, e_g = 1
+    mod g and 0 mod s/g) over the coprime prime powers g of s, alpha^(n k)
+    = prod alpha^((s/g) n_g k_g), so each g is an axis transformed on its
+    own, with no twiddles between axes. Position i of the C-ordered axes
+    (g, ...) reads input gather[i], whose n_g runs digit-reversed over its
+    axis's radices (n_0 + n_1 r_0 + n_2 r_0 r_1 + ... sits where its
+    digits, most significant first, are n_0, n_1, ...), and its result is
+    output scatter[i]. Both are permutations of range(s).
+    """
+    gather = scatter = np.zeros((), dtype=np.int64)
+    for radices in groups:
+        g, n = math.prod(radices), len(radices)
+        reverse = np.arange(g).reshape(radices[::-1]).transpose(range(n - 1, -1, -1)).ravel()
+        gather = np.add.outer(gather, reverse * (s // g))
+        scatter = np.add.outer(scatter, np.arange(g) * (s // g * pow(s // g, -1, g)))
+    return gather.ravel() % s, scatter.ravel() % s
 
 
 def _fused_radices(s: FactoredOrder, d: int) -> tuple:
-    """The radices the stages run: each q^v of s as chunks of q^a, the remainder last.
+    """The radices the stages run, one tuple per prime power q^v of s: chunks of q^a, the remainder last.
 
     a is the largest exponent <= v whose (q^a d) x (q^a d) map holds no more
     entries than the (s, d) stage array, and 1 when even q's map does not.
     """
-    radices = []
+    groups = []
     for q, v in s.factors:
         a = max((a for a in range(2, v + 1) if (q**a * d) ** 2 <= s.value * d), default=1)
-        radices += [q**a] * (v // a) + ([q ** (v % a)] if v % a else [])
-    return tuple(radices)
+        groups.append((q**a,) * (v // a) + ((q ** (v % a),) if v % a else ()))
+    return tuple(groups)
 
 
 def _twiddle(view, table, fhead, m: int):
-    """Twiddle pass, in place: entry (b, j, k1) of view times alpha^(blocks j k1), as batched exact matmuls.
+    """Twiddle pass, in place: entry (b, j, k1, i) of view times alpha^((s/(r t)) j k1), as batched exact matmuls.
 
-    With k1 = h c + l the twiddle is alpha^(blocks j l) * alpha^(blocks j c h),
-    c the smallest divisor of t with c^2 >= t: one pass multiplies the rows
-    sharing (j, l) by one map, a second those sharing (j, h). So a stage
-    builds (r-1)(c + t/c) maps rather than one per twiddle. A single pass
-    (c = t) runs when its (r-1) t maps of d x d hold no more entries than
-    the stage's own array. Factors with exponent 0 are skipped.
+    view is (blocks, r, t, post, d): the radix-r stage of one prime-power
+    axis, t its length so far inside that axis, post the axes after it,
+    whose rows i share every twiddle. With k1 = h c + l the twiddle is
+    alpha^((s/(r t)) j l) * alpha^((s/(r t)) j c h), c the smallest divisor
+    of t with c^2 >= t: one pass multiplies the rows sharing (j, l) by one
+    map, a second those sharing (j, h). So a stage builds (r-1)(c + t/c)
+    maps rather than one per twiddle. A single pass (c = t) runs when its
+    (r-1) t maps of d x d hold no more entries than the stage's own array.
+    Factors with exponent 0 are skipped.
     """
-    blocks, r, t, d = view.shape
+    blocks, r, t, post, d = view.shape
     s = table.shape[0]
     if (r - 1) * t * d <= s:
         c = t
     else:
         c = next(q for q in range(1, t + 1) if t % q == 0 and q * q >= t)
-    grid = view.reshape(blocks, r, t // c, c, d)
-    # pass 1 batches over (j, l >= 1), pass 2 over (j, h >= 1); the rows are the other two axes
-    for x, unit in ((grid[:, 1:, :, 1:].transpose(1, 3, 0, 2, 4), 1), (grid[:, 1:, 1:].transpose(1, 2, 0, 3, 4), c)):
+    grid = view.reshape(blocks, r, t // c, c, post, d)
+    # pass 1 batches over (j, l >= 1), pass 2 over (j, h >= 1); the rows are the other three axes
+    for x, unit in ((grid[:, 1:, :, 1:].transpose(1, 3, 0, 2, 4, 5), 1),
+                    (grid[:, 1:, 1:].transpose(1, 2, 0, 3, 4, 5), c)):
         if x.size:
-            e = blocks * unit * np.arange(1, r)[:, None] * np.arange(1, x.shape[1] + 1)
+            e = s // (r * t) * unit * np.arange(1, r)[:, None] * np.arange(1, x.shape[1] + 1)
             powers = table[e.ravel()]
             maps = kernels.multiplication_maps(powers, fhead, m)
             x[...] = kernels.matmul_mod(x.reshape(len(maps), -1, d), maps, m).reshape(x.shape)

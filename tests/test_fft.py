@@ -18,6 +18,7 @@ from padicfft.errors import (
 )
 from padicfft.fft import (
     _fused_radices,
+    _index_maps,
     cyclic_convolution,
     dft,
     idft,
@@ -45,6 +46,31 @@ def schoolbook(f, g, m):
     while out and out[-1] == 0:
         out.pop()
     return out
+
+
+def horner(coeffs, point):
+    acc = point.parent.zero()
+    for c in reversed(coeffs):
+        acc = ring_mul(acc, point) + c
+    return acc
+
+
+def twiddle_passes(monkeypatch):
+    """A list that gets the (r, t, post) of a stage's view once per product its twiddle pass issues."""
+    import padicfft.fft as fft_mod
+    from padicfft import kernels
+
+    passes, products = [], []
+    real = fft_mod._twiddle, kernels.matmul_mod
+
+    def twiddle(view, *args):
+        before = len(products)
+        real[0](view, *args)
+        passes.extend([view.shape[1:4]] * (len(products) - before))
+
+    monkeypatch.setattr(fft_mod, "_twiddle", twiddle)
+    monkeypatch.setattr(kernels, "matmul_mod", lambda *args: products.append(1) or real[1](*args))
+    return passes
 
 
 def test_frozen_length_four():
@@ -200,12 +226,13 @@ def test_transform_outputs_pinned():
     assert digest == "1a604c47f0d66affe44f1a5f6fd1406cbabaac6fb0d2d62bb0c654507f7f4d4f"
 
 
-@pytest.mark.parametrize("p,K,s", [(3, 32, 104), (7, 32, 2736)])
+@pytest.mark.parametrize("p,K,s", [(3, 32, 104), (7, 32, 2736), (5, 32, 9), (3, 32, 16)])
 def test_tiled_butterflies_match_untiled(monkeypatch, p, K, s):
     # a tiny tile splits the radix-13 (s=104) and radix-19 (s=2736, object
     # arrays) stages into several contraction, output and row tiles, the
-    # twiddle products into several batch tiles and the power-table products
-    # into several row tiles
+    # s=104 twiddle products into several batch tiles and the power-table
+    # products into several row tiles; s=9 (object arrays) and s=16 run
+    # twiddles whose maps outgrow the stage array
     import padicfft.fft as fft_mod
     from padicfft import kernels
 
@@ -224,7 +251,8 @@ def test_tiled_butterflies_match_untiled(monkeypatch, p, K, s):
     log = []
     real = fft_mod._twiddle, kernels.matmul_mod, kernels._limb_matmul
     monkeypatch.setattr(fft_mod, "_twiddle", lambda view, *a: log.append(("stage", view.shape)) or real[0](view, *a))
-    monkeypatch.setattr(kernels, "matmul_mod", lambda a, b, m: log.append(("product", a.shape, b.shape)) or real[1](a, b, m))
+    monkeypatch.setattr(kernels, "matmul_mod",
+                        lambda a, b, m: log.append(("product", a.shape, b.shape)) or real[1](a, b, m))
     monkeypatch.setattr(kernels, "_limb_matmul", lambda *a: log.append(("tile",)) or real[2](*a))
     runs = []
     for tile in (kernels.TILE, 64):
@@ -240,28 +268,29 @@ def test_tiled_butterflies_match_untiled(monkeypatch, p, K, s):
                 dft_log = list(log)
         runs.append((outs, counts))
     assert runs[0] == runs[1]
-    # per stage of the TILE = 64 dft: t -> its view shape, twiddle passes and butterfly products, each with
-    # its a shape, b shape and tile count
+    # per stage of the TILE = 64 dft, keyed by (r, t, post) of its (blocks, r, t, post, d) view: its twiddle
+    # passes and butterfly products, each with its a shape, b shape and tile count
     stages = {}
     for kind, *shapes in dft_log:
         if kind == "stage":
-            stage = stages.setdefault(shapes[0][2], (shapes[0], [], []))
+            stage = stages.setdefault(shapes[0][1:4], (shapes[0], [], []))
         elif kind == "product":
             product = [*shapes, 0]
             stage[1 if len(shapes[1]) == 3 else 2].append(product)
         else:
             product[2] += 1
-    two_factor = [t for t, (_, passes, _) in stages.items() if len(passes) == 2]
-    assert two_factor and any(tiles > 1 for _, passes, _ in stages.values() for _, _, tiles in passes)
-    if s == 104:
-        assert [a[0] for a, _, _ in stages[13][1]] == [12]  # one pass: (r-1)(t-1) twiddles
-        # the t = 26 stage runs the fused radix 4 = 2^2; c = 13: (r-1)(c-1), then (r-1)(t/c - 1)
-        assert [a[0] for a, _, _ in stages[26][1]] == [36, 3]
-    # the widest radix stage runs several contraction and output tiles, each in several row tiles
-    (_, r, t, d), _, products = max(stages.values(), key=lambda stage: stage[0][1])
-    assert sum(b[0] * b[1] for _, b, _ in products) == (r * d) ** 2  # the map tiles cover the map once
-    assert all(b[0] < r * d and b[1] < r * d for _, b, _ in products)
-    assert all(a[0] == s // r and tiles > 1 for a, _, tiles in products)
+    # twiddles run only inside a prime power of two or more stages (8 = 4 * 2 at s=104, 9 = 3 * 3, 16 = 2^4),
+    # as (maps, tiles) per pass: (r-1)(c-1) maps, then (r-1)(t/c - 1) when c < t
+    twiddles = {key: [(b[0], tiles) for _, b, tiles in passes] for key, (_, passes, _) in stages.items() if passes}
+    assert twiddles == {104: {(4, 2, 13): [(3, 3)]}, 2736: {}, 9: {(3, 3, 1): [(4, 1)]},
+                        16: {(2, 2, 1): [(1, 1)], (2, 4, 1): [(3, 1)], (2, 8, 1): [(3, 1), (1, 1)]}}[s]
+    # the widest radix stage's map tiles cover the map once; at s=104 and s=2736 it runs several
+    # contraction and output tiles, each in several row tiles
+    (_, r, t, post, d), _, products = max(stages.values(), key=lambda stage: stage[0][1])
+    assert sum(b[0] * b[1] for _, b, _ in products) == (r * d) ** 2
+    if s >= 104:
+        assert all(b[0] < r * d and b[1] < r * d for _, b, _ in products)
+        assert all(a[0] == s // r and tiles > 1 for a, _, tiles in products)
     evals = runs[1][0][0]
     if s <= 104:
         assert evals == naive_dft(x, plan.root, s)
@@ -270,8 +299,8 @@ def test_tiled_butterflies_match_untiled(monkeypatch, p, K, s):
             assert evals[j] == naive_dft(x, ring_pow(plan.root, j), 2)[1]
 
 
-@pytest.mark.parametrize("s,d,fused", [(12584, 30, (8, 11, 11, 13)), (2736, 6, (16, 9, 19)), (48, 2, (4, 4, 3)),
-                                       (104, 6, (4, 2, 13))])
+@pytest.mark.parametrize("s,d,fused", [(12584, 30, ((8,), (11, 11), (13,))), (2736, 6, ((16,), (9,), (19,))),
+                                       (48, 2, ((4, 4), (3,))), (104, 6, ((4, 2), (13,)))])
 def test_fused_radices(s, d, fused):
     # each prime power q^v runs as stages of the largest q^a whose map fits in the stage array, remainder last
     assert _fused_radices(FactoredOrder.of(s), d) == fused
@@ -280,22 +309,71 @@ def test_fused_radices(s, d, fused):
 def test_fused_radices_cover_s():
     for s in range(1, 400):
         for d in (1, 2, 6, 30):
-            radices = _fused_radices(FactoredOrder.of(s), d)
-            assert math.prod(radices) == s
-            assert all((r * d) ** 2 <= s * d or is_prime(r) for r in radices)
+            groups = _fused_radices(FactoredOrder.of(s), d)
+            assert [math.prod(radices) for radices in groups] == [q**v for q, v in FactoredOrder.of(s).factors]
+            assert all((r * d) ** 2 <= s * d or is_prime(r) for radices in groups for r in radices)
 
 
-def test_fused_stages_match_naive():
-    # s = 48 runs stages (4, 4, 3) on both backends, while the plan and its count keep the prime schedule
+@pytest.mark.parametrize("s", [9, 16, 48, 104, 2736, 12584])
+def test_index_maps_are_permutations(s):
+    # Good's input map and the CRT output map are permutations of range(s), and output position (k_g, ...)
+    # of the prime-power axes holds the k with k = k_g mod g on every axis
+    for d in (1, 2, 6, 30):
+        groups = _fused_radices(FactoredOrder.of(s), d)
+        gather, scatter = _index_maps(groups, s)
+        assert sorted(gather.tolist()) == sorted(scatter.tolist()) == list(range(s))
+        sizes = [math.prod(radices) for radices in groups]
+        for g, k_g in zip(sizes, np.unravel_index(np.arange(s), sizes)):
+            assert np.array_equal(scatter % g, k_g)
+
+
+@pytest.mark.parametrize("p,K,s,samples,passes", [
+    (5, 16, 9, None, [(3, 3, 1)]),
+    (7, 16, 16, None, [(2, 2, 1), (2, 4, 1), (2, 8, 1)]),
+    (3, 8, 104, None, [(4, 2, 13)]),
+    (7, 16, 60, None, [(2, 2, 15)]),
+    (7, 16, 2736, 8, []),
+    (3, 32, 12584, 2, [(11, 11, 13)]),
+])
+def test_good_thomas_matches_naive(monkeypatch, p, K, s, samples, passes):
+    # one prime-power axis (s = 9, 16), two (104 = 8 * 13) and three (60 = 4 * 3 * 5, 2736 = 16 * 9 * 19),
+    # on the int64 plan and its object-table copy, all outputs against naive_dft or, at s = 2736 and 12584,
+    # sampled ones against Horner; twiddle passes, as the (r, t, post) of their stage, run only inside an
+    # axis of two or more stages
+    plan = build_pipeline(p, K, s=s, seed=2).plan
+    assert plan.table.dtype == np.int64
+    rng = random.Random(s)
+    x = random_vector(plan.ring, s, rng)
+    if samples is None:
+        js, want = range(s), naive_dft(x, plan.root, s)
+    else:
+        js = [1, s - 1] + rng.sample(range(2, s - 1), samples - 2)
+        want = [horner(x, ring_pow(plan.root, j)) for j in js]
+    log = twiddle_passes(monkeypatch)
+    for q in (plan, dataclasses.replace(plan, table=plan.table.astype(object))):
+        xa = np.array([v.coeffs for v in x], dtype=q.table.dtype)
+        log.clear()
+        evals = dft(xa, q)
+        assert log == passes
+        assert [tuple(evals[j].tolist()) for j in js] == [v.coeffs for v in want]
+        assert np.array_equal(idft(evals, q), xa)
+
+
+def test_fused_stages_match_naive(monkeypatch):
+    # s = 48 runs stages (4, 4) and (3,) on both backends, with one twiddle pass inside 16, while the plan and
+    # its count keep the prime schedule
     plan = build_pipeline(7, 16, s=48, seed=2).plan
     assert plan.radices == (2, 2, 2, 2, 3)
-    assert _fused_radices(plan.s_factored, plan.ring.degree) == (4, 4, 3)
+    assert _fused_radices(plan.s_factored, plan.ring.degree) == ((4, 4), (3,))
     x = random_vector(plan.ring, 48, random.Random(48))
     want = naive_dft(x, plan.root, 48)
     counts = []
+    passes = twiddle_passes(monkeypatch)
     for q in (plan, dataclasses.replace(plan, table=plan.table.astype(object))):
         plan.ring.counter.reset()
+        passes.clear()
         assert dft(x, q) == want
+        assert passes == [(4, 4, 3)]
         counts.append(plan.ring.counter.count)
         assert idft(want, q) == x
     cost = plan.ring.mul_cost()
