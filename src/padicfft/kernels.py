@@ -8,12 +8,15 @@ far inside int64), and snapped into [0, m) with one mod. On object arrays
 of Python ints, for any m, the product is plain (a*b) % m.
 
 matmul_mod multiplies matrices mod m on float64 BLAS, exactly, and owns
-the limb format and the tiling. Both operands are split into L limbs of
-17 bits, L = ceil(bits(m-1)/17), and each limb pair is one float64 matmul.
-Every entry of a weight class (the limb pairs i+j = w) is an integer below
-L*n*2^34 for contraction length n, so it is exact while L*n*2^34 < 2^53;
-matmul_mod checks that bound and raises OutOfRange beyond it. The class
-sums are recombined mod m in integers, so no rounding reaches any result.
+the limb format and the tiling. It folds the fixed map b: B_i = 2^(w i) b
+mod m, cut into Lb = ceil(bits(m-1)/17) limbs of 17 bits, for each of the
+La limbs of width w that a is cut into. One matmul of [a_0 | ... | a_(La-1)]
+by those limbs gives Lb weight classes, each entry a sum of La*n integers
+below 2^(w+17) for contraction length n, so exact while La*n*2^(w+17) <
+2^53: w is the widest width that keeps that bound (at 3^32 and n <= 511, 2
+limbs of 26 bits: 2 x 3 limb planes), which is checked, with OutOfRange
+beyond it. The Lb classes are recombined mod m in integers, so no rounding
+reaches any result.
 
 multiplication_maps turns fixed elements of (Z/m)[X]/F into the d x d
 matrices of their ring products, so a batch of products is one matmul_mod;
@@ -31,10 +34,9 @@ from .errors import OutOfRange
 MODULUS_LIMIT = 1 << 51
 LIMB_BITS = 17
 LIMB_MASK = (1 << LIMB_BITS) - 1
-WORD_MASK = (1 << 3 * LIMB_BITS) - 1
 FLOAT_EXACT = 1 << 53
 # Elements per matmul_mod tile: bounds every temporary a product makes.
-TILE = 1 << 15
+TILE = 1 << 16
 
 
 def supports_modulus(m: int) -> bool:
@@ -124,81 +126,115 @@ def power_table(elt, s: int, fhead, m: int):
 
 
 def limb_count(m: int) -> int:
-    """Number of 17-bit limbs that hold every residue mod m."""
+    """Lb, the number of 17-bit limbs that hold every residue mod m."""
     return max(1, -(-(m - 1).bit_length() // LIMB_BITS))
 
 
-def contraction_limit(m: int) -> int:
-    """Largest contraction length n with L*n*2^34 < 2^53, so matmul_mod is exact mod m."""
-    return ((FLOAT_EXACT >> 2 * LIMB_BITS) - 1) // limb_count(m)
+def _width(m: int, La: int) -> int:
+    """Width of each of La limbs that hold every residue mod m."""
+    return -(-(m - 1).bit_length() // La)
 
 
-def split_limbs(x, m: int):
-    """float64 array of shape (L,) + x.shape: the 17-bit limbs of residues mod m, lowest first.
+def a_limb_count(m: int, n: int) -> int:
+    """La for contraction length n: the fewest limbs of a, so the widest, that keep the class sums exact."""
+    for La in range(1, limb_count(m) + 1):
+        if n <= contraction_limit(m, La):
+            return La
+    raise OutOfRange(f"contraction length {n} exceeds the float64 bound mod {m}")
 
-    Python ints are first cut into int64 words of three limbs, so only those
-    cuts touch Python ints.
+
+def contraction_limit(m: int, La: int | None = None) -> int:
+    """Largest n with La*n*2^(w+17) < 2^53, w = _width(m, La): by default La = Lb, the largest of all La."""
+    La = La or limb_count(m)
+    return (FLOAT_EXACT - 1) // (La << (_width(m, La) + LIMB_BITS))
+
+
+def split_limbs(x, m: int, count: int | None = None):
+    """float64 (..., count, n) for x (..., n): count limbs of width _width(m, count) of residues mod m, lowest first.
+
+    By default limb_count(m) limbs of 17 bits. Python ints are first cut
+    into int64 words of whole limbs, so only those cuts touch Python ints.
     """
     x = np.asarray(x, dtype=_dtype(x))
-    out = np.empty((limb_count(m),) + x.shape)
-    for i in range(out.shape[0]):
-        if i % 3 == 0:
-            word = ((x >> (LIMB_BITS * i)) & WORD_MASK).astype(np.int64)
-        out[i] = (word >> (LIMB_BITS * (i % 3))) & LIMB_MASK
+    width = LIMB_BITS if count is None else _width(m, count)
+    count = count or limb_count(m)
+    out = np.empty(x.shape[:-1] + (count, x.shape[-1]))
+    per = 63 // width if x.dtype == object else count
+    for i in range(count):
+        if i % per == 0:
+            word = x >> (width * i) if i else x
+            if x.dtype == object:
+                word = (word & ((1 << per * width) - 1)).astype(np.int64)
+        out[..., i, :] = (word >> (width * (i % per))) & ((1 << width) - 1)
     return out
 
 
-def matmul_mod(a, b, m: int):
-    """Exact (a @ b) % m for a and b in [0, m); the result has a's dtype.
+def fold(b, m: int, La: int):
+    """float64 (..., La, n, Lb, k) for maps b (..., n, k): entry (i, c, j, l) is 17-bit limb j of 2^(w i) b[c, l] mod m.
 
-    b is one (n, k) map for a of shape (rows, n), split into limbs once, with
-    a cut into tiles of TILE // max(n, k) rows. Or b is a stack of maps
+    w = _width(m, La). As one (La n) x (Lb k) block it multiplies a's La limbs side by side.
+    """
+    shifted = np.stack([mul_mod(b, pow(2, _width(m, La) * i, m), m) if i else b for i in range(La)], axis=-3)
+    return split_limbs(shifted, m)
+
+
+def matmul_mod(a, b, m: int, out=None):
+    """Exact (a @ b) % m for a and b in [0, m), written into out, by default a new array of a's dtype.
+
+    b is one (n, k) map for a of shape (rows, n), or fold(map, m, La), with a
+    cut into tiles of TILE // max(La n, Lb k) rows; a may come as
+    split_limbs(a, m, La) when out is given. Or b is a stack of maps
     (N, n, k) for a of shape (N, rows, n), entry by entry, cut with a into
-    tiles of whole entries, at most TILE elements of a unless one entry alone
-    holds more; each tile's maps are split on their own.
+    tiles of TILE // (rows max(La n, Lb k)) entries or one, folded per tile.
     """
-    n, k = b.shape[-2:]
-    if n > contraction_limit(m):
-        raise OutOfRange(f"contraction length {n} with {limb_count(m)} limbs exceeds the float64 bound")
-    out = np.empty(a.shape[:-1] + (k,), dtype=_dtype(a))
-    if b.ndim == 2:
-        step, b_limbs = max(1, TILE // max(1, n, k)), split_limbs(b, m)
+    if b.dtype == np.float64:
+        La, n, _, k = b.shape
     else:
-        step = max(1, TILE // max(1, a.shape[1] * n))
+        (n, k), La = b.shape[-2:], a_limb_count(m, b.shape[-2])
+    if out is None:
+        out = np.empty(a.shape[:-1] + (k,), dtype=_dtype(a))
+    stacked = b.ndim == 3
+    step = max(1, TILE // max(1, (a.shape[1] if stacked else 1) * max(La * n, limb_count(m) * k)))
+    if b.dtype != np.float64 and not stacked:
+        b = fold(b, m, La)
     for u in range(0, len(a), step):
-        tile_limbs = b_limbs if b.ndim == 2 else split_limbs(b[u : u + step], m)
-        out[u : u + step] = _limb_matmul(a[u : u + step], tile_limbs, m)
+        _folded_matmul(a[u : u + step], fold(b[u : u + step], m, La) if stacked else b, m, out[u : u + step])
     return out
 
 
-def _limb_matmul(a, b_limbs, m: int):
-    """One tile of matmul_mod, b given as split_limbs(b, m).
-
-    Weight class w sums the limb products a_i @ b_j with i + j = w. The
-    classes are carried into 17-bit digits packed three to an int64 word,
-    and the words are recombined mod m: by mul_mod on int64, by shifts of
-    Python ints on object arrays.
-    """
-    L = b_limbs.shape[0]
-    a_limbs = split_limbs(a, m)
+def _folded_matmul(a, folded, m: int, out):
+    """One tile of matmul_mod, out = (a @ b) % m for folded = fold(b, m, La): one matmul, Lb classes, checked exact."""
+    La, n, Lb, k = folded.shape[-4:]
+    if n > contraction_limit(m, La):
+        raise OutOfRange(f"contraction length {n} with {La} limbs exceeds the float64 bound")
+    a_limbs = a if a.dtype == np.float64 else split_limbs(a, m, La)
+    classes = a_limbs.reshape(a_limbs.shape[:-2] + (La * n,)) @ folded.reshape(folded.shape[:-4] + (La * n, Lb * k))
+    classes = classes.reshape(classes.shape[:-1] + (Lb, k))
+    if out.dtype != object:
+        # sum_j c_j 2^(17 j) < 2^53 m: its float64 quotient by m is off by a few units at most, so the residual,
+        # exact in wrapping uint64 arithmetic, lies in (-6m, 6m) and one mod snaps it into [0, m)
+        est = classes[..., Lb - 1, :] * (float(1 << LIMB_BITS * (Lb - 1)) / m)
+        exact = classes[..., Lb - 1, :].astype(np.uint64)
+        for j in range(Lb - 2, -1, -1):
+            est += classes[..., j, :] * (float(1 << LIMB_BITS * j) / m)
+            exact <<= np.uint64(LIMB_BITS)
+            exact += classes[..., j, :].astype(np.uint64)
+        with np.errstate(over="ignore"):
+            exact -= est.astype(np.uint64) * np.uint64(m)
+        np.mod(exact.view(np.int64), m, out=out)
+        return
+    # Python ints: the classes are carried into 17-bit digits packed three to an int64 word, and the words
+    # recombined by Horner from the top word, in place, so one array of Python ints is alive at a time
     words, carry = [], 0
-    for w in range(2 * L - 1):
-        part = sum(a_limbs[i] @ b_limbs[w - i] for i in range(max(0, w - L + 1), min(w, L - 1) + 1))
-        value = part.astype(np.int64) + carry
+    for j in range(Lb):
+        value = classes[..., j, :].astype(np.int64) + carry
         carry = value >> LIMB_BITS
-        digit = (value & LIMB_MASK) << (LIMB_BITS * (w % 3))
-        if w % 3:
-            words[-1] |= digit
-        else:
-            words.append(digit)
-    terms = [(word, 3 * LIMB_BITS * k) for k, word in enumerate(words)] + [(carry, LIMB_BITS * (2 * L - 1))]
-    if _dtype(a) is not object:
-        return sum(mul_mod(word % m, pow(2, shift, m), m) for word, shift in terms) % m
-    # Horner from the top word, in place, so one array of Python ints is alive at a time
-    acc, top = terms[-1][0].astype(object), terms[-1][1]
-    for word, shift in reversed(terms[:-1]):
-        acc <<= top - shift
-        acc += word
-        top = shift
+        if j % 3 == 0:
+            words.append(0)
+        words[-1] |= (value & LIMB_MASK) << (LIMB_BITS * (j % 3))
+    acc = carry.astype(object)
+    for i in range(len(words) - 1, -1, -1):
+        acc <<= LIMB_BITS * min(3, Lb - 3 * i)
+        acc += words[i]
     acc %= m
-    return acc
+    out[...] = acc

@@ -69,7 +69,7 @@ def twiddle_passes(monkeypatch):
         passes.extend([view.shape[1:4]] * (len(products) - before))
 
     monkeypatch.setattr(fft_mod, "_twiddle", twiddle)
-    monkeypatch.setattr(kernels, "matmul_mod", lambda *args: products.append(1) or real[1](*args))
+    monkeypatch.setattr(kernels, "matmul_mod", lambda *args, **kw: products.append(1) or real[1](*args, **kw))
     return passes
 
 
@@ -249,11 +249,11 @@ def test_tiled_butterflies_match_untiled(monkeypatch, p, K, s):
     chain = np.array([x.coeffs for x in powers], dtype=plan.table.dtype)
     # log of stages (view shape), their matmul_mod products (a and b shapes) and the tiles under each product
     log = []
-    real = fft_mod._twiddle, kernels.matmul_mod, kernels._limb_matmul
+    real = fft_mod._twiddle, kernels.matmul_mod, kernels._folded_matmul
     monkeypatch.setattr(fft_mod, "_twiddle", lambda view, *a: log.append(("stage", view.shape)) or real[0](view, *a))
-    monkeypatch.setattr(kernels, "matmul_mod",
-                        lambda a, b, m: log.append(("product", a.shape, b.shape)) or real[1](a, b, m))
-    monkeypatch.setattr(kernels, "_limb_matmul", lambda *a: log.append(("tile",)) or real[2](*a))
+    monkeypatch.setattr(kernels, "matmul_mod", lambda a, b, m, *out, **kw:
+                        log.append(("product", a.shape, b.shape)) or real[1](a, b, m, *out, **kw))
+    monkeypatch.setattr(kernels, "_folded_matmul", lambda *a: log.append(("tile",)) or real[2](*a))
     runs = []
     for tile in (kernels.TILE, 64):
         monkeypatch.setattr(kernels, "TILE", tile)
@@ -282,14 +282,15 @@ def test_tiled_butterflies_match_untiled(monkeypatch, p, K, s):
     # twiddles run only inside a prime power of two or more stages (8 = 4 * 2 at s=104, 9 = 3 * 3, 16 = 2^4),
     # as (maps, tiles) per pass: (r-1)(c-1) maps, then (r-1)(t/c - 1) when c < t
     twiddles = {key: [(b[0], tiles) for _, b, tiles in passes] for key, (_, passes, _) in stages.items() if passes}
-    assert twiddles == {104: {(4, 2, 13): [(3, 3)]}, 2736: {}, 9: {(3, 3, 1): [(4, 1)]},
-                        16: {(2, 2, 1): [(1, 1)], (2, 4, 1): [(3, 1)], (2, 8, 1): [(3, 1), (1, 1)]}}[s]
+    assert twiddles == {104: {(4, 2, 13): [(3, 3)]}, 2736: {}, 9: {(3, 3, 1): [(4, 2)]},
+                        16: {(2, 2, 1): [(1, 1)], (2, 4, 1): [(3, 2)], (2, 8, 1): [(3, 2), (1, 1)]}}[s]
     # the widest radix stage's map tiles cover the map once; at s=104 and s=2736 it runs several
     # contraction and output tiles, each in several row tiles
     (_, r, t, post, d), _, products = max(stages.values(), key=lambda stage: stage[0][1])
-    assert sum(b[0] * b[1] for _, b, _ in products) == (r * d) ** 2
+    # each butterfly product's b is a folded map tile (La, n, Lb, k)
+    assert sum(b[1] * b[3] for _, b, _ in products) == (r * d) ** 2
     if s >= 104:
-        assert all(b[0] < r * d and b[1] < r * d for _, b, _ in products)
+        assert all(b[1] < r * d and b[3] < r * d for _, b, _ in products)
         assert all(a[0] == s // r and tiles > 1 for a, _, tiles in products)
     evals = runs[1][0][0]
     if s <= 104:

@@ -4,11 +4,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicfft.errors import OutOfRange
+from padicfft.fft import _map_block
 from padicfft.kernels import (
     MODULUS_LIMIT,
+    a_limb_count,
     contraction_limit,
+    fold,
     limb_count,
     matmul_mod,
     mul_mod,
@@ -178,10 +183,11 @@ def test_split_limbs_round_trip():
 
 
 def test_matmul_mod_float_bound():
-    # L = 3 limbs for 3^32: every class sum stays below L*n*2^34, exact while that is < 2^53
+    # 3^32: 2 limbs of 26 bits up to n = 511, then 3 of 17 bits, exact while 3*n*2^34 < 2^53
     m = 3**32
     n = contraction_limit(m)
     assert n == 174762 and 3 * n << 34 < 1 << 53 <= 3 * (n + 1) << 34
+    assert [a_limb_count(m, k) for k in (1, 390, 511, 512, n)] == [2, 2, 2, 3, 3]
     a = np.full((1, n), m - 1, dtype=np.int64)
     assert matmul_mod(a, a.T, m).tolist() == [[n * (m - 1) ** 2 % m]]
     a = np.full((1, n + 1), m - 1, dtype=np.int64)
@@ -195,6 +201,63 @@ def test_matmul_mod_float_bound():
     assert matmul_mod(wide, wide[:, 0, :, None], m).tolist() == [[[3 * (m - 1) ** 2 % m]]] * (n + 1)
 
 
+# products of more terms than this are checked for their width choice and refusal only, to keep memory small
+BOUND_TERMS = 1 << 18
+
+
+@pytest.mark.parametrize("m,dtype", [(m, dtype) for m in (3**8, 3**32, 2**51 - 1, 7**32, 19**32)
+                                     for dtype in (np.int64, object) if dtype is object or supports_modulus(m)])
+def test_matmul_mod_at_each_width_bound(m, dtype):
+    # a cut into La limbs of width w = ceil(bits/La) holds exactly up to the largest n with La*n*2^(w+17) < 2^53:
+    # all-(m-1) operands there, against a map folded for La and against the plain map when La is the kernel's
+    # own choice at n; at n+1 the folded map is refused and the plain map takes more limbs or is refused
+    bits, Lb = (m - 1).bit_length(), limb_count(m)
+    for La in range(1, Lb + 1):
+        w = -(-bits // La)
+        n = ((1 << 53) - 1) // (La << (w + 17))
+        assert La * n << (w + 17) < 1 << 53 <= La * (n + 1) << (w + 17)
+        if 0 < n <= BOUND_TERMS:
+            a, b = np.full((1, n), m - 1, dtype=dtype), np.full((n, 1), m - 1, dtype=dtype)
+            want = [[n * (m - 1) ** 2 % m]]
+            assert matmul_mod(a, fold(b, m, La), m).tolist() == want
+            if a_limb_count(m, n) == La:
+                assert matmul_mod(a, b, m).tolist() == want
+        a = np.broadcast_to(np.array(m - 1, dtype=dtype), (1, n + 1))
+        with pytest.raises(OutOfRange):
+            matmul_mod(a, np.broadcast_to(np.zeros(()), (La, n + 1, Lb, 1)), m)
+        if n + 1 > contraction_limit(m):
+            with pytest.raises(OutOfRange):
+                matmul_mod(a, a.T, m)
+        elif a_limb_count(m, n) == La:
+            assert a_limb_count(m, n + 1) > La
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_map_block_matches_residue_block(data):
+    # a butterfly map tile assembled from the r folded maps is the fold of the residue block the tile stands
+    # for, and multiplies like it: both equal the integer product mod m
+    m = data.draw(st.sampled_from([3**8, 3**32, 2**51 - 1, 7**32, 19**32]))
+    dtype = data.draw(st.sampled_from([np.int64, object] if supports_modulus(m) else [object]))
+    r, d, rows = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 4)), data.draw(st.integers(0, 6))
+    j0, k0 = data.draw(st.integers(0, r - 1)), data.draw(st.integers(0, r - 1))
+    js = np.arange(j0, data.draw(st.integers(j0 + 1, r)))
+    ks = np.arange(k0, data.draw(st.integers(k0 + 1, r)))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+
+    def rand(*shape):
+        return np.array([rng.randrange(m) for _ in range(int(np.prod(shape)))], dtype=dtype).reshape(shape)
+
+    maps, a = rand(r, d, d), rand(rows, len(js) * d)
+    residue = maps[(js[:, None] * ks) % r].transpose(0, 2, 1, 3).reshape(len(js) * d, len(ks) * d)
+    La = a_limb_count(m, len(js) * d)
+    block = _map_block(fold(maps, m, La), js, ks)
+    assert np.array_equal(block, fold(residue, m, La))
+    got = matmul_mod(a, block, m)
+    assert got.dtype == dtype
+    assert got.tolist() == matmul_mod(a, residue, m).tolist() == _matmul_reference(a, residue, m)
+
+
 @pytest.mark.parametrize("m", [3**8, 2**51 - 1, 7**32])
 def test_matmul_mod_tiles(monkeypatch, m):
     # a 16-element tile cuts every product below into several tiles, the last one short
@@ -202,8 +265,8 @@ def test_matmul_mod_tiles(monkeypatch, m):
 
     monkeypatch.setattr(kernels_mod, "TILE", 16)
     tiles = []
-    real = kernels_mod._limb_matmul
-    monkeypatch.setattr(kernels_mod, "_limb_matmul", lambda a, *rest: tiles.append(len(a)) or real(a, *rest))
+    real = kernels_mod._folded_matmul
+    monkeypatch.setattr(kernels_mod, "_folded_matmul", lambda a, *rest: tiles.append(len(a)) or real(a, *rest))
     dtype = np.int64 if supports_modulus(m) else object
     rng = random.Random(m % 997)
 
@@ -216,15 +279,20 @@ def test_matmul_mod_tiles(monkeypatch, m):
         assert got.dtype == dtype and got.tolist() == want
         assert tiles == sizes
 
-    # 2-D b: row tiles of 16 // max(n, k) rows, at least one
-    for rows, n, cols, sizes in ((11, 5, 3, [3, 3, 3, 2]), (11, 20, 4, [1] * 11), (7, 2, 30, [1] * 7)):
+    # 2-D b: row tiles of 16 // max(La n, Lb k) rows, at least one; La = 1, 2, 3 at n = 1 and Lb = 1, 3, 6
+    small = m == 3**8
+    for rows, n, cols, sizes in ((11, 5, 3, [3, 3, 3, 2] if small else [1] * 11), (11, 20, 4, [1] * 11),
+                                 (7, 2, 30, [1] * 7),
+                                 (11, 1, 1, {3**8: [11], 2**51 - 1: [5, 5, 1], 7**32: [2] * 5 + [1]}[m])):
         a, b = rand(rows, n), rand(n, cols)
         check(a, b, _matmul_reference(a, b, m), sizes)
     # a non-contiguous column slice of a, as the butterflies pass their contraction tiles
     wide, b = rand(9, 12), rand(5, 3)
-    check(wide[:, 4:9], b, _matmul_reference(wide[:, 4:9], b, m), [3, 3, 3])
-    # stacked b: tiles of whole batch entries, 16 // (rows * n) of them, or one when an entry alone is larger
-    for batch, rows, n, cols, sizes in ((7, 1, 3, 3, [5, 2]), (5, 2, 3, 3, [2, 2, 1]), (3, 4, 5, 5, [1, 1, 1])):
+    check(wide[:, 4:9], b, _matmul_reference(wide[:, 4:9], b, m), [3, 3, 3] if small else [1] * 9)
+    # stacked b: tiles of whole batch entries, 16 // (rows max(La n, Lb k)) of them, or one when an entry alone
+    # is larger
+    for batch, rows, n, cols, sizes in ((7, 1, 3, 3, [5, 2] if small else [1] * 7),
+                                        (5, 2, 3, 3, [2, 2, 1] if small else [1] * 5), (3, 4, 5, 5, [1, 1, 1])):
         a, b = rand(batch, rows, n), rand(batch, n, cols)
         check(a, b, [_matmul_reference(u, v, m) for u, v in zip(a, b)], sizes)
     # a broadcast a, one low table against a batch of maps, as the power table passes it
