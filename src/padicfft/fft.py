@@ -17,18 +17,18 @@ There is one direction: idft(X)[n] = s^(-1) dft(X)[-n mod s], so idft runs
 the forward schedule on its input read at -k mod s and multiplies the
 result by s^(-1).
 
-Every product inside a stage runs on the exact float64 matmul of
-kernels.matmul_mod, which folds the limb weights into the fixed map and
-cuts the rows into tiles. A ring product by a fixed element is the d x d
-multiplication matrix of that element, which kernels.multiplication_maps
-builds from rows of the power table that make_plan gets from
-kernels.power_table. A twiddle pass shares each twiddle with the rows of
-the later axes, may split it into two factors each shared by more rows,
-and multiplies every group of rows by its factor's matrix in one batched
-product (see _twiddle). The radix-r pass is the same Z/p^K-linear map of
-size rd x rd for every block of a stage: block (j, k2) is the
-multiplication matrix of alpha^((s/r) j k2), folded once per stage and
-applied to all rows at once (see _butterfly).
+Every product inside a stage runs on the exact float64 products of
+kernels, which own the limb format and the tiling. A ring product by a
+fixed element is the d x d multiplication matrix of that element, which
+kernels.multiplication_maps builds from rows of the power table that
+make_plan gets from kernels.power_table. A twiddle pass shares each twiddle
+with the rows of the later axes, may split it into two factors each shared
+by more rows, and multiplies every group of rows by its factor's matrix in
+one stacked kernels.matmul_mod (see _twiddle). The radix-r pass is the same
+Z/p^K-linear map of size rd x rd for every block of a stage: block (j, k2)
+is the multiplication matrix of alpha^((s/r) j k2), and the pass is one
+kernels.block_matmul_mod of all rows by the r maps at index j k2 mod r
+(see _butterfly).
 The multiplication counter is a model, not a timer: it charges the
 schoolbook products of the paper's prime schedule plan.radices, whatever
 radices the stages run. A twiddle or a butterfly product is counted exactly
@@ -302,45 +302,16 @@ def _twiddle(view, table, fhead, m: int):
 
 
 def _butterfly(view, maps, m: int):
-    """Radix-r pass: out[b, k2, i] = sum_j view[b, j, i] * alpha^((s/r) j k2), as exact matmuls.
+    """Radix-r pass: out[b, k2, i] = sum_j view[b, j, i] * alpha^((s/r) j k2), as one exact block product.
 
     The pass is the (r d) x (r d) map whose block (j, k2) is maps[j k2 mod r],
-    applied to the rows (b, i) of view, copied once into contiguous rows
-    (split into limbs once, for Python ints). The r maps are folded once,
-    and the map runs in tiles of whole radix digits (_map_block): the
-    contraction within kernels.TILE and the float64 bound, the limb block
-    within the stage's own array or 2 kernels.TILE. Each map tile is one
-    kernels.matmul_mod product over all rows, written into its columns; the
-    result is a (blocks, r, t, d) view of those rows.
+    applied by kernels.block_matmul_mod to the rows (b, i) of view, copied
+    once into contiguous rows; the result is a (blocks, r, t, d) view of its rows.
     """
     blocks, r, t, d = view.shape
     rows = view.transpose(0, 2, 1, 3).reshape(blocks * t, r * d)
-    out = np.empty_like(rows)
-    j_step = min(r, max(1, min(kernels.TILE, kernels.contraction_limit(m)) // d))
-    La = kernels.a_limb_count(m, j_step * d)
-    folded = kernels.fold(maps, m, La)
-    k_step = min(r, max(1, max(view.size, 2 * kernels.TILE) // (folded[0].size * j_step)))
-    digits = np.arange(r)
-    if rows.dtype == object:  # cutting Python ints costs far more than the matmul, so cut them once per stage
-        rows = kernels.split_limbs(rows, m, La)
-    for k0 in range(0, r, k_step):
-        dst = out[:, k0 * d : (k0 + k_step) * d]
-        for j0 in range(0, r, j_step):
-            block = _map_block(folded, digits[j0 : j0 + j_step], digits[k0 : k0 + k_step])
-            a = rows[..., j0 * d : (j0 + j_step) * d]
-            if j0:
-                dst[...] = (dst + kernels.matmul_mod(a, block, m, np.empty_like(dst))) % m
-            else:
-                kernels.matmul_mod(a, block, m, out=dst)
+    out = kernels.block_matmul_mod(rows, maps, np.outer(np.arange(r), np.arange(r)) % r, m)
     return out.reshape(blocks, t, r, d).transpose(0, 2, 1, 3)
-
-
-def _map_block(folded, js, ks):
-    """Map tile (js, ks) of kernels.fold(maps, m, La), gathered in its final layout by one broadcast index."""
-    r, La, d, Lb, _ = folded.shape
-    flat = np.moveaxis(folded, 1, 0).reshape(La, r * d * Lb, d)
-    block = np.take(flat, (js[:, None, None] * ks) % r * (d * Lb) + np.arange(d * Lb)[:, None], axis=1)
-    return block.reshape(La, len(js) * d, Lb, len(ks) * d)
 
 
 def naive_dft(coeffs, root, s: int):

@@ -7,16 +7,17 @@ wrapping uint64 arithmetic, reinterpreted as signed (it lies in (-2m, 3m),
 far inside int64), and snapped into [0, m) with one mod. On object arrays
 of Python ints, for any m, the product is plain (a*b) % m.
 
-matmul_mod multiplies matrices mod m on float64 BLAS, exactly, and owns
-the limb format and the tiling. It folds the fixed map b: B_i = 2^(w i) b
-mod m, cut into Lb = ceil(bits(m-1)/17) limbs of 17 bits, for each of the
-La limbs of width w that a is cut into. One matmul of [a_0 | ... | a_(La-1)]
-by those limbs gives Lb weight classes, each entry a sum of La*n integers
-below 2^(w+17) for contraction length n, so exact while La*n*2^(w+17) <
-2^53: w is the widest width that keeps that bound (at 3^32 and n <= 511, 2
-limbs of 26 bits: 2 x 3 limb planes), which is checked, with OutOfRange
-beyond it. The Lb classes are recombined mod m in integers, so no rounding
-reaches any result.
+block_matmul_mod multiplies rows by a block matrix of fixed maps mod m on
+float64 BLAS, exactly, and owns the limb format and the tiling; matmul_mod
+is its 1 x 1 case, or runs a stack of maps entry by entry. Each folds the
+fixed map b: B_i = 2^(w i) b mod m, cut into Lb = ceil(bits(m-1)/17) limbs
+of 17 bits, for each of the La limbs of width w that a is cut into. One
+matmul of [a_0 | ... | a_(La-1)] by those limbs gives Lb weight classes,
+each entry a sum of La*n integers below 2^(w+17) for contraction length n,
+so exact while La*n*2^(w+17) < 2^53: w is the widest width that keeps that
+bound (at 3^32 and n <= 511, 2 limbs of 26 bits: 2 x 3 limb planes), which
+is checked, with OutOfRange beyond it. The Lb classes are recombined mod m
+in integers, so no rounding reaches any result.
 
 multiplication_maps turns fixed elements of (Z/m)[X]/F into the d x d
 matrices of their ring products, so a batch of products is one matmul_mod;
@@ -68,8 +69,8 @@ def ring_mul_batch(x, y, fhead, m: int):
     x has shape (..., d) and supplies the output shape; y broadcasts against
     it. fhead is F without the monic leading 1. On int64, column
     accumulation stays below d*m <= 2^62 before the single mod; Python ints
-    need no mod before it at all. Then synthetic division by F clears one
-    top coefficient at a time.
+    need no mod before it at all. The top d-1 coefficients reduce in one
+    matmul_mod by X^d .. X^(2d-2) mod F, the top rows of X^d = -fhead's map.
     """
     dtype = _dtype(x, y)
     x = np.asarray(x, dtype=dtype)
@@ -85,10 +86,11 @@ def ring_mul_batch(x, y, fhead, m: int):
     for j in range(d):
         conv[..., j : j + d] += mul(x[..., j : j + 1], y)
     conv %= m
-    fhead = np.asarray(fhead, dtype=dtype)
-    for k in range(2 * d - 2, d - 1, -1):
-        top = conv[..., k : k + 1]
-        conv[..., k - d : k] = (conv[..., k - d : k] - mul(top, fhead)) % m
+    if d > 1:
+        fhead = np.asarray(fhead, dtype=dtype)
+        reduce = multiplication_maps(-fhead[None] % m, fhead, m)[0, : d - 1]
+        top = matmul_mod(conv[..., d:].reshape(-1, d - 1), reduce, m).reshape(conv.shape[:-1] + (d,))
+        conv[..., :d] = (conv[..., :d] + top) % m
     return conv[..., :d]
 
 
@@ -178,32 +180,61 @@ def fold(b, m: int, La: int):
     return split_limbs(shifted, m)
 
 
-def matmul_mod(a, b, m: int, out=None):
-    """Exact (a @ b) % m for a and b in [0, m), written into out, by default a new array of a's dtype.
+def matmul_mod(a, b, m: int):
+    """Exact (a @ b) % m for integer a and b in [0, m), as a new array of a's dtype.
 
-    b is one (n, k) map for a of shape (rows, n), or fold(map, m, La), with a
-    cut into tiles of TILE // max(La n, Lb k) rows; a may come as
-    split_limbs(a, m, La) when out is given. Or b is a stack of maps
-    (N, n, k) for a of shape (N, rows, n), entry by entry, cut with a into
-    tiles of TILE // (rows max(La n, Lb k)) entries or one, folded per tile.
+    b is one (n, k) map for a (rows, n), the 1 x 1 block_matmul_mod, or a stack (N, n, k) for a (N, rows, n),
+    entry by entry, cut with a into tiles of TILE // (rows max(La n, Lb k)) entries or one, folded per tile.
     """
-    if b.dtype == np.float64:
-        La, n, _, k = b.shape
-    else:
-        (n, k), La = b.shape[-2:], a_limb_count(m, b.shape[-2])
-    if out is None:
-        out = np.empty(a.shape[:-1] + (k,), dtype=_dtype(a))
-    stacked = b.ndim == 3
-    step = max(1, TILE // max(1, (a.shape[1] if stacked else 1) * max(La * n, limb_count(m) * k)))
-    if b.dtype != np.float64 and not stacked:
-        b = fold(b, m, La)
+    if b.ndim == 2:
+        return block_matmul_mod(a, b[None], np.zeros((1, 1), dtype=np.intp), m)
+    (n, k), La = b.shape[-2:], a_limb_count(m, b.shape[-2])
+    out = np.empty(a.shape[:-1] + (k,), dtype=_dtype(a))
+    step = max(1, TILE // max(1, a.shape[1] * max(La * n, limb_count(m) * k)))
     for u in range(0, len(a), step):
-        _folded_matmul(a[u : u + step], fold(b[u : u + step], m, La) if stacked else b, m, out[u : u + step])
+        _folded_matmul(a[u : u + step], fold(b[u : u + step], m, La), m, out[u : u + step])
     return out
 
 
+def block_matmul_mod(a, maps, index, m: int):
+    """Exact (a @ M) % m for a (rows, J n) and the (J n) x (C k) matrix M whose block (j, c) is maps[index[j, c]].
+
+    maps (N, n, k) are folded once. M runs in map tiles of whole blocks, each gathered by one index
+    (_map_block): the contraction within TILE and the float64 bound, the limb block within a.size or 2 TILE.
+    Per map tile the rows run in tiles of TILE // max(La n, Lb k), cut into limbs there for int64 and once
+    per call for Python ints, whose cuts cost far more than the matmul; contraction tiles add up mod m.
+    """
+    (J, C), (n, k) = index.shape, maps.shape[-2:]
+    out = np.empty((len(a), C * k), dtype=_dtype(a))
+    j_step = min(J, max(1, min(TILE, contraction_limit(m)) // n))
+    La = a_limb_count(m, j_step * n)
+    folded = fold(maps, m, La)
+    k_step = min(C, max(1, max(a.size, 2 * TILE) // (folded[0].size * j_step)))
+    if a.dtype == object:
+        a = split_limbs(a, m, La)
+    for c0 in range(0, C, k_step):
+        for j0 in range(0, J, j_step):
+            block = _map_block(folded, index[j0 : j0 + j_step, c0 : c0 + k_step])
+            step = max(1, TILE // max(block.shape[0] * block.shape[1], block.shape[2] * block.shape[3]))
+            for u in range(0, len(a), step):
+                rows = a[u : u + step, ..., j0 * n : j0 * n + block.shape[1]]
+                dst = out[u : u + step, c0 * k : c0 * k + block.shape[3]]
+                tile = _folded_matmul(rows, block, m, np.empty_like(dst) if j0 else dst)
+                if j0:
+                    dst[...] = (dst + tile) % m
+    return out
+
+
+def _map_block(folded, index):
+    """Tile of fold(maps, m, La) with block (j, c) maps[index[j, c]], gathered in its final layout by one index."""
+    _, La, n, Lb, k = folded.shape
+    flat = np.moveaxis(folded, 1, 0).reshape(La, -1, k)
+    block = np.take(flat, index[:, None] * (n * Lb) + np.arange(n * Lb)[:, None], axis=1)
+    return block.reshape(La, index.shape[0] * n, Lb, index.shape[1] * k)
+
+
 def _folded_matmul(a, folded, m: int, out):
-    """One tile of matmul_mod, out = (a @ b) % m for folded = fold(b, m, La): one matmul, Lb classes, checked exact."""
+    """One tile: out = (a @ b) % m for folded = fold(b, m, La), a maybe split_limbs(a, m, La); one matmul, checked."""
     La, n, Lb, k = folded.shape[-4:]
     if n > contraction_limit(m, La):
         raise OutOfRange(f"contraction length {n} with {La} limbs exceeds the float64 bound")
@@ -221,8 +252,7 @@ def _folded_matmul(a, folded, m: int, out):
             exact += classes[..., j, :].astype(np.uint64)
         with np.errstate(over="ignore"):
             exact -= est.astype(np.uint64) * np.uint64(m)
-        np.mod(exact.view(np.int64), m, out=out)
-        return
+        return np.mod(exact.view(np.int64), m, out=out)
     # Python ints: the classes are carried into 17-bit digits packed three to an int64 word, and the words
     # recombined by Horner from the top word, in place, so one array of Python ints is alive at a time
     words, carry = [], 0
@@ -236,5 +266,4 @@ def _folded_matmul(a, folded, m: int, out):
     for i in range(len(words) - 1, -1, -1):
         acc <<= LIMB_BITS * min(3, Lb - 3 * i)
         acc += words[i]
-    acc %= m
-    out[...] = acc
+    return np.mod(acc, m, out=out)

@@ -247,13 +247,16 @@ def test_tiled_butterflies_match_untiled(monkeypatch, p, K, s):
     for _ in range(s - 1):
         powers.append(ring_mul(powers[-1], plan.root))
     chain = np.array([x.coeffs for x in powers], dtype=plan.table.dtype)
-    # log of stages (view shape), their matmul_mod products (a and b shapes) and the tiles under each product
+    # log of stages (view shape), their twiddle products (a and b shapes), their butterfly map tiles (index
+    # shape, in blocks of d x d) and the row tiles under each, by row count
     log = []
-    real = fft_mod._twiddle, kernels.matmul_mod, kernels._folded_matmul
+    real = fft_mod._twiddle, kernels.matmul_mod, kernels._map_block, kernels._folded_matmul
     monkeypatch.setattr(fft_mod, "_twiddle", lambda view, *a: log.append(("stage", view.shape)) or real[0](view, *a))
-    monkeypatch.setattr(kernels, "matmul_mod", lambda a, b, m, *out, **kw:
-                        log.append(("product", a.shape, b.shape)) or real[1](a, b, m, *out, **kw))
-    monkeypatch.setattr(kernels, "_folded_matmul", lambda *a: log.append(("tile",)) or real[2](*a))
+    monkeypatch.setattr(kernels, "matmul_mod", lambda a, b, m: log.append(("product", a.shape, b.shape))
+                        or real[1](a, b, m))
+    monkeypatch.setattr(kernels, "_map_block", lambda folded, index: log.append(("map", index.shape))
+                        or real[2](folded, index))
+    monkeypatch.setattr(kernels, "_folded_matmul", lambda a, *rest: log.append(("tile", len(a))) or real[3](a, *rest))
     runs = []
     for tile in (kernels.TILE, 64):
         monkeypatch.setattr(kernels, "TILE", tile)
@@ -269,29 +272,30 @@ def test_tiled_butterflies_match_untiled(monkeypatch, p, K, s):
         runs.append((outs, counts))
     assert runs[0] == runs[1]
     # per stage of the TILE = 64 dft, keyed by (r, t, post) of its (blocks, r, t, post, d) view: its twiddle
-    # passes and butterfly products, each with its a shape, b shape and tile count
+    # passes, each with its a shape, b shape and row tiles, and its butterfly map tiles, each with its index
+    # shape and row tiles
     stages = {}
     for kind, *shapes in dft_log:
         if kind == "stage":
             stage = stages.setdefault(shapes[0][1:4], (shapes[0], [], []))
-        elif kind == "product":
-            product = [*shapes, 0]
-            stage[1 if len(shapes[1]) == 3 else 2].append(product)
+        elif kind == "tile":
+            product[-1].append(shapes[0])
         else:
-            product[2] += 1
+            product = [*shapes, []]
+            stage[1 if kind == "product" else 2].append(product)
     # twiddles run only inside a prime power of two or more stages (8 = 4 * 2 at s=104, 9 = 3 * 3, 16 = 2^4),
     # as (maps, tiles) per pass: (r-1)(c-1) maps, then (r-1)(t/c - 1) when c < t
-    twiddles = {key: [(b[0], tiles) for _, b, tiles in passes] for key, (_, passes, _) in stages.items() if passes}
+    twiddles = {key: [(b[0], len(tiles)) for _, b, tiles in passes]
+                for key, (_, passes, _) in stages.items() if passes}
     assert twiddles == {104: {(4, 2, 13): [(3, 3)]}, 2736: {}, 9: {(3, 3, 1): [(4, 2)]},
                         16: {(2, 2, 1): [(1, 1)], (2, 4, 1): [(3, 2)], (2, 8, 1): [(3, 2), (1, 1)]}}[s]
-    # the widest radix stage's map tiles cover the map once; at s=104 and s=2736 it runs several
-    # contraction and output tiles, each in several row tiles
-    (_, r, t, post, d), _, products = max(stages.values(), key=lambda stage: stage[0][1])
-    # each butterfly product's b is a folded map tile (La, n, Lb, k)
-    assert sum(b[1] * b[3] for _, b, _ in products) == (r * d) ** 2
+    # the widest radix stage's map tiles cover the map once, each over all s/r rows; at s=104 and s=2736 it runs
+    # several contraction and output tiles, each in several row tiles
+    (_, r, t, post, d), _, blocks = max(stages.values(), key=lambda stage: stage[0][1])
+    assert sum(J * C for (J, C), _ in blocks) == r * r
+    assert all(sum(tiles) == s // r for _, tiles in blocks)
     if s >= 104:
-        assert all(b[1] < r * d and b[3] < r * d for _, b, _ in products)
-        assert all(a[0] == s // r and tiles > 1 for a, _, tiles in products)
+        assert all(J < r and C < r and len(tiles) > 1 for (J, C), tiles in blocks)
     evals = runs[1][0][0]
     if s <= 104:
         assert evals == naive_dft(x, plan.root, s)

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicfft.errors import OutOfRange
-from padicfft.fft import _map_block
 from padicfft.kernels import (
     MODULUS_LIMIT,
+    _folded_matmul,
+    _map_block,
     a_limb_count,
+    block_matmul_mod,
     contraction_limit,
     fold,
     limb_count,
@@ -209,9 +211,11 @@ BOUND_TERMS = 1 << 18
                                      for dtype in (np.int64, object) if dtype is object or supports_modulus(m)])
 def test_matmul_mod_at_each_width_bound(m, dtype):
     # a cut into La limbs of width w = ceil(bits/La) holds exactly up to the largest n with La*n*2^(w+17) < 2^53:
-    # all-(m-1) operands there, against a map folded for La and against the plain map when La is the kernel's
-    # own choice at n; at n+1 the folded map is refused and the plain map takes more limbs or is refused
+    # all-(m-1) operands there, in one tile against the map folded for La, and through matmul_mod when La is
+    # the kernel's own choice at n; at n+1 the tile refuses the folded map and matmul_mod takes more limbs or
+    # refuses
     bits, Lb = (m - 1).bit_length(), limb_count(m)
+    out = np.empty((1, 1), dtype=dtype)
     for La in range(1, Lb + 1):
         w = -(-bits // La)
         n = ((1 << 53) - 1) // (La << (w + 17))
@@ -219,12 +223,12 @@ def test_matmul_mod_at_each_width_bound(m, dtype):
         if 0 < n <= BOUND_TERMS:
             a, b = np.full((1, n), m - 1, dtype=dtype), np.full((n, 1), m - 1, dtype=dtype)
             want = [[n * (m - 1) ** 2 % m]]
-            assert matmul_mod(a, fold(b, m, La), m).tolist() == want
+            assert _folded_matmul(a, fold(b, m, La), m, out).tolist() == want
             if a_limb_count(m, n) == La:
                 assert matmul_mod(a, b, m).tolist() == want
         a = np.broadcast_to(np.array(m - 1, dtype=dtype), (1, n + 1))
         with pytest.raises(OutOfRange):
-            matmul_mod(a, np.broadcast_to(np.zeros(()), (La, n + 1, Lb, 1)), m)
+            _folded_matmul(a, np.broadcast_to(np.zeros(()), (La, n + 1, Lb, 1)), m, out)
         if n + 1 > contraction_limit(m):
             with pytest.raises(OutOfRange):
                 matmul_mod(a, a.T, m)
@@ -235,25 +239,23 @@ def test_matmul_mod_at_each_width_bound(m, dtype):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_map_block_matches_residue_block(data):
-    # a butterfly map tile assembled from the r folded maps is the fold of the residue block the tile stands
-    # for, and multiplies like it: both equal the integer product mod m
+    # the block product by N maps at an arbitrary (J, C) index equals the integer product mod m by the residue
+    # matrix it stands for, and its map tile, assembled from the folded maps, is the fold of that matrix
     m = data.draw(st.sampled_from([3**8, 3**32, 2**51 - 1, 7**32, 19**32]))
     dtype = data.draw(st.sampled_from([np.int64, object] if supports_modulus(m) else [object]))
-    r, d, rows = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 4)), data.draw(st.integers(0, 6))
-    j0, k0 = data.draw(st.integers(0, r - 1)), data.draw(st.integers(0, r - 1))
-    js = np.arange(j0, data.draw(st.integers(j0 + 1, r)))
-    ks = np.arange(k0, data.draw(st.integers(k0 + 1, r)))
+    N, n, k, rows = (data.draw(st.integers(lo, hi)) for lo, hi in ((1, 5), (1, 4), (1, 4), (0, 6)))
+    J, C = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    index = np.array(data.draw(st.lists(st.integers(0, N - 1), min_size=J * C, max_size=J * C))).reshape(J, C)
     rng = random.Random(data.draw(st.integers(0, 2**32)))
 
     def rand(*shape):
         return np.array([rng.randrange(m) for _ in range(int(np.prod(shape)))], dtype=dtype).reshape(shape)
 
-    maps, a = rand(r, d, d), rand(rows, len(js) * d)
-    residue = maps[(js[:, None] * ks) % r].transpose(0, 2, 1, 3).reshape(len(js) * d, len(ks) * d)
-    La = a_limb_count(m, len(js) * d)
-    block = _map_block(fold(maps, m, La), js, ks)
-    assert np.array_equal(block, fold(residue, m, La))
-    got = matmul_mod(a, block, m)
+    maps, a = rand(N, n, k), rand(rows, J * n)
+    residue = maps[index].transpose(0, 2, 1, 3).reshape(J * n, C * k)
+    La = a_limb_count(m, J * n)
+    assert np.array_equal(_map_block(fold(maps, m, La), index), fold(residue, m, La))
+    got = block_matmul_mod(a, maps, index, m)
     assert got.dtype == dtype
     assert got.tolist() == matmul_mod(a, residue, m).tolist() == _matmul_reference(a, residue, m)
 

@@ -27,3 +27,17 @@ def test_every_library_function_has_a_library_caller():
                 if not refs[fn.name] - own:
                     unused.append(f"{module}:{fn.name}")
     assert unused == []
+
+
+def test_fft_uses_only_the_public_kernels():
+    # the limb format and the tiling stay behind these names, so a change to either touches kernels alone
+    public = {"mul_mod", "ring_mul_batch", "multiplication_maps", "power_table", "matmul_mod", "block_matmul_mod",
+              "supports_modulus"}
+    tree = ast.parse((SRC / "fft.py").read_text())
+    used = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "kernels"}
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module and node.module.endswith("kernels")
+                for alias in node.names}
+    assert "block_matmul_mod" in used
+    assert used | imported <= public
