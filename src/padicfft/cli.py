@@ -22,7 +22,7 @@ from .errors import (
     LengthMismatch,
     PreconditionError,
 )
-from .fft import dft, idft, poly_multiply
+from .fft import dft, idft, poly_multiply, subring_axes
 from .lifting import expand_lifted_factor
 from .padic import poly_text
 from .pipeline import DEFAULT_SEED, build_pipeline
@@ -118,6 +118,7 @@ def _cmd_plan(args) -> int:
     print(f"r={res.r}")
     print(f"s={res.s} = {factors}")
     print(f"d={res.d}")
+    print("axes=" + " ".join(f"{g}:{dg}" for g, dg in subring_axes(res.p, res.s_factored)))
     print(f"predicted_mults={res.predicted_mults}")
     print(f"d_matches_prime_product={res.d_matches_prime_product}")
     print(f"small_d_regime={res.small_d_regime}")

@@ -6,29 +6,39 @@ index order, each axis runs a decimation-in-time transform of length g
 on its own, and one scatter writes the output in CRT order. Inside an
 axis the input is digit-reversed over its radices and one stage per radix
 (last radix first) combines blocks: a twiddle pass multiplies entry
-(j, k1) by alpha^((s/(r t)) j k1), t the length combined so far on that
+(j, k1) by zeta_g^((g/(r t)) j k1), t the length combined so far on that
 axis, and a radix-r pass evaluates the short DFT sum with the fixed powers
-alpha^((s/r) j k2). Each q^v runs fused as radices q^a, a the largest
-exponent whose map fits in the stage array (see _fused_radices), so only
-an axis with two or more stages makes twiddles: s = 2736 = 2^4 3^2 19 at
-d = 6 runs stages 16, 9 and 19 with none, and s = 12584 = 2^3 11^2 13 at
-d = 30 runs 8, 11, 11 and 13 with one twiddle pass, inside 11^2.
+zeta_g^((g/r) j k2), zeta_g = alpha^(s/g). Each q^v runs fused as radices
+q^a, a the largest exponent whose map fits in the stage array (see
+_fused_radices), so only an axis with two or more stages makes twiddles:
+s = 2736 = 2^4 3^2 19 at d = 6 runs stages 16, 9 and 19 with none, and
+s = 12584 = 2^3 11^2 13 at d = 30 runs 8, 11, 11 and 13 with one twiddle
+pass, inside 11^2.
 There is one direction: idft(X)[n] = s^(-1) dft(X)[-n mod s], so idft runs
 the forward schedule on its input read at -k mod s and multiplies the
 result by s^(-1).
 
+Each axis runs over its own Galois subring: zeta_g lies in GR(p^K, d_g)
+inside A = GR(p^K, d), d_g = ord_g(p) (see subring_axes). Axes whose d_g
+share a prime join one tensor factor of degree D = lcm d_g; the degrees are
+pairwise coprime with product d, so the products of each factor's powers
+zeta_G^e, e < D, G its axes' product, are a basis of A, the rows of the
+plan's matrix P. In it a product by zeta_g^j is a D x D map on its factor's
+coordinates, the other factors' being extra rows: at s = 12584 the factors
+8, 121 and 13 have degrees 2, 5 and 3 against d = 30. P^-1 and P are folded
+into the maps of the first and last stages, so no pass converts the (s, d)
+array; a plan of one factor keeps X coordinates and d x d maps.
+
 Every product inside a stage runs on the exact float64 products of
-kernels, which own the limb format and the tiling. A ring product by a
-fixed element is the d x d multiplication matrix of that element, which
-kernels.multiplication_maps builds from rows of the power table that
-make_plan gets from kernels.power_table. A twiddle pass shares each twiddle
-with the rows of the later axes, may split it into two factors each shared
-by more rows, and multiplies every group of rows by its factor's matrix in
-one stacked kernels.matmul_mod (see _twiddle). The radix-r pass is the same
-Z/p^K-linear map of size rd x rd for every block of a stage: block (j, k2)
-is the multiplication matrix of alpha^((s/r) j k2), and the pass is one
-kernels.block_matmul_mod of all rows by the r maps at index j k2 mod r
-(see _butterfly).
+kernels, which own the limb format and the tiling. make_plan builds every
+stage's maps once (see _stages): the multiplication matrices of fixed
+elements, from kernels.multiplication_maps. A twiddle pass shares each
+twiddle with the rows of the later axes and other factors, may split it
+into two factors each shared by more rows, and multiplies every group of
+rows by its factor's matrix in one stacked kernels.matmul_mod (see
+_twiddle). The radix-r pass is the same Z/p^K-linear map of size rD x rD
+for every block of a stage, block (j, k2) the stage's map at j k2 mod r,
+and runs as one kernels.block_matmul_mod of all rows.
 The multiplication counter is a model, not a timer: it charges the
 schoolbook products of the paper's prime schedule plan.radices, whatever
 radices the stages run. A twiddle or a butterfly product is counted exactly
@@ -69,13 +79,32 @@ from .errors import (
     PrecisionTooLow,
     RootNotPrimitive,
 )
-from .orders import FactoredOrder
+from .orders import FactoredOrder, multiplicative_order
 from .padic import PadicContext, RingElement, RingExtension, residue_inverse, ring_mul, ring_pow
 from .planner import choose_parameters
 
-# Plans poly_multiply keeps for reuse. The largest one it reaches in practice
-# (p=3, s=12584, d=30) holds a 3 MB int64 table, so the cache stays within tens of MB.
+# Plans poly_multiply keeps for reuse. A plan holds its (s, d) table and its stages' maps; the largest
+# one it reaches in practice (p=3, s=12584, d=30) holds a 3 MB int64 table and 0.2 MB of maps, so the
+# cache stays within tens of MB.
 PLAN_CACHE_SIZE = 8
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One radix-r stage of a prime-power axis and the maps make_plan built for it.
+
+    shape is (blocks, r, t, post) of the stage's view of the (s, d) array. The twiddles read the d coordinates
+    as layout = (a, D, b) and act on the middle D, the axis's tensor factor: twiddles holds the stacks of the two
+    passes of _twiddle, split at c. The butterfly's r maps read them as bf_layout: layout, or (1, d, 1) at the
+    end stages of a split basis.
+    """
+
+    shape: tuple
+    layout: tuple
+    c: int
+    twiddles: tuple
+    bf_layout: tuple
+    maps: np.ndarray
 
 
 @dataclass
@@ -95,6 +124,10 @@ class FFTPlan:
     root: object
     inv_s: int
     table: np.ndarray  # (s, d) powers of root; its dtype is the transform's backend
+    factors: tuple  # (axes, D) per tensor factor: its prime powers g of s and its degree
+    basis: np.ndarray  # P, (d, d): row i is tensor basis element i in X coordinates
+    basis_inv: np.ndarray  # P^-1 mod p^K
+    stages: tuple  # Stage per stage, in the order they run
 
     @property
     def p(self) -> int:
@@ -103,6 +136,26 @@ class FFTPlan:
     @property
     def K(self) -> int:
         return self.ring.ctx.K
+
+
+def subring_axes(p: int, s: FactoredOrder) -> tuple:
+    """(g, d_g) per prime power g of s, in order: zeta_g lies in GR(p^K, d_g), d_g = ord_g(p)."""
+    return tuple((q**v, multiplicative_order(p, q**v)) for q, v in s.factors)
+
+
+def _tensor_factors(axes, d: int) -> tuple:
+    """(axes, D) per tensor factor: axes whose d_g share a prime join one factor of degree D = lcm d_g.
+
+    One factor, or coprime degrees whose product is not d (a ring larger than the roots need), make the whole ring one.
+    """
+    factors = []  # (axis positions, D)
+    for i, (_, dg) in enumerate(axes):
+        joined = [f for f in factors if math.gcd(f[1], dg) > 1]
+        factors = [f for f in factors if f not in joined]
+        factors.append((sorted([i, *(j for f in joined for j in f[0])]), math.lcm(dg, *(f[1] for f in joined))))
+    if len(factors) < 2 or math.prod(D for _, D in factors) != d:
+        factors = [(range(len(axes)), d)]
+    return tuple((tuple(axes[i][0] for i in positions), D) for positions, D in sorted(factors))
 
 
 def make_plan(s, lift, K: int) -> FFTPlan:
@@ -128,20 +181,114 @@ def make_plan(s, lift, K: int) -> FFTPlan:
         if ring_pow(root, s.value // q) == ring.one():
             raise RootNotPrimitive(f"root order divides {s.value}/{q}")
 
-    m = ring.ctx.pK
-    radices = tuple(s.radix_schedule())
+    m, d = ring.ctx.pK, ring.degree
     dtype = np.int64 if kernels.supports_modulus(m) else object
-    table = kernels.power_table(np.asarray(root.coeffs, dtype=dtype), s.value, _fhead(ring, dtype), m)
+    fhead = _fhead(ring, dtype)
+    table = kernels.power_table(np.asarray(root.coeffs, dtype=dtype), s.value, fhead, m)
     ring.counter.add(max(0, s.value - 2) * ring.mul_cost())
+    factors = _tensor_factors(subring_axes(p, s), d)
+    if len(factors) == 1:
+        basis = basis_inv = np.identity(d, dtype=dtype)
+    else:
+        e = np.zeros((), dtype=np.int64)
+        for gs, D in factors:
+            e = np.add.outer(e, s.value // math.prod(gs) * np.arange(D))
+        basis = table[e.ravel()]
+        basis_inv = _inverse_mod(basis, p, K, m)
     return FFTPlan(
         s=s.value,
         s_factored=s,
-        radices=radices,
+        radices=tuple(s.radix_schedule()),
         ring=ring,
         root=root,
         inv_s=residue_inverse(s.value % m, ring.ctx),
         table=table,
+        factors=factors,
+        basis=basis,
+        basis_inv=basis_inv,
+        stages=_stages(s, factors, table, fhead, basis, basis_inv, m),
     )
+
+
+def _inverse_mod(a, p: int, K: int, m: int):
+    """a^-1 mod m = p^K for a invertible mod p: Gauss-Jordan mod the largest p^e < 2^31 (or p), then Newton steps."""
+    n, e = len(a), max(k for k in range(1, K + 1) if k == 1 or p**k < 1 << 31)
+    q = p**e
+    w = np.concatenate([a % q, np.identity(n, dtype=a.dtype)], axis=1).astype(np.int64 if q < 1 << 31 else object)
+    for col in range(n):
+        pivot = col + np.flatnonzero(w[col:, col] % p)[0]
+        w[[col, pivot]] = w[[pivot, col]]
+        w[col] = w[col] * pow(int(w[col, col]), -1, q) % q
+        rest = np.arange(n) != col
+        w[rest] = (w[rest] - w[rest, col : col + 1] * w[col]) % q
+    inv = w[:, n:].astype(a.dtype)
+    while e < K:  # inv = a^-1 mod p^e gives inv (2 - a inv) = a^-1 mod p^(2e)
+        inv = kernels.matmul_mod(inv, (2 * np.identity(n, dtype=a.dtype) - kernels.matmul_mod(a, inv, m)) % m, m)
+        e *= 2
+    return inv
+
+
+def _stages(s: FactoredOrder, factors, table, fhead, basis, basis_inv, m: int) -> tuple:
+    """Every stage's maps, built once per plan.
+
+    Axis g's products are by powers of zeta_g = zeta_G^(G/g), G the product of its factor's
+    axes. The factor's coordinates are those of the basis zeta_G^e, e < D, and its products
+    the D x D multiplication maps N of (Z/m)[Z]/F_G, F_G the minimal polynomial of zeta_G,
+    read off zeta_G^D; a one-factor plan keeps X's coordinates, so its maps are the d x d maps
+    of the table. A split basis enters at the first stage and leaves at the last, whose maps
+    are P^-1 (I x N x I) and (I x N x I) P: the X-coordinate maps M with P^-1 or P folded in.
+    """
+    d = table.shape[1]
+    coords = {}  # per axis: its factor's zeta_G^n, n < G, in the factor's coordinates, fhead and layout
+    before = 1
+    for gs, D in factors:
+        G, after = math.prod(gs), d // (before * D)
+        if len(factors) == 1:
+            powers, head = table, fhead
+        else:
+            powers = kernels.matmul_mod(table[s.value // G * np.arange(G)], basis_inv[:, after * np.arange(D)], m)
+            head = -powers[D] % m
+        coords.update({g: (powers, head, (before, D, after)) for g in gs})
+        before *= D
+
+    stages, pre = [], 1
+    for radices in _fused_radices(s, d):
+        g = math.prod(radices)
+        post = s.value // (pre * g)
+        powers, head, layout = coords[g]
+        a, D, b = layout
+        unit = len(powers) // g  # zeta_g = zeta_G^unit
+
+        def maps(exponents):
+            return kernels.multiplication_maps(powers[exponents.ravel() * unit % len(powers)], head, m)
+
+        t = 1
+        for r in reversed(radices):
+            if (r - 1) * t * D * D <= s.value * d:
+                c = t
+            else:
+                c = next(q for q in range(1, t + 1) if t % q == 0 and q * q >= t)
+            j = np.arange(1, r)[:, None]
+            twiddles = tuple(maps(g // (r * t) * step * j * np.arange(1, n)) for step, n in ((1, c), (c, t // c)))
+            bf_layout, butterfly = layout, maps(g // r * np.arange(r))
+            if len(factors) > 1 and not stages:  # X coordinates in: P^-1 (I x N x I)
+                bf_layout, butterfly = (1, d, 1), _fold_basis(basis_inv, butterfly, layout, m)
+            elif len(factors) > 1 and post == 1 and r * t == g:  # X coordinates out: (I x N x I) P, transposed
+                folded = _fold_basis(basis.T, butterfly.swapaxes(1, 2), layout, m)
+                bf_layout, butterfly = (1, d, 1), folded.swapaxes(1, 2)
+            stages.append(Stage((pre * g // (r * t), r, t, post), layout, c, twiddles, bf_layout, butterfly))
+            t *= r
+        pre *= g
+    return tuple(stages)
+
+
+def _fold_basis(left, maps, layout, m: int):
+    """(r, d, d): left (I_a x N x I_b) mod m for each D x D map N of maps, layout (a, D, b); one stacked product."""
+    a, D, b = layout
+    d = len(left)
+    rows = left.reshape(d, a, D, b).transpose(0, 1, 3, 2).reshape(-1, D)
+    out = kernels.matmul_mod(np.broadcast_to(rows, (len(maps), *rows.shape)), maps, m)
+    return out.reshape(-1, d, a, b, D).transpose(0, 1, 2, 4, 3).reshape(-1, d, d)
 
 
 def _fhead(ring: RingExtension, dtype):
@@ -207,24 +354,19 @@ def _transform(arr, plan: FFTPlan):
     ring = plan.ring
     m = ring.ctx.pK
     d = ring.degree
-    table = plan.table
-    fhead = _fhead(ring, table.dtype)
-    groups = _fused_radices(plan.s_factored, d)
-    gather, scatter = _index_maps(groups, s)
+    gather, scatter = _index_maps(_fused_radices(plan.s_factored, d), s)
     arr = arr[gather]
-    pre = 1
-    for radices in groups:
-        g = math.prod(radices)
-        post = s // (pre * g)
-        t = 1
-        for r in reversed(radices):
-            blocks = pre * g // (r * t)
-            view = arr.reshape(blocks, r, t, post, d)
-            _twiddle(view, table, fhead, m)
-            maps = kernels.multiplication_maps(table[(s // r) * np.arange(r)], fhead, m)
-            arr = _butterfly(view.reshape(blocks, r, t * post, d), maps, m).reshape(s, d)
-            t *= r
-        pre *= g
+    for stage in plan.stages:
+        blocks, r, t, post = stage.shape
+        _twiddle(arr.reshape(stage.shape + stage.layout), stage, m)
+        # radix-r pass: out[k2] = sum_j arr[j] * zeta^(j k2) on the butterfly's D coordinates, one block
+        # product by the r maps at j k2 mod r; each copy frees the one before, so two (s, d) arrays live at most
+        a, D, b = stage.bf_layout
+        rows = arr.reshape(blocks, r, t * post, a, D, b).transpose(0, 2, 3, 5, 1, 4).reshape(-1, r * D)
+        del arr
+        arr = kernels.block_matmul_mod(rows, stage.maps, np.outer(np.arange(r), np.arange(r)) % r, m)
+        del rows
+        arr = arr.reshape(blocks, t * post, a, b, r, D).transpose(0, 4, 1, 2, 5, 3).reshape(s, d)
     out = np.empty_like(arr)
     out[scatter] = arr
     # the count models the paper's prime-radix stages, whatever radices ran: per stage the twiddle
@@ -271,47 +413,23 @@ def _fused_radices(s: FactoredOrder, d: int) -> tuple:
     return tuple(groups)
 
 
-def _twiddle(view, table, fhead, m: int):
-    """Twiddle pass, in place: entry (b, j, k1, i) of view times alpha^((s/(r t)) j k1), as batched exact matmuls.
+def _twiddle(view, stage: Stage, m: int):
+    """Twiddle pass, in place: entry (b, j, k1, i) of view times zeta_(r t)^(j k1), as batched exact matmuls.
 
-    view is (blocks, r, t, post, d): the radix-r stage of one prime-power
-    axis, t its length so far inside that axis, post the axes after it,
-    whose rows i share every twiddle. With k1 = h c + l the twiddle is
-    alpha^((s/(r t)) j l) * alpha^((s/(r t)) j c h), c the smallest divisor
-    of t with c^2 >= t: one pass multiplies the rows sharing (j, l) by one
-    map, a second those sharing (j, h). So a stage builds (r-1)(c + t/c)
-    maps rather than one per twiddle. A single pass (c = t) runs when its
-    (r-1) t maps of d x d hold no more entries than the stage's own array.
-    Factors with exponent 0 are skipped.
+    view is (blocks, r, t, post, a, D, b): the radix-r stage of one prime-power axis, t its length so far
+    inside that axis, post the axes after it and (a, b) the other tensor factors, whose rows i all share every
+    twiddle, a map on the D coordinates. With k1 = h c + l the twiddle is zeta^(j l) * zeta^(j c h): one pass
+    multiplies the rows sharing (j, l) by one map, a second those sharing (j, h). So a stage stores (r-1)(c + t/c)
+    maps, not one per twiddle; c = t, a single pass, when (r-1) t maps of D x D fit in the (s, d) array's entries.
     """
-    blocks, r, t, post, d = view.shape
-    s = table.shape[0]
-    if (r - 1) * t * d <= s:
-        c = t
-    else:
-        c = next(q for q in range(1, t + 1) if t % q == 0 and q * q >= t)
-    grid = view.reshape(blocks, r, t // c, c, post, d)
-    # pass 1 batches over (j, l >= 1), pass 2 over (j, h >= 1); the rows are the other three axes
-    for x, unit in ((grid[:, 1:, :, 1:].transpose(1, 3, 0, 2, 4, 5), 1),
-                    (grid[:, 1:, 1:].transpose(1, 2, 0, 3, 4, 5), c)):
+    blocks, r, t, post, a, D, b = view.shape
+    c = stage.c
+    grid = view.reshape(blocks, r, t // c, c, post, a, D, b)
+    # pass 1 batches over (j, l >= 1), pass 2 over (j, h >= 1); the rows are the other five axes
+    for x, maps in ((grid[:, 1:, :, 1:].transpose(1, 3, 0, 2, 4, 5, 7, 6), stage.twiddles[0]),
+                    (grid[:, 1:, 1:].transpose(1, 2, 0, 3, 4, 5, 7, 6), stage.twiddles[1])):
         if x.size:
-            e = s // (r * t) * unit * np.arange(1, r)[:, None] * np.arange(1, x.shape[1] + 1)
-            powers = table[e.ravel()]
-            maps = kernels.multiplication_maps(powers, fhead, m)
-            x[...] = kernels.matmul_mod(x.reshape(len(maps), -1, d), maps, m).reshape(x.shape)
-
-
-def _butterfly(view, maps, m: int):
-    """Radix-r pass: out[b, k2, i] = sum_j view[b, j, i] * alpha^((s/r) j k2), as one exact block product.
-
-    The pass is the (r d) x (r d) map whose block (j, k2) is maps[j k2 mod r],
-    applied by kernels.block_matmul_mod to the rows (b, i) of view, copied
-    once into contiguous rows; the result is a (blocks, r, t, d) view of its rows.
-    """
-    blocks, r, t, d = view.shape
-    rows = view.transpose(0, 2, 1, 3).reshape(blocks * t, r * d)
-    out = kernels.block_matmul_mod(rows, maps, np.outer(np.arange(r), np.arange(r)) % r, m)
-    return out.reshape(blocks, t, r, d).transpose(0, 2, 1, 3)
+            x[...] = kernels.matmul_mod(x.reshape(len(maps), -1, D), maps, m).reshape(x.shape)
 
 
 def naive_dft(coeffs, root, s: int):

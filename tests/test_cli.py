@@ -14,6 +14,7 @@ def test_plan_example(capsys):
     code, out, _ = run(capsys, "plan", "-p", "3", "-N", "100")
     assert code == 0
     assert "r=2" in out and "s=104" in out and "d=6" in out
+    assert "axes=8:2 13:3" in out.splitlines()  # each prime power of s with its subring degree ord_g(3)
 
 
 def test_root_example(capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -27,7 +28,7 @@ from padicfft.fft import (
     poly_multiply,
 )
 from padicfft.lifting import newton_lift_root
-from padicfft.orders import FactoredOrder, is_prime
+from padicfft.orders import FactoredOrder, is_prime, multiplicative_order
 from padicfft.padic import ring_mul, ring_pow
 from padicfft.pipeline import build_pipeline
 from padicfft.planner import choose_parameters
@@ -53,6 +54,17 @@ def horner(coeffs, point):
     for c in reversed(coeffs):
         acc = ring_mul(acc, point) + c
     return acc
+
+
+def object_copy(plan):
+    """The plan on the object backend: its table, basis and every stage's maps as Python ints."""
+    def big(a):
+        return a.astype(object)
+
+    stages = tuple(dataclasses.replace(stage, twiddles=tuple(map(big, stage.twiddles)), maps=big(stage.maps))
+                   for stage in plan.stages)
+    return dataclasses.replace(plan, table=big(plan.table), basis=big(plan.basis), basis_inv=big(plan.basis_inv),
+                               stages=stages)
 
 
 def twiddle_passes(monkeypatch):
@@ -167,7 +179,7 @@ def test_engine_parity():
     # and identical counted work
     pipe = build_pipeline(3, 8, s=104, seed=2)
     fast = pipe.plan
-    slow = dataclasses.replace(fast, table=fast.table.astype(object))
+    slow = object_copy(fast)
     assert fast.table.dtype == np.int64
     counter = fast.ring.counter
     rng = random.Random(17)
@@ -204,7 +216,7 @@ def test_transform_outputs_pinned():
         plan = build_pipeline(p, K, s=s, seed=2).plan
         variants = [(plan, ops)]
         if plan.table.dtype == np.int64 and s <= 2736:
-            variants.append((dataclasses.replace(plan, table=plan.table.astype(object)), ops if s < 1000 else arrays))
+            variants.append((object_copy(plan), ops if s < 1000 else arrays))
         ring, m = plan.ring, plan.ring.ctx.pK
         rng = random.Random(s * 100 + K)
         x, y = ([[rng.randrange(m) for _ in range(ring.degree)] for _ in range(s)] for _ in range(2))
@@ -289,11 +301,12 @@ def test_tiled_butterflies_match_untiled(monkeypatch, p, K, s):
                 for key, (_, passes, _) in stages.items() if passes}
     assert twiddles == {104: {(4, 2, 13): [(3, 3)]}, 2736: {}, 9: {(3, 3, 1): [(4, 2)]},
                         16: {(2, 2, 1): [(1, 1)], (2, 4, 1): [(3, 2)], (2, 8, 1): [(3, 2), (1, 1)]}}[s]
-    # the widest radix stage's map tiles cover the map once, each over all s/r rows; at s=104 and s=2736 it runs
-    # several contraction and output tiles, each in several row tiles
-    (_, r, t, post, d), _, blocks = max(stages.values(), key=lambda stage: stage[0][1])
+    # the widest radix stage's map tiles cover the map once, each over all s d / (r D) rows, D the width of its
+    # maps; at s=104 and s=2736 it runs several contraction and output tiles, each in several row tiles
+    (_, r, t, post, *_), _, blocks = max(stages.values(), key=lambda stage: stage[0][1])
+    width = next(stage.bf_layout[1] for stage in plan.stages if stage.shape[1:] == (r, t, post))
     assert sum(J * C for (J, C), _ in blocks) == r * r
-    assert all(sum(tiles) == s // r for _, tiles in blocks)
+    assert all(sum(tiles) == s * plan.ring.degree // (r * width) for _, tiles in blocks)
     if s >= 104:
         assert all(J < r and C < r and len(tiles) > 1 for (J, C), tiles in blocks)
     evals = runs[1][0][0]
@@ -355,13 +368,77 @@ def test_good_thomas_matches_naive(monkeypatch, p, K, s, samples, passes):
         js = [1, s - 1] + rng.sample(range(2, s - 1), samples - 2)
         want = [horner(x, ring_pow(plan.root, j)) for j in js]
     log = twiddle_passes(monkeypatch)
-    for q in (plan, dataclasses.replace(plan, table=plan.table.astype(object))):
+    for q in (plan, object_copy(plan)):
         xa = np.array([v.coeffs for v in x], dtype=q.table.dtype)
         log.clear()
         evals = dft(xa, q)
         assert log == passes
         assert [tuple(evals[j].tolist()) for j in js] == [v.coeffs for v in want]
         assert np.array_equal(idft(evals, q), xa)
+
+
+@pytest.mark.parametrize("p,K,s,samples,factors", [
+    (5, 8, 24, None, (((8, 3), 2),)),
+    (7, 16, 36, None, (((4,), 2), ((9,), 3))),
+    (7, 16, 72, None, (((8,), 2), ((9,), 3))),
+    (13, 8, 36, None, (((4,), 1), ((9,), 3))),
+    (5, 8, 36, None, (((4,), 1), ((9,), 6))),
+    (7, 32, 36, None, (((4,), 2), ((9,), 3))),
+    (19, 32, 72, None, (((8,), 2), ((9,), 1))),
+    (7, 16, 2736, 6, (((16,), 2), ((9, 19), 3))),
+    (3, 32, 12584, 2, (((8,), 2), ((121,), 5), ((13,), 3))),
+])
+def test_subring_matches_naive(p, K, s, samples, factors):
+    # each axis runs over its own tensor factor: one factor (s=24, X coordinates), two of degrees 2 and 3 whose
+    # end axes both run two or more stages (s=36, 72 at p=7), a degree-1 factor (p=13, 5), object plans with a
+    # split basis (7^32, 19^32), and axes 9 and 19 sharing a factor (s=2736); outputs against naive_dft or, at
+    # s = 2736 and 12584, sampled ones against Horner, with the idft round trip, on each plan and its object copy
+    plan = build_pipeline(p, K, s=s, seed=2).plan
+    ring, m, d = plan.ring, plan.ring.ctx.pK, plan.ring.degree
+    assert plan.factors == factors
+    degrees = [D for _, D in factors]
+    assert all(D == math.lcm(*(multiplicative_order(p, g) for g in gs)) for gs, D in factors)
+    assert all(math.gcd(a, b) == 1 for a, b in itertools.combinations(degrees, 2))
+    assert math.prod(degrees) == d
+    if len(factors) > 1:  # rows alpha^(sum e_i s/G_i), e_i < D_i, in C order
+        exponents = np.zeros((), dtype=np.int64)
+        for gs, D in factors:
+            exponents = np.add.outer(exponents, s // math.prod(gs) * np.arange(D))
+        assert np.array_equal(plan.basis, plan.table[exponents.ravel()])
+    else:
+        assert np.array_equal(plan.basis, np.identity(d, dtype=plan.table.dtype))
+    assert ((plan.basis.astype(object) @ plan.basis_inv.astype(object)) % m == np.identity(d, dtype=object)).all()
+    rng = random.Random(s * p)
+    x = random_vector(ring, s, rng)
+    if samples is None:
+        js, want = range(s), naive_dft(x, plan.root, s)
+    else:
+        js = [1, s - 1] + rng.sample(range(2, s - 1), samples - 2)
+        want = [horner(x, ring_pow(plan.root, j)) for j in js]
+    for q in (plan, object_copy(plan)) if plan.table.dtype == np.int64 else (plan,):
+        xa = np.array([v.coeffs for v in x], dtype=q.table.dtype)
+        evals = dft(xa, q)
+        assert [tuple(evals[j].tolist()) for j in js] == [v.coeffs for v in want]
+        assert np.array_equal(idft(evals, q), xa)
+
+
+@pytest.mark.parametrize("p,K,s", [(3, 4, 4), (3, 1, 8), (5, 8, 24), (7, 16, 48), (19, 32, 40), (3, 32, 104),
+                                   (7, 16, 2736), (7, 32, 2736), (3, 32, 12584), (3, 32, 16)])
+def test_plan_maps_bounded(p, K, s):
+    # the plans of test_transform_outputs_pinned and s=16: no stage stores more map entries in its twiddles, nor in
+    # its butterfly, than plan.table holds, and the large plans' maps together hold under a tenth of it; a plan-wide
+    # bound cannot hold below s=24, where the log2(s) radix-2 butterflies alone outgrow an s x d table
+    plan = build_pipeline(p, K, s=s, seed=2).plan
+    twiddles = [sum(maps.size for maps in stage.twiddles) for stage in plan.stages]
+    butterflies = [stage.maps.size for stage in plan.stages]
+    assert max(twiddles + butterflies) <= plan.table.size
+    if s >= 2736:
+        assert 10 * sum(twiddles + butterflies) < plan.table.size
+    if s == 16:
+        # one factor of degree d = 4: the last stage (r = 2, t = 8) keeps _twiddle's two-factor split, as its
+        # (r - 1) t = 7 maps of 4 x 4 would hold 112 entries against the table's 64
+        stage = plan.stages[-1]
+        assert (stage.shape[1:3], stage.c, twiddles[-1]) == ((2, 8), 4, 64)
 
 
 def test_fused_stages_match_naive(monkeypatch):
@@ -374,7 +451,7 @@ def test_fused_stages_match_naive(monkeypatch):
     want = naive_dft(x, plan.root, 48)
     counts = []
     passes = twiddle_passes(monkeypatch)
-    for q in (plan, dataclasses.replace(plan, table=plan.table.astype(object))):
+    for q in (plan, object_copy(plan)):
         plan.ring.counter.reset()
         passes.clear()
         assert dft(x, q) == want
@@ -530,7 +607,7 @@ def test_validation():
         make_plan(9, pipe.lift, 4)
     # arrays come from outside: shape, type and range are checked on both backends
     m, d = plan.ring.ctx.pK, plan.ring.degree
-    for pl in (plan, dataclasses.replace(plan, table=plan.table.astype(object))):
+    for pl in (plan, object_copy(plan)):
         for form in (np.int64, object):
             good = np.zeros((8, d), dtype=form)
             for op, args in ((dft, (good,)), (idft, (good,)), (cyclic_convolution, (good, good))):
