@@ -16,13 +16,14 @@ import numpy as np
 
 from . import polyio
 from .errors import (
+    BadInput,
     CoefficientNotRational,
     FileFormatError,
     InternalError,
     LengthMismatch,
     PreconditionError,
 )
-from .fft import dft, idft, poly_multiply, subring_axes
+from .fft import basis_routes, dft, idft, poly_multiply, subring_axes
 from .lifting import expand_lifted_factor
 from .padic import poly_text
 from .pipeline import DEFAULT_SEED, build_pipeline
@@ -62,6 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("plan", help="choose transform parameters (s, d) for a target size")
     sp.add_argument("-p", type=int, required=True, help="odd prime")
     sp.add_argument("-N", type=int, required=True, help="size the transform length must exceed")
+    sp.add_argument("-K", type=int, default=DEFAULT_K, help="p-adic precision, which picks the backend (default 32)")
 
     sp = sub.add_parser("root", help="build and lift a primitive s-th root of unity")
     sp.add_argument("-p", type=int, required=True)
@@ -112,6 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_plan(args) -> int:
+    if args.K < 1:
+        raise BadInput("need K >= 1")
     res = choose_parameters(args.p, args.N)
     factors = " * ".join(f"{q}^{v}" if v > 1 else str(q) for q, v in res.s_factored.factors)
     print(f"p={res.p} N={res.N}")
@@ -119,6 +123,9 @@ def _cmd_plan(args) -> int:
     print(f"s={res.s} = {factors}")
     print(f"d={res.d}")
     print("axes=" + " ".join(f"{g}:{dg}" for g, dg in subring_axes(res.p, res.s_factored)))
+    routes = basis_routes(res.p, args.K, res.s_factored, res.d)
+    if routes:
+        print(f"basis=in:{routes[0]} out:{routes[1]}")
     print(f"predicted_mults={res.predicted_mults}")
     print(f"d_matches_prime_product={res.d_matches_prime_product}")
     print(f"small_d_regime={res.small_d_regime}")

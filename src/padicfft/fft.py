@@ -25,9 +25,10 @@ pairwise coprime with product d, so the products of each factor's powers
 zeta_G^e, e < D, G its axes' product, are a basis of A, the rows of the
 plan's matrix P. In it a product by zeta_g^j is a D x D map on its factor's
 coordinates, the other factors' being extra rows: at s = 12584 the factors
-8, 121 and 13 have degrees 2, 5 and 3 against d = 30. P^-1 and P are folded
-into the maps of the first and last stages, so no pass converts the (s, d)
-array; a plan of one factor keeps X coordinates and d x d maps.
+8, 121 and 13 have degrees 2, 5 and 3 against d = 30. P^-1 enters the basis
+at the first stage and P leaves it at the last, folded into the end stage's
+maps or, where those would be far wider (see basis_routes), as a radix-1
+stage of one d x d map; a plan of one factor keeps X coordinates and d x d maps.
 
 Every product inside a stage runs on the exact float64 products of
 kernels, which own the limb format and the tiling. make_plan builds every
@@ -61,6 +62,7 @@ accumulates the work of every caller.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -87,6 +89,9 @@ from .planner import choose_parameters
 # one it reaches in practice (p=3, s=12584, d=30) holds a 3 MB int64 table and 0.2 MB of maps, so the
 # cache stays within tens of MB.
 PLAN_CACHE_SIZE = 8
+# Products per element an int64 end stage may add by folding in the basis change, about what a pass of its own
+# costs in row splits and recombination (see basis_routes).
+FOLD_LIMIT = 90
 
 
 @dataclass(frozen=True)
@@ -95,8 +100,8 @@ class Stage:
 
     shape is (blocks, r, t, post) of the stage's view of the (s, d) array. The twiddles read the d coordinates
     as layout = (a, D, b) and act on the middle D, the axis's tensor factor: twiddles holds the stacks of the two
-    passes of _twiddle, split at c. The butterfly's r maps read them as bf_layout: layout, or (1, d, 1) at the
-    end stages of a split basis.
+    passes of _twiddle, split at c. The butterfly's r maps read them as bf_layout: layout, or (1, d, 1) at a folded
+    end stage of a split basis; a basis change run on its own is a radix-1 stage with one map, P^-1 or P.
     """
 
     shape: tuple
@@ -206,7 +211,7 @@ def make_plan(s, lift, K: int) -> FFTPlan:
         factors=factors,
         basis=basis,
         basis_inv=basis_inv,
-        stages=_stages(s, factors, table, fhead, basis, basis_inv, m),
+        stages=_stages(s, factors, table, fhead, basis, basis_inv, m, basis_routes(p, K, s, d)),
     )
 
 
@@ -228,15 +233,16 @@ def _inverse_mod(a, p: int, K: int, m: int):
     return inv
 
 
-def _stages(s: FactoredOrder, factors, table, fhead, basis, basis_inv, m: int) -> tuple:
+def _stages(s: FactoredOrder, factors, table, fhead, basis, basis_inv, m: int, routes) -> tuple:
     """Every stage's maps, built once per plan.
 
     Axis g's products are by powers of zeta_g = zeta_G^(G/g), G the product of its factor's
     axes. The factor's coordinates are those of the basis zeta_G^e, e < D, and its products
     the D x D multiplication maps N of (Z/m)[Z]/F_G, F_G the minimal polynomial of zeta_G,
     read off zeta_G^D; a one-factor plan keeps X's coordinates, so its maps are the d x d maps
-    of the table. A split basis enters at the first stage and leaves at the last, whose maps
-    are P^-1 (I x N x I) and (I x N x I) P: the X-coordinate maps M with P^-1 or P folded in.
+    of the table. A split basis enters at the first stage and leaves at the last: as routes says
+    (basis_routes), their maps are P^-1 (I x N x I) and (I x N x I) P, the X-coordinate maps with
+    P^-1 or P folded in, or P^-1 and P run as radix-1 stages before and after them.
     """
     d = table.shape[1]
     coords = {}  # per axis: its factor's zeta_G^n, n < G, in the factor's coordinates, fhead and layout
@@ -271,15 +277,40 @@ def _stages(s: FactoredOrder, factors, table, fhead, basis, basis_inv, m: int) -
             j = np.arange(1, r)[:, None]
             twiddles = tuple(maps(g // (r * t) * step * j * np.arange(1, n)) for step, n in ((1, c), (c, t // c)))
             bf_layout, butterfly = layout, maps(g // r * np.arange(r))
-            if len(factors) > 1 and not stages:  # X coordinates in: P^-1 (I x N x I)
+            if routes and routes[0] == "fold" and not stages:  # X coordinates in: P^-1 (I x N x I)
                 bf_layout, butterfly = (1, d, 1), _fold_basis(basis_inv, butterfly, layout, m)
-            elif len(factors) > 1 and post == 1 and r * t == g:  # X coordinates out: (I x N x I) P, transposed
+            elif routes and routes[1] == "fold" and post == 1 and r * t == g:  # out: (I x N x I) P, transposed
                 folded = _fold_basis(basis.T, butterfly.swapaxes(1, 2), layout, m)
                 bf_layout, butterfly = (1, d, 1), folded.swapaxes(1, 2)
             stages.append(Stage((pre * g // (r * t), r, t, post), layout, c, twiddles, bf_layout, butterfly))
             t *= r
         pre *= g
+    if routes and routes[0] == "pass":  # X coordinates in and out by stages of their own
+        stages.insert(0, _basis_pass(basis_inv, s.value))
+    if routes and routes[1] == "pass":
+        stages.append(_basis_pass(basis, s.value))
     return tuple(stages)
+
+
+def _basis_pass(change, s: int) -> Stage:
+    """A radix-1 stage whose one map is the basis change P^-1 or P: no twiddles, one d x d product per row."""
+    none, d = np.zeros((0, *change.shape), dtype=change.dtype), len(change)
+    return Stage((s, 1, 1, 1), (1, d, 1), 1, (none, none), (1, d, 1), change[None])
+
+
+def basis_routes(p: int, K: int, s: FactoredOrder, d: int) -> tuple:
+    """The basis change at the first and last stages, "fold" or "pass" each; () for a plan of one tensor factor.
+
+    A fold makes an end stage of radix r run d x d maps, r d products per element, where a pass adds a stage of
+    d and leaves it r D. Python ints cost per element, so the object backend always folds.
+    """
+    factors = _tensor_factors(subring_axes(p, s), d)
+    if len(factors) == 1:
+        return ()
+    degree = {g: D for gs, D in factors for g in gs}
+    ends, wide = _fused_radices(s, d), kernels.supports_modulus(p**K)
+    return tuple("pass" if wide and r * (d - degree[math.prod(radices)]) - d > FOLD_LIMIT else "fold"
+                 for r, radices in ((ends[0][-1], ends[0]), (ends[-1][0], ends[-1])))
 
 
 def _fold_basis(left, maps, layout, m: int):
@@ -319,9 +350,10 @@ def _to_array(values, plan: FFTPlan):
     for v in values:
         if not isinstance(v, RingElement):
             raise BadInput(f"entry {v!r} is not a ring element")
-        if not v.parent.same(plan.ring):
+        if v.parent is not plan.ring and not v.parent.same(plan.ring):
             raise ParentMismatch("element does not belong to the plan's ring")
-    return np.array([v.coeffs for v in values], dtype=plan.table.dtype)
+    coeffs = itertools.chain.from_iterable(v.coeffs for v in values)
+    return np.fromiter(coeffs, dtype=plan.table.dtype, count=s * d).reshape(s, d)
 
 
 def _to_elements(arr, plan: FFTPlan):

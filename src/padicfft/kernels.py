@@ -38,6 +38,9 @@ LIMB_MASK = (1 << LIMB_BITS) - 1
 FLOAT_EXACT = 1 << 53
 # Elements per matmul_mod tile: bounds every temporary a product makes.
 TILE = 1 << 16
+# Largest degree whose ring_mul_batch products reduce mod F by elementwise passes: from d = 4 on, at
+# s = 12584, one matmul_mod by X^d's map is cheaper despite its fixed cost of about 0.2 ms a call.
+SCHOOLBOOK_DEGREE = 3
 
 
 def supports_modulus(m: int) -> bool:
@@ -69,8 +72,10 @@ def ring_mul_batch(x, y, fhead, m: int):
     x has shape (..., d) and supplies the output shape; y broadcasts against
     it. fhead is F without the monic leading 1. On int64, column
     accumulation stays below d*m <= 2^62 before the single mod; Python ints
-    need no mod before it at all. The top d-1 coefficients reduce in one
-    matmul_mod by X^d .. X^(2d-2) mod F, the top rows of X^d = -fhead's map.
+    need no mod before it at all. Up to SCHOOLBOOK_DEGREE the top d-1
+    coefficients reduce one at a time, top first, by X^i = -X^(i-d) fhead;
+    above it in one matmul_mod by X^d .. X^(2d-2) mod F, the top rows of
+    X^d = -fhead's map.
     """
     dtype = _dtype(x, y)
     x = np.asarray(x, dtype=dtype)
@@ -86,8 +91,11 @@ def ring_mul_batch(x, y, fhead, m: int):
     for j in range(d):
         conv[..., j : j + d] += mul(x[..., j : j + 1], y)
     conv %= m
-    if d > 1:
-        fhead = np.asarray(fhead, dtype=dtype)
+    fhead = np.asarray(fhead, dtype=dtype)
+    if d <= SCHOOLBOOK_DEGREE:
+        for i in range(2 * d - 2, d - 1, -1):
+            conv[..., i - d : i] = (conv[..., i - d : i] - mul(conv[..., i : i + 1], fhead)) % m
+    else:
         reduce = multiplication_maps(-fhead[None] % m, fhead, m)[0, : d - 1]
         top = matmul_mod(conv[..., d:].reshape(-1, d - 1), reduce, m).reshape(conv.shape[:-1] + (d,))
         conv[..., :d] = (conv[..., :d] + top) % m

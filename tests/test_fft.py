@@ -20,6 +20,7 @@ from padicfft.errors import (
 from padicfft.fft import (
     _fused_radices,
     _index_maps,
+    basis_routes,
     cyclic_convolution,
     dft,
     idft,
@@ -29,7 +30,7 @@ from padicfft.fft import (
 )
 from padicfft.lifting import newton_lift_root
 from padicfft.orders import FactoredOrder, is_prime, multiplicative_order
-from padicfft.padic import ring_mul, ring_pow
+from padicfft.padic import RingExtension, ring_mul, ring_pow
 from padicfft.pipeline import build_pipeline
 from padicfft.planner import choose_parameters
 
@@ -422,6 +423,65 @@ def test_subring_matches_naive(p, K, s, samples, factors):
         assert np.array_equal(idft(evals, q), xa)
 
 
+def routes_of(plan):
+    """The basis change each end of a split-basis plan runs: a radix-1 stage there is a pass, else the end folds."""
+    if len(plan.factors) == 1:
+        return ()
+    return tuple("pass" if stage.shape[1] == 1 else "fold" for stage in (plan.stages[0], plan.stages[-1]))
+
+
+@pytest.mark.parametrize("p,K,s,samples,routes", [
+    (3, 32, 286, None, ("fold", "pass")),
+    (3, 32, 1144, 4, ("fold", "pass")),
+    (3, 32, 12584, 2, ("pass", "pass")),
+    (3, 40, 1144, 4, ("fold", "fold")),
+    (7, 16, 2736, 4, ("fold", "fold")),
+    (3, 32, 104, None, ("fold", "fold")),
+])
+def test_basis_routes_match_naive(p, K, s, samples, routes):
+    # each end of a split basis folds P^-1 or P into its stage's maps, or runs it as a radix-1 stage of its own:
+    # int64 passes where the folded maps are much wider than the end axis's factor (the last stage 13 at d = 15,
+    # 30, both ends at s = 12584), the object backend (3^40) always folds; outputs against naive_dft or sampled
+    # Horner evaluations, and the idft round trip, on each plan and on its object copy, which keeps its routes
+    plan = build_pipeline(p, K, s=s, seed=2).plan
+    d = plan.ring.degree
+    assert routes_of(plan) == basis_routes(p, K, plan.s_factored, d) == routes
+    assert plan.table.dtype == (object if p**K > 2**51 else np.int64)
+    # a pass is one d x d map, and the end stage beside it keeps its factor's D x D maps
+    for (end, beside), route in zip(((plan.stages[0], plan.stages[1]), (plan.stages[-1], plan.stages[-2])), routes):
+        if route == "pass":
+            assert (end.shape, end.bf_layout, end.maps.shape) == ((s, 1, 1, 1), (1, d, 1), (1, d, d))
+            assert beside.bf_layout == beside.layout and beside.maps.shape[1] < d
+        else:
+            assert end.bf_layout == (1, d, 1) and end.maps.shape[1:] == (d, d)
+    rng = random.Random(s * p + K)
+    x = random_vector(plan.ring, s, rng)
+    if samples is None:
+        js, want = range(s), naive_dft(x, plan.root, s)
+    else:
+        js = [1, s - 1] + rng.sample(range(2, s - 1), samples - 2)
+        want = [horner(x, ring_pow(plan.root, j)) for j in js]
+    for q in (plan, object_copy(plan)) if plan.table.dtype == np.int64 else (plan,):
+        assert routes_of(q) == routes
+        xa = np.array([v.coeffs for v in x], dtype=q.table.dtype)
+        evals = dft(xa, q)
+        assert [tuple(evals[j].tolist()) for j in js] == [v.coeffs for v in want]
+        assert np.array_equal(idft(evals, q), xa)
+
+
+@pytest.mark.parametrize("p,K,s,stages", [
+    (7, 32, 2736, (((1, 16, 1, 171), (1, 6, 1)), ((16, 9, 1, 19), (2, 3, 1)), ((144, 19, 1, 1), (1, 6, 1)))),
+    (7, 16, 2736, (((1, 16, 1, 171), (1, 6, 1)), ((16, 9, 1, 19), (2, 3, 1)), ((144, 19, 1, 1), (1, 6, 1)))),
+    (7, 16, 48, (((4, 4, 1, 3), (1, 2, 1)), ((1, 4, 4, 3), (1, 2, 1)), ((16, 3, 1, 1), (1, 2, 1)))),
+])
+def test_benchmark_plans_fold(p, K, s, stages):
+    # the transform-bigmod (7^32) and polymul-mixed (7^16) plans fold the basis change at both ends: no pass
+    # stage, and each stage's view and butterfly layout pinned
+    plan = build_pipeline(p, K, s=s, seed=2).plan
+    assert routes_of(plan) == basis_routes(p, K, plan.s_factored, plan.ring.degree) == ("fold", "fold")
+    assert tuple((stage.shape, stage.bf_layout) for stage in plan.stages) == stages
+
+
 @pytest.mark.parametrize("p,K,s", [(3, 4, 4), (3, 1, 8), (5, 8, 24), (7, 16, 48), (19, 32, 40), (3, 32, 104),
                                    (7, 16, 2736), (7, 32, 2736), (3, 32, 12584), (3, 32, 16)])
 def test_plan_maps_bounded(p, K, s):
@@ -624,6 +684,16 @@ def test_validation():
         dft(np.zeros((8, d)), plan)
     with pytest.raises(BadInput):
         dft(np.full((8, d), 0.5, dtype=object), plan)
+
+
+def test_equal_ring_elements_accepted():
+    # elements of an equal but distinct RingExtension pass validation, alone or mixed with the plan ring's own
+    plan = build_pipeline(3, 8, s=8, seed=2).plan
+    twin = RingExtension(plan.ring.ctx, plan.ring.modulus)
+    assert twin is not plan.ring and twin.same(plan.ring)
+    x = random_vector(plan.ring, 8, random.Random(8))
+    mixed = [twin.element(v.coeffs) if i % 2 else v for i, v in enumerate(x)]
+    assert dft([twin.element(v.coeffs) for v in x], plan) == dft(mixed, plan) == dft(x, plan)
 
 
 def test_projection_failure_detected(monkeypatch):

@@ -1,5 +1,6 @@
 """Differential tests for the vectorized mod-m kernels against int arithmetic."""
 
+import itertools
 import random
 
 import numpy as np
@@ -70,14 +71,21 @@ def _random_ring(rng, p, K, d):
 
 
 def test_ring_mul_batch_differential():
+    # both dtypes and degrees 1 to 30, on both sides of kernels.SCHOOLBOOK_DEGREE: reduced mod F one coefficient
+    # at a time, or in one product by X^d's map
     rng = random.Random(1)
-    for p, K, d in ((3, 8, 2), (3, 8, 6), (19, 2, 5), (3, 32, 4), (5, 21, 3), (3, 1, 6), (7, 16, 1)):
+    for (p, K, d), dtype in itertools.product(
+            ((3, 8, 2), (3, 8, 6), (19, 2, 5), (3, 32, 4), (5, 21, 3), (3, 1, 6), (7, 16, 1), (7, 16, 2), (3, 32, 3),
+             (7, 16, 6), (3, 32, 30), (19, 12, 30), (7, 32, 2), (7, 32, 30)), (np.int64, object)):
+        if dtype is np.int64 and not supports_modulus(p**K):
+            continue
         ring = _random_ring(rng, p, K, d)
         m = ring.ctx.pK
-        fhead = np.array(ring.modulus[:-1], dtype=np.int64)
-        x = np.array([[rng.randrange(m) for _ in range(d)] for _ in range(40)], dtype=np.int64)
-        y = np.array([[rng.randrange(m) for _ in range(d)] for _ in range(40)], dtype=np.int64)
+        fhead = np.array(ring.modulus[:-1], dtype=dtype)
+        x = np.array([[rng.randrange(m) for _ in range(d)] for _ in range(40)], dtype=dtype)
+        y = np.array([[rng.randrange(m) for _ in range(d)] for _ in range(40)], dtype=dtype)
         got = ring_mul_batch(x, y, fhead, m)
+        assert got.dtype == dtype
         for row in range(40):
             expect = ring_mul(ring.element(x[row].tolist()), ring.element(y[row].tolist()))
             assert got[row].tolist() == list(expect.coeffs)
