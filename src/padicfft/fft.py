@@ -49,7 +49,11 @@ depends only on d and the plan.
 One schedule runs on an (s, d) array whose dtype is the backend: int64 when
 p^K <= 2^51, else numpy object arrays of Python ints. make_plan picks the
 dtype once, as the dtype of the power table; both dtypes give the same
-outputs and the same counts.
+outputs and the same counts. _transform hands its array to
+kernels.to_digits once on entry and takes it back from kernels.from_digits
+once on exit: Python ints become an (s, d) array of kernels' own digit
+form there (int64 arrays pass unchanged), so every stage runs on int64
+digits and no stage touches a Python int.
 
 dft, idft and cyclic_convolution take either a list of s plan-ring elements
 or an (s, d) integer array of their coefficients, and answer in the same
@@ -89,9 +93,11 @@ from .planner import choose_parameters
 # one it reaches in practice (p=3, s=12584, d=30) holds a 3 MB int64 table and 0.2 MB of maps, so the
 # cache stays within tens of MB.
 PLAN_CACHE_SIZE = 8
-# Products per element an int64 end stage may add by folding in the basis change, about what a pass of its own
-# costs in row splits and recombination (see basis_routes).
+# Products per element an end stage may add by folding in the basis change, about what a pass of its own costs
+# (see basis_routes): on int64 in row splits and recombination, on digit arrays (p^K > 2^51) in recuts and
+# reductions.
 FOLD_LIMIT = 90
+DIGIT_FOLD_LIMIT = 40
 
 
 @dataclass(frozen=True)
@@ -265,7 +271,9 @@ def _stages(s: FactoredOrder, factors, table, fhead, basis, basis_inv, m: int, r
         a, D, b = layout
         unit = len(powers) // g  # zeta_g = zeta_G^unit
 
-        def maps(exponents):
+        def maps(exponents):  # an empty stack (every twiddle pass at t = 1) needs no kernel call
+            if not exponents.size:
+                return np.empty((0, D, D), dtype=powers.dtype)
             return kernels.multiplication_maps(powers[exponents.ravel() * unit % len(powers)], head, m)
 
         t = 1
@@ -302,14 +310,16 @@ def basis_routes(p: int, K: int, s: FactoredOrder, d: int) -> tuple:
     """The basis change at the first and last stages, "fold" or "pass" each; () for a plan of one tensor factor.
 
     A fold makes an end stage of radix r run d x d maps, r d products per element, where a pass adds a stage of
-    d and leaves it r D. Python ints cost per element, so the object backend always folds.
+    d and leaves it r D. A pass runs where the fold adds more than FOLD_LIMIT products per element on int64, or
+    DIGIT_FOLD_LIMIT on digit arrays, where a wider contraction also needs more limbs per row.
     """
     factors = _tensor_factors(subring_axes(p, s), d)
     if len(factors) == 1:
         return ()
     degree = {g: D for gs, D in factors for g in gs}
-    ends, wide = _fused_radices(s, d), kernels.supports_modulus(p**K)
-    return tuple("pass" if wide and r * (d - degree[math.prod(radices)]) - d > FOLD_LIMIT else "fold"
+    ends = _fused_radices(s, d)
+    limit = FOLD_LIMIT if kernels.supports_modulus(p**K) else DIGIT_FOLD_LIMIT
+    return tuple("pass" if r * (d - degree[math.prod(radices)]) - d > limit else "fold"
                  for r, radices in ((ends[0][-1], ends[0]), (ends[-1][0], ends[-1])))
 
 
@@ -387,7 +397,7 @@ def _transform(arr, plan: FFTPlan):
     m = ring.ctx.pK
     d = ring.degree
     gather, scatter = _index_maps(_fused_radices(plan.s_factored, d), s)
-    arr = arr[gather]
+    arr = kernels.to_digits(arr[gather], m)
     for stage in plan.stages:
         blocks, r, t, post = stage.shape
         _twiddle(arr.reshape(stage.shape + stage.layout), stage, m)
@@ -408,7 +418,7 @@ def _transform(arr, plan: FFTPlan):
         blocks = s // (r * t)
         ring.counter.add(((r - 1) * blocks * (t - 1) + (r - 1) ** 2 * blocks * t) * ring.mul_cost())
         t *= r
-    return out
+    return kernels.from_digits(out, m)
 
 
 def _index_maps(groups, s: int):

@@ -1,23 +1,30 @@
 """Vectorized exact arithmetic mod m on numpy arrays.
 
-Two dtypes, one set of functions. On int64 arrays (m up to 2^51) the
-quotient of a*b by m is estimated in double precision, which is off by at
-most 2 for m below 2^51; the residual a*b - q*m is then computed in
-wrapping uint64 arithmetic, reinterpreted as signed (it lies in (-2m, 3m),
-far inside int64), and snapped into [0, m) with one mod. On object arrays
-of Python ints, for any m, the product is plain (a*b) % m.
+Three forms of residues. On int64 arrays (m up to 2^51) the quotient of
+a*b by m is estimated in double precision, which is off by at most 2 for
+m below 2^51; the residual a*b - q*m is then computed in wrapping uint64
+arithmetic, reinterpreted as signed (it lies in (-2m, 3m), far inside
+int64), and snapped into [0, m) with one mod. Object arrays of Python ints
+(any m) are the outside form: mul_mod and ring_mul_batch's products are
+plain (a*b) % m there, and the exact products below convert them at their
+own edges into digit arrays (to_digits, from_digits), the working form:
+each element holds Lb = limb_count(m) canonical int64 digits of width
+ceil(bits(m-1)/Lb) <= 17, so only those two conversions touch Python ints.
 
 block_matmul_mod multiplies rows by a block matrix of fixed maps mod m on
 float64 BLAS, exactly, and owns the limb format and the tiling; matmul_mod
 is its 1 x 1 case, or runs a stack of maps entry by entry. Each folds the
-fixed map b: B_i = 2^(w i) b mod m, cut into Lb = ceil(bits(m-1)/17) limbs
-of 17 bits, for each of the La limbs of width w that a is cut into. One
-matmul of [a_0 | ... | a_(La-1)] by those limbs gives Lb weight classes,
-each entry a sum of La*n integers below 2^(w+17) for contraction length n,
-so exact while La*n*2^(w+17) < 2^53: w is the widest width that keeps that
-bound (at 3^32 and n <= 511, 2 limbs of 26 bits: 2 x 3 limb planes), which
-is checked, with OutOfRange beyond it. The Lb classes are recombined mod m
-in integers, so no rounding reaches any result.
+fixed map b: B_i = 2^(w i) b mod m, cut into Lb limbs, for each of the La
+limbs of width w that a is cut into. One matmul of [a_0 | ... | a_(La-1)]
+by those limbs gives Lb weight classes, each entry a sum of La*n integers
+below 2^(w+17) for contraction length n, so exact while
+La*n*2^(w+17) < 2^53: w is the widest width that keeps that bound (at 3^32
+and n <= 511, 2 limbs of 26 bits: 2 x 3 limb planes), which is checked,
+with OutOfRange beyond it. int64 rows are cut into limbs of 17-bit
+classes, recombined by the quotient estimate above; digit rows are recut
+from their digits, their classes are in the digit base, and _reduce
+carries them into canonical digits by the same estimate and an exact
+residual over the digits, so no rounding reaches any result.
 
 multiplication_maps turns fixed elements of (Z/m)[X]/F into the d x d
 matrices of their ring products, so a batch of products is one matmul_mod;
@@ -27,6 +34,7 @@ power_table doubles on them, one matmul_mod per doubling.
 from __future__ import annotations
 
 import functools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,13 +42,26 @@ from .errors import OutOfRange
 
 MODULUS_LIMIT = 1 << 51
 LIMB_BITS = 17
-LIMB_MASK = (1 << LIMB_BITS) - 1
 FLOAT_EXACT = 1 << 53
 # Elements per matmul_mod tile: bounds every temporary a product makes.
 TILE = 1 << 16
 # Largest degree whose ring_mul_batch products reduce mod F by elementwise passes: from d = 4 on, at
 # s = 12584, one matmul_mod by X^d's map is cheaper despite its fixed cost of about 0.2 ms a call.
 SCHOOLBOOK_DEGREE = 3
+
+
+class _Radix(NamedTuple):
+    """Constants of _reduce for one modulus m, in base B = 2^w of its digits."""
+
+    w: int
+    digits: np.ndarray  # (Lb + 1, 1) int64: m's digits, then 0 for the row above them
+    weights: np.ndarray  # B^j / m, j < Lb: the quotient estimate
+    shifts: np.ndarray  # bit offsets of the quotient's pieces
+    h: int  # piece width
+    low: np.ndarray  # (Lb, pieces) float64: digit j of piece a's product with m, unnormalised
+    high: np.ndarray  # (pieces,) int64: piece a's product with m above digit Lb - 1, wrapped
+    top: int  # lowest digit the second quotient reads
+    top_weights: np.ndarray  # B^j / m for the digits from top to Lb
 
 
 def supports_modulus(m: int) -> bool:
@@ -159,35 +180,156 @@ def contraction_limit(m: int, La: int | None = None) -> int:
     return (FLOAT_EXACT - 1) // (La << (_width(m, La) + LIMB_BITS))
 
 
+def _cut(x, width: int, count: int):
+    """int64 (..., count): count limbs of width bits of nonnegative x, lowest first.
+
+    Python ints are first cut into int64 words of whole limbs, so only those cuts touch Python ints.
+    """
+    per = 63 // width if x.dtype == object else count
+    out = np.empty(x.shape + (count,), dtype=np.int64)
+    shifts = width * np.arange(per)
+    for i in range(0, count, per):
+        word = x >> (width * i) if i else x
+        if x.dtype == object:
+            word = (word & ((1 << per * width) - 1) if i + per < count else word).astype(np.int64)
+        out[..., i : i + per] = (word[..., None] >> shifts[: count - i]) & ((1 << width) - 1)
+    return out
+
+
+def to_digits(x, m: int):
+    """The working form of residues x mod m: Python ints become a digit array of x's shape, others pass unchanged.
+
+    Each element of a digit array holds Lb = limb_count(m) int64 digits of width _width(m, Lb) <= 17, lowest first.
+    """
+    x = np.asarray(x)
+    if x.dtype != object:
+        return x
+    Lb = limb_count(m)
+    return _cut(x, _width(m, Lb), Lb).view(np.dtype([("digits", np.int64, (Lb,))]))[..., 0]
+
+
+def from_digits(x, m: int):
+    """Python ints of a digit array (see to_digits); other arrays pass unchanged."""
+    if x.dtype.kind != "V":
+        return x
+    digits = x["digits"]
+    Lb = digits.shape[-1]
+    width = _width(m, Lb)
+    per = 63 // width
+    acc = None
+    for i in reversed(range(0, Lb, per)):
+        chunk = digits[..., i : i + per]
+        word = (chunk << (width * np.arange(chunk.shape[-1]))).sum(axis=-1).astype(object)
+        if acc is None:
+            acc = word
+        else:
+            acc <<= per * width
+            acc += word
+    return acc
+
+
+def _object_edges(product):
+    """product on Python-int rows: they cross into a digit array and the result back, once per call.
+
+    The contraction length of the maps (args[0]) is checked against the float64 bound before any conversion.
+    """
+
+    @functools.wraps(product)
+    def run(a, *args):
+        m = args[-1]
+        if a.dtype == object:
+            a_limb_count(m, args[0].shape[-2])
+            return from_digits(product(to_digits(a, m), *args), m)
+        return product(a, *args)
+
+    return run
+
+
 def split_limbs(x, m: int, count: int | None = None):
     """float64 (..., count, n) for x (..., n): count limbs of width _width(m, count) of residues mod m, lowest first.
 
-    By default limb_count(m) limbs of 17 bits. Python ints are first cut
-    into int64 words of whole limbs, so only those cuts touch Python ints.
+    By default limb_count(m) limbs of 17 bits.
     """
     x = np.asarray(x, dtype=_dtype(x))
     width = LIMB_BITS if count is None else _width(m, count)
     count = count or limb_count(m)
+    if x.dtype == object:
+        return np.moveaxis(_cut(x, width, count), -1, -2).astype(np.float64)
     out = np.empty(x.shape[:-1] + (count, x.shape[-1]))
-    per = 63 // width if x.dtype == object else count
     for i in range(count):
-        if i % per == 0:
-            word = x >> (width * i) if i else x
-            if x.dtype == object:
-                word = (word & ((1 << per * width) - 1)).astype(np.int64)
-        out[..., i, :] = (word >> (width * (i % per))) & ((1 << width) - 1)
+        out[..., i, :] = (x >> (width * i)) & ((1 << width) - 1)
     return out
 
 
-def fold(b, m: int, La: int):
-    """float64 (..., La, n, Lb, k) for maps b (..., n, k): entry (i, c, j, l) is 17-bit limb j of 2^(w i) b[c, l] mod m.
+def fold(b, m: int, La: int, count: int | None = None):
+    """float64 (..., La, n, Lb, k) for maps b (..., n, k): entry (i, c, j, l) is limb j of 2^(w i) b[c, l] mod m.
 
-    w = _width(m, La). As one (La n) x (Lb k) block it multiplies a's La limbs side by side.
+    w = _width(m, La); the limbs are those of split_limbs(., m, count). As one (La n) x (Lb k) block it multiplies
+    a's La limbs side by side. Python-int maps folded for digit rows (count = Lb) skip the Python-int products:
+    their digits times the digits of 2^(w i) B^j mod m, B the digit base, give each entry's weight classes, which
+    _reduce carries.
     """
-    shifted = np.stack([mul_mod(b, pow(2, _width(m, La) * i, m), m) if i else b for i in range(La)], axis=-3)
-    return split_limbs(shifted, m)
+    if b.dtype != object or count is None:
+        shifted = np.stack([mul_mod(b, pow(2, _width(m, La) * i, m), m) if i else b for i in range(La)], axis=-3)
+        return split_limbs(shifted, m, count)
+    Lb = limb_count(m)
+    classes = (_cut(b, _width(m, Lb), Lb).astype(np.float64) @ _shift_digits(m, La)).reshape(b.shape + (La, Lb))
+    bound = Lb << 2 * _width(m, Lb)
+    digits = _reduce(np.moveaxis(classes, -1, 0).reshape(Lb, -1), m, bound).reshape((Lb,) + b.shape + (La,))
+    nd = digits.ndim
+    return digits.transpose(*range(1, nd - 3), nd - 1, nd - 3, 0, nd - 2).astype(np.float64)
 
 
+@functools.lru_cache(maxsize=16)
+def _shift_digits(m: int, La: int):
+    """(Lb, La Lb) float64: row j, column block i holds the digits of 2^(w i) B^j mod m, w = _width(m, La)."""
+    Lb = limb_count(m)
+    w, wa = _width(m, Lb), _width(m, La)
+    values = [[pow(2, wa * i + w * j, m) for i in range(La)] for j in range(Lb)]
+    return np.array([[(v >> (w * l)) & ((1 << w) - 1) for v in row for l in range(Lb)] for row in values], dtype=float)
+
+
+def _limbs(a, m: int, n: int):
+    """(La, count) for rows a at contraction length n: La = a_limb_count, with 17-bit classes, or for a digit array
+    its own classes and the fewest La from there whose class bound lets _reduce correct once."""
+    La = a_limb_count(m, n)
+    if a.dtype.kind != "V":
+        return La, None
+    Lb = limb_count(m)
+    return next((L for L in range(La, Lb) if _near(m, L * n << _width(m, L) + _width(m, Lb))), Lb), Lb
+
+
+def _recut(digits, m: int, La: int):
+    """float64 (..., La, n, rows) for digits (..., rows, n, Lb) mod m: La limbs of width _width(m, La), lowest first.
+
+    A digit that straddles two limbs is split there in float64, exactly: its part above the cut is a floor.
+    """
+    Lb = digits.shape[-1]
+    w, wa = _width(m, Lb), _width(m, La)
+    planes = np.ascontiguousarray(np.moveaxis(digits, (-1, -3), (-3, -1)), dtype=np.float64)
+    if La == Lb:
+        return planes
+    out = np.empty(planes.shape[:-3] + (La,) + planes.shape[-2:])
+    filled = [False] * La
+    for j in range(Lb):
+        d = planes[..., j, :, :]
+        i, cut = w * j // wa, wa * (w * j // wa + 1) - w * j  # the digit's low limb and its bits below that limb's top
+        parts = [(i, d)]
+        if cut < w and i + 1 < La:  # above the top limb a residue's bits are 0
+            high = np.floor(d * 2.0**-cut)
+            d -= high * 2.0**cut
+            parts.append((i + 1, high))
+        d *= 2.0 ** (w * j - wa * i)
+        for limb, part in parts:
+            if filled[limb]:
+                out[..., limb, :, :] += part
+            else:
+                out[..., limb, :, :] = part
+                filled[limb] = True
+    return out
+
+
+@_object_edges
 def matmul_mod(a, b, m: int):
     """Exact (a @ b) % m for integer a and b in [0, m), as a new array of a's dtype.
 
@@ -196,40 +338,43 @@ def matmul_mod(a, b, m: int):
     """
     if b.ndim == 2:
         return block_matmul_mod(a, b[None], np.zeros((1, 1), dtype=np.intp), m)
-    (n, k), La = b.shape[-2:], a_limb_count(m, b.shape[-2])
-    out = np.empty(a.shape[:-1] + (k,), dtype=_dtype(a))
+    n, k = b.shape[-2:]
+    La, count = _limbs(a, m, n)
+    out = np.empty(a.shape[:-1] + (k,), dtype=a.dtype)
     step = max(1, TILE // max(1, a.shape[1] * max(La * n, limb_count(m) * k)))
     for u in range(0, len(a), step):
-        _folded_matmul(a[u : u + step], fold(b[u : u + step], m, La), m, out[u : u + step])
+        _folded_matmul(a[u : u + step], fold(b[u : u + step], m, La, count), m, out[u : u + step])
     return out
 
 
+@_object_edges
 def block_matmul_mod(a, maps, index, m: int):
     """Exact (a @ M) % m for a (rows, J n) and the (J n) x (C k) matrix M whose block (j, c) is maps[index[j, c]].
 
     maps (N, n, k) are folded once. M runs in map tiles of whole blocks, each gathered by one index
     (_map_block): the contraction within TILE and the float64 bound, the limb block within a.size or 2 TILE.
-    Per map tile the rows run in tiles of TILE // max(La n, Lb k), cut into limbs there for int64 and once
-    per call for Python ints, whose cuts cost far more than the matmul; contraction tiles add up mod m.
+    Per map tile the rows run in tiles of TILE // max(La n, Lb k), cut into limbs there (int64) or recut from
+    their digits (digit arrays, whose tiles are evened out rather than leave a short last one); contraction tiles
+    add up mod m.
     """
     (J, C), (n, k) = index.shape, maps.shape[-2:]
-    out = np.empty((len(a), C * k), dtype=_dtype(a))
+    out = np.empty((len(a), C * k), dtype=a.dtype)
     j_step = min(J, max(1, min(TILE, contraction_limit(m)) // n))
-    La = a_limb_count(m, j_step * n)
-    folded = fold(maps, m, La)
+    La, count = _limbs(a, m, j_step * n)
+    folded = fold(maps, m, La, count)
     k_step = min(C, max(1, max(a.size, 2 * TILE) // (folded[0].size * j_step)))
-    if a.dtype == object:
-        a = split_limbs(a, m, La)
     for c0 in range(0, C, k_step):
         for j0 in range(0, J, j_step):
             block = _map_block(folded, index[j0 : j0 + j_step, c0 : c0 + k_step])
             step = max(1, TILE // max(block.shape[0] * block.shape[1], block.shape[2] * block.shape[3]))
+            if a.dtype.kind == "V":  # no short last tile: each digit tile pays a fixed cost in _reduce
+                step = max(1, -(-len(a) // max(1, round(len(a) / step))))
             for u in range(0, len(a), step):
                 rows = a[u : u + step, ..., j0 * n : j0 * n + block.shape[1]]
                 dst = out[u : u + step, c0 * k : c0 * k + block.shape[3]]
                 tile = _folded_matmul(rows, block, m, np.empty_like(dst) if j0 else dst)
                 if j0:
-                    dst[...] = (dst + tile) % m
+                    dst[...] = _add_mod(dst, tile, m)
     return out
 
 
@@ -242,36 +387,108 @@ def _map_block(folded, index):
 
 
 def _folded_matmul(a, folded, m: int, out):
-    """One tile: out = (a @ b) % m for folded = fold(b, m, La), a maybe split_limbs(a, m, La); one matmul, checked."""
+    """One tile: out = (a @ b) % m for folded = fold(b, m, La, count) as _limbs gives them for a; one matmul, checked."""
     La, n, Lb, k = folded.shape[-4:]
     if n > contraction_limit(m, La):
         raise OutOfRange(f"contraction length {n} with {La} limbs exceeds the float64 bound")
-    a_limbs = a if a.dtype == np.float64 else split_limbs(a, m, La)
+    if a.dtype.kind == "V":
+        # the transposed product leaves each weight class contiguous
+        limbs = _recut(a["digits"], m, La)
+        classes = (folded.reshape(folded.shape[:-4] + (La * n, Lb * k)).swapaxes(-1, -2)
+                   @ limbs.reshape(limbs.shape[:-3] + (La * n, -1)))
+        bound = La * n << _width(m, La) + _width(m, Lb)
+        digits = _reduce(classes.reshape(classes.shape[:-2] + (Lb, -1)), m, bound)
+        out["digits"].swapaxes(-1, -3)[...] = digits.reshape(digits.shape[:-1] + (k, -1))
+        return out
+    a_limbs = split_limbs(a, m, La)
     classes = a_limbs.reshape(a_limbs.shape[:-2] + (La * n,)) @ folded.reshape(folded.shape[:-4] + (La * n, Lb * k))
     classes = classes.reshape(classes.shape[:-1] + (Lb, k))
-    if out.dtype != object:
-        # sum_j c_j 2^(17 j) < 2^53 m: its float64 quotient by m is off by a few units at most, so the residual,
-        # exact in wrapping uint64 arithmetic, lies in (-6m, 6m) and one mod snaps it into [0, m)
-        est = classes[..., Lb - 1, :] * (float(1 << LIMB_BITS * (Lb - 1)) / m)
-        exact = classes[..., Lb - 1, :].astype(np.uint64)
-        for j in range(Lb - 2, -1, -1):
-            est += classes[..., j, :] * (float(1 << LIMB_BITS * j) / m)
-            exact <<= np.uint64(LIMB_BITS)
-            exact += classes[..., j, :].astype(np.uint64)
-        with np.errstate(over="ignore"):
-            exact -= est.astype(np.uint64) * np.uint64(m)
-        return np.mod(exact.view(np.int64), m, out=out)
-    # Python ints: the classes are carried into 17-bit digits packed three to an int64 word, and the words
-    # recombined by Horner from the top word, in place, so one array of Python ints is alive at a time
-    words, carry = [], 0
-    for j in range(Lb):
-        value = classes[..., j, :].astype(np.int64) + carry
-        carry = value >> LIMB_BITS
-        if j % 3 == 0:
-            words.append(0)
-        words[-1] |= (value & LIMB_MASK) << (LIMB_BITS * (j % 3))
-    acc = carry.astype(object)
-    for i in range(len(words) - 1, -1, -1):
-        acc <<= LIMB_BITS * min(3, Lb - 3 * i)
-        acc += words[i]
-    return np.mod(acc, m, out=out)
+    # sum_j c_j 2^(17 j) < 2^53 m: its float64 quotient by m is off by a few units at most, so the residual,
+    # exact in wrapping uint64 arithmetic, lies in (-6m, 6m) and one mod snaps it into [0, m)
+    est = classes[..., Lb - 1, :] * (float(1 << LIMB_BITS * (Lb - 1)) / m)
+    exact = classes[..., Lb - 1, :].astype(np.uint64)
+    for j in range(Lb - 2, -1, -1):
+        est += classes[..., j, :] * (float(1 << LIMB_BITS * j) / m)
+        exact <<= np.uint64(LIMB_BITS)
+        exact += classes[..., j, :].astype(np.uint64)
+    with np.errstate(over="ignore"):
+        exact -= est.astype(np.uint64) * np.uint64(m)
+    return np.mod(exact.view(np.int64), m, out=out)
+
+
+def _add_mod(x, y, m: int):
+    """(x + y) % m for two int64 or two digit arrays."""
+    if x.dtype.kind != "V":
+        return (x + y) % m
+    out = np.empty_like(x)
+    sums = np.moveaxis(x["digits"] + y["digits"], -1, -2).astype(np.float64)
+    out["digits"] = np.moveaxis(_reduce(sums, m, 2 << _width(m, limb_count(m))), -1, -2)
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def _radix(m: int):
+    """Constants of _reduce mod m, whose digits have base B = 2^w."""
+    Lb = limb_count(m)
+    w = _width(m, Lb)
+    digits = [(m >> (w * j)) & ((1 << w) - 1) for j in range(Lb)]
+    h = w * max(1, (51 - w) // w)  # piece width: h + w + 1 <= 52, so two pieces' products with a digit add exactly
+    shifts = np.arange(0, 54, h)  # pieces of a quotient below 2^54
+    low = np.array([[digits[j - a // w] if 0 <= j - a // w < Lb else 0 for a in shifts] for j in range(Lb)], dtype=float)
+    high = np.array([(m << int(a)) >> (w * Lb) & ((1 << 64) - 1) for a in shifts], dtype=np.uint64).view(np.int64)
+    top = max(0, Lb - 2)
+    return _Radix(w, np.array(digits + [0])[:, None], np.array([(1 << (w * j)) / m for j in range(Lb)]), shifts, h,
+                  low, high, top, np.array([(1 << (w * j)) / m for j in range(top, Lb + 1)]))
+
+
+def _reduce(c, m: int, bound: int):
+    """Canonical digits (..., Lb, N), int64, of V = sum_j c[..., j, :] B^j mod m for float64 c (..., Lb, N) of
+    integers in [0, bound), bound <= 2^53; c is overwritten. B = 2^w is the digit base of m.
+
+    V / m < 2 bound, and its float64 estimate is off by less than (Lb + 2) 2^-52 bound. Where that and the
+    rounding of the estimate less 1/4 stay within 1/4, its floor q is floor(V / m) or one below; else q is off by
+    at most 2 Lb + 6 either way, V - q m is carried, signed, and its top digits give a second quotient k,
+    floor((V - q m) / m) or one below. Either way V - q m (formed digit by digit: q in pieces of h bits, whose
+    products with m's digits are exact in float64, the part above digit Lb - 1 in wrapping int64) or
+    V - (q + k) m lies in [0, 2m): it and the same less m are carried together, with signed carries, and the one
+    in [0, m) is kept.
+    """
+    z = _radix(m)
+    Lb = len(z.digits) - 1
+    near = _near(m, bound)
+    q = z.weights @ c
+    if near:
+        q -= 0.25
+    pieces = np.maximum(np.floor(q, out=q), 0, out=q).astype(np.int64)[..., None, :] >> z.shifts[:, None]
+    pieces &= (1 << z.h) - 1
+    both = np.empty((2,) + c.shape[:-2] + (Lb + 1, c.shape[-1]), dtype=np.int64)
+    c -= np.matmul(z.low, pieces.astype(np.float64), out=both[1, ..., :Lb, :].view(np.float64))
+    r = both[0]
+    r[..., :Lb, :] = c
+    r[..., Lb, :] = -(z.high @ pieces)
+    if not near:
+        _carry(r, z.w)
+        k = np.floor(z.top_weights @ r[..., z.top :, :].astype(np.float64) - 2.0**-10).astype(np.int64)
+        r -= z.digits * k[..., None, :]
+    s = both[1]
+    np.subtract(r, z.digits, out=s)
+    _carry(both, z.w)
+    keep = ~(s[..., Lb:, :] >> 63)  # all ones where V - (q + 1) m >= 0; a masked copy would branch per element
+    s -= r
+    s &= keep
+    r += s
+    return r[..., :Lb, :]
+
+
+def _near(m: int, bound: int) -> bool:
+    """Whether _reduce's first quotient is floor(V / m) or one below for classes below bound."""
+    return (limb_count(m) + 3) * bound <= 1 << 50
+
+
+def _carry(r, w: int):
+    """Carry r (..., L, N) in place into digits of w bits, lowest first, the top row keeping the signed rest."""
+    carry = np.empty(r.shape[:-2] + r.shape[-1:], dtype=np.int64)
+    for j in range(r.shape[-2] - 1):
+        np.right_shift(r[..., j, :], w, out=carry)
+        r[..., j, :] &= (1 << w) - 1
+        r[..., j + 1, :] += carry

@@ -15,13 +15,19 @@ def test_plan_example(capsys):
     assert code == 0
     assert "r=2" in out and "s=104" in out and "d=6" in out
     assert "axes=8:2 13:3" in out.splitlines()  # each prime power of s with its subring degree ord_g(3)
-    # each end's basis change: folded into the end stage's maps, or a pass of its own (int64 at s=12584);
-    # object arrays, past 2^51, always fold, and a plan of one tensor factor has no basis change
+    # each end's basis change: folded into the end stage's maps, or a pass of its own (at s=12584 on either
+    # backend); digit arrays, past 2^51, pass from a lower limit, so s=2736 passes at 7^32 and folds at 7^16,
+    # and a plan of one tensor factor has no basis change
     assert "basis=in:fold out:fold" in out.splitlines()
-    for args, line in ((("-N", "1000"), "basis=in:pass out:pass"),
-                       (("-N", "1000", "-K", "40"), "basis=in:fold out:fold")):
-        code, out, _ = run(capsys, "plan", "-p", "3", *args)
-        assert code == 0 and "s=12584 = 2^3 * 11^2 * 13" in out and line in out.splitlines()
+    for args, size, line in ((("-p", "3", "-N", "1000"), "s=12584 = 2^3 * 11^2 * 13", "basis=in:pass out:pass"),
+                             (("-p", "3", "-N", "1000", "-K", "40"), "s=12584 = 2^3 * 11^2 * 13",
+                              "basis=in:pass out:pass"),
+                             (("-p", "7", "-N", "1000", "-K", "16"), "s=2736 = 2^4 * 3^2 * 19",
+                              "basis=in:fold out:fold"),
+                             (("-p", "7", "-N", "1000", "-K", "32"), "s=2736 = 2^4 * 3^2 * 19",
+                              "basis=in:pass out:pass")):
+        code, out, _ = run(capsys, "plan", *args)
+        assert code == 0 and size in out and line in out.splitlines()
     code, out, _ = run(capsys, "plan", "-p", "5", "-N", "20")
     assert code == 0 and "s=24 = 2^3 * 3" in out and "basis=" not in out
     code, _, err = run(capsys, "plan", "-p", "3", "-N", "100", "-K", "0")

@@ -241,8 +241,8 @@ def test_transform_outputs_pinned():
 
 @pytest.mark.parametrize("p,K,s", [(3, 32, 104), (7, 32, 2736), (5, 32, 9), (3, 32, 16)])
 def test_tiled_butterflies_match_untiled(monkeypatch, p, K, s):
-    # a tiny tile splits the radix-13 (s=104) and radix-19 (s=2736, object
-    # arrays) stages into several contraction, output and row tiles, the
+    # a tiny tile splits the radix-13 (s=104) and radix-19 (s=2736, digit
+    # arrays, on 3 x 3 maps, so a tile of 32) stages into several contraction, output and row tiles, the
     # s=104 twiddle products into several batch tiles and the power-table
     # products into several row tiles; s=9 (object arrays) and s=16 run
     # twiddles whose maps outgrow the stage array
@@ -271,7 +271,7 @@ def test_tiled_butterflies_match_untiled(monkeypatch, p, K, s):
                         or real[2](folded, index))
     monkeypatch.setattr(kernels, "_folded_matmul", lambda a, *rest: log.append(("tile", len(a))) or real[3](a, *rest))
     runs = []
-    for tile in (kernels.TILE, 64):
+    for tile in (kernels.TILE, 32 if s == 2736 else 64):
         monkeypatch.setattr(kernels, "TILE", tile)
         assert np.array_equal(make_plan(plan.s_factored, pipe.lift, K).table, chain)
         outs, counts = [], []
@@ -284,7 +284,7 @@ def test_tiled_butterflies_match_untiled(monkeypatch, p, K, s):
                 dft_log = list(log)
         runs.append((outs, counts))
     assert runs[0] == runs[1]
-    # per stage of the TILE = 64 dft, keyed by (r, t, post) of its (blocks, r, t, post, d) view: its twiddle
+    # per stage of the small-tile dft, keyed by (r, t, post) of its (blocks, r, t, post, d) view: its twiddle
     # passes, each with its a shape, b shape and row tiles, and its butterfly map tiles, each with its index
     # shape and row tiles
     stages = {}
@@ -434,14 +434,14 @@ def routes_of(plan):
     (3, 32, 286, None, ("fold", "pass")),
     (3, 32, 1144, 4, ("fold", "pass")),
     (3, 32, 12584, 2, ("pass", "pass")),
-    (3, 40, 1144, 4, ("fold", "fold")),
+    (3, 40, 1144, 4, ("fold", "pass")),
     (7, 16, 2736, 4, ("fold", "fold")),
     (3, 32, 104, None, ("fold", "fold")),
 ])
 def test_basis_routes_match_naive(p, K, s, samples, routes):
     # each end of a split basis folds P^-1 or P into its stage's maps, or runs it as a radix-1 stage of its own:
     # int64 passes where the folded maps are much wider than the end axis's factor (the last stage 13 at d = 15,
-    # 30, both ends at s = 12584), the object backend (3^40) always folds; outputs against naive_dft or sampled
+    # 30, both ends at s = 12584), digit arrays (3^40) from a lower limit; outputs against naive_dft or sampled
     # Horner evaluations, and the idft round trip, on each plan and on its object copy, which keeps its routes
     plan = build_pipeline(p, K, s=s, seed=2).plan
     d = plan.ring.degree
@@ -469,16 +469,57 @@ def test_basis_routes_match_naive(p, K, s, samples, routes):
         assert np.array_equal(idft(evals, q), xa)
 
 
+def test_object_transform_crosses_once(monkeypatch):
+    # a 7^32 dft and idft: the Python ints cross into a digit array once on entry and back once on exit, and no
+    # stage's kernel call receives or returns Python ints; outputs against Horner samples and the round trip
+    from padicfft import kernels
+
+    plan = build_pipeline(7, 32, s=2736, seed=2).plan
+    assert plan.table.dtype == object
+    crossings, calls = [], []
+    real = {name: getattr(kernels, name) for name in ("to_digits", "from_digits", "block_matmul_mod", "matmul_mod")}
+
+    def spy(name):
+        def run(a, *args):
+            out = real[name](a, *args)
+            if name in ("to_digits", "from_digits"):
+                crossings.append((name, a.dtype == object, out.dtype == object))
+            else:
+                calls.append((a.dtype, out.dtype))
+            return out
+        return run
+
+    for name in real:
+        monkeypatch.setattr(kernels, name, spy(name))
+    def run(op, arg):
+        crossings.clear()
+        calls.clear()
+        out = op(arg, plan)
+        assert crossings == [("to_digits", True, False), ("from_digits", False, True)]
+        assert calls and all(dtype.kind == "V" for call in calls for dtype in call)
+        assert out.dtype == object
+        return out
+
+    x = random_vector(plan.ring, plan.s, random.Random(32))
+    xa = np.array([v.coeffs for v in x], dtype=object)
+    evals = run(dft, xa)
+    for j in (1, 7, plan.s - 1):
+        assert tuple(evals[j].tolist()) == horner(x, ring_pow(plan.root, j)).coeffs
+    assert np.array_equal(run(idft, evals), xa)
+
+
 @pytest.mark.parametrize("p,K,s,stages", [
-    (7, 32, 2736, (((1, 16, 1, 171), (1, 6, 1)), ((16, 9, 1, 19), (2, 3, 1)), ((144, 19, 1, 1), (1, 6, 1)))),
+    (7, 32, 2736, (((2736, 1, 1, 1), (1, 6, 1)), ((1, 16, 1, 171), (1, 2, 3)), ((16, 9, 1, 19), (2, 3, 1)),
+                   ((144, 19, 1, 1), (2, 3, 1)), ((2736, 1, 1, 1), (1, 6, 1)))),
     (7, 16, 2736, (((1, 16, 1, 171), (1, 6, 1)), ((16, 9, 1, 19), (2, 3, 1)), ((144, 19, 1, 1), (1, 6, 1)))),
     (7, 16, 48, (((4, 4, 1, 3), (1, 2, 1)), ((1, 4, 4, 3), (1, 2, 1)), ((16, 3, 1, 1), (1, 2, 1)))),
 ])
 def test_benchmark_plans_fold(p, K, s, stages):
-    # the transform-bigmod (7^32) and polymul-mixed (7^16) plans fold the basis change at both ends: no pass
-    # stage, and each stage's view and butterfly layout pinned
+    # the polymul-mixed plans (7^16, int64) fold the basis change at both ends, and the transform-bigmod plan
+    # (7^32, digit arrays) runs it as a pass at both ends; each stage's view and butterfly layout pinned
     plan = build_pipeline(p, K, s=s, seed=2).plan
-    assert routes_of(plan) == basis_routes(p, K, plan.s_factored, plan.ring.degree) == ("fold", "fold")
+    routes = ("pass", "pass") if K == 32 else ("fold", "fold")
+    assert routes_of(plan) == basis_routes(p, K, plan.s_factored, plan.ring.degree) == routes
     assert tuple((stage.shape, stage.bf_layout) for stage in plan.stages) == stages
 
 

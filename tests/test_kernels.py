@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padicfft import kernels
 from padicfft.errors import OutOfRange
 from padicfft.kernels import (
     MODULUS_LIMIT,
@@ -17,6 +18,7 @@ from padicfft.kernels import (
     block_matmul_mod,
     contraction_limit,
     fold,
+    from_digits,
     limb_count,
     matmul_mod,
     mul_mod,
@@ -24,6 +26,7 @@ from padicfft.kernels import (
     ring_mul_batch,
     split_limbs,
     supports_modulus,
+    to_digits,
 )
 from padicfft.padic import PadicContext, RingExtension, ring_mul, ring_pow
 
@@ -221,9 +224,10 @@ def test_matmul_mod_at_each_width_bound(m, dtype):
     # a cut into La limbs of width w = ceil(bits/La) holds exactly up to the largest n with La*n*2^(w+17) < 2^53:
     # all-(m-1) operands there, in one tile against the map folded for La, and through matmul_mod when La is
     # the kernel's own choice at n; at n+1 the tile refuses the folded map and matmul_mod takes more limbs or
-    # refuses
+    # refuses. Python ints run as digit arrays, whose maps fold into digit limbs.
     bits, Lb = (m - 1).bit_length(), limb_count(m)
-    out = np.empty((1, 1), dtype=dtype)
+    digits = dtype is object
+    out = to_digits(np.zeros((1, 1), dtype=object), m) if digits else np.empty((1, 1), dtype=dtype)
     for La in range(1, Lb + 1):
         w = -(-bits // La)
         n = ((1 << 53) - 1) // (La << (w + 17))
@@ -231,7 +235,8 @@ def test_matmul_mod_at_each_width_bound(m, dtype):
         if 0 < n <= BOUND_TERMS:
             a, b = np.full((1, n), m - 1, dtype=dtype), np.full((n, 1), m - 1, dtype=dtype)
             want = [[n * (m - 1) ** 2 % m]]
-            assert _folded_matmul(a, fold(b, m, La), m, out).tolist() == want
+            tile = _folded_matmul(to_digits(a, m), fold(b, m, La, Lb if digits else None), m, out)
+            assert from_digits(tile, m).tolist() == want
             if a_limb_count(m, n) == La:
                 assert matmul_mod(a, b, m).tolist() == want
         a = np.broadcast_to(np.array(m - 1, dtype=dtype), (1, n + 1))
@@ -308,3 +313,100 @@ def test_matmul_mod_tiles(monkeypatch, m):
     # a broadcast a, one low table against a batch of maps, as the power table passes it
     low, maps = rand(3, 4), rand(7, 4, 4)
     check(np.broadcast_to(low, (7, 3, 4)), maps, [_matmul_reference(low, v, m) for v in maps], [1] * 7)
+
+
+# moduli above 2^51, and 3^8, which fits int64, run on Python ints all the same
+OBJECT_MODULI = [7**32, 3**64, 5**55, 3**8]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_object_products_match_python_ints(data):
+    # matmul_mod (one map or a stack) and block_matmul_mod on Python ints, which cross into digit arrays and back,
+    # against the Python-int (a @ b) % m, with random, all-(m-1) or all-0 rows and maps
+    m = data.draw(st.sampled_from(OBJECT_MODULI))
+    rows, n, k, N = (data.draw(st.integers(lo, hi)) for lo, hi in ((0, 7), (1, 40), (1, 9), (1, 4)))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+
+    def operand(*shape):
+        fill = data.draw(st.sampled_from(["random", "top", "zero"]))
+        values = [rng.randrange(m) if fill == "random" else (m - 1 if fill == "top" else 0)
+                  for _ in range(int(np.prod(shape)))]
+        return np.array(values, dtype=object).reshape(shape)
+
+    a, b = operand(rows, n), operand(n, k)
+    got = matmul_mod(a, b, m)
+    assert got.dtype == object and got.shape == (rows, k)
+    assert got.tolist() == ((a @ b) % m).tolist()
+    stack_a, stack_b = operand(N, rows, n), operand(N, n, k)
+    got = matmul_mod(stack_a, stack_b, m)
+    assert got.tolist() == [((u @ v) % m).tolist() for u, v in zip(stack_a, stack_b)]
+    J, C = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    index = np.array(data.draw(st.lists(st.integers(0, N - 1), min_size=J * C, max_size=J * C))).reshape(J, C)
+    rows_a = operand(rows, J * n)
+    residue = stack_b[index].transpose(0, 2, 1, 3).reshape(J * n, C * k)
+    got = block_matmul_mod(rows_a, stack_b, index, m)
+    assert got.dtype == object and got.tolist() == ((rows_a @ residue) % m).tolist()
+
+
+@pytest.mark.parametrize("m", OBJECT_MODULI)
+def test_object_products_at_contraction_limit(m):
+    # all-(m-1) Python ints at n = contraction_limit(m), exact, and one past it, refused before any conversion;
+    # the exact product runs at 3^64 only (n = 87381), since its folded map holds Lb^2 n floats
+    n = contraction_limit(m)
+    if m == 3**64:
+        top = np.full((1, n), m - 1, dtype=object)
+        assert matmul_mod(top, top.T, m).tolist() == [[n * (m - 1) ** 2 % m]]
+    past = np.broadcast_to(np.array(m - 1, dtype=object), (1, n + 1))
+    with pytest.raises(OutOfRange):
+        matmul_mod(past, past.T, m)
+    with pytest.raises(OutOfRange):
+        block_matmul_mod(past, past.T[None], np.zeros((1, 1), dtype=np.intp), m)
+
+
+def test_digit_arrays_round_trip():
+    # to_digits keeps the shape and leaves int64 arrays alone; its digits are canonical and from_digits inverts it
+    for m in OBJECT_MODULI + [2, 3]:
+        Lb = limb_count(m)
+        width = -(-(m - 1).bit_length() // Lb)
+        values = np.array([0, 1, m - 1, m // 3, (1 << width) % m, ((1 << 63) - 1) % m], dtype=object).reshape(2, 3)
+        digits = to_digits(values, m)
+        assert digits.shape == (2, 3) and digits["digits"].shape == (2, 3, Lb)
+        assert digits["digits"].min() >= 0 and digits["digits"].max() < 1 << width
+        assert from_digits(digits, m).tolist() == values.tolist()
+        assert from_digits(digits.T[:, ::-1], m).tolist() == values.T[:, ::-1].tolist()
+    ints = np.arange(6, dtype=np.int64)
+    assert to_digits(ints, 3**8) is ints and from_digits(ints, 3**8) is ints
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_reduce_matches_python_ints(data):
+    # the digit reduction on random or extreme weight classes, below a small bound (one correction) and up to
+    # 2^53 (two), against Python ints: canonical digits of sum_j c_j B^j mod m
+    m = data.draw(st.sampled_from(OBJECT_MODULI + [2, 3, 2**51 + 1, 19**32]))
+    Lb, bits = limb_count(m), data.draw(st.sampled_from([20, 40, 45, 53]))
+    bound = 1 << bits
+    width = -(-(m - 1).bit_length() // Lb)
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    columns = data.draw(st.integers(1, 30))
+    fill = data.draw(st.sampled_from(["random", "top", "zero"]))
+    c = np.array([[rng.randrange(bound) if fill == "random" else (bound - 1 if fill == "top" else 0)
+                   for _ in range(columns)] for _ in range(Lb)], dtype=np.float64)
+    want = [sum(int(c[j, u]) << (width * j) for j in range(Lb)) % m for u in range(columns)]
+    digits = kernels._reduce(c.copy(), m, bound)
+    assert digits.min() >= 0 and digits.max() < 1 << width
+    assert [sum(int(digits[j, u]) << (width * j) for j in range(Lb)) for u in range(columns)] == want
+
+
+def test_reduce_second_quotient():
+    # classes near 2^53 mod a small m, where V / m is near 2^53 too: the first quotient misses by up to a few units
+    # either way, which the second quotient corrects
+    rng = np.random.default_rng(7)
+    for m in (3, 5, 7, 11, 97, 6561):
+        Lb = limb_count(m)
+        c = rng.integers(1 << 52, 1 << 53, size=(Lb, 4000)).astype(np.float64)
+        digits = kernels._reduce(c.copy(), m, 1 << 53)
+        width = -(-(m - 1).bit_length() // Lb)
+        got = [sum(int(digits[j, u]) << (width * j) for j in range(Lb)) for u in range(c.shape[1])]
+        assert got == [sum(int(c[j, u]) << (width * j) for j in range(Lb)) % m for u in range(c.shape[1])]
