@@ -57,9 +57,16 @@ digits and no stage touches a Python int.
 
 dft, idft and cyclic_convolution take either a list of s plan-ring elements
 or an (s, d) integer array of their coefficients, and answer in the same
-form: arrays come back in plan.table.dtype. poly_multiply stays in arrays.
-Called without a plan, it reuses the plans it built before from a bounded
-per-process cache keyed by (p, K, s, seed); a shared plan's ring.counter
+form: arrays come back in plan.table.dtype. poly_multiply stays in arrays
+and packs c = (d+1)//2 consecutive coefficients into the X-coordinates of
+each element: chunk products have degree at most 2c-2 < d, so nothing wraps
+mod F, and overlap-add reads the product back. Called without a plan, it
+takes the planner's s, reuses that s's plan from a bounded per-process
+cache keyed by (p, K, s, seed), and runs the product on the divisor s' of s
+that holds the chunks at the least modelled cost. The divisor plan is
+built over the cached plan's ring from its lifted root alpha: alpha^(s/s')
+is a primitive s'-th root, so make_plan alone builds it, once, into a
+second cache, with no tower or lift. A shared plan's ring.counter
 accumulates the work of every caller.
 """
 
@@ -85,13 +92,15 @@ from .errors import (
     PrecisionTooLow,
     RootNotPrimitive,
 )
+from .lifting import LiftResult
 from .orders import FactoredOrder, multiplicative_order
 from .padic import PadicContext, RingElement, RingExtension, residue_inverse, ring_mul, ring_pow
 from .planner import choose_parameters
 
-# Plans poly_multiply keeps for reuse. A plan holds its (s, d) table and its stages' maps; the largest
-# one it reaches in practice (p=3, s=12584, d=30) holds a 3 MB int64 table and 0.2 MB of maps, so the
-# cache stays within tens of MB.
+# Planner plans poly_multiply keeps for reuse; it keeps 4 * PLAN_CACHE_SIZE divisor plans beside them. A plan
+# holds its (s, d) table and its stages' maps: the largest planner plan it reaches in practice (p=3, s=12584,
+# d=30) holds a 3 MB int64 table and 0.2 MB of maps, and its 23 divisor plans hold 11 MB together, at most 1.8 MB
+# each, so the divisor cache stays under 60 MB and both within tens of MB in practice.
 PLAN_CACHE_SIZE = 8
 # Products per element an end stage may add by folding in the basis change, about what a pass of its own costs
 # (see basis_routes): on int64 in row splits and recombination, on digit arrays (p^K > 2^51) in recuts and
@@ -509,53 +518,95 @@ def _default_plan(p: int, K: int, s, seed: int) -> FFTPlan:
     return pipeline.build_pipeline(p, K, s=s, seed=seed).plan
 
 
+@functools.lru_cache(maxsize=4 * PLAN_CACHE_SIZE)
+def _divisor_plan(p: int, K: int, s, seed: int, divisor) -> FFTPlan:
+    """The length-divisor plan over the ring of _default_plan(p, K, s, seed), at its root alpha^(s/divisor)."""
+    plan = _default_plan(p, K, s, seed)
+    root = ring_pow(plan.root, s.value // divisor.value)
+    return make_plan(divisor, LiftResult(plan.ring, root, K, steps=0, base_mults=0), K)
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _divisors_by_cost(s: FactoredOrder) -> tuple:
+    """Every divisor s' of s, cheapest first by the modelled cost s' sum v q (the planner's radix weight), then s'."""
+    out = []
+    for exponents in itertools.product(*(range(v + 1) for _, v in s.factors)):
+        factors = tuple((q, e) for (q, _), e in zip(s.factors, exponents) if e)
+        out.append(FactoredOrder(math.prod(q**e for q, e in factors), factors))
+    return tuple(sorted(out, key=lambda t: (t.value * sum(e * q for q, e in t.factors), t.value)))
+
+
 def poly_multiply(f, g, p: int, K: int, planner=choose_parameters, plan: FFTPlan | None = None,
                   seed: int | None = None):
     """Exact product of two Z/p^K coefficient sequences via the transform.
 
-    Coefficients must be Python or numpy integers. Inputs are embedded as
-    constant ring elements: column 0 of two (s, d) arrays. A prebuilt plan
-    must be over Z/p^K. Without one, the planner hook picks s above
-    deg f + deg g, and the plan comes from a per-process cache of
-    PLAN_CACHE_SIZE plans keyed by (p, K, s, seed), each built once by
-    build_pipeline at that seed, None being pipeline.DEFAULT_SEED; a cached plan's
-    ring.counter accumulates the work of every caller. Output results must
-    come back constant, coefficient by coefficient.
+    Coefficients must be Python or numpy integers. With c = (d+1)//2, d the
+    plan ring's degree, the runs of c consecutive coefficients of f and g go
+    into X-coordinates 0..c-1 of successive elements, and the length-s cyclic
+    convolution of these chunk sequences holds the product when ceil(len f/c)
+    + ceil(len g/c) - 1 <= s: chunk products have degree at most 2c-2 < d, so
+    none wraps mod F, and overlap-add reads the coefficients back. Every
+    result coordinate from 2c-1 up must come back zero.
+
+    A prebuilt plan must be over Z/p^K and packs into its own s. Without one,
+    the planner hook picks s above deg f + deg g, and the plan of (p, K, s,
+    seed) comes from a per-process cache of PLAN_CACHE_SIZE plans, each built
+    once by build_pipeline at that seed, None being pipeline.DEFAULT_SEED.
+    The product then runs on the divisor s' of s that holds the chunks at the
+    least modelled cost s' sum v q, on a plan make_plan builds once from the
+    cached plan's ring and root alpha^(s/s') and caches beside it. A cached
+    plan's ring.counter accumulates the work of every caller.
     """
     m = PadicContext(p, K).pK
     if plan is not None and (plan.p, plan.K) != (p, K):
         raise ParentMismatch(f"plan is over Z/{plan.p}^{plan.K}, not Z/{p}^{K}")
-    for c in (*f, *g):
-        if not isinstance(c, (int, np.integer)):
-            raise BadInput(f"coefficient {c!r} is not an integer")
-    fc = [int(c) % m for c in f]
-    gc = [int(c) % m for c in g]
+    for x in (*f, *g):
+        if not isinstance(x, (int, np.integer)):
+            raise BadInput(f"coefficient {x!r} is not an integer")
+    fc = [int(x) % m for x in f]
+    gc = [int(x) % m for x in g]
     while fc and fc[-1] == 0:
         fc.pop()
     while gc and gc[-1] == 0:
         gc.pop()
     if not fc or not gc:
         return []
-    bound = (len(fc) - 1) + (len(gc) - 1)
+    key = None
     if plan is None:
+        bound = (len(fc) - 1) + (len(gc) - 1)
         try:
             chosen = planner(p, max(bound, 1))
         except (OutOfRange, FactoringFailure) as exc:
             raise DegreeOverflow(f"no transform length above {bound} is available") from exc
         from .pipeline import DEFAULT_SEED
 
-        plan = _default_plan(p, K, chosen.s_factored, DEFAULT_SEED if seed is None else seed)
-    if bound >= plan.s:
-        raise DegreeOverflow(f"product degree {bound} needs s > {bound}, plan has s = {plan.s}")
-    xs = np.zeros((plan.s, plan.ring.degree), dtype=plan.table.dtype)
-    ys = np.zeros_like(xs)
-    xs[: len(fc), 0] = fc
-    ys[: len(gc), 0] = gc
-    prod = cyclic_convolution(xs, ys, plan)
-    bad = np.flatnonzero((prod[:, 1:] != 0).any(axis=1))
-    if bad.size:
-        raise CoefficientNotRational(f"product coefficient {bad[0]} is not in Z/p^K")
-    out = prod[:, 0].tolist()
+        key = (p, K, chosen.s_factored, DEFAULT_SEED if seed is None else seed)
+        plan = _default_plan(*key)
+    c = (plan.ring.degree + 1) // 2  # a divisor plan shares the ring, so c and n hold for it too
+    n = -(-len(fc) // c) + -(-len(gc) // c) - 1
+    if key:
+        divisor = next((t for t in _divisors_by_cost(plan.s_factored) if t.value >= n), plan.s_factored)
+        if divisor != plan.s_factored:
+            plan = _divisor_plan(*key, divisor)
+    if n > plan.s:
+        raise DegreeOverflow(f"lengths {len(fc)} and {len(gc)} pack into {n} elements of {c} coefficients, "
+                             f"plan has s = {plan.s}")
+    prod = cyclic_convolution(_pack(fc, c, plan), _pack(gc, c, plan), plan)
+    bad = np.flatnonzero((prod[:, 2 * c - 1:] != 0).any(axis=1))
+    if bad.size:  # named by the first coefficient of that element's chunk
+        raise CoefficientNotRational(f"product coefficient {bad[0] * c} is not in Z/p^K")
+    # overlap-add: element i holds coefficients i c .. i c + 2c - 2, the top c - 1 shared with element i + 1
+    out = np.zeros((n + 1, c), dtype=prod.dtype)
+    out[:n] = prod[:n, :c]
+    out[1:, : c - 1] += prod[:n, c : 2 * c - 1]
+    out = (out.ravel()[: len(fc) + len(gc) - 1] % m).tolist()
     while out and out[-1] == 0:
         out.pop()
+    return out
+
+
+def _pack(coeffs, c: int, plan: FFTPlan):
+    """(s, d) array of plan.table.dtype holding coeffs in runs of c, run i in coordinates 0..c-1 of row i."""
+    out = np.zeros((plan.s, plan.ring.degree), dtype=plan.table.dtype)
+    out[: -(-len(coeffs) // c), :c].flat[: len(coeffs)] = coeffs
     return out

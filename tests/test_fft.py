@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import itertools
 import math
@@ -7,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicfft.errors import (
     BadInput,
@@ -683,6 +686,131 @@ def test_poly_multiply_reuses_default_plan(monkeypatch):
         builds.clear()
 
 
+# An explicit plan per p with d >= 3, so c = (d+1)//2 >= 2 coefficients share an element: (s, d, c) =
+# (88, 10, 5) at p=3, (124, 3, 2) at p=5, (304, 6, 3) at p=7 and (54, 3, 2) at p=19.
+PACKED_PLAN_S = {3: 88, 5: 124, 7: 304, 19: 54}
+# On the default path len f + len g stays where the planner's s is at most 12584: at p=5 and p=19 the next s,
+# 581064 and 137160, takes seconds and over 100 MB to build at each K.
+DEFAULT_PATH_MAX_LENGTHS = {3: 800, 5: 745, 7: 800, 19: 361}
+
+
+@functools.lru_cache(maxsize=None)
+def packed_plan(p, K):
+    return build_pipeline(p, K, s=PACKED_PLAN_S[p], seed=5).plan
+
+
+def chunks(n, c):
+    return -(-n // c)
+
+
+@st.composite
+def factor(draw, m, max_len, c):
+    """Coefficients in [0, m) of a length in 1..max_len, often a multiple of c or one off, with 0 and m - 1
+    frequent and trailing zeros sometimes."""
+    n = draw(st.one_of(st.integers(1, max_len),
+                       st.integers(1, max(1, max_len // c)).map(lambda k: k * c)
+                       .flatmap(lambda n: st.sampled_from([x for x in (n - 1, n, n + 1) if 1 <= x <= max_len]))))
+    coeffs = draw(st.lists(st.one_of(st.sampled_from((0, m - 1)), st.integers(0, m - 1)), min_size=n, max_size=n))
+    zeros = draw(st.integers(0, min(3, n - 1)))
+    return coeffs[: n - zeros] + [0] * zeros
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), p=st.sampled_from((3, 5, 7, 19)), K=st.sampled_from((1, 8, 16, 32, 64)),
+       explicit=st.booleans())
+def test_poly_multiply_matches_schoolbook(data, p, K, explicit):
+    # both paths, int64 (p^K <= 2^51) and object arrays, lengths up to 400 near multiples of c
+    m = p**K
+    if explicit:
+        plan = packed_plan(p, K)
+        c = (plan.ring.degree + 1) // 2
+        f = data.draw(factor(m, min(400, c * plan.s), c))
+        g = data.draw(factor(m, min(400, c * (plan.s + 1 - chunks(len(f), c))), c))
+    else:
+        plan = None
+        f = data.draw(factor(m, min(400, DEFAULT_PATH_MAX_LENGTHS[p] - 1), 15))
+        g = data.draw(factor(m, min(400, DEFAULT_PATH_MAX_LENGTHS[p] - len(f)), 3))
+    assert poly_multiply(f, g, p, K, plan=plan) == schoolbook(f, g, m)
+
+
+def test_poly_multiply_packed_capacity():
+    # an explicit plan of s elements holds ceil(la/c) + ceil(lb/c) - 1 <= s chunks: about c s coefficients
+    for p, K in ((3, 8), (7, 32)):
+        plan, m = packed_plan(p, K), p**K
+        c = (plan.ring.degree + 1) // 2
+        f, g = [m - 1] * (c * (plan.s // 2)), [m - 1] * (c * (plan.s + 1 - plan.s // 2))
+        assert chunks(len(f), c) + chunks(len(g), c) - 1 == plan.s
+        assert poly_multiply(f, g, p, K, plan=plan) == schoolbook(f, g, m)
+        with pytest.raises(DegreeOverflow) as info:
+            poly_multiply(f, g + [1], p, K, plan=plan)
+        message = str(info.value)
+        assert f"pack into {plan.s + 1} elements of {c} coefficients, plan has s = {plan.s}" in message
+        assert "needs s >" not in message
+
+
+def test_poly_multiply_runs_the_cheapest_divisor(monkeypatch):
+    # the least s' sum v q among the divisors of the planner's s that hold the chunks, not the smallest that does
+    import padicfft.fft as fft_mod
+
+    lengths = []
+    real = fft_mod.cyclic_convolution
+
+    def spy(x, y, plan):
+        lengths.append(plan.s)
+        return real(x, y, plan)
+
+    monkeypatch.setattr(fft_mod, "cyclic_convolution", spy)
+    rng = random.Random(31)
+    for p, K, la, lb, s in ((7, 16, 30, 30, 24),  # 19 chunks at s = 2736: 24 (cost 216) beats 19 (361)
+                            (7, 16, 350, 417, 304),  # 255 chunks: 304 = 2^4 19
+                            (3, 8, 500, 500, 88)):  # 67 chunks of 15 at s = 12584: 88 = 2^3 11
+        m = p**K
+        f, g = ([rng.randrange(1, m) for _ in range(n)] for n in (la, lb))
+        assert poly_multiply(f, g, p, K) == schoolbook(f, g, m)
+        assert lengths.pop() == s
+
+
+def test_poly_multiply_divisor_plans_are_reused(monkeypatch):
+    # a second pass over the same lengths builds nothing; each divisor plan's root is alpha^(s/s')
+    import padicfft.fft as fft_mod
+    import padicfft.pipeline as pipeline_mod
+
+    planner_plans, derived = {}, []
+    real_build, real_make_plan = pipeline_mod.build_pipeline, fft_mod.make_plan
+
+    def counting_build(*args, **kwargs):
+        pipe = real_build(*args, **kwargs)
+        planner_plans[id(pipe.plan.ring)] = pipe.plan
+        return pipe
+
+    def counting_make_plan(s, lift, K):
+        plan = real_make_plan(s, lift, K)
+        derived.append((lift.ring, plan))
+        return plan
+
+    monkeypatch.setattr(pipeline_mod, "build_pipeline", counting_build)
+    monkeypatch.setattr(fft_mod, "make_plan", counting_make_plan)
+    fft_mod._default_plan.cache_clear()
+    fft_mod._divisor_plan.cache_clear()
+    rng = random.Random(19)
+    m = 7**16
+    # factor lengths int(w), w log-uniform on [1, 601), as in the benchmark's polymul-mixed
+    lengths = [tuple(int(math.exp(rng.random() * math.log(601))) for _ in range(2)) for _ in range(21)]
+    pairs = [([rng.randrange(m) for _ in range(a)], [rng.randrange(m) for _ in range(b)]) for a, b in lengths]
+    for f, g in pairs:
+        assert poly_multiply(f, g, 7, 16) == schoolbook(f, g, m)
+    assert planner_plans and derived
+    assert all(plan.s < planner_plans[id(ring)].s for ring, plan in derived)
+    builds = len(planner_plans), len(derived)
+    for f, g in pairs:
+        assert poly_multiply(f, g, 7, 16) == schoolbook(f, g, m)
+    assert (len(planner_plans), len(derived)) == builds
+    for ring, plan in derived:
+        planner_plan = planner_plans[id(ring)]
+        assert planner_plan.s % plan.s == 0
+        assert plan.root == ring_pow(planner_plan.root, planner_plan.s // plan.s)
+
+
 def test_validation():
     pipe = build_pipeline(3, 4, s=8, seed=2)
     plan = pipe.plan
@@ -749,3 +877,14 @@ def test_projection_failure_detected(monkeypatch):
     monkeypatch.setattr(fft_mod, "cyclic_convolution", lambda x, y, p: bad)
     with pytest.raises(CoefficientNotRational, match="coefficient 1 "):
         poly_multiply([1, 1], [1, 1], 3, 4, plan=plan)
+    # d = 6 packs c = 3 coefficients per element, whose products fill coordinates 0..4 and leave 5 zero;
+    # element i holds the product's coefficients from 3 i on
+    plan = build_pipeline(3, 4, s=7, seed=7).plan
+    assert plan.ring.degree == 6
+    bad = np.zeros((7, 6), dtype=plan.table.dtype)
+    bad[:3, :5] = 1
+    monkeypatch.setattr(fft_mod, "cyclic_convolution", lambda x, y, p: bad)
+    assert poly_multiply([1, 1, 1, 1], [1, 1, 1, 1, 1], 3, 4, plan=plan) == [1, 1, 1, 2, 2, 1, 2, 2]  # overlap-add
+    bad[2, 5] = 1
+    with pytest.raises(CoefficientNotRational, match="coefficient 6 "):
+        poly_multiply([1, 1, 1, 1], [1, 1, 1, 1, 1], 3, 4, plan=plan)
