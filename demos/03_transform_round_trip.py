@@ -14,7 +14,7 @@ from padicfft.fft import subring_axes
 pipe = build_pipeline(3, 32, N=100)
 plan = pipe.plan
 print(f"p=3, N=100 -> s={plan.s} = {plan.radices}, ring degree {pipe.d}, K=32")
-print(f"backend dtype: {plan.table.dtype}")
+print(f"backend dtype: {plan.dtype}")
 # each prime power g of s is an axis whose roots lie in the subring of degree d_g = ord_g(p)
 print("axes g:d_g = " + " ".join(f"{g}:{dg}" for g, dg in subring_axes(plan.p, plan.s_factored)))
 

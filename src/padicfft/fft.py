@@ -33,7 +33,8 @@ stage of one d x d map; a plan of one factor keeps X coordinates and d x d maps.
 Every product inside a stage runs on the exact float64 products of
 kernels, which own the limb format and the tiling. make_plan builds every
 stage's maps once (see _stages): the multiplication matrices of fixed
-elements, from kernels.multiplication_maps. A twiddle pass shares each
+elements, from kernels.multiplication_maps of each axis's g powers of
+zeta_g, so no plan holds the s powers of alpha. A twiddle pass shares each
 twiddle with the rows of the later axes and other factors, may split it
 into two factors each shared by more rows, and multiplies every group of
 rows by its factor's matrix in one stacked kernels.matmul_mod (see
@@ -48,26 +49,21 @@ depends only on d and the plan.
 
 One schedule runs on an (s, d) array whose dtype is the backend: int64 when
 p^K <= 2^51, else numpy object arrays of Python ints. make_plan picks the
-dtype once, as the dtype of the power table; both dtypes give the same
-outputs and the same counts. _transform hands its array to
-kernels.to_digits once on entry and takes it back from kernels.from_digits
-once on exit: Python ints become an (s, d) array of kernels' own digit
-form there (int64 arrays pass unchanged), so every stage runs on int64
-digits and no stage touches a Python int.
+dtype once, as plan.dtype; both dtypes give the same outputs and the same
+counts. _transform hands its array to kernels.to_digits once on entry and
+takes it back from kernels.from_digits once on exit: Python ints become an
+(s, d) array of kernels' own digit form there (int64 arrays pass
+unchanged), so every stage runs on int64 digits and no stage touches a
+Python int.
 
 dft, idft and cyclic_convolution take either a list of s plan-ring elements
 or an (s, d) integer array of their coefficients, and answer in the same
-form: arrays come back in plan.table.dtype. poly_multiply stays in arrays
-and packs c = (d+1)//2 consecutive coefficients into the X-coordinates of
+form: arrays come back in plan.dtype. poly_multiply stays in arrays and
+packs c = (d+1)//2 consecutive coefficients into the X-coordinates of
 each element: chunk products have degree at most 2c-2 < d, so nothing wraps
 mod F, and overlap-add reads the product back. Called without a plan, it
-takes the planner's s, reuses that s's plan from a bounded per-process
-cache keyed by (p, K, s, seed), and runs the product on the divisor s' of s
-that holds the chunks at the least modelled cost. The divisor plan is
-built over the cached plan's ring from its lifted root alpha: alpha^(s/s')
-is a primitive s'-th root, so make_plan alone builds it, once, into a
-second cache, with no tower or lift. A shared plan's ring.counter
-accumulates the work of every caller.
+runs on the cheapest divisor s' of the planner's s, on plans it builds once
+and caches, the divisor plans with no tower or lift (see poly_multiply).
 """
 
 from __future__ import annotations
@@ -98,9 +94,9 @@ from .padic import PadicContext, RingElement, RingExtension, residue_inverse, ri
 from .planner import choose_parameters
 
 # Planner plans poly_multiply keeps for reuse; it keeps 4 * PLAN_CACHE_SIZE divisor plans beside them. A plan
-# holds its (s, d) table and its stages' maps: the largest planner plan it reaches in practice (p=3, s=12584,
-# d=30) holds a 3 MB int64 table and 0.2 MB of maps, and its 23 divisor plans hold 11 MB together, at most 1.8 MB
-# each, so the divisor cache stays under 60 MB and both within tens of MB in practice.
+# holds its stages' maps, P and P^-1 and its two index maps of s int64 entries each: the largest planner plan it
+# reaches in practice (p=3, s=12584, d=30) holds 0.26 MB, 0.2 MB of it the index maps, and its 23 divisor plans
+# hold 7.8 MB together, at most 1.1 MB each, so the divisor cache stays under 40 MB and both within tens of MB.
 PLAN_CACHE_SIZE = 8
 # Products per element an end stage may add by folding in the basis change, about what a pass of its own costs
 # (see basis_routes): on int64 in row splits and recombination, on digit arrays (p^K > 2^51) in recuts and
@@ -143,11 +139,12 @@ class FFTPlan:
     ring: RingExtension
     root: object
     inv_s: int
-    table: np.ndarray  # (s, d) powers of root; its dtype is the transform's backend
+    dtype: np.dtype  # the transform's backend: int64, or object for Python ints
     factors: tuple  # (axes, D) per tensor factor: its prime powers g of s and its degree
     basis: np.ndarray  # P, (d, d): row i is tensor basis element i in X coordinates
     basis_inv: np.ndarray  # P^-1 mod p^K
     stages: tuple  # Stage per stage, in the order they run
+    index_maps: tuple  # (gather, scatter), the Good-Thomas input and output permutations (see _index_maps)
 
     @property
     def p(self) -> int:
@@ -197,23 +194,29 @@ def make_plan(s, lift, K: int) -> FFTPlan:
     root = ring.element(lift.root.coeffs)
     if ring_pow(root, s.value) != ring.one():
         raise RootNotPrimitive(f"root^{s.value} is not 1 at precision {K}")
-    for q, _ in s.factors:
-        if ring_pow(root, s.value // q) == ring.one():
-            raise RootNotPrimitive(f"root order divides {s.value}/{q}")
-
     m, d = ring.ctx.pK, ring.degree
-    dtype = np.int64 if kernels.supports_modulus(m) else object
+    dtype = np.dtype(np.int64 if kernels.supports_modulus(m) else object)
     fhead = _fhead(ring, dtype)
-    table = kernels.power_table(np.asarray(root.coeffs, dtype=dtype), s.value, fhead, m)
-    ring.counter.add(max(0, s.value - 2) * ring.mul_cost())
+    # per prime power g = q^v of s: zeta_g^k, k < g, zeta_g = root^(s/g), in X coordinates, all in one table
+    zetas = np.asarray([ring_pow(root, s.value // q**v).coeffs for q, v in s.factors], dtype=dtype).reshape(-1, d)
+    table = kernels.power_table(zetas, max((q**v for q, v in s.factors), default=1), fhead, m)
+    rows = {q**v: powers[: q**v] for (q, v), powers in zip(s.factors, table)}
+    for q, v in s.factors:
+        if np.array_equal(rows[q**v][q ** (v - 1)], rows[q**v][0]):  # zeta_g^(g/q) = root^(s/q)
+            raise RootNotPrimitive(f"root order divides {s.value}/{q}")
+    ring.counter.add(max(0, s.value - 2) * ring.mul_cost())  # the model charges the paper's power table of s rows
     factors = _tensor_factors(subring_axes(p, s), d)
-    if len(factors) == 1:
-        basis = basis_inv = np.identity(d, dtype=dtype)
-    else:
+    basis = basis_inv = np.identity(d, dtype=dtype)
+    tops = []  # a split basis: zeta_G^D per tensor factor, G the product of its axes, in X coordinates
+    if len(factors) > 1:  # P's rows root^(sum e_i s/G_i), e_i < D_i, in C order, then the tops
         e = np.zeros((), dtype=np.int64)
         for gs, D in factors:
             e = np.add.outer(e, s.value // math.prod(gs) * np.arange(D))
-        basis = table[e.ravel()]
+        e = np.append(e.ravel(), [s.value // math.prod(gs) * D for gs, D in factors])
+        # root^k is the product over the axes g of zeta_g^(k (s/g)^-1 mod g)
+        axes = [powers[e * pow(s.value // g, -1, g) % g] for g, powers in rows.items()]
+        powers = functools.reduce(lambda x, y: kernels.ring_mul_batch(x, y, fhead, m), axes)
+        basis, tops = np.split(powers, [d])
         basis_inv = _inverse_mod(basis, p, K, m)
     return FFTPlan(
         s=s.value,
@@ -222,11 +225,12 @@ def make_plan(s, lift, K: int) -> FFTPlan:
         ring=ring,
         root=root,
         inv_s=residue_inverse(s.value % m, ring.ctx),
-        table=table,
+        dtype=dtype,
         factors=factors,
         basis=basis,
         basis_inv=basis_inv,
-        stages=_stages(s, factors, table, fhead, basis, basis_inv, m, basis_routes(p, K, s, d)),
+        stages=_stages(s, factors, rows, tops, fhead, basis, basis_inv, m, basis_routes(p, K, s, d)),
+        index_maps=_index_maps(_fused_radices(s, d), s.value),
     )
 
 
@@ -248,28 +252,25 @@ def _inverse_mod(a, p: int, K: int, m: int):
     return inv
 
 
-def _stages(s: FactoredOrder, factors, table, fhead, basis, basis_inv, m: int, routes) -> tuple:
-    """Every stage's maps, built once per plan.
+def _stages(s: FactoredOrder, factors, rows, tops, fhead, basis, basis_inv, m: int, routes) -> tuple:
+    """Every stage's maps, built once per plan from the axes' rows zeta_g^k, k < g, in X coordinates.
 
     Axis g's products are by powers of zeta_g = zeta_G^(G/g), G the product of its factor's
     axes. The factor's coordinates are those of the basis zeta_G^e, e < D, and its products
     the D x D multiplication maps N of (Z/m)[Z]/F_G, F_G the minimal polynomial of zeta_G,
-    read off zeta_G^D; a one-factor plan keeps X's coordinates, so its maps are the d x d maps
-    of the table. A split basis enters at the first stage and leaves at the last: as routes says
+    read off zeta_G^D (tops); a one-factor plan keeps X's coordinates, so its maps are the d x d
+    maps of the rows. A split basis enters at the first stage and leaves at the last: as routes says
     (basis_routes), their maps are P^-1 (I x N x I) and (I x N x I) P, the X-coordinate maps with
     P^-1 or P folded in, or P^-1 and P run as radix-1 stages before and after them.
     """
-    d = table.shape[1]
-    coords = {}  # per axis: its factor's zeta_G^n, n < G, in the factor's coordinates, fhead and layout
+    d = len(basis)
+    coords = {g: (powers, fhead, (1, d, 1)) for g, powers in rows.items()}  # per axis: its rows, head and layout
     before = 1
-    for gs, D in factors:
-        G, after = math.prod(gs), d // (before * D)
-        if len(factors) == 1:
-            powers, head = table, fhead
-        else:
-            powers = kernels.matmul_mod(table[s.value // G * np.arange(G)], basis_inv[:, after * np.arange(D)], m)
-            head = -powers[D] % m
-        coords.update({g: (powers, head, (before, D, after)) for g in gs})
+    for (gs, D), top in zip(factors, tops):  # a split basis: P^-1's columns of the factor's coordinates
+        after = d // (before * D)
+        stacked = np.vstack([*(rows[g] for g in gs), top])
+        *powers, head = np.split(kernels.matmul_mod(stacked, basis_inv[:, after * np.arange(D)], m), np.cumsum(gs))
+        coords.update({g: (x, -head[0] % m, (before, D, after)) for g, x in zip(gs, powers)})
         before *= D
 
     stages, pre = [], 1
@@ -278,12 +279,11 @@ def _stages(s: FactoredOrder, factors, table, fhead, basis, basis_inv, m: int, r
         post = s.value // (pre * g)
         powers, head, layout = coords[g]
         a, D, b = layout
-        unit = len(powers) // g  # zeta_g = zeta_G^unit
 
         def maps(exponents):  # an empty stack (every twiddle pass at t = 1) needs no kernel call
             if not exponents.size:
                 return np.empty((0, D, D), dtype=powers.dtype)
-            return kernels.multiplication_maps(powers[exponents.ravel() * unit % len(powers)], head, m)
+            return kernels.multiplication_maps(powers[exponents.ravel()], head, m)
 
         t = 1
         for r in reversed(radices):
@@ -347,7 +347,7 @@ def _fhead(ring: RingExtension, dtype):
 
 
 def _to_array(values, plan: FFTPlan):
-    """(s, d) array of plan.table.dtype holding the coefficients of values.
+    """(s, d) array of plan.dtype holding the coefficients of values.
 
     values is a list of plan-ring elements or an integer array of residues
     mod p^K; arrays come from outside, so their shape, type and range are checked.
@@ -363,7 +363,7 @@ def _to_array(values, plan: FFTPlan):
             raise BadInput(f"array entries must be integers, got dtype {values.dtype}")
         if values.size and (values.min() < 0 or values.max() >= m):
             raise BadInput(f"array entries must lie in [0, {m})")
-        return values.astype(plan.table.dtype, copy=False)
+        return values.astype(plan.dtype, copy=False)
     if len(values) != s:
         raise LengthMismatch(f"expected {s} elements, got {len(values)}")
     for v in values:
@@ -372,7 +372,7 @@ def _to_array(values, plan: FFTPlan):
         if v.parent is not plan.ring and not v.parent.same(plan.ring):
             raise ParentMismatch("element does not belong to the plan's ring")
     coeffs = itertools.chain.from_iterable(v.coeffs for v in values)
-    return np.fromiter(coeffs, dtype=plan.table.dtype, count=s * d).reshape(s, d)
+    return np.fromiter(coeffs, dtype=plan.dtype, count=s * d).reshape(s, d)
 
 
 def _to_elements(arr, plan: FFTPlan):
@@ -385,7 +385,7 @@ def dft(coeffs, plan: FFTPlan):
 
     coeffs is a list of s plan-ring elements, giving a list, or an (s, d)
     integer array of their coefficients in [0, p^K), giving an array of
-    plan.table.dtype.
+    plan.dtype.
     """
     out = _transform(_to_array(coeffs, plan), plan)
     return out if isinstance(coeffs, np.ndarray) else _to_elements(out, plan)
@@ -405,7 +405,7 @@ def _transform(arr, plan: FFTPlan):
     ring = plan.ring
     m = ring.ctx.pK
     d = ring.degree
-    gather, scatter = _index_maps(_fused_radices(plan.s_factored, d), s)
+    gather, scatter = plan.index_maps
     arr = kernels.to_digits(arr[gather], m)
     for stage in plan.stages:
         blocks, r, t, post = stage.shape
@@ -506,7 +506,7 @@ def cyclic_convolution(x, y, plan: FFTPlan):
     ring = plan.ring
     fx, fy = (dft(v if isinstance(v, np.ndarray) else _to_array(v, plan), plan) for v in (x, y))
     ring.counter.add(plan.s * ring.mul_cost())
-    prod = idft(kernels.ring_mul_batch(fx, fy, _fhead(ring, plan.table.dtype), ring.ctx.pK), plan)
+    prod = idft(kernels.ring_mul_batch(fx, fy, _fhead(ring, plan.dtype), ring.ctx.pK), plan)
     return prod if isinstance(x, np.ndarray) and isinstance(y, np.ndarray) else _to_elements(prod, plan)
 
 
@@ -606,7 +606,7 @@ def poly_multiply(f, g, p: int, K: int, planner=choose_parameters, plan: FFTPlan
 
 
 def _pack(coeffs, c: int, plan: FFTPlan):
-    """(s, d) array of plan.table.dtype holding coeffs in runs of c, run i in coordinates 0..c-1 of row i."""
-    out = np.zeros((plan.s, plan.ring.degree), dtype=plan.table.dtype)
+    """(s, d) array of plan.dtype holding coeffs in runs of c, run i in coordinates 0..c-1 of row i."""
+    out = np.zeros((plan.s, plan.ring.degree), dtype=plan.dtype)
     out[: -(-len(coeffs) // c), :c].flat[: len(coeffs)] = coeffs
     return out

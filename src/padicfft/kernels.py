@@ -28,7 +28,7 @@ residual over the digits, so no rounding reaches any result.
 
 multiplication_maps turns fixed elements of (Z/m)[X]/F into the d x d
 matrices of their ring products, so a batch of products is one matmul_mod;
-power_table doubles on them, one matmul_mod per doubling.
+power_table doubles on them, one stacked matmul_mod per doubling.
 """
 
 from __future__ import annotations
@@ -137,21 +137,21 @@ def multiplication_maps(powers, fhead, m: int):
     return maps
 
 
-def power_table(elt, s: int, fhead, m: int):
-    """Array of shape (s, d) and elt's dtype: rows elt^0 .. elt^(s-1) for elt in [0, m)^d, by doubling.
+def power_table(elts, s: int, fhead, m: int):
+    """(n, s, d) array of elts' dtype: rows elt^0 .. elt^(s-1) for each of the n elts in [0, m)^d, by doubling.
 
-    With rows [0, h) filled and step = elt^h, one matmul_mod of the rows
-    [table[:take]; step] by step's multiplication map fills rows [h, h + take)
-    and leaves elt^(2h) in its last row.
+    With rows [0, h) filled and step = elt^h per elt, one stacked matmul_mod
+    of the rows [table[:take]; step] by step's multiplication map fills rows
+    [h, h + take) and leaves elt^(2h) in its last row.
     """
-    elt = np.asarray(elt, dtype=_dtype(elt))
-    table = np.zeros((s, elt.shape[0]), dtype=elt.dtype)
-    table[0, 0] = 1
-    step, h = elt, 1
+    elts = np.asarray(elts, dtype=_dtype(elts))
+    table = np.zeros((len(elts), s, elts.shape[1]), dtype=elts.dtype)
+    table[:, 0, 0] = 1
+    step, h = elts, 1
     while h < s:
         take = min(h, s - h)
-        out = matmul_mod(np.vstack([table[:take], step]), multiplication_maps(step[None], fhead, m)[0], m)
-        table[h : h + take], step = out[:take], out[take]
+        out = matmul_mod(np.hstack([table[:, :take], step[:, None]]), multiplication_maps(step, fhead, m), m)
+        table[:, h : h + take], step = out[:, :take], out[:, take]
         h += take
     return table
 

@@ -31,7 +31,7 @@ from padicfft.fft import (
     naive_dft,
     poly_multiply,
 )
-from padicfft.lifting import newton_lift_root
+from padicfft.lifting import LiftResult, newton_lift_root
 from padicfft.orders import FactoredOrder, is_prime, multiplicative_order
 from padicfft.padic import RingExtension, ring_mul, ring_pow
 from padicfft.pipeline import build_pipeline
@@ -61,13 +61,13 @@ def horner(coeffs, point):
 
 
 def object_copy(plan):
-    """The plan on the object backend: its table, basis and every stage's maps as Python ints."""
+    """The plan on the object backend: its basis and every stage's maps as Python ints."""
     def big(a):
         return a.astype(object)
 
     stages = tuple(dataclasses.replace(stage, twiddles=tuple(map(big, stage.twiddles)), maps=big(stage.maps))
                    for stage in plan.stages)
-    return dataclasses.replace(plan, table=big(plan.table), basis=big(plan.basis), basis_inv=big(plan.basis_inv),
+    return dataclasses.replace(plan, dtype=np.dtype(object), basis=big(plan.basis), basis_inv=big(plan.basis_inv),
                                stages=stages)
 
 
@@ -117,7 +117,7 @@ def test_matches_naive_above_int64():
     # 19^32 > 2^51, so the transform runs on Python ints
     pipe = build_pipeline(19, 32, s=40, seed=1)
     plan = pipe.plan
-    assert plan.table.dtype == object
+    assert plan.dtype == object
     x = random_vector(plan.ring, 40, random.Random(40))
     assert dft(x, plan) == naive_dft(x, plan.root, 40)
 
@@ -137,7 +137,7 @@ def test_round_trip_python_engine():
     # 19^32 is far beyond the vector kernel's modulus bound
     pipe = build_pipeline(19, 32, s=40, seed=4)
     plan = pipe.plan
-    assert plan.table.dtype == object
+    assert plan.dtype == object
     rng = random.Random(9)
     x = random_vector(plan.ring, 40, rng)
     assert idft(dft(x, plan), plan) == x
@@ -184,7 +184,7 @@ def test_engine_parity():
     pipe = build_pipeline(3, 8, s=104, seed=2)
     fast = pipe.plan
     slow = object_copy(fast)
-    assert fast.table.dtype == np.int64
+    assert fast.dtype == np.int64
     counter = fast.ring.counter
     rng = random.Random(17)
     x = random_vector(fast.ring, 104, rng)
@@ -198,7 +198,7 @@ def test_engine_parity():
                 out = op(*args, plan)
                 counts.append(counter.count)
                 if isinstance(out, np.ndarray):
-                    assert out.dtype == plan.table.dtype
+                    assert out.dtype == plan.dtype
                     outs.append([tuple(row) for row in out.tolist()])
                 else:
                     outs.append([v.coeffs for v in out])
@@ -208,7 +208,7 @@ def test_engine_parity():
 
 def test_transform_outputs_pinned():
     # outputs and per-call counter deltas of every transform entry point, over int64 plans, their
-    # object-table copies and object plans, up to the transform-large plan (s=12584, d=30); the
+    # object copies and object plans, up to the transform-large plan (s=12584, d=30); the
     # digest is the one the transform gave while it kept a separate inverse schedule
     everything = ("dft", "idft", "idft list", "convolution", "product")
     arrays = ("dft", "idft")
@@ -219,14 +219,14 @@ def test_transform_outputs_pinned():
     for p, K, s, ops in cases:
         plan = build_pipeline(p, K, s=s, seed=2).plan
         variants = [(plan, ops)]
-        if plan.table.dtype == np.int64 and s <= 2736:
+        if plan.dtype == np.int64 and s <= 2736:
             variants.append((object_copy(plan), ops if s < 1000 else arrays))
         ring, m = plan.ring, plan.ring.ctx.pK
         rng = random.Random(s * 100 + K)
         x, y = ([[rng.randrange(m) for _ in range(ring.degree)] for _ in range(s)] for _ in range(2))
         f, g = ([rng.randrange(m) for _ in range(s // 2)] for _ in range(2))
         for q, names in variants:
-            xa, ya = (np.array(v, dtype=q.table.dtype) for v in (x, y))
+            xa, ya = (np.array(v, dtype=q.dtype) for v in (x, y))
             calls = {"dft": lambda: dft(xa, q), "idft": lambda: idft(xa, q),
                      "idft list": lambda: [v.coeffs for v in idft([ring.element(c) for c in x], q)],
                      "convolution": lambda: cyclic_convolution(xa, ya, q),
@@ -235,9 +235,9 @@ def test_transform_outputs_pinned():
                 ring.counter.reset()
                 out = calls[name]()
                 if isinstance(out, np.ndarray):
-                    assert out.dtype == q.table.dtype
+                    assert out.dtype == q.dtype
                     out = out.tolist()
-                rows.append((p, K, s, str(q.table.dtype), name, ring.counter.count, out))
+                rows.append((p, K, s, str(q.dtype), name, ring.counter.count, out))
     digest = hashlib.sha256(repr(rows).encode()).hexdigest()
     assert digest == "1a604c47f0d66affe44f1a5f6fd1406cbabaac6fb0d2d62bb0c654507f7f4d4f"
 
@@ -246,9 +246,9 @@ def test_transform_outputs_pinned():
 def test_tiled_butterflies_match_untiled(monkeypatch, p, K, s):
     # a tiny tile splits the radix-13 (s=104) and radix-19 (s=2736, digit
     # arrays, on 3 x 3 maps, so a tile of 32) stages into several contraction, output and row tiles, the
-    # s=104 twiddle products into several batch tiles and the power-table
-    # products into several row tiles; s=9 (object arrays) and s=16 run
-    # twiddles whose maps outgrow the stage array
+    # s=104 twiddle products into several batch tiles and the axes' power-table
+    # products into several tiles, which must rebuild the same plan; s=9
+    # (object arrays) and s=16 run twiddles whose maps outgrow the stage array
     import padicfft.fft as fft_mod
     from padicfft import kernels
 
@@ -258,11 +258,6 @@ def test_tiled_butterflies_match_untiled(monkeypatch, p, K, s):
     rng = random.Random(s)
     x = random_vector(plan.ring, s, rng)
     y = random_vector(plan.ring, s, rng)
-    # an independent reference for every row of the power table: a chain of ring products
-    powers = [plan.ring.one()]
-    for _ in range(s - 1):
-        powers.append(ring_mul(powers[-1], plan.root))
-    chain = np.array([x.coeffs for x in powers], dtype=plan.table.dtype)
     # log of stages (view shape), their twiddle products (a and b shapes), their butterfly map tiles (index
     # shape, in blocks of d x d) and the row tiles under each, by row count
     log = []
@@ -276,7 +271,10 @@ def test_tiled_butterflies_match_untiled(monkeypatch, p, K, s):
     runs = []
     for tile in (kernels.TILE, 32 if s == 2736 else 64):
         monkeypatch.setattr(kernels, "TILE", tile)
-        assert np.array_equal(make_plan(plan.s_factored, pipe.lift, K).table, chain)
+        rebuilt = make_plan(plan.s_factored, pipe.lift, K)
+        assert np.array_equal(rebuilt.basis, plan.basis) and len(rebuilt.stages) == len(plan.stages)
+        for ours, theirs in zip(rebuilt.stages, plan.stages):
+            assert all(map(np.array_equal, (ours.maps, *ours.twiddles), (theirs.maps, *theirs.twiddles)))
         outs, counts = [], []
         for op, args in ((dft, (x,)), (idft, (x,)), (cyclic_convolution, (x, y))):
             counter.reset()
@@ -359,11 +357,11 @@ def test_index_maps_are_permutations(s):
 ])
 def test_good_thomas_matches_naive(monkeypatch, p, K, s, samples, passes):
     # one prime-power axis (s = 9, 16), two (104 = 8 * 13) and three (60 = 4 * 3 * 5, 2736 = 16 * 9 * 19),
-    # on the int64 plan and its object-table copy, all outputs against naive_dft or, at s = 2736 and 12584,
+    # on the int64 plan and its object copy, all outputs against naive_dft or, at s = 2736 and 12584,
     # sampled ones against Horner; twiddle passes, as the (r, t, post) of their stage, run only inside an
     # axis of two or more stages
     plan = build_pipeline(p, K, s=s, seed=2).plan
-    assert plan.table.dtype == np.int64
+    assert plan.dtype == np.int64
     rng = random.Random(s)
     x = random_vector(plan.ring, s, rng)
     if samples is None:
@@ -373,7 +371,7 @@ def test_good_thomas_matches_naive(monkeypatch, p, K, s, samples, passes):
         want = [horner(x, ring_pow(plan.root, j)) for j in js]
     log = twiddle_passes(monkeypatch)
     for q in (plan, object_copy(plan)):
-        xa = np.array([v.coeffs for v in x], dtype=q.table.dtype)
+        xa = np.array([v.coeffs for v in x], dtype=q.dtype)
         log.clear()
         evals = dft(xa, q)
         assert log == passes
@@ -408,9 +406,9 @@ def test_subring_matches_naive(p, K, s, samples, factors):
         exponents = np.zeros((), dtype=np.int64)
         for gs, D in factors:
             exponents = np.add.outer(exponents, s // math.prod(gs) * np.arange(D))
-        assert np.array_equal(plan.basis, plan.table[exponents.ravel()])
+        assert plan.basis.tolist() == [list(ring_pow(plan.root, int(e)).coeffs) for e in exponents.ravel()]
     else:
-        assert np.array_equal(plan.basis, np.identity(d, dtype=plan.table.dtype))
+        assert np.array_equal(plan.basis, np.identity(d, dtype=plan.dtype))
     assert ((plan.basis.astype(object) @ plan.basis_inv.astype(object)) % m == np.identity(d, dtype=object)).all()
     rng = random.Random(s * p)
     x = random_vector(ring, s, rng)
@@ -419,8 +417,8 @@ def test_subring_matches_naive(p, K, s, samples, factors):
     else:
         js = [1, s - 1] + rng.sample(range(2, s - 1), samples - 2)
         want = [horner(x, ring_pow(plan.root, j)) for j in js]
-    for q in (plan, object_copy(plan)) if plan.table.dtype == np.int64 else (plan,):
-        xa = np.array([v.coeffs for v in x], dtype=q.table.dtype)
+    for q in (plan, object_copy(plan)) if plan.dtype == np.int64 else (plan,):
+        xa = np.array([v.coeffs for v in x], dtype=q.dtype)
         evals = dft(xa, q)
         assert [tuple(evals[j].tolist()) for j in js] == [v.coeffs for v in want]
         assert np.array_equal(idft(evals, q), xa)
@@ -449,7 +447,7 @@ def test_basis_routes_match_naive(p, K, s, samples, routes):
     plan = build_pipeline(p, K, s=s, seed=2).plan
     d = plan.ring.degree
     assert routes_of(plan) == basis_routes(p, K, plan.s_factored, d) == routes
-    assert plan.table.dtype == (object if p**K > 2**51 else np.int64)
+    assert plan.dtype == (object if p**K > 2**51 else np.int64)
     # a pass is one d x d map, and the end stage beside it keeps its factor's D x D maps
     for (end, beside), route in zip(((plan.stages[0], plan.stages[1]), (plan.stages[-1], plan.stages[-2])), routes):
         if route == "pass":
@@ -464,9 +462,9 @@ def test_basis_routes_match_naive(p, K, s, samples, routes):
     else:
         js = [1, s - 1] + rng.sample(range(2, s - 1), samples - 2)
         want = [horner(x, ring_pow(plan.root, j)) for j in js]
-    for q in (plan, object_copy(plan)) if plan.table.dtype == np.int64 else (plan,):
+    for q in (plan, object_copy(plan)) if plan.dtype == np.int64 else (plan,):
         assert routes_of(q) == routes
-        xa = np.array([v.coeffs for v in x], dtype=q.table.dtype)
+        xa = np.array([v.coeffs for v in x], dtype=q.dtype)
         evals = dft(xa, q)
         assert [tuple(evals[j].tolist()) for j in js] == [v.coeffs for v in want]
         assert np.array_equal(idft(evals, q), xa)
@@ -478,7 +476,7 @@ def test_object_transform_crosses_once(monkeypatch):
     from padicfft import kernels
 
     plan = build_pipeline(7, 32, s=2736, seed=2).plan
-    assert plan.table.dtype == object
+    assert plan.dtype == object
     crossings, calls = [], []
     real = {name: getattr(kernels, name) for name in ("to_digits", "from_digits", "block_matmul_mod", "matmul_mod")}
 
@@ -530,19 +528,35 @@ def test_benchmark_plans_fold(p, K, s, stages):
                                    (7, 16, 2736), (7, 32, 2736), (3, 32, 12584), (3, 32, 16)])
 def test_plan_maps_bounded(p, K, s):
     # the plans of test_transform_outputs_pinned and s=16: no stage stores more map entries in its twiddles, nor in
-    # its butterfly, than plan.table holds, and the large plans' maps together hold under a tenth of it; a plan-wide
-    # bound cannot hold below s=24, where the log2(s) radix-2 butterflies alone outgrow an s x d table
+    # its butterfly, than the s d entries of a transform's array, and the large plans' maps together hold under a
+    # tenth of that; a plan-wide bound cannot hold below s=24, where the log2(s) radix-2 butterflies alone outgrow it
     plan = build_pipeline(p, K, s=s, seed=2).plan
     twiddles = [sum(maps.size for maps in stage.twiddles) for stage in plan.stages]
     butterflies = [stage.maps.size for stage in plan.stages]
-    assert max(twiddles + butterflies) <= plan.table.size
+    assert max(twiddles + butterflies) <= s * plan.ring.degree
     if s >= 2736:
-        assert 10 * sum(twiddles + butterflies) < plan.table.size
+        assert 10 * sum(twiddles + butterflies) < s * plan.ring.degree
     if s == 16:
         # one factor of degree d = 4: the last stage (r = 2, t = 8) keeps _twiddle's two-factor split, as its
-        # (r - 1) t = 7 maps of 4 x 4 would hold 112 entries against the table's 64
+        # (r - 1) t = 7 maps of 4 x 4 would hold 112 entries against the array's 64
         stage = plan.stages[-1]
         assert (stage.shape[1:3], stage.c, twiddles[-1]) == ((2, 8), 4, 64)
+
+
+def test_make_plan_keeps_no_power_table():
+    # make_plan builds each axis's g powers, not the s powers of the root: at s=12584, d=30 its peak stays under a
+    # quarter of the (s, d) int64 array an s-row table would take
+    import tracemalloc
+
+    pipe = build_pipeline(3, 32, s=12584, seed=2)
+    plan = pipe.plan
+    tracemalloc.start()
+    try:
+        make_plan(plan.s_factored, pipe.lift, 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < plan.s * plan.ring.degree * 8 / 4
 
 
 def test_fused_stages_match_naive(monkeypatch):
@@ -675,7 +689,7 @@ def test_poly_multiply_reuses_default_plan(monkeypatch):
         assert len(builds) == 1  # seed None is DEFAULT_SEED, one cache entry
         assert fft_mod._default_plan.cache_info().currsize == (1 if K == 16 else 3)  # K=16 left two plans
         plan = fft_mod._default_plan(7, K, builds[0], pipeline_mod.DEFAULT_SEED)
-        assert plan.table.dtype == dtype
+        assert plan.dtype == dtype
         for _ in range(2):
             assert poly_multiply(f, g, 7, K, seed=3) == schoolbook(f, g, m)
         assert len(builds) == 2  # another seed builds once, then reuses its plan
@@ -705,11 +719,12 @@ def chunks(n, c):
 
 @st.composite
 def factor(draw, m, max_len, c):
-    """Coefficients in [0, m) of a length in 1..max_len, often a multiple of c or one off, with 0 and m - 1
-    frequent and trailing zeros sometimes."""
+    """Coefficients in [0, m) of a length in 1..max_len, often a multiple of c or one off (max_len when none of
+    those fits), with 0 and m - 1 frequent and trailing zeros sometimes."""
     n = draw(st.one_of(st.integers(1, max_len),
                        st.integers(1, max(1, max_len // c)).map(lambda k: k * c)
-                       .flatmap(lambda n: st.sampled_from([x for x in (n - 1, n, n + 1) if 1 <= x <= max_len]))))
+                       .flatmap(lambda n: st.sampled_from([x for x in (n - 1, n, n + 1) if 1 <= x <= max_len]
+                                                          or [max_len]))))
     coeffs = draw(st.lists(st.one_of(st.sampled_from((0, m - 1)), st.integers(0, m - 1)), min_size=n, max_size=n))
     zeros = draw(st.integers(0, min(3, n - 1)))
     return coeffs[: n - zeros] + [0] * zeros
@@ -834,6 +849,14 @@ def test_validation():
     from padicfft.errors import NotCoprime
     with pytest.raises(NotCoprime):
         make_plan(9, pipe.lift, 4)
+    # a root of order a proper divisor of s passes root^s = 1 and fails at the prime q with root^(s/q) = 1, read off
+    # axis q^v's powers: alpha^2 and alpha^3 of the s=48 plan (int64), alpha^2 and alpha^5 of the s=40 plan (object)
+    for p, K, s, exponents in ((7, 16, 48, (2, 3)), (19, 32, 40, (2, 5))):
+        base = build_pipeline(p, K, s=s, seed=2).plan
+        for e in exponents:
+            lift = LiftResult(base.ring, ring_pow(base.root, e), K, steps=0, base_mults=0)
+            with pytest.raises(RootNotPrimitive, match=f"root order divides {s}/{e}$"):
+                make_plan(s, lift, K)
     # arrays come from outside: shape, type and range are checked on both backends
     m, d = plan.ring.ctx.pK, plan.ring.degree
     for pl in (plan, object_copy(plan)):
@@ -872,7 +895,7 @@ def test_projection_failure_detected(monkeypatch):
 
     pipe = build_pipeline(3, 4, s=4, seed=7)
     plan = pipe.plan
-    bad = np.ones((4, 2), dtype=plan.table.dtype)
+    bad = np.ones((4, 2), dtype=plan.dtype)
     bad[0, 1] = 0
     monkeypatch.setattr(fft_mod, "cyclic_convolution", lambda x, y, p: bad)
     with pytest.raises(CoefficientNotRational, match="coefficient 1 "):
@@ -881,7 +904,7 @@ def test_projection_failure_detected(monkeypatch):
     # element i holds the product's coefficients from 3 i on
     plan = build_pipeline(3, 4, s=7, seed=7).plan
     assert plan.ring.degree == 6
-    bad = np.zeros((7, 6), dtype=plan.table.dtype)
+    bad = np.zeros((7, 6), dtype=plan.dtype)
     bad[:3, :5] = 1
     monkeypatch.setattr(fft_mod, "cyclic_convolution", lambda x, y, p: bad)
     assert poly_multiply([1, 1, 1, 1], [1, 1, 1, 1, 1], 3, 4, plan=plan) == [1, 1, 1, 2, 2, 1, 2, 2]  # overlap-add

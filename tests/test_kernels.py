@@ -130,32 +130,34 @@ def test_object_backend_matches_python_ints():
         for row in range(20):
             expect = ring_mul(ring.element(x[row].tolist()), ring.element(y[row].tolist()))
             assert got[row].tolist() == list(expect.coeffs)
-        table = power_table(x[0], 30, fhead, m)
+        table = power_table(x[:1], 30, fhead, m)[0]
         assert table.dtype == object
         for k in (0, 1, 2, 17, 29):
             assert table[k].tolist() == list(ring_pow(ring.element(x[0].tolist()), k).coeffs)
 
 
 def test_power_table_matches_ring_pow():
-    # every row, for lengths that end a doubling early, exactly, or past it, on both dtypes
+    # every row of each of a stack of elements, for lengths that end a doubling early, exactly, or past it, on
+    # both dtypes
     rng = random.Random(5)
     for p, K, d, dtype in ((3, 8, 2, np.int64), (3, 32, 4, np.int64), (7, 32, 3, object), (3, 8, 1, object)):
         ring = _random_ring(rng, p, K, d)
         m = ring.ctx.pK
         fhead = np.array(ring.modulus[:-1], dtype=dtype)
-        elt = ring.element([rng.randrange(m) for _ in range(d)])
+        elts = [ring.element([rng.randrange(m) for _ in range(d)]) for _ in range(3)]
         for s in (1, 2, 3, 5, 7, 104):
-            table = power_table(np.array(elt.coeffs, dtype=dtype), s, fhead, m)
-            assert table.dtype == dtype and table.shape == (s, d)
-            assert table.tolist() == [list(ring_pow(elt, k).coeffs) for k in range(s)]
+            table = power_table(np.array([elt.coeffs for elt in elts], dtype=dtype), s, fhead, m)
+            assert table.dtype == dtype and table.shape == (3, s, d)
+            assert table.tolist() == [[list(ring_pow(elt, k).coeffs) for k in range(s)] for elt in elts]
 
 
 def test_power_table_edges():
     fhead = np.array([2, 0], dtype=np.int64)
-    one = power_table(np.array([0, 1], dtype=np.int64), 1, fhead, 81)
-    assert one.tolist() == [[1, 0]]
-    two = power_table(np.array([5, 7], dtype=np.int64), 2, fhead, 81)
-    assert two.tolist() == [[1, 0], [5, 7]]
+    one = power_table(np.array([[0, 1]], dtype=np.int64), 1, fhead, 81)
+    assert one.tolist() == [[[1, 0]]]
+    two = power_table(np.array([[5, 7], [0, 1]], dtype=np.int64), 2, fhead, 81)
+    assert two.tolist() == [[[1, 0], [5, 7]], [[1, 0], [0, 1]]]
+    assert power_table(np.zeros((0, 2), dtype=np.int64), 1, fhead, 81).shape == (0, 1, 2)
 
 
 def _matmul_reference(a, b, m):
@@ -310,7 +312,7 @@ def test_matmul_mod_tiles(monkeypatch, m):
                                         (5, 2, 3, 3, [2, 2, 1] if small else [1] * 5), (3, 4, 5, 5, [1, 1, 1])):
         a, b = rand(batch, rows, n), rand(batch, n, cols)
         check(a, b, [_matmul_reference(u, v, m) for u, v in zip(a, b)], sizes)
-    # a broadcast a, one low table against a batch of maps, as the power table passes it
+    # a broadcast a, one low table against a batch of maps, as the basis fold passes it
     low, maps = rand(3, 4), rand(7, 4, 4)
     check(np.broadcast_to(low, (7, 3, 4)), maps, [_matmul_reference(low, v, m) for v in maps], [1] * 7)
 

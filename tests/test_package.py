@@ -1,6 +1,7 @@
-"""Package-wide checks on the library source."""
+"""Package-wide checks on the library source and the CI workflow that runs its tests."""
 
 import ast
+import re
 from collections import defaultdict
 from pathlib import Path
 
@@ -41,3 +42,17 @@ def test_fft_uses_only_the_public_kernels():
                 for alias in node.names}
     assert "block_matmul_mod" in used
     assert used | imported <= public
+
+
+def test_workflow_names_existing_tests():
+    # a step that names a test by node id runs nothing, and fails only on the CI host, once that test is renamed
+    root = Path(__file__).resolve().parents[1]
+    workflow = (root / ".github" / "workflows" / "tests.yml").read_text()
+    named = re.findall(r"\b(tests/\w+\.py)::(\w+)", workflow)
+    assert named
+    missing = []
+    for path, name in named:
+        tree = ast.parse((root / path).read_text())
+        if not any(isinstance(fn, ast.FunctionDef) and fn.name == name for fn in tree.body):
+            missing.append(f"{path}::{name}")
+    assert missing == []
