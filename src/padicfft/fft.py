@@ -15,8 +15,8 @@ s = 2736 = 2^4 3^2 19 at d = 6 runs stages 16, 9 and 19 with none, and
 s = 12584 = 2^3 11^2 13 at d = 30 runs 8, 11, 11 and 13 with one twiddle
 pass, inside 11^2.
 There is one direction: idft(X)[n] = s^(-1) dft(X)[-n mod s], so idft runs
-the forward schedule on its input read at -k mod s and multiplies the
-result by s^(-1).
+the forward schedule on its input read at -k mod s, its first stage's maps
+times s^(-1): that stage has no twiddles (t = 1), so it scales its output.
 
 Each axis runs over its own Galois subring: zeta_g lies in GR(p^K, d_g)
 inside A = GR(p^K, d), d_g = ord_g(p) (see subring_axes). Axes whose d_g
@@ -34,7 +34,9 @@ Every product inside a stage runs on the exact float64 products of
 kernels, which own the limb format and the tiling. make_plan builds every
 stage's maps once (see _stages): the multiplication matrices of fixed
 elements, from kernels.multiplication_maps of each axis's g powers of
-zeta_g, so no plan holds the s powers of alpha. A twiddle pass shares each
+zeta_g, so no plan holds the s powers of alpha. It also prepares them once
+(kernels.prepare: folded for the plan's rows), so a transform folds no map
+and makes none. A twiddle pass shares each
 twiddle with the rows of the later axes and other factors, may split it
 into two factors each shared by more rows, and multiplies every group of
 rows by its factor's matrix in one stacked kernels.matmul_mod (see
@@ -62,8 +64,9 @@ form: arrays come back in plan.dtype. poly_multiply stays in arrays and
 packs c = (d+1)//2 consecutive coefficients into the X-coordinates of
 each element: chunk products have degree at most 2c-2 < d, so nothing wraps
 mod F, and overlap-add reads the product back. Called without a plan, it
-runs on the cheapest divisor s' of the planner's s, on plans it builds once
-and caches, the divisor plans with no tower or lift (see poly_multiply).
+runs on the cheapest divisor s' of the first planner s that holds its
+chunks, on plans it builds once and caches, the divisor plans with no tower
+or lift (see poly_multiply).
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -94,9 +97,11 @@ from .padic import PadicContext, RingElement, RingExtension, residue_inverse, ri
 from .planner import choose_parameters
 
 # Planner plans poly_multiply keeps for reuse; it keeps 4 * PLAN_CACHE_SIZE divisor plans beside them. A plan
-# holds its stages' maps, P and P^-1 and its two index maps of s int64 entries each: the largest planner plan it
-# reaches in practice (p=3, s=12584, d=30) holds 0.26 MB, 0.2 MB of it the index maps, and its 23 divisor plans
-# hold 7.8 MB together, at most 1.1 MB each, so the divisor cache stays under 40 MB and both within tens of MB.
+# holds its stages' maps and their folds (kernels.prepare: 6 to 9 float64 limbs per entry at 3^32), P and P^-1
+# and its two index maps of s int64 entries each: the largest planner plan it reaches in practice (p=3, s=12584,
+# d=30) holds 0.55 MB, 0.28 MB of it the folds and 0.2 MB the index maps. Its 23 divisor plans hold 55 MB
+# together, 47 MB of it folds, at most 7.4 MB each (the one-factor plans at s' = 121 k, whose twiddles are 100
+# maps of 30 x 30), so the divisor cache stays under 240 MB; the 29 of 7^16 s=2736 hold 1.2 MB.
 PLAN_CACHE_SIZE = 8
 # Products per element an end stage may add by folding in the basis change, about what a pass of its own costs
 # (see basis_routes): on int64 in row splits and recombination, on digit arrays (p^K > 2^51) in recuts and
@@ -107,7 +112,7 @@ DIGIT_FOLD_LIMIT = 40
 
 @dataclass(frozen=True)
 class Stage:
-    """One radix-r stage of a prime-power axis and the maps make_plan built for it.
+    """One radix-r stage of a prime-power axis and the maps make_plan built for it, each kernels.prepare()d once.
 
     shape is (blocks, r, t, post) of the stage's view of the (s, d) array. The twiddles read the d coordinates
     as layout = (a, D, b) and act on the middle D, the axis's tensor factor: twiddles holds the stacks of the two
@@ -118,9 +123,9 @@ class Stage:
     shape: tuple
     layout: tuple
     c: int
-    twiddles: tuple
+    twiddles: tuple  # two prepared stacks of maps
     bf_layout: tuple
-    maps: np.ndarray
+    butterfly: object  # the r maps, prepared as the blocks of an r x r block matrix
 
 
 @dataclass
@@ -144,6 +149,7 @@ class FFTPlan:
     basis: np.ndarray  # P, (d, d): row i is tensor basis element i in X coordinates
     basis_inv: np.ndarray  # P^-1 mod p^K
     stages: tuple  # Stage per stage, in the order they run
+    inverse_stages: tuple  # the stages idft runs: the first one's butterfly maps times s^-1
     index_maps: tuple  # (gather, scatter), the Good-Thomas input and output permutations (see _index_maps)
 
     @property
@@ -218,19 +224,23 @@ def make_plan(s, lift, K: int) -> FFTPlan:
         powers = functools.reduce(lambda x, y: kernels.ring_mul_batch(x, y, fhead, m), axes)
         basis, tops = np.split(powers, [d])
         basis_inv = _inverse_mod(basis, p, K, m)
+    inv_s = residue_inverse(s.value % m, ring.ctx)
+    index_maps = _index_maps(_fused_radices(s, d), s.value)  # before the stages' folds, which would add to its peak
+    stages = _stages(s, factors, rows, tops, fhead, basis, basis_inv, m, basis_routes(p, K, s, d))
     return FFTPlan(
         s=s.value,
         s_factored=s,
         radices=tuple(s.radix_schedule()),
         ring=ring,
         root=root,
-        inv_s=residue_inverse(s.value % m, ring.ctx),
+        inv_s=inv_s,
         dtype=dtype,
         factors=factors,
         basis=basis,
         basis_inv=basis_inv,
-        stages=_stages(s, factors, rows, tops, fhead, basis, basis_inv, m, basis_routes(p, K, s, d)),
-        index_maps=_index_maps(_fused_radices(s, d), s.value),
+        stages=stages,
+        inverse_stages=(_scaled(stages[0], inv_s, m), *stages[1:]) if stages else (),
+        index_maps=index_maps,
     )
 
 
@@ -299,20 +309,28 @@ def _stages(s: FactoredOrder, factors, rows, tops, fhead, basis, basis_inv, m: i
             elif routes and routes[1] == "fold" and post == 1 and r * t == g:  # out: (I x N x I) P, transposed
                 folded = _fold_basis(basis.T, butterfly.swapaxes(1, 2), layout, m)
                 bf_layout, butterfly = (1, d, 1), folded.swapaxes(1, 2)
-            stages.append(Stage((pre * g // (r * t), r, t, post), layout, c, twiddles, bf_layout, butterfly))
+            twiddles = tuple(kernels.prepare(x, m) for x in twiddles)
+            stages.append(Stage((pre * g // (r * t), r, t, post), layout, c, twiddles, bf_layout,
+                                kernels.prepare(butterfly, m, r)))
             t *= r
         pre *= g
     if routes and routes[0] == "pass":  # X coordinates in and out by stages of their own
-        stages.insert(0, _basis_pass(basis_inv, s.value))
+        stages.insert(0, _basis_pass(basis_inv, s.value, m))
     if routes and routes[1] == "pass":
-        stages.append(_basis_pass(basis, s.value))
+        stages.append(_basis_pass(basis, s.value, m))
     return tuple(stages)
 
 
-def _basis_pass(change, s: int) -> Stage:
+def _basis_pass(change, s: int, m: int) -> Stage:
     """A radix-1 stage whose one map is the basis change P^-1 or P: no twiddles, one d x d product per row."""
-    none, d = np.zeros((0, *change.shape), dtype=change.dtype), len(change)
-    return Stage((s, 1, 1, 1), (1, d, 1), 1, (none, none), (1, d, 1), change[None])
+    none, d = kernels.prepare(np.zeros((0, *change.shape), dtype=change.dtype), m), len(change)
+    return Stage((s, 1, 1, 1), (1, d, 1), 1, (none, none), (1, d, 1), kernels.prepare(change[None], m, 1))
+
+
+def _scaled(stage: Stage, factor: int, m: int) -> Stage:
+    """stage with its butterfly maps times factor mod m; at t = 1 it runs no twiddles, so its output is scaled."""
+    maps = kernels.mul_mod(stage.butterfly.maps, factor, m)
+    return replace(stage, butterfly=kernels.prepare(maps, m, stage.shape[1]))
 
 
 def basis_routes(p: int, K: int, s: FactoredOrder, d: int) -> tuple:
@@ -387,27 +405,26 @@ def dft(coeffs, plan: FFTPlan):
     integer array of their coefficients in [0, p^K), giving an array of
     plan.dtype.
     """
-    out = _transform(_to_array(coeffs, plan), plan)
+    out = _transform(_to_array(coeffs, plan), plan, plan.stages)
     return out if isinstance(coeffs, np.ndarray) else _to_elements(out, plan)
 
 
 def idft(evals, plan: FFTPlan):
     """Exact inverse of dft: coefficients from evaluations, in the form of evals."""
     ring = plan.ring
-    out = _transform(_to_array(evals, plan)[-np.arange(plan.s) % plan.s], plan)
+    out = _transform(_to_array(evals, plan)[-np.arange(plan.s) % plan.s], plan, plan.inverse_stages)
     ring.counter.add(plan.s * ring.degree)  # scaling by s^-1, d multiplications per element
-    out = kernels.mul_mod(out, plan.inv_s, ring.ctx.pK)
     return out if isinstance(evals, np.ndarray) else _to_elements(out, plan)
 
 
-def _transform(arr, plan: FFTPlan):
+def _transform(arr, plan: FFTPlan, stages):
     s = plan.s
     ring = plan.ring
     m = ring.ctx.pK
     d = ring.degree
     gather, scatter = plan.index_maps
     arr = kernels.to_digits(arr[gather], m)
-    for stage in plan.stages:
+    for stage in stages:
         blocks, r, t, post = stage.shape
         _twiddle(arr.reshape(stage.shape + stage.layout), stage, m)
         # radix-r pass: out[k2] = sum_j arr[j] * zeta^(j k2) on the butterfly's D coordinates, one block
@@ -415,7 +432,7 @@ def _transform(arr, plan: FFTPlan):
         a, D, b = stage.bf_layout
         rows = arr.reshape(blocks, r, t * post, a, D, b).transpose(0, 2, 3, 5, 1, 4).reshape(-1, r * D)
         del arr
-        arr = kernels.block_matmul_mod(rows, stage.maps, np.outer(np.arange(r), np.arange(r)) % r, m)
+        arr = kernels.block_matmul_mod(rows, stage.butterfly, np.outer(np.arange(r), np.arange(r)) % r, m)
         del rows
         arr = arr.reshape(blocks, t * post, a, b, r, D).transpose(0, 4, 1, 2, 5, 3).reshape(s, d)
     out = np.empty_like(arr)
@@ -480,7 +497,7 @@ def _twiddle(view, stage: Stage, m: int):
     for x, maps in ((grid[:, 1:, :, 1:].transpose(1, 3, 0, 2, 4, 5, 7, 6), stage.twiddles[0]),
                     (grid[:, 1:, 1:].transpose(1, 2, 0, 3, 4, 5, 7, 6), stage.twiddles[1])):
         if x.size:
-            x[...] = kernels.matmul_mod(x.reshape(len(maps), -1, D), maps, m).reshape(x.shape)
+            x[...] = kernels.matmul_mod(x.reshape(maps.shape[0], -1, D), maps, m).reshape(x.shape)
 
 
 def naive_dft(coeffs, root, s: int):
@@ -549,13 +566,16 @@ def poly_multiply(f, g, p: int, K: int, planner=choose_parameters, plan: FFTPlan
     result coordinate from 2c-1 up must come back zero.
 
     A prebuilt plan must be over Z/p^K and packs into its own s. Without one,
-    the planner hook picks s above deg f + deg g, and the plan of (p, K, s,
-    seed) comes from a per-process cache of PLAN_CACHE_SIZE plans, each built
-    once by build_pipeline at that seed, None being pipeline.DEFAULT_SEED.
-    The product then runs on the divisor s' of s that holds the chunks at the
-    least modelled cost s' sum v q, on a plan make_plan builds once from the
-    cached plan's ring and root alpha^(s/s') and caches beside it. A cached
-    plan's ring.counter accumulates the work of every caller.
+    the planner hook is asked for N = 1, then for N = the last s, until an s
+    holds the chunks at that result's d; no plan is built for the results
+    passed over, and an s that stops growing raises DegreeOverflow. The plan
+    of (p, K, s, seed) comes from a per-process cache of PLAN_CACHE_SIZE
+    plans, each built once by build_pipeline at that seed, None being
+    pipeline.DEFAULT_SEED. The product then runs on the divisor s' of s that
+    holds the chunks at the least modelled cost s' sum v q, on a plan
+    make_plan builds once from the cached plan's ring and root alpha^(s/s')
+    and caches beside it. A cached plan's ring.counter accumulates the work
+    of every caller.
     """
     m = PadicContext(p, K).pK
     if plan is not None and (plan.p, plan.K) != (p, K):
@@ -573,17 +593,13 @@ def poly_multiply(f, g, p: int, K: int, planner=choose_parameters, plan: FFTPlan
         return []
     key = None
     if plan is None:
-        bound = (len(fc) - 1) + (len(gc) - 1)
-        try:
-            chosen = planner(p, max(bound, 1))
-        except (OutOfRange, FactoringFailure) as exc:
-            raise DegreeOverflow(f"no transform length above {bound} is available") from exc
+        chosen = _planner_walk(planner, p, len(fc), len(gc))
         from .pipeline import DEFAULT_SEED
 
         key = (p, K, chosen.s_factored, DEFAULT_SEED if seed is None else seed)
         plan = _default_plan(*key)
-    c = (plan.ring.degree + 1) // 2  # a divisor plan shares the ring, so c and n hold for it too
-    n = -(-len(fc) // c) + -(-len(gc) // c) - 1
+    n = _chunks(len(fc), len(gc), plan.ring.degree)  # a divisor plan shares the ring, so n holds for it too
+    c = (plan.ring.degree + 1) // 2
     if key:
         divisor = next((t for t in _divisors_by_cost(plan.s_factored) if t.value >= n), plan.s_factored)
         if divisor != plan.s_factored:
@@ -603,6 +619,28 @@ def poly_multiply(f, g, p: int, K: int, planner=choose_parameters, plan: FFTPlan
     while out and out[-1] == 0:
         out.pop()
     return out
+
+
+def _chunks(la: int, lb: int, d: int) -> int:
+    """Elements a product of lengths la and lb packs into at degree d: ceil(la/c) + ceil(lb/c) - 1, c = (d+1)//2."""
+    c = (d + 1) // 2
+    return -(-la // c) + -(-lb // c) - 1
+
+
+def _planner_walk(planner, p: int, la: int, lb: int):
+    """The first planner result, asked for N = 1 and then N = the last s, whose s holds the packed product."""
+    s = 0
+    while True:
+        try:
+            chosen = planner(p, max(s, 1))
+        except (OutOfRange, FactoringFailure) as exc:
+            raise DegreeOverflow(f"no transform length above {s} is available") from exc
+        if chosen.s <= s:
+            raise DegreeOverflow(f"the planner's s stopped growing at {s}, below the {_chunks(la, lb, chosen.d)} "
+                                 f"elements that lengths {la} and {lb} pack into")
+        if _chunks(la, lb, chosen.d) <= chosen.s:
+            return chosen
+        s = chosen.s
 
 
 def _pack(coeffs, c: int, plan: FFTPlan):

@@ -13,11 +13,14 @@ ceil(bits(m-1)/Lb) <= 17, so only those two conversions touch Python ints.
 
 block_matmul_mod multiplies rows by a block matrix of fixed maps mod m on
 float64 BLAS, exactly, and owns the limb format and the tiling; matmul_mod
-is its 1 x 1 case, or runs a stack of maps entry by entry. Each folds the
-fixed map b: B_i = 2^(w i) b mod m, cut into Lb limbs, for each of the La
-limbs of width w that a is cut into. One matmul of [a_0 | ... | a_(La-1)]
-by those limbs gives Lb weight classes, each entry a sum of La*n integers
-below 2^(w+17) for contraction length n, so exact while
+is its 1 x 1 case, or runs a stack of maps entry by entry. Both run on the
+fixed map b folded (fold): B_i = 2^(w i) b mod m, cut into Lb limbs, for
+each of the La limbs of width w that a is cut into. prepare folds maps once
+for one form of rows into a PreparedMaps, which either product takes in
+place of the maps, so maps used again (a plan's stages) are never folded
+again; maps given as an array are prepared on entry. One matmul of
+[a_0 | ... | a_(La-1)] by those limbs gives Lb weight classes, each entry a
+sum of La*n integers below 2^(w+17) for contraction length n, so exact while
 La*n*2^(w+17) < 2^53: w is the widest width that keeps that bound (at 3^32
 and n <= 511, 2 limbs of 26 bits: 2 x 3 limb planes), which is checked,
 with OutOfRange beyond it. int64 rows are cut into limbs of 17-bit
@@ -29,6 +32,7 @@ residual over the digits, so no rounding reaches any result.
 multiplication_maps turns fixed elements of (Z/m)[X]/F into the d x d
 matrices of their ring products, so a batch of products is one matmul_mod;
 power_table doubles on them, one stacked matmul_mod per doubling.
+ring_mul_batch reduces mod F by the map of X^d, prepared once per (F, m).
 """
 
 from __future__ import annotations
@@ -46,8 +50,27 @@ FLOAT_EXACT = 1 << 53
 # Elements per matmul_mod tile: bounds every temporary a product makes.
 TILE = 1 << 16
 # Largest degree whose ring_mul_batch products reduce mod F by elementwise passes: from d = 4 on, at
-# s = 12584, one matmul_mod by X^d's map is cheaper despite its fixed cost of about 0.2 ms a call.
+# s = 12584, one block_matmul_mod by X^d's map is cheaper despite its fixed cost of about 0.2 ms a call.
 SCHOOLBOOK_DEGREE = 3
+# The block index of a single map: a 1 x 1 block matrix.
+ONE_BLOCK = np.zeros((1, 1), dtype=np.intp)
+
+
+class PreparedMaps(NamedTuple):
+    """Fixed maps (N, n, k) mod m folded once (see prepare), which matmul_mod and block_matmul_mod take for maps.
+
+    A stack holds fold(maps, m, La, count) as fold gives it, (N, La, n, Lb, k); the maps of a block matrix hold
+    it in _map_block's flat layout (La, N n Lb, k), with La chosen for contraction tiles of j_step blocks.
+    """
+
+    maps: np.ndarray
+    folded: np.ndarray
+    digits: bool  # folded for digit arrays (to_digits), else for int64 rows
+    j_step: int | None  # None for a stack
+
+    @property
+    def shape(self):
+        return self.maps.shape
 
 
 class _Radix(NamedTuple):
@@ -117,10 +140,17 @@ def ring_mul_batch(x, y, fhead, m: int):
         for i in range(2 * d - 2, d - 1, -1):
             conv[..., i - d : i] = (conv[..., i - d : i] - mul(conv[..., i : i + 1], fhead)) % m
     else:
-        reduce = multiplication_maps(-fhead[None] % m, fhead, m)[0, : d - 1]
-        top = matmul_mod(conv[..., d:].reshape(-1, d - 1), reduce, m).reshape(conv.shape[:-1] + (d,))
-        conv[..., :d] = (conv[..., :d] + top) % m
+        reduce = _reducer(tuple(fhead.tolist()), m, dtype is object)
+        top = block_matmul_mod(conv[..., d:].reshape(-1, d - 1), reduce, ONE_BLOCK, m)
+        conv[..., :d] = (conv[..., :d] + top.reshape(conv.shape[:-1] + (d,))) % m
     return conv[..., :d]
+
+
+@functools.lru_cache(maxsize=16)
+def _reducer(fhead: tuple, m: int, digits: bool):
+    """X^d .. X^(2d-2) mod F, the top rows of X^d = -fhead's map, prepared for int64 or digit rows."""
+    fhead = np.array(fhead, dtype=object if digits else np.int64)
+    return prepare(multiplication_maps(-fhead[None] % m, fhead, m)[:, : len(fhead) - 1], m, 1, digits)
 
 
 def multiplication_maps(powers, fhead, m: int):
@@ -289,11 +319,11 @@ def _shift_digits(m: int, La: int):
     return np.array([[(v >> (w * l)) & ((1 << w) - 1) for v in row for l in range(Lb)] for row in values], dtype=float)
 
 
-def _limbs(a, m: int, n: int):
-    """(La, count) for rows a at contraction length n: La = a_limb_count, with 17-bit classes, or for a digit array
-    its own classes and the fewest La from there whose class bound lets _reduce correct once."""
+def _limbs(digits: bool, m: int, n: int):
+    """(La, count) for rows at contraction length n: La = a_limb_count, with 17-bit classes, or for digit arrays
+    their own classes and the fewest La from there whose class bound lets _reduce correct once."""
     La = a_limb_count(m, n)
-    if a.dtype.kind != "V":
+    if not digits:
         return La, None
     Lb = limb_count(m)
     return next((L for L in range(La, Lb) if _near(m, L * n << _width(m, L) + _width(m, Lb))), Lb), Lb
@@ -329,21 +359,41 @@ def _recut(digits, m: int, La: int):
     return out
 
 
+def prepare(maps, m: int, blocks: int | None = None, digits: bool | None = None) -> PreparedMaps:
+    """maps (N, n, k) mod m folded once, for rows that are digit arrays (by default when maps hold Python ints) or
+    int64: as a stack for matmul_mod, or, given blocks, as the maps of a block matrix of that many block rows for
+    block_matmul_mod, whose contraction tiles are then of j_step blocks, within TILE and the float64 bound. A
+    PreparedMaps already folded that way comes back as it is."""
+    if isinstance(maps, PreparedMaps):
+        if digits in (None, maps.digits) and (maps.j_step is None) == (blocks is None):
+            return maps
+        maps = maps.maps
+    maps = np.asarray(maps)
+    digits = maps.dtype == object if digits is None else digits
+    n, k = maps.shape[-2:]
+    if blocks is None:
+        return PreparedMaps(maps, fold(maps, m, *_limbs(digits, m, n)), digits, None)
+    j_step = min(blocks, max(1, min(TILE, contraction_limit(m)) // n))
+    La, count = _limbs(digits, m, j_step * n)
+    # the maps stacked as one (N n) x k map fold straight into the flat layout
+    return PreparedMaps(maps, fold(maps.reshape(-1, k), m, La, count).reshape(La, -1, k), digits, j_step)
+
+
 @_object_edges
 def matmul_mod(a, b, m: int):
     """Exact (a @ b) % m for integer a and b in [0, m), as a new array of a's dtype.
 
-    b is one (n, k) map for a (rows, n), the 1 x 1 block_matmul_mod, or a stack (N, n, k) for a (N, rows, n),
-    entry by entry, cut with a into tiles of TILE // (rows max(La n, Lb k)) entries or one, folded per tile.
+    b is one (n, k) map for a (rows, n), the 1 x 1 block_matmul_mod, or a stack (N, n, k) for a (N, rows, n), or its
+    prepare()d form, entry by entry, cut with a into tiles of TILE // (rows max(La n, Lb k)) entries or one.
     """
-    if b.ndim == 2:
-        return block_matmul_mod(a, b[None], np.zeros((1, 1), dtype=np.intp), m)
+    if len(b.shape) == 2:
+        return block_matmul_mod(a, b[None], ONE_BLOCK, m)
+    b = prepare(b, m, digits=a.dtype.kind == "V")
     n, k = b.shape[-2:]
-    La, count = _limbs(a, m, n)
     out = np.empty(a.shape[:-1] + (k,), dtype=a.dtype)
-    step = max(1, TILE // max(1, a.shape[1] * max(La * n, limb_count(m) * k)))
+    step = max(1, TILE // max(1, a.shape[1] * max(b.folded.shape[1] * n, limb_count(m) * k)))
     for u in range(0, len(a), step):
-        _folded_matmul(a[u : u + step], fold(b[u : u + step], m, La, count), m, out[u : u + step])
+        _folded_matmul(a[u : u + step], b.folded[u : u + step], m, out[u : u + step])
     return out
 
 
@@ -351,21 +401,20 @@ def matmul_mod(a, b, m: int):
 def block_matmul_mod(a, maps, index, m: int):
     """Exact (a @ M) % m for a (rows, J n) and the (J n) x (C k) matrix M whose block (j, c) is maps[index[j, c]].
 
-    maps (N, n, k) are folded once. M runs in map tiles of whole blocks, each gathered by one index
-    (_map_block): the contraction within TILE and the float64 bound, the limb block within a.size or 2 TILE.
-    Per map tile the rows run in tiles of TILE // max(La n, Lb k), cut into limbs there (int64) or recut from
-    their digits (digit arrays, whose tiles are evened out rather than leave a short last one); contraction tiles
-    add up mod m.
+    maps (N, n, k), or their prepare()d form for J block rows, are folded once. M runs in map tiles of whole blocks,
+    each gathered by one index (_map_block): the contraction within TILE and the float64 bound, the limb block
+    within a.size or 2 TILE. Per map tile the rows run in tiles of TILE // max(La n, Lb k), cut into limbs there
+    (int64) or recut from their digits (digit arrays, whose tiles are evened out rather than leave a short last one);
+    contraction tiles add up mod m.
     """
     (J, C), (n, k) = index.shape, maps.shape[-2:]
+    maps = prepare(maps, m, J, a.dtype.kind == "V")
     out = np.empty((len(a), C * k), dtype=a.dtype)
-    j_step = min(J, max(1, min(TILE, contraction_limit(m)) // n))
-    La, count = _limbs(a, m, j_step * n)
-    folded = fold(maps, m, La, count)
-    k_step = min(C, max(1, max(a.size, 2 * TILE) // (folded[0].size * j_step)))
+    j_step = min(J, maps.j_step)
+    k_step = min(C, max(1, max(a.size, 2 * TILE) // (maps.folded.size // len(maps.maps) * j_step)))
     for c0 in range(0, C, k_step):
         for j0 in range(0, J, j_step):
-            block = _map_block(folded, index[j0 : j0 + j_step, c0 : c0 + k_step])
+            block = _map_block(maps, index[j0 : j0 + j_step, c0 : c0 + k_step])
             step = max(1, TILE // max(block.shape[0] * block.shape[1], block.shape[2] * block.shape[3]))
             if a.dtype.kind == "V":  # no short last tile: each digit tile pays a fixed cost in _reduce
                 step = max(1, -(-len(a) // max(1, round(len(a) / step))))
@@ -378,12 +427,13 @@ def block_matmul_mod(a, maps, index, m: int):
     return out
 
 
-def _map_block(folded, index):
-    """Tile of fold(maps, m, La) with block (j, c) maps[index[j, c]], gathered in its final layout by one index."""
-    _, La, n, Lb, k = folded.shape
-    flat = np.moveaxis(folded, 1, 0).reshape(La, -1, k)
-    block = np.take(flat, index[:, None] * (n * Lb) + np.arange(n * Lb)[:, None], axis=1)
-    return block.reshape(La, index.shape[0] * n, Lb, index.shape[1] * k)
+def _map_block(prepared: PreparedMaps, index):
+    """Tile of a block matrix's prepared maps with block (j, c) maps[index[j, c]], (La, J n, Lb, C k), by one index."""
+    n = prepared.shape[-2]
+    La, rows, k = prepared.folded.shape
+    width = rows // len(prepared.maps)  # n Lb
+    block = np.take(prepared.folded, index[:, None] * width + np.arange(width)[:, None], axis=1)
+    return block.reshape(La, index.shape[0] * n, width // n, index.shape[1] * k)
 
 
 def _folded_matmul(a, folded, m: int, out):

@@ -61,14 +61,19 @@ def horner(coeffs, point):
 
 
 def object_copy(plan):
-    """The plan on the object backend: its basis and every stage's maps as Python ints."""
-    def big(a):
-        return a.astype(object)
+    """The plan on the object backend: its basis and every stage's maps as Python ints, prepared for digit rows."""
+    from padicfft import kernels
 
-    stages = tuple(dataclasses.replace(stage, twiddles=tuple(map(big, stage.twiddles)), maps=big(stage.maps))
-                   for stage in plan.stages)
-    return dataclasses.replace(plan, dtype=np.dtype(object), basis=big(plan.basis), basis_inv=big(plan.basis_inv),
-                               stages=stages)
+    m = plan.ring.ctx.pK
+
+    def big(stage):
+        twiddles = tuple(kernels.prepare(x.maps.astype(object), m) for x in stage.twiddles)
+        butterfly = kernels.prepare(stage.butterfly.maps.astype(object), m, stage.shape[1])
+        return dataclasses.replace(stage, twiddles=twiddles, butterfly=butterfly)
+
+    return dataclasses.replace(plan, dtype=np.dtype(object), basis=plan.basis.astype(object),
+                               basis_inv=plan.basis_inv.astype(object), stages=tuple(map(big, plan.stages)),
+                               inverse_stages=tuple(map(big, plan.inverse_stages)))
 
 
 def twiddle_passes(monkeypatch):
@@ -248,39 +253,46 @@ def test_tiled_butterflies_match_untiled(monkeypatch, p, K, s):
     # arrays, on 3 x 3 maps, so a tile of 32) stages into several contraction, output and row tiles, the
     # s=104 twiddle products into several batch tiles and the axes' power-table
     # products into several tiles, which must rebuild the same plan; s=9
-    # (object arrays) and s=16 run twiddles whose maps outgrow the stage array
+    # (object arrays) and s=16 run twiddles whose maps outgrow the stage array. make_plan folds every stage's
+    # maps under the tile it runs with, and the transforms fold none
     import padicfft.fft as fft_mod
     from padicfft import kernels
 
     pipe = build_pipeline(p, K, s=s, seed=2)
     plan = pipe.plan
-    counter = plan.ring.counter
     rng = random.Random(s)
     x = random_vector(plan.ring, s, rng)
     y = random_vector(plan.ring, s, rng)
     # log of stages (view shape), their twiddle products (a and b shapes), their butterfly map tiles (index
-    # shape, in blocks of d x d) and the row tiles under each, by row count
+    # shape, in blocks of d x d), the row tiles under each, by row count, and the maps folded (shape)
     log = []
-    real = fft_mod._twiddle, kernels.matmul_mod, kernels._map_block, kernels._folded_matmul
+    real = fft_mod._twiddle, kernels.matmul_mod, kernels._map_block, kernels._folded_matmul, kernels.fold
     monkeypatch.setattr(fft_mod, "_twiddle", lambda view, *a: log.append(("stage", view.shape)) or real[0](view, *a))
     monkeypatch.setattr(kernels, "matmul_mod", lambda a, b, m: log.append(("product", a.shape, b.shape))
                         or real[1](a, b, m))
-    monkeypatch.setattr(kernels, "_map_block", lambda folded, index: log.append(("map", index.shape))
-                        or real[2](folded, index))
+    monkeypatch.setattr(kernels, "_map_block", lambda prepared, index: log.append(("map", index.shape))
+                        or real[2](prepared, index))
     monkeypatch.setattr(kernels, "_folded_matmul", lambda a, *rest: log.append(("tile", len(a))) or real[3](a, *rest))
+    monkeypatch.setattr(kernels, "fold", lambda b, *rest: log.append(("fold", b.shape)) or real[4](b, *rest))
     runs = []
     for tile in (kernels.TILE, 32 if s == 2736 else 64):
         monkeypatch.setattr(kernels, "TILE", tile)
+        log.clear()
         rebuilt = make_plan(plan.s_factored, pipe.lift, K)
+        folded = [math.prod(shape) for kind, shape, *_ in log if kind == "fold"]  # entries
         assert np.array_equal(rebuilt.basis, plan.basis) and len(rebuilt.stages) == len(plan.stages)
         for ours, theirs in zip(rebuilt.stages, plan.stages):
-            assert all(map(np.array_equal, (ours.maps, *ours.twiddles), (theirs.maps, *theirs.twiddles)))
+            ours, theirs = ((stage.butterfly.maps, *(x.maps for x in stage.twiddles)) for stage in (ours, theirs))
+            assert all(map(np.array_equal, ours, theirs))
+            assert all(maps.size in folded for maps in ours)
         outs, counts = [], []
         for op, args in ((dft, (x,)), (idft, (x,)), (cyclic_convolution, (x, y))):
-            counter.reset()
+            rebuilt.ring.counter.reset()
             log.clear()
-            outs.append(op(*args, plan))
-            counts.append(counter.count)
+            outs.append(op(*args, rebuilt))
+            counts.append(rebuilt.ring.counter.count)
+            if op is not cyclic_convolution:  # whose pointwise reduction map is prepared once per ring
+                assert all(kind != "fold" for kind, *_ in log)
             if op is dft:
                 dft_log = list(log)
         runs.append((outs, counts))
@@ -451,10 +463,10 @@ def test_basis_routes_match_naive(p, K, s, samples, routes):
     # a pass is one d x d map, and the end stage beside it keeps its factor's D x D maps
     for (end, beside), route in zip(((plan.stages[0], plan.stages[1]), (plan.stages[-1], plan.stages[-2])), routes):
         if route == "pass":
-            assert (end.shape, end.bf_layout, end.maps.shape) == ((s, 1, 1, 1), (1, d, 1), (1, d, d))
-            assert beside.bf_layout == beside.layout and beside.maps.shape[1] < d
+            assert (end.shape, end.bf_layout, end.butterfly.shape) == ((s, 1, 1, 1), (1, d, 1), (1, d, d))
+            assert beside.bf_layout == beside.layout and beside.butterfly.shape[1] < d
         else:
-            assert end.bf_layout == (1, d, 1) and end.maps.shape[1:] == (d, d)
+            assert end.bf_layout == (1, d, 1) and end.butterfly.shape[1:] == (d, d)
     rng = random.Random(s * p + K)
     x = random_vector(plan.ring, s, rng)
     if samples is None:
@@ -531,8 +543,8 @@ def test_plan_maps_bounded(p, K, s):
     # its butterfly, than the s d entries of a transform's array, and the large plans' maps together hold under a
     # tenth of that; a plan-wide bound cannot hold below s=24, where the log2(s) radix-2 butterflies alone outgrow it
     plan = build_pipeline(p, K, s=s, seed=2).plan
-    twiddles = [sum(maps.size for maps in stage.twiddles) for stage in plan.stages]
-    butterflies = [stage.maps.size for stage in plan.stages]
+    twiddles = [sum(x.maps.size for x in stage.twiddles) for stage in plan.stages]
+    butterflies = [stage.butterfly.maps.size for stage in plan.stages]
     assert max(twiddles + butterflies) <= s * plan.ring.degree
     if s >= 2736:
         assert 10 * sum(twiddles + butterflies) < s * plan.ring.degree
@@ -557,6 +569,31 @@ def test_make_plan_keeps_no_power_table():
     finally:
         tracemalloc.stop()
     assert peak < plan.s * plan.ring.degree * 8 / 4
+
+
+@pytest.mark.parametrize("p,K,s", [(3, 32, 104), (7, 16, 2736), (7, 32, 2736)])
+def test_transforms_fold_no_maps(monkeypatch, p, K, s):
+    # make_plan prepares every map a transform runs (butterflies, twiddles, idft's first stage times s^-1) and the
+    # pointwise reduction is prepared once per ring: on a built plan, int64 (3^32, 7^16) or digit rows (7^32),
+    # dft, idft and cyclic_convolution, and a warm poly_multiply, fold no map and make no multiplication map
+    from padicfft import kernels
+
+    plan = build_pipeline(p, K, s=s, seed=2).plan
+    m, d = plan.ring.ctx.pK, plan.ring.degree
+    rng = random.Random(s)
+    x, y = (np.array([[rng.randrange(m) for _ in range(d)] for _ in range(s)], dtype=plan.dtype) for _ in range(2))
+    f, g = ([rng.randrange(m) for _ in range(n)] for n in (300, 250))
+    want = poly_multiply(f, g, p, K)
+    made = []
+    for name in ("fold", "multiplication_maps"):
+        real = getattr(kernels, name)
+        monkeypatch.setattr(kernels, name, lambda *a, real=real, name=name: made.append(name) or real(*a))
+    evals = dft(x, plan)
+    assert np.array_equal(idft(evals, plan), x)
+    cyclic_convolution(x, y, plan)
+    assert poly_multiply(f, g, p, K) == want
+    assert made == []
+    assert want == schoolbook(f, g, m)
 
 
 def test_fused_stages_match_naive(monkeypatch):
@@ -627,10 +664,10 @@ def test_poly_multiply_degree_overflow():
     f = [1] * 5
     with pytest.raises(DegreeOverflow):
         poly_multiply(f, f, 3, 4, plan=pipe.plan)
-    # planner hook that cannot reach the degree
+    # planner hook that cannot reach the degree: its s stops growing at 8
     def tiny_planner(p, N):
         return choose_parameters(p, 1)
-    with pytest.raises(DegreeOverflow):
+    with pytest.raises(DegreeOverflow, match="stopped growing at 8"):
         poly_multiply(f, f, 3, 4, planner=tiny_planner)
 
 
@@ -703,9 +740,12 @@ def test_poly_multiply_reuses_default_plan(monkeypatch):
 # An explicit plan per p with d >= 3, so c = (d+1)//2 >= 2 coefficients share an element: (s, d, c) =
 # (88, 10, 5) at p=3, (124, 3, 2) at p=5, (304, 6, 3) at p=7 and (54, 3, 2) at p=19.
 PACKED_PLAN_S = {3: 88, 5: 124, 7: 304, 19: 54}
-# On the default path len f + len g stays where the planner's s is at most 12584: at p=5 and p=19 the next s,
-# 581064 and 137160, takes seconds and over 100 MB to build at each K.
-DEFAULT_PATH_MAX_LENGTHS = {3: 800, 5: 745, 7: 800, 19: 361}
+# On the default path len f + len g stays where the planner walk stops at an s of at most 12584: at p=19 the next
+# s, 137160, takes seconds and over 100 MB to build at each K.
+DEFAULT_PATH_MAX_LENGTHS = {3: 800, 5: 800, 7: 800, 19: 361}
+# The planner's (s, d) at N = 1, then at N = the last s: the default path stops at the first s that holds the
+# chunks at c = (d+1)//2. The walk's next s (581064 at p=5, 7663536 at p=7) is too large to build here.
+PLANNER_WALK = {3: ((8, 2), (104, 6), (12584, 30)), 5: ((24, 2), (744, 6)), 7: ((48, 2), (2736, 6))}
 
 
 @functools.lru_cache(maxsize=None)
@@ -746,6 +786,65 @@ def test_poly_multiply_matches_schoolbook(data, p, K, explicit):
         f = data.draw(factor(m, min(400, DEFAULT_PATH_MAX_LENGTHS[p] - 1), 15))
         g = data.draw(factor(m, min(400, DEFAULT_PATH_MAX_LENGTHS[p] - len(f)), 3))
     assert poly_multiply(f, g, p, K, plan=plan) == schoolbook(f, g, m)
+
+
+def kronecker(f, g, m):
+    """(f g) mod m by one Python-int product, each coefficient in a byte slot that holds its exact sum."""
+    width = (2 * (m - 1).bit_length() + min(len(f), len(g)).bit_length()) // 8 + 1
+
+    def pack(v):
+        return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in v), "little")
+
+    n = len(f) + len(g) - 1
+    raw = (pack(f) * pack(g)).to_bytes(n * width, "little")
+    out = [int.from_bytes(raw[i * width : (i + 1) * width], "little") % m for i in range(n)]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), p=st.sampled_from((3, 5, 7)), K=st.sampled_from((8, 32)))
+def test_poly_multiply_walks_the_planner(data, p, K):
+    # the default path, one chunk either side of each boundary of the planner walk (its s full at one c, then the
+    # walk's next s), int64 (K = 8) and object arrays (K = 32), against schoolbook
+    import padicfft.fft as fft_mod
+
+    walk, s = [], 0
+    for _ in PLANNER_WALK[p]:
+        chosen = choose_parameters(p, max(s, 1))
+        walk.append((chosen.s, chosen.d))
+        s = chosen.s
+    assert tuple(walk) == PLANNER_WALK[p]
+    (s, d), _ = data.draw(st.sampled_from(list(zip(walk, walk[1:]))))
+    c = (d + 1) // 2
+    n = s + data.draw(st.integers(-1, 2))  # chunks at c: s - 1 and s fit, s + 1 and s + 2 take the next s
+    a = data.draw(st.integers(1, n))
+    la, lb = (data.draw(st.integers((k - 1) * c + 1, k * c)) for k in (a, n + 1 - a))
+    m = p**K
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    f, g = ([rng.randrange(m) for _ in range(length - 1)] + [rng.randrange(1, m)] for length in (la, lb))
+    want = next(t for t, e in walk if chunks(la, (e + 1) // 2) + chunks(lb, (e + 1) // 2) - 1 <= t)
+    assert want == (s if n <= s else walk[walk.index((s, d)) + 1][0])
+    assert fft_mod._planner_walk(choose_parameters, p, la, lb).s == want
+    assert poly_multiply(f, g, p, K) == schoolbook(f, g, m)
+
+
+@pytest.mark.parametrize("p,K,la,lb,s", [(3, 32, 7000, 7000, 12584),  # hung when it planned s=13754312
+                                         (5, 16, 1116, 1119, 744), (7, 16, 4104, 4107, 2736)])
+def test_poly_multiply_default_path_packs_chunks(monkeypatch, p, K, la, lb, s):
+    # the default path plans on packed chunks: 7000 x 7000 mod 3^32 runs on the s=12584 plan (c = 15), and the
+    # longest products s=744 (p=5) and s=2736 (p=7) hold at c = 3 stay there; every plan key, against Kronecker
+    import padicfft.fft as fft_mod
+
+    keys = []
+    real = fft_mod._default_plan
+    monkeypatch.setattr(fft_mod, "_default_plan", lambda *key: keys.append(key) or real(*key))
+    m = p**K
+    rng = random.Random(la)
+    f, g = ([rng.randrange(m) for _ in range(length - 1)] + [m - 1] for length in (la, lb))
+    assert poly_multiply(f, g, p, K) == kronecker(f, g, m)
+    assert keys and {key[2].value for key in keys} == {s}
 
 
 def test_poly_multiply_packed_capacity():

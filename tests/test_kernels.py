@@ -23,6 +23,7 @@ from padicfft.kernels import (
     matmul_mod,
     mul_mod,
     power_table,
+    prepare,
     ring_mul_batch,
     split_limbs,
     supports_modulus,
@@ -269,7 +270,9 @@ def test_map_block_matches_residue_block(data):
     maps, a = rand(N, n, k), rand(rows, J * n)
     residue = maps[index].transpose(0, 2, 1, 3).reshape(J * n, C * k)
     La = a_limb_count(m, J * n)
-    assert np.array_equal(_map_block(fold(maps, m, La), index), fold(residue, m, La))
+    prepared = prepare(maps, m, J, digits=False)
+    assert prepared.folded.shape[0] == La
+    assert np.array_equal(_map_block(prepared, index), fold(residue, m, La))
     got = block_matmul_mod(a, maps, index, m)
     assert got.dtype == dtype
     assert got.tolist() == matmul_mod(a, residue, m).tolist() == _matmul_reference(a, residue, m)
