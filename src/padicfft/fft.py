@@ -64,9 +64,9 @@ form: arrays come back in plan.dtype. poly_multiply stays in arrays and
 packs c = (d+1)//2 consecutive coefficients into the X-coordinates of
 each element: chunk products have degree at most 2c-2 < d, so nothing wraps
 mod F, and overlap-add reads the product back. Called without a plan, it
-runs on the cheapest divisor s' of the first planner s that holds its
-chunks, on plans it builds once and caches, the divisor plans with no tower
-or lift (see poly_multiply).
+runs on the cheapest divisor s' of the planner's s, on plans it caches, the
+divisor plans built with no tower or lift and kept within a byte bound (see
+poly_multiply).
 """
 
 from __future__ import annotations
@@ -96,13 +96,17 @@ from .orders import FactoredOrder, multiplicative_order
 from .padic import PadicContext, RingElement, RingExtension, residue_inverse, ring_mul, ring_pow
 from .planner import choose_parameters
 
-# Planner plans poly_multiply keeps for reuse; it keeps 4 * PLAN_CACHE_SIZE divisor plans beside them. A plan
-# holds its stages' maps and their folds (kernels.prepare: 6 to 9 float64 limbs per entry at 3^32), P and P^-1
-# and its two index maps of s int64 entries each: the largest planner plan it reaches in practice (p=3, s=12584,
-# d=30) holds 0.55 MB, 0.28 MB of it the folds and 0.2 MB the index maps. Its 23 divisor plans hold 55 MB
-# together, 47 MB of it folds, at most 7.4 MB each (the one-factor plans at s' = 121 k, whose twiddles are 100
-# maps of 30 x 30), so the divisor cache stays under 240 MB; the 29 of 7^16 s=2736 hold 1.2 MB.
+# Planner plans poly_multiply keeps for reuse. A plan holds its stages' maps and their folds (kernels.prepare: 6
+# to 9 float64 limbs per entry at 3^32), P and P^-1 and its two index maps of s int64 entries each: the largest
+# planner plan it reaches in practice (p=3, s=12584, d=30) holds 0.55 MB, 0.28 MB of it the folds and 0.2 MB the
+# index maps.
 PLAN_CACHE_SIZE = 8
+# Bytes of the divisor plans poly_multiply keeps beside them (FFTPlan.nbytes), the least recently used dropped
+# first. The 29 of 7^16 s=2736 hold 1.2 MB and those of 7^32 s=2736 3.7 MB, so all stay; the 23 of 3^32 s=12584
+# would hold 55 MB, most of it in the six one-factor plans s' = 121 k (6.4 to 7.4 MB each, twiddles of 100 maps
+# of 30 x 30 and their folds), of which one stays at a time. Rebuilding one takes about 20 ms, against 19 to 241 ms
+# for its convolution.
+DIVISOR_CACHE_BYTES = 8 << 20
 # Products per element an end stage may add by folding in the basis change, about what a pass of its own costs
 # (see basis_routes): on int64 in row splits and recombination, on digit arrays (p^K > 2^51) in recuts and
 # reductions.
@@ -143,7 +147,6 @@ class FFTPlan:
     radices: tuple
     ring: RingExtension
     root: object
-    inv_s: int
     dtype: np.dtype  # the transform's backend: int64, or object for Python ints
     factors: tuple  # (axes, D) per tensor factor: its prime powers g of s and its degree
     basis: np.ndarray  # P, (d, d): row i is tensor basis element i in X coordinates
@@ -159,6 +162,14 @@ class FFTPlan:
     @property
     def K(self) -> int:
         return self.ring.ctx.K
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the plan's arrays: its stages' maps and folds, P, P^-1 and the index maps."""
+        stages = (*self.stages, *self.inverse_stages)  # idft's share all but one butterfly with dft's
+        prepared = {id(x): x for stage in stages for x in (*stage.twiddles, stage.butterfly)}
+        arrays = (self.basis, self.basis_inv, *self.index_maps)
+        return sum(x.nbytes for x in prepared.values()) + sum(a.nbytes for a in arrays)
 
 
 def subring_axes(p: int, s: FactoredOrder) -> tuple:
@@ -233,7 +244,6 @@ def make_plan(s, lift, K: int) -> FFTPlan:
         radices=tuple(s.radix_schedule()),
         ring=ring,
         root=root,
-        inv_s=inv_s,
         dtype=dtype,
         factors=factors,
         basis=basis,
@@ -535,12 +545,26 @@ def _default_plan(p: int, K: int, s, seed: int) -> FFTPlan:
     return pipeline.build_pipeline(p, K, s=s, seed=seed).plan
 
 
-@functools.lru_cache(maxsize=4 * PLAN_CACHE_SIZE)
+# Divisor plans by (p, K, s, seed, s'), least recently used first: see _divisor_plan.
+_divisor_plans: dict = {}
+
+
 def _divisor_plan(p: int, K: int, s, seed: int, divisor) -> FFTPlan:
-    """The length-divisor plan over the ring of _default_plan(p, K, s, seed), at its root alpha^(s/divisor)."""
-    plan = _default_plan(p, K, s, seed)
-    root = ring_pow(plan.root, s.value // divisor.value)
-    return make_plan(divisor, LiftResult(plan.ring, root, K, steps=0, base_mults=0), K)
+    """The length-divisor plan over the ring of _default_plan(p, K, s, seed), at its root alpha^(s/divisor).
+
+    Kept in _divisor_plans while they hold at most DIVISOR_CACHE_BYTES with it, the least recently used dropped first.
+    """
+    key = (p, K, s, seed, divisor)
+    plan = _divisor_plans.pop(key, None)
+    if plan is None:
+        base = _default_plan(p, K, s, seed)
+        root = ring_pow(base.root, s.value // divisor.value)
+        plan = make_plan(divisor, LiftResult(base.ring, root, K, steps=0, base_mults=0), K)
+        held = plan.nbytes + sum(q.nbytes for q in _divisor_plans.values())
+        while held > DIVISOR_CACHE_BYTES and _divisor_plans:
+            held -= _divisor_plans.pop(next(iter(_divisor_plans))).nbytes
+    _divisor_plans[key] = plan
+    return plan
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
@@ -566,16 +590,14 @@ def poly_multiply(f, g, p: int, K: int, planner=choose_parameters, plan: FFTPlan
     result coordinate from 2c-1 up must come back zero.
 
     A prebuilt plan must be over Z/p^K and packs into its own s. Without one,
-    the planner hook is asked for N = 1, then for N = the last s, until an s
-    holds the chunks at that result's d; no plan is built for the results
-    passed over, and an s that stops growing raises DegreeOverflow. The plan
-    of (p, K, s, seed) comes from a per-process cache of PLAN_CACHE_SIZE
-    plans, each built once by build_pipeline at that seed, None being
-    pipeline.DEFAULT_SEED. The product then runs on the divisor s' of s that
-    holds the chunks at the least modelled cost s' sum v q, on a plan
-    make_plan builds once from the cached plan's ring and root alpha^(s/s')
-    and caches beside it. A cached plan's ring.counter accumulates the work
-    of every caller.
+    the planner hook picks s above deg f + deg g, and the plan of (p, K, s,
+    seed) comes from a per-process cache of PLAN_CACHE_SIZE plans, each built
+    once by build_pipeline at that seed, None being pipeline.DEFAULT_SEED.
+    The product then runs on the divisor s' of s that holds the chunks at the
+    least modelled cost s' sum v q, on a plan make_plan builds from the
+    cached plan's ring and root alpha^(s/s') and keeps beside it while the
+    divisor plans kept hold at most DIVISOR_CACHE_BYTES. A cached plan's
+    ring.counter accumulates the work of every caller.
     """
     m = PadicContext(p, K).pK
     if plan is not None and (plan.p, plan.K) != (p, K):
@@ -593,13 +615,17 @@ def poly_multiply(f, g, p: int, K: int, planner=choose_parameters, plan: FFTPlan
         return []
     key = None
     if plan is None:
-        chosen = _planner_walk(planner, p, len(fc), len(gc))
+        bound = (len(fc) - 1) + (len(gc) - 1)
+        try:
+            chosen = planner(p, max(bound, 1))
+        except (OutOfRange, FactoringFailure) as exc:
+            raise DegreeOverflow(f"no transform length above {bound} is available") from exc
         from .pipeline import DEFAULT_SEED
 
         key = (p, K, chosen.s_factored, DEFAULT_SEED if seed is None else seed)
         plan = _default_plan(*key)
-    n = _chunks(len(fc), len(gc), plan.ring.degree)  # a divisor plan shares the ring, so n holds for it too
-    c = (plan.ring.degree + 1) // 2
+    c = (plan.ring.degree + 1) // 2  # a divisor plan shares the ring, so c and n hold for it too
+    n = -(-len(fc) // c) + -(-len(gc) // c) - 1
     if key:
         divisor = next((t for t in _divisors_by_cost(plan.s_factored) if t.value >= n), plan.s_factored)
         if divisor != plan.s_factored:
@@ -619,28 +645,6 @@ def poly_multiply(f, g, p: int, K: int, planner=choose_parameters, plan: FFTPlan
     while out and out[-1] == 0:
         out.pop()
     return out
-
-
-def _chunks(la: int, lb: int, d: int) -> int:
-    """Elements a product of lengths la and lb packs into at degree d: ceil(la/c) + ceil(lb/c) - 1, c = (d+1)//2."""
-    c = (d + 1) // 2
-    return -(-la // c) + -(-lb // c) - 1
-
-
-def _planner_walk(planner, p: int, la: int, lb: int):
-    """The first planner result, asked for N = 1 and then N = the last s, whose s holds the packed product."""
-    s = 0
-    while True:
-        try:
-            chosen = planner(p, max(s, 1))
-        except (OutOfRange, FactoringFailure) as exc:
-            raise DegreeOverflow(f"no transform length above {s} is available") from exc
-        if chosen.s <= s:
-            raise DegreeOverflow(f"the planner's s stopped growing at {s}, below the {_chunks(la, lb, chosen.d)} "
-                                 f"elements that lengths {la} and {lb} pack into")
-        if _chunks(la, lb, chosen.d) <= chosen.s:
-            return chosen
-        s = chosen.s
 
 
 def _pack(coeffs, c: int, plan: FFTPlan):

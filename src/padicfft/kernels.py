@@ -72,6 +72,10 @@ class PreparedMaps(NamedTuple):
     def shape(self):
         return self.maps.shape
 
+    @property
+    def nbytes(self) -> int:
+        return self.maps.nbytes + self.folded.nbytes
+
 
 class _Radix(NamedTuple):
     """Constants of _reduce for one modulus m, in base B = 2^w of its digits."""
@@ -363,11 +367,11 @@ def prepare(maps, m: int, blocks: int | None = None, digits: bool | None = None)
     """maps (N, n, k) mod m folded once, for rows that are digit arrays (by default when maps hold Python ints) or
     int64: as a stack for matmul_mod, or, given blocks, as the maps of a block matrix of that many block rows for
     block_matmul_mod, whose contraction tiles are then of j_step blocks, within TILE and the float64 bound. A
-    PreparedMaps already folded that way comes back as it is."""
+    PreparedMaps comes back as it is: folding it again for other rows would repeat the work prepare saves."""
     if isinstance(maps, PreparedMaps):
-        if digits in (None, maps.digits) and (maps.j_step is None) == (blocks is None):
-            return maps
-        maps = maps.maps
+        if digits not in (None, maps.digits) or (maps.j_step is None) != (blocks is None):
+            raise ValueError("maps prepared for other rows or another block shape")
+        return maps
     maps = np.asarray(maps)
     digits = maps.dtype == object if digits is None else digits
     n, k = maps.shape[-2:]

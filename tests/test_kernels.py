@@ -278,6 +278,22 @@ def test_map_block_matches_residue_block(data):
     assert got.tolist() == matmul_mod(a, residue, m).tolist() == _matmul_reference(a, residue, m)
 
 
+def test_prepared_maps_are_not_folded_again():
+    # prepared maps pass through prepare and both products as they are, and refuse rows or a block shape they were
+    # not folded for, rather than fold again per call
+    m = 3**32
+    maps = np.array([[[1, 2], [3, 4]]], dtype=np.int64)
+    a = np.array([[5, 6]], dtype=np.int64)
+    stack, block = prepare(maps, m), prepare(maps, m, 1)
+    assert prepare(stack, m, digits=False) is stack and prepare(block, m, 1, False) is block
+    want = _matmul_reference(a, maps[0], m)
+    assert matmul_mod(a[None], stack, m)[0].tolist() == want
+    assert block_matmul_mod(a, block, np.zeros((1, 1), int), m).tolist() == want
+    for args in ((stack, m, 1), (block, m), (stack, m, None, True)):
+        with pytest.raises(ValueError):
+            prepare(*args)
+
+
 @pytest.mark.parametrize("m", [3**8, 2**51 - 1, 7**32])
 def test_matmul_mod_tiles(monkeypatch, m):
     # a 16-element tile cuts every product below into several tiles, the last one short
