@@ -102,10 +102,9 @@ from .planner import choose_parameters
 # index maps.
 PLAN_CACHE_SIZE = 8
 # Bytes of the divisor plans poly_multiply keeps beside them (FFTPlan.nbytes), the least recently used dropped
-# first. The 29 of 7^16 s=2736 hold 1.2 MB and those of 7^32 s=2736 3.7 MB, so all stay; the 23 of 3^32 s=12584
-# would hold 55 MB, most of it in the six one-factor plans s' = 121 k (6.4 to 7.4 MB each, twiddles of 100 maps
-# of 30 x 30 and their folds), of which one stays at a time. Rebuilding one takes about 20 ms, against 19 to 241 ms
-# for its convolution.
+# first. The 29 of 7^16 s=2736 hold 1.2 MB and those of 7^32 s=2736 3.7 MB, so all stay; of 3^32 s=12584's, the
+# one-factor plans s' = 121 k hold 6.4 to 7.4 MB each (twiddles of 100 maps of 30 x 30 and their folds), so one
+# stays at a time. Rebuilding one takes about 20 ms, against 19 to 241 ms for its convolution.
 DIVISOR_CACHE_BYTES = 8 << 20
 # Products per element an end stage may add by folding in the basis change, about what a pass of its own costs
 # (see basis_routes): on int64 in row splits and recombination, on digit arrays (p^K > 2^51) in recuts and
