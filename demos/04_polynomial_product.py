@@ -4,7 +4,8 @@ poly_multiply packs c = (d+1)//2 consecutive coefficients into the
 X-coordinates of each element of the extension ring, transforms, multiplies
 pointwise, transforms back and overlap-adds the chunk products, which have
 degree at most 2c-2 < d and so never wrap. Without a plan it runs on the
-cheapest divisor of the planner's length that holds the chunks. Every
+cheapest divisor of the planner's length that holds the chunks in its own
+ring, of degree ord(p) modulo that divisor. Every
 coefficient of the result is exact mod p^K, so products of huge
 coefficients survive untouched.
 """
@@ -39,9 +40,8 @@ plan = build_pipeline(3, 16, s=104).plan
 products = [poly_multiply([1, c], [c, 1], 3, 16, plan=plan) for c in range(1, 6)]
 print("five products from one plan:", products)
 
-# without a plan, poly_multiply keeps the plan of each (p, K, s) it built and
-# each divisor plan it made from one, so a repeat at the same size skips the
-# tower, the lift and the power table
+# without a plan, poly_multiply keeps the plan of each divisor length it
+# built, so a repeat at the same size skips the tower, the lift and the plan
 m = 7**16
 f = [rng.randrange(m) for _ in range(300)]
 g = [rng.randrange(m) for _ in range(300)]

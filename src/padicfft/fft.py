@@ -64,9 +64,9 @@ form: arrays come back in plan.dtype. poly_multiply stays in arrays and
 packs c = (d+1)//2 consecutive coefficients into the X-coordinates of
 each element: chunk products have degree at most 2c-2 < d, so nothing wraps
 mod F, and overlap-add reads the product back. Called without a plan, it
-runs on the cheapest divisor s' of the planner's s, on plans it caches, the
-divisor plans built with no tower or lift and kept within a byte bound (see
-poly_multiply).
+runs on the cheapest divisor s' of the planner's s that holds the chunks in
+its own ring, of degree ord_s'(p), on build_pipeline's plan for s', kept in
+one cache within a byte bound (see poly_multiply).
 """
 
 from __future__ import annotations
@@ -91,21 +91,15 @@ from .errors import (
     PrecisionTooLow,
     RootNotPrimitive,
 )
-from .lifting import LiftResult
 from .orders import FactoredOrder, multiplicative_order
 from .padic import PadicContext, RingElement, RingExtension, residue_inverse, ring_mul, ring_pow
-from .planner import choose_parameters
+from .planner import choose_parameters, predicted_mults
 
-# Planner plans poly_multiply keeps for reuse. A plan holds its stages' maps and their folds (kernels.prepare: 6
-# to 9 float64 limbs per entry at 3^32), P and P^-1 and its two index maps of s int64 entries each: the largest
-# planner plan it reaches in practice (p=3, s=12584, d=30) holds 0.55 MB, 0.28 MB of it the folds and 0.2 MB the
-# index maps.
-PLAN_CACHE_SIZE = 8
-# Bytes of the divisor plans poly_multiply keeps beside them (FFTPlan.nbytes), the least recently used dropped
-# first. The 29 of 7^16 s=2736 hold 1.2 MB and those of 7^32 s=2736 3.7 MB, so all stay; of 3^32 s=12584's, the
-# one-factor plans s' = 121 k hold 6.4 to 7.4 MB each (twiddles of 100 maps of 30 x 30 and their folds), so one
-# stays at a time. Rebuilding one takes about 20 ms, against 19 to 241 ms for its convolution.
-DIVISOR_CACHE_BYTES = 8 << 20
+# Bytes of the plans poly_multiply keeps (FFTPlan.nbytes: stage maps and their folds, P, P^-1 and the index maps),
+# the least recently used dropped first. The 29 plans of the divisors of 7^16's planner s = 2736 hold 0.85 MB
+# together, those of 7^32 1.7 MB, and the 23 of 3^32's s = 12584 3.9 MB (s' = 6292 the largest, 0.71 MB), so all
+# stay; past that, a 3^32 plan on the axis 1093 = Phi_7(3) holds 4.4 to 8.2 MB, so one or two stay at a time.
+PLAN_CACHE_BYTES = 8 << 20
 # Products per element an end stage may add by folding in the basis change, about what a pass of its own costs
 # (see basis_routes): on int64 in row splits and recombination, on digit arrays (p^K > 2^51) in recuts and
 # reductions.
@@ -536,44 +530,38 @@ def cyclic_convolution(x, y, plan: FFTPlan):
     return prod if isinstance(x, np.ndarray) and isinstance(y, np.ndarray) else _to_elements(prod, plan)
 
 
-@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _default_plan(p: int, K: int, s, seed: int) -> FFTPlan:
-    """build_pipeline's plan for (p, K, s) at seed, which determines it."""
+# Plans poly_multiply keeps, by (p, K, s', seed), least recently used first: see _product_plan.
+_plans: dict = {}
+
+
+def _product_plan(p: int, K: int, s, seed: int | None) -> FFTPlan:
+    """build_pipeline's plan for (p, K, s) at seed, which determines it, None being pipeline.DEFAULT_SEED.
+
+    Kept in _plans while they hold at most PLAN_CACHE_BYTES with it, the least recently used dropped first.
+    """
     from . import pipeline
 
-    return pipeline.build_pipeline(p, K, s=s, seed=seed).plan
-
-
-# Divisor plans by (p, K, s, seed, s'), least recently used first: see _divisor_plan.
-_divisor_plans: dict = {}
-
-
-def _divisor_plan(p: int, K: int, s, seed: int, divisor) -> FFTPlan:
-    """The length-divisor plan over the ring of _default_plan(p, K, s, seed), at its root alpha^(s/divisor).
-
-    Kept in _divisor_plans while they hold at most DIVISOR_CACHE_BYTES with it, the least recently used dropped first.
-    """
-    key = (p, K, s, seed, divisor)
-    plan = _divisor_plans.pop(key, None)
+    seed = pipeline.DEFAULT_SEED if seed is None else seed
+    plan = _plans.pop((p, K, s, seed), None)
     if plan is None:
-        base = _default_plan(p, K, s, seed)
-        root = ring_pow(base.root, s.value // divisor.value)
-        plan = make_plan(divisor, LiftResult(base.ring, root, K, steps=0, base_mults=0), K)
-        held = plan.nbytes + sum(q.nbytes for q in _divisor_plans.values())
-        while held > DIVISOR_CACHE_BYTES and _divisor_plans:
-            held -= _divisor_plans.pop(next(iter(_divisor_plans))).nbytes
-    _divisor_plans[key] = plan
+        plan = pipeline.build_pipeline(p, K, s=s, seed=seed).plan
+        held = plan.nbytes + sum(q.nbytes for q in _plans.values())
+        while held > PLAN_CACHE_BYTES and _plans:
+            held -= _plans.pop(next(iter(_plans))).nbytes
+    _plans[p, K, s, seed] = plan
     return plan
 
 
-@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _divisors_by_cost(s: FactoredOrder) -> tuple:
-    """Every divisor s' of s, cheapest first by the modelled cost s' sum v q (the planner's radix weight), then s'."""
+@functools.lru_cache(maxsize=64)
+def _divisors_by_cost(p: int, s: FactoredOrder) -> tuple:
+    """(s', ord_s'(p)) per divisor s' >= 2 of s, cheapest first by planner.predicted_mults, then by s'."""
     out = []
     for exponents in itertools.product(*(range(v + 1) for _, v in s.factors)):
         factors = tuple((q, e) for (q, _), e in zip(s.factors, exponents) if e)
-        out.append(FactoredOrder(math.prod(q**e for q, e in factors), factors))
-    return tuple(sorted(out, key=lambda t: (t.value * sum(e * q for q, e in t.factors), t.value)))
+        t = math.prod(q**e for q, e in factors)
+        if t > 1:  # the tower builds no s' = 1
+            out.append((FactoredOrder(t, factors), multiplicative_order(p, t)))
+    return tuple(sorted(out, key=lambda pair: (predicted_mults(*pair), pair[0].value)))
 
 
 def poly_multiply(f, g, p: int, K: int, planner=choose_parameters, plan: FFTPlan | None = None,
@@ -589,14 +577,14 @@ def poly_multiply(f, g, p: int, K: int, planner=choose_parameters, plan: FFTPlan
     result coordinate from 2c-1 up must come back zero.
 
     A prebuilt plan must be over Z/p^K and packs into its own s. Without one,
-    the planner hook picks s above deg f + deg g, and the plan of (p, K, s,
-    seed) comes from a per-process cache of PLAN_CACHE_SIZE plans, each built
-    once by build_pipeline at that seed, None being pipeline.DEFAULT_SEED.
-    The product then runs on the divisor s' of s that holds the chunks at the
-    least modelled cost s' sum v q, on a plan make_plan builds from the
-    cached plan's ring and root alpha^(s/s') and keeps beside it while the
-    divisor plans kept hold at most DIVISOR_CACHE_BYTES. A cached plan's
-    ring.counter accumulates the work of every caller.
+    the planner hook picks s above deg f + deg g, and the product runs on
+    build_pipeline(p, K, s=s', seed=seed)'s plan, None being
+    pipeline.DEFAULT_SEED, for the divisor s' >= 2 of s that holds the chunks
+    in its own ring, of degree d' = ord_s'(p), at the least modelled cost
+    planner.predicted_mults(s', d'), then s'. No other pipeline is built, and
+    none when no divisor holds the chunks. Plans are kept in a per-process
+    cache of at most PLAN_CACHE_BYTES; a cached plan's ring.counter
+    accumulates the work of every caller.
     """
     m = PadicContext(p, K).pK
     if plan is not None and (plan.p, plan.K) != (p, K):
@@ -612,26 +600,25 @@ def poly_multiply(f, g, p: int, K: int, planner=choose_parameters, plan: FFTPlan
         gc.pop()
     if not fc or not gc:
         return []
-    key = None
     if plan is None:
         bound = (len(fc) - 1) + (len(gc) - 1)
         try:
             chosen = planner(p, max(bound, 1))
         except (OutOfRange, FactoringFailure) as exc:
             raise DegreeOverflow(f"no transform length above {bound} is available") from exc
-        from .pipeline import DEFAULT_SEED
-
-        key = (p, K, chosen.s_factored, DEFAULT_SEED if seed is None else seed)
-        plan = _default_plan(*key)
-    c = (plan.ring.degree + 1) // 2  # a divisor plan shares the ring, so c and n hold for it too
-    n = -(-len(fc) // c) + -(-len(gc) // c) - 1
-    if key:
-        divisor = next((t for t in _divisors_by_cost(plan.s_factored) if t.value >= n), plan.s_factored)
-        if divisor != plan.s_factored:
-            plan = _divisor_plan(*key, divisor)
-    if n > plan.s:
+        candidates = _divisors_by_cost(p, chosen.s_factored)
+    else:
+        candidates = ((plan.s_factored, plan.ring.degree),)
+    for s, d in candidates:  # the planner's s comes last, and no divisor holds more chunks than it
+        c = (d + 1) // 2
+        n = -(-len(fc) // c) + -(-len(gc) // c) - 1
+        if n <= s.value:
+            break
+    else:
         raise DegreeOverflow(f"lengths {len(fc)} and {len(gc)} pack into {n} elements of {c} coefficients, "
-                             f"plan has s = {plan.s}")
+                             f"plan has s = {s.value}")
+    if plan is None:
+        plan = _product_plan(p, K, s, seed)
     prod = cyclic_convolution(_pack(fc, c, plan), _pack(gc, c, plan), plan)
     bad = np.flatnonzero((prod[:, 2 * c - 1:] != 0).any(axis=1))
     if bad.size:  # named by the first coefficient of that element's chunk

@@ -67,7 +67,7 @@ def choose_parameters(p: int, N: int) -> PlannerResult:
     claim = math.prod(primes)
     if d != claim:
         warnings.warn(f"exact order {d} differs from the prime product {claim} at p={p}, N={N}", stacklevel=2)
-    radix_weight = sum(v * q for q, v in s_factored.factors)
+    cost = predicted_mults(s_factored, d)
     return PlannerResult(
         p=p,
         N=N,
@@ -75,10 +75,15 @@ def choose_parameters(p: int, N: int) -> PlannerResult:
         s=s,
         s_factored=s_factored,
         d=d,
-        predicted_mults=d * d * s * radix_weight,
+        predicted_mults=cost,
         d_matches_prime_product=d == claim,
-        small_d_regime=d * d * radix_weight < s,
+        small_d_regime=cost < s * s,
     )
+
+
+def predicted_mults(s: FactoredOrder, d: int) -> int:
+    """Modelled multiplications of one length-s transform over a degree-d ring: d^2 s sum v q over q^v in s."""
+    return d * d * s.value * sum(v * q for q, v in s.factors)
 
 
 @dataclass(frozen=True)

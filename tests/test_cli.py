@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 
 from padicfft.cli import main
@@ -50,6 +53,19 @@ def test_mul_example(tmp_path, capsys):
     code, _, _ = run(capsys, "mul", str(a), str(a), "-o", str(out_path))
     assert code == 0
     assert out_path.read_text() == "3 4\n0\n1\n2\n1\n"
+
+
+def test_mul_past_the_planner_length_12584(tmp_path, capsys):
+    # without -s or -N the product plans s = 13754312 (d = 210) and runs on a divisor of it in its own ring
+    rng = random.Random(12585)
+    a, b = tmp_path / "a.poly", tmp_path / "b.poly"
+    f, g = ([rng.randrange(3**4) for _ in range(n)] + [1] for n in (6300, 6400))
+    write_poly(a, PolyData(3, 4, 1, f))
+    write_poly(b, PolyData(3, 4, -3, g))
+    code, _, _ = run(capsys, "mul", str(a), str(b), "-o", str(tmp_path / "c.poly"))
+    assert code == 0
+    want = np.convolve(np.array(f, dtype=np.int64), np.array(g, dtype=np.int64)) % 3**4  # sums below 2^26
+    assert read_poly(tmp_path / "c.poly") == PolyData(3, 4, -2, want.tolist())
 
 
 def test_mul_header_mismatch(tmp_path, capsys):

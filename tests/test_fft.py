@@ -53,6 +53,20 @@ def schoolbook(f, g, m):
     return out
 
 
+def kronecker(f, g, m):
+    """f g mod m by one Python-int product of f and g packed into byte slots wide enough for every coefficient sum."""
+    width = (2 * (m - 1).bit_length() + min(len(f), len(g)).bit_length() + 7) // 8
+
+    def pack(coeffs):
+        return int.from_bytes(b"".join(x.to_bytes(width, "little") for x in coeffs), "little")
+
+    packed = (pack(f) * pack(g)).to_bytes(width * (len(f) + len(g)), "little")
+    out = [int.from_bytes(packed[i : i + width], "little") % m for i in range(0, width * (len(f) + len(g) - 1), width)]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
 def horner(coeffs, point):
     acc = point.parent.zero()
     for c in reversed(coeffs):
@@ -645,6 +659,7 @@ def test_transform_budget():
 def test_poly_multiply_planner_path():
     assert poly_multiply([1, 1], [1, 1], 3, 8) == [1, 2, 1]
     assert poly_multiply([4, 5, 6], [1], 3, 4) == [4, 5, 6]
+    assert poly_multiply([5], [7], 3, 4) == [35]  # one chunk: s' = 2, the smallest plan the tower builds
     assert poly_multiply([], [1, 2], 3, 4) == []
     assert poly_multiply([3**4, 0], [1, 1], 3, 4) == []
 
@@ -659,16 +674,21 @@ def test_poly_multiply_prebuilt_plan():
         assert poly_multiply(fc, gc, 3, 8, plan=pipe.plan) == schoolbook(fc, gc, m)
 
 
-def test_poly_multiply_degree_overflow():
+def test_poly_multiply_degree_overflow(monkeypatch):
+    import padicfft.pipeline as pipeline_mod
+
     pipe = build_pipeline(3, 4, s=8, seed=2)
     f = [1] * 5
     with pytest.raises(DegreeOverflow):
         poly_multiply(f, f, 3, 4, plan=pipe.plan)
-    # planner hook that cannot reach the degree
+    # planner hook that cannot reach the degree: no divisor of its s = 8 holds the 9 chunks, refused before any build
     def tiny_planner(p, N):
         return choose_parameters(p, 1)
-    with pytest.raises(DegreeOverflow):
+    builds = []
+    monkeypatch.setattr(pipeline_mod, "build_pipeline", lambda *args, **kwargs: builds.append(kwargs))
+    with pytest.raises(DegreeOverflow, match="pack into 9 elements of 1 coefficients, plan has s = 8$"):
         poly_multiply(f, f, 3, 4, planner=tiny_planner)
+    assert builds == []
 
 
 def test_poly_multiply_plan_mismatch():
@@ -701,48 +721,43 @@ def test_poly_multiply_rejects_non_integer_coefficients():
                 poly_multiply(f, g, p, K)
 
 
-def test_poly_multiply_reuses_default_plan(monkeypatch):
+def test_poly_multiply_builds_each_plan_once(monkeypatch):
+    # one build_pipeline call per (p, K, s', seed), seed None being DEFAULT_SEED; the cached plan is that call's plan,
+    # of degree ord_s'(p); the planner's s (12584 at 3^8) is built only when it is the divisor that runs (48 at 7^K)
     import padicfft.fft as fft_mod
     import padicfft.pipeline as pipeline_mod
 
     builds = []
     real_build = pipeline_mod.build_pipeline
 
-    def counting_build(*args, **kwargs):
-        builds.append(kwargs.get("s"))
-        return real_build(*args, **kwargs)
+    def counting_build(p, K, s, seed):
+        builds.append((p, K, s.value, seed))
+        return real_build(p, K, s=s, seed=seed)
 
     monkeypatch.setattr(pipeline_mod, "build_pipeline", counting_build)
-    fft_mod._default_plan.cache_clear()
+    monkeypatch.setattr(fft_mod, "_plans", {})
+    default = pipeline_mod.DEFAULT_SEED
     rng = random.Random(29)
-    for K, dtype in ((16, np.int64), (32, object)):
-        m = 7**K
-        f, g = ([rng.randrange(m) for _ in range(n)] for n in (20, 15))
-        assert poly_multiply(f, g, 7, K) == schoolbook(f, g, m)
-        assert [s.value for s in builds] == [48]  # each K builds its own plan
-        f, g = ([rng.randrange(m) for _ in range(n)] for n in (10, 30))
-        assert poly_multiply(f, g, 7, K) == schoolbook(f, g, m)  # s=48 again: no build
-        assert poly_multiply(f, g, 7, K, seed=pipeline_mod.DEFAULT_SEED) == schoolbook(f, g, m)
-        assert len(builds) == 1  # seed None is DEFAULT_SEED, one cache entry
-        assert fft_mod._default_plan.cache_info().currsize == (1 if K == 16 else 3)  # K=16 left two plans
-        plan = fft_mod._default_plan(7, K, builds[0], pipeline_mod.DEFAULT_SEED)
-        assert plan.dtype == dtype
-        for _ in range(2):
-            assert poly_multiply(f, g, 7, K, seed=3) == schoolbook(f, g, m)
-        assert len(builds) == 2  # another seed builds once, then reuses its plan
-        assert fft_mod._default_plan(7, K, builds[1], 3).root == real_build(7, K, s=plan.s, seed=3).plan.root
-        fresh = real_build(7, K, s=plan.s).plan
-        x = np.array([[rng.randrange(m) for _ in range(plan.ring.degree)] for _ in range(plan.s)])
-        assert dft(x, plan).tolist() == dft(x, fresh).tolist()
+    for p, K, lengths, s in ((7, 16, (20, 15), 48), (7, 32, (20, 15), 48), (3, 8, (500, 500), 143)):
+        m = p**K
+        f, g = ([rng.randrange(m) for _ in range(n)] for n in lengths)
+        for seed in (None, default, 3, 3):
+            assert poly_multiply(f, g, p, K, seed=seed) == schoolbook(f, g, m)
+        assert builds == [(p, K, s, default), (p, K, s, 3)]
+        assert [(q, k, t.value, seed) for q, k, t, seed in fft_mod._plans][-2:] == builds
+        x = np.array([[rng.randrange(m) for _ in range(multiplicative_order(p, s))] for _ in range(s)])
+        for seed in (default, 3):
+            plan = fft_mod._plans[p, K, FactoredOrder.of(s), seed]
+            fresh = real_build(p, K, s=s, seed=seed).plan
+            assert plan.ring.degree == fresh.ring.degree == multiplicative_order(p, s)
+            assert (plan.root, plan.dtype) == (fresh.root, fresh.dtype)
+            assert dft(x, plan).tolist() == dft(x, fresh).tolist()
         builds.clear()
 
 
 # An explicit plan per p with d >= 3, so c = (d+1)//2 >= 2 coefficients share an element: (s, d, c) =
 # (88, 10, 5) at p=3, (124, 3, 2) at p=5, (304, 6, 3) at p=7 and (54, 3, 2) at p=19.
 PACKED_PLAN_S = {3: 88, 5: 124, 7: 304, 19: 54}
-# On the default path len f + len g stays where the planner's s is at most 12584: at p=5 and p=19 the next s,
-# 581064 and 137160, takes seconds and over 100 MB to build at each K.
-DEFAULT_PATH_MAX_LENGTHS = {3: 800, 5: 745, 7: 800, 19: 361}
 
 
 @functools.lru_cache(maxsize=None)
@@ -779,9 +794,11 @@ def test_poly_multiply_matches_schoolbook(data, p, K, explicit):
         f = data.draw(factor(m, min(400, c * plan.s), c))
         g = data.draw(factor(m, min(400, c * (plan.s + 1 - chunks(len(f), c))), c))
     else:
+        # len f + len g up to 800 reaches past the planner's s = 104 at p=3, 744 at p=5, 48 at p=7 and 360 at p=19;
+        # the next s at p=5 and p=19 (581064 and 137160) runs on a divisor in its own ring
         plan = None
-        f = data.draw(factor(m, min(400, DEFAULT_PATH_MAX_LENGTHS[p] - 1), 15))
-        g = data.draw(factor(m, min(400, DEFAULT_PATH_MAX_LENGTHS[p] - len(f)), 3))
+        f = data.draw(factor(m, 400, 15))
+        g = data.draw(factor(m, 400, 3))
     assert poly_multiply(f, g, p, K, plan=plan) == schoolbook(f, g, m)
 
 
@@ -801,93 +818,139 @@ def test_poly_multiply_packed_capacity():
 
 
 def test_poly_multiply_runs_the_cheapest_divisor(monkeypatch):
-    # the least s' sum v q among the divisors of the planner's s that hold the chunks, not the smallest that does
+    # (s', d') is the divisor of the planner's s that holds the chunks in its own ring, d' = ord_s'(p) and
+    # c' = (d'+1)//2, at the least modelled cost d'^2 s' sum v q
     import padicfft.fft as fft_mod
 
-    lengths = []
+    runs = []
     real = fft_mod.cyclic_convolution
 
     def spy(x, y, plan):
-        lengths.append(plan.s)
+        runs.append((plan.s, plan.ring.degree))
         return real(x, y, plan)
 
     monkeypatch.setattr(fft_mod, "cyclic_convolution", spy)
     rng = random.Random(31)
-    for p, K, la, lb, s in ((7, 16, 30, 30, 24),  # 19 chunks at s = 2736: 24 (cost 216) beats 19 (361)
-                            (7, 16, 350, 417, 304),  # 255 chunks: 304 = 2^4 19
-                            (3, 8, 500, 500, 88)):  # 67 chunks of 15 at s = 12584: 88 = 2^3 11
+    for p, K, la, lb, run in ((3, 8, 500, 500, (143, 15)),  # s = 12584 (d = 30): 125 chunks of 8 at d' = 15 < d
+                              (7, 16, 600, 600, (456, 6)),  # s = 2736 (d = 6): 399 chunks of 3, d' = d
+                              (7, 16, 30, 30, (38, 3))):  # 29 chunks of 2 at s' = 2 19, cheaper than 19 of 3 at 24
         m = p**K
         f, g = ([rng.randrange(1, m) for _ in range(n)] for n in (la, lb))
         assert poly_multiply(f, g, p, K) == schoolbook(f, g, m)
-        assert lengths.pop() == s
+        assert runs.pop() == run
 
 
-def test_poly_multiply_divisor_cache_holds_its_bytes(monkeypatch):
-    # the divisor plans kept hold at most DIVISOR_CACHE_BYTES with the newest, the least recently used dropped first,
-    # and a plan larger than the bound is kept alone
+def test_poly_multiply_plan_cache_holds_its_bytes(monkeypatch):
+    # the plans kept hold at most PLAN_CACHE_BYTES with the newest, the least recently used dropped first, and a plan
+    # larger than the bound is kept alone
     import padicfft.fft as fft_mod
 
     m = 7**16
     rng = random.Random(29)
-    # at 7^16 (s = 2736, c = 3) on s' = 24, 304 and 72: 19, 255 and 67 chunks
+    # at 7^16 (planner s = 2736) on s' = 38, 304 and 114
     pairs = [[[rng.randrange(1, m) for _ in range(n)] for n in ab] for ab in ((30, 30), (350, 417), (100, 100))]
 
     def run(*which):
         for i in which:
             assert poly_multiply(*pairs[i], 7, 16) == schoolbook(*pairs[i], m)
-        return [plan.s for plan in fft_mod._divisor_plans.values()]
+        return [plan.s for plan in fft_mod._plans.values()]
 
-    fft_mod._divisor_plans.clear()
-    assert run(0, 1, 2) == [24, 304, 72]
-    sizes = {plan.s: plan.nbytes for plan in fft_mod._divisor_plans.values()}
-    assert min(sizes[24], sizes[72]) <= sizes[304]  # so 24 and 72 fit where 304 and either one do
-    monkeypatch.setattr(fft_mod, "DIVISOR_CACHE_BYTES", sizes[304] + max(sizes[24], sizes[72]))
-    fft_mod._divisor_plans.clear()
-    assert run(0, 1, 0) == [304, 24]  # a plan used again is the most recent
-    assert run(2) == [24, 72]  # 304, the least recently used, is dropped for 72
-    monkeypatch.setattr(fft_mod, "DIVISOR_CACHE_BYTES", 1)
+    monkeypatch.setattr(fft_mod, "_plans", {})
+    assert run(0, 1, 2) == [38, 304, 114]
+    sizes = {plan.s: plan.nbytes for plan in fft_mod._plans.values()}
+    assert min(sizes[38], sizes[114]) <= sizes[304]  # so 38 and 114 fit where 304 and either one do
+    monkeypatch.setattr(fft_mod, "PLAN_CACHE_BYTES", sizes[304] + max(sizes[38], sizes[114]))
+    fft_mod._plans.clear()
+    assert run(0, 1, 0) == [304, 38]  # a plan used again is the most recent
+    assert run(2) == [38, 114]  # 304, the least recently used, is dropped for 114
+    monkeypatch.setattr(fft_mod, "PLAN_CACHE_BYTES", 1)
     assert run(1) == [304]
 
 
 def test_poly_multiply_divisor_plans_are_reused(monkeypatch):
-    # a second pass over the same lengths builds nothing; each divisor plan's root is alpha^(s/s')
+    # the pipelines built are those of the divisors that run, and a second pass over the same lengths builds nothing
     import padicfft.fft as fft_mod
     import padicfft.pipeline as pipeline_mod
 
-    planner_plans, derived = {}, []
-    real_build, real_make_plan = pipeline_mod.build_pipeline, fft_mod.make_plan
+    builds, runs = [], []
+    real_build, real_convolution = pipeline_mod.build_pipeline, fft_mod.cyclic_convolution
 
     def counting_build(*args, **kwargs):
-        pipe = real_build(*args, **kwargs)
-        planner_plans[id(pipe.plan.ring)] = pipe.plan
-        return pipe
+        builds.append(kwargs["s"].value)
+        return real_build(*args, **kwargs)
 
-    def counting_make_plan(s, lift, K):
-        plan = real_make_plan(s, lift, K)
-        derived.append((lift.ring, plan))
-        return plan
+    def spy(x, y, plan):
+        runs.append((planned[-1].s, plan.s))
+        return real_convolution(x, y, plan)
 
+    def planner(p, N):
+        planned.append(choose_parameters(p, N))
+        return planned[-1]
+
+    planned = []
     monkeypatch.setattr(pipeline_mod, "build_pipeline", counting_build)
-    monkeypatch.setattr(fft_mod, "make_plan", counting_make_plan)
-    fft_mod._default_plan.cache_clear()
-    fft_mod._divisor_plans.clear()
+    monkeypatch.setattr(fft_mod, "cyclic_convolution", spy)
+    monkeypatch.setattr(fft_mod, "_plans", {})
     rng = random.Random(19)
     m = 7**16
     # factor lengths int(w), w log-uniform on [1, 601), as in the benchmark's polymul-mixed
     lengths = [tuple(int(math.exp(rng.random() * math.log(601))) for _ in range(2)) for _ in range(21)]
     pairs = [([rng.randrange(m) for _ in range(a)], [rng.randrange(m) for _ in range(b)]) for a, b in lengths]
     for f, g in pairs:
-        assert poly_multiply(f, g, 7, 16) == schoolbook(f, g, m)
-    assert planner_plans and derived
-    assert all(plan.s < planner_plans[id(ring)].s for ring, plan in derived)
-    builds = len(planner_plans), len(derived)
+        assert poly_multiply(f, g, 7, 16, planner=planner) == schoolbook(f, g, m)
+    assert len(planned) == len(runs) == len(pairs)
+    assert sorted(builds) == sorted({s for _, s in runs})
+    assert all(planner_s % s == 0 for planner_s, s in runs) and any(s < planner_s for planner_s, s in runs)
+    built = list(builds)
     for f, g in pairs:
-        assert poly_multiply(f, g, 7, 16) == schoolbook(f, g, m)
-    assert (len(planner_plans), len(derived)) == builds
-    for ring, plan in derived:
-        planner_plan = planner_plans[id(ring)]
-        assert planner_plan.s % plan.s == 0
-        assert plan.root == ring_pow(planner_plan.root, planner_plan.s // plan.s)
+        assert poly_multiply(f, g, 7, 16, planner=planner) == schoolbook(f, g, m)
+    assert builds == built
+
+
+@pytest.mark.parametrize("p,K,s", [(3, 16, 8), (3, 16, 104), (3, 16, 12584), (5, 16, 24), (5, 16, 744),
+                                   (7, 16, 48), (7, 16, 2736)])
+def test_poly_multiply_across_planner_boundaries(p, K, s):
+    # deg f + deg g = s - 1 plans s, and s plans the next planner length, which runs on a divisor in its own ring
+    planned = []
+
+    def planner(p, N):
+        planned.append(choose_parameters(p, N))
+        return planned[-1]
+
+    rng = random.Random(s)
+    m = p**K
+    for total in (s - 1, s):
+        f, g = ([rng.randrange(1, m) for _ in range(n)] for n in (total // 2 + 1, total - total // 2 + 1))
+        assert poly_multiply(f, g, p, K, planner=planner) == kronecker(f, g, m)
+    assert planned[0].s == s < planned[1].s
+
+
+def test_poly_multiply_7000_by_7000_mod_3_32(monkeypatch):
+    # past the planner's s = 12584 the default path plans s = 13754312 (d = 210), whose tower does not finish here,
+    # and runs on its divisor 3146 (d' = 15) without building it
+    import padicfft.fft as fft_mod
+    import padicfft.pipeline as pipeline_mod
+
+    builds, runs = [], []
+    real_build, real_convolution = pipeline_mod.build_pipeline, fft_mod.cyclic_convolution
+
+    def counting_build(*args, **kwargs):
+        builds.append(kwargs["s"].value)
+        return real_build(*args, **kwargs)
+
+    def spy(x, y, plan):
+        runs.append((plan.s, plan.ring.degree))
+        return real_convolution(x, y, plan)
+
+    monkeypatch.setattr(pipeline_mod, "build_pipeline", counting_build)
+    monkeypatch.setattr(fft_mod, "cyclic_convolution", spy)
+    monkeypatch.setattr(fft_mod, "_plans", {})
+    assert choose_parameters(3, 13998).s == 13754312
+    rng = random.Random(7000)
+    m = 3**32
+    f, g = ([rng.randrange(m) for _ in range(7000)] for _ in range(2))
+    assert poly_multiply(f, g, 3, 32) == kronecker(f, g, m)
+    assert runs == [(3146, 15)] and builds == [3146]
 
 
 def test_validation():
