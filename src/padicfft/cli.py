@@ -143,7 +143,8 @@ def _cmd_root(args) -> int:
     return 0
 
 
-def _plan_for(args, p: int, K: int, degree: int):
+def _plan_for(args, p: int, K: int, degree: int | None = None):
+    """The plan for -s, for -N, or else for the planner on degree."""
     if args.s is not None:
         return build_pipeline(p, K, s=args.s, seed=args.seed).plan
     N = args.N if args.N is not None else max(1, degree)
@@ -187,8 +188,7 @@ def _cmd_mul(args) -> int:
     K = args.K if args.K is not None else a.K
     plan = None
     if args.s is not None or args.N is not None:
-        bound = max(1, (len(a.coeffs) - 1) + (len(b.coeffs) - 1))
-        plan = _plan_for(args, p, K, bound)
+        plan = _plan_for(args, p, K)
     coeffs = poly_multiply(a.coeffs, b.coeffs, p, K, plan=plan, seed=args.seed)
     polyio.write_poly(args.output, polyio.PolyData(p=p, K=K, exp=a.exp + b.exp, coeffs=coeffs))
     return 0

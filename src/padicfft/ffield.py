@@ -3,6 +3,8 @@
 A field is PrimeField(p) with int elements, or ExtensionField(base, f), also
 nested, with elements as flat tuples of D ints mod p (D its degree over F_p):
 coordinate k*D_base + i is coordinate i of the Z^k coefficient over base.
+ExtensionField takes f irreducible on trust: proving it (is_irreducible) is
+the caller's job, done once where a modulus comes from outside.
 
 The poly_* functions take lists over any coefficient ring with the small
 protocol below (a field, or padic.PadicContext), constant first, no trailing
@@ -139,19 +141,18 @@ class PrimeField:
 class ExtensionField:
     """base[Z]/(modulus) for monic irreducible modulus over base, on flat coordinates.
 
-    Coordinate k*D_base + i goes to Kronecker slot k*base.span + base.slots[i]
-    (span and slots), and reduce_map is the R that takes slots back to coordinates."""
+    Only monic and degree >= 1 are checked: proving the modulus irreducible is the caller's job.
+    Coordinate k*D_base + i goes to Kronecker slot k*base.span + base.slots[i] (span and slots),
+    and reduce_map is the R that takes slots back to coordinates."""
 
     __slots__ = ("base", "modulus", "degree", "prime", "dtype", "span", "slots", "reduce_map")
 
-    def __init__(self, base, modulus, check: bool = True):
+    def __init__(self, base, modulus):
         modulus = list(modulus)
         if len(modulus) < 2:
             raise DegreeTooSmall("modulus must have degree >= 1")
         if modulus[-1] != base.one():
             raise BadInput("modulus must be monic")
-        if check and not is_irreducible(base, modulus):
-            raise BadInput("modulus is not irreducible over the base field")
         e = len(modulus) - 1
         self.base = base
         self.modulus = tuple(modulus)

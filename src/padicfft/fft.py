@@ -214,6 +214,7 @@ def make_plan(s, lift, K: int) -> FFTPlan:
     for q, v in s.factors:
         if np.array_equal(rows[q**v][q ** (v - 1)], rows[q**v][0]):  # zeta_g^(g/q) = root^(s/q)
             raise RootNotPrimitive(f"root order divides {s.value}/{q}")
+    ring.counter.reset()  # the root checks and zeta_g above are not the model's
     ring.counter.add(max(0, s.value - 2) * ring.mul_cost())  # the model charges the paper's power table of s rows
     factors = _tensor_factors(subring_axes(p, s), d)
     basis = basis_inv = np.identity(d, dtype=dtype)

@@ -299,28 +299,10 @@ def fold(b, m: int, La: int, count: int | None = None):
     """float64 (..., La, n, Lb, k) for maps b (..., n, k): entry (i, c, j, l) is limb j of 2^(w i) b[c, l] mod m.
 
     w = _width(m, La); the limbs are those of split_limbs(., m, count). As one (La n) x (Lb k) block it multiplies
-    a's La limbs side by side. Python-int maps folded for digit rows (count = Lb) skip the Python-int products:
-    their digits times the digits of 2^(w i) B^j mod m, B the digit base, give each entry's weight classes, which
-    _reduce carries.
+    a's La limbs side by side.
     """
-    if b.dtype != object or count is None:
-        shifted = np.stack([mul_mod(b, pow(2, _width(m, La) * i, m), m) if i else b for i in range(La)], axis=-3)
-        return split_limbs(shifted, m, count)
-    Lb = limb_count(m)
-    classes = (_cut(b, _width(m, Lb), Lb).astype(np.float64) @ _shift_digits(m, La)).reshape(b.shape + (La, Lb))
-    bound = Lb << 2 * _width(m, Lb)
-    digits = _reduce(np.moveaxis(classes, -1, 0).reshape(Lb, -1), m, bound).reshape((Lb,) + b.shape + (La,))
-    nd = digits.ndim
-    return digits.transpose(*range(1, nd - 3), nd - 1, nd - 3, 0, nd - 2).astype(np.float64)
-
-
-@functools.lru_cache(maxsize=16)
-def _shift_digits(m: int, La: int):
-    """(Lb, La Lb) float64: row j, column block i holds the digits of 2^(w i) B^j mod m, w = _width(m, La)."""
-    Lb = limb_count(m)
-    w, wa = _width(m, Lb), _width(m, La)
-    values = [[pow(2, wa * i + w * j, m) for i in range(La)] for j in range(Lb)]
-    return np.array([[(v >> (w * l)) & ((1 << w) - 1) for v in row for l in range(Lb)] for row in values], dtype=float)
+    shifted = np.stack([mul_mod(b, pow(2, _width(m, La) * i, m), m) if i else b for i in range(La)], axis=-3)
+    return split_limbs(shifted, m, count)
 
 
 def _limbs(digits: bool, m: int, n: int):

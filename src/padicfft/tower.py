@@ -16,6 +16,11 @@ cases.
 
 Splitting runs on ffield's packed polynomials over flat F_p coordinates, and
 the prime field's counter (base_counter) models the work from operand sizes.
+No modulus is proved irreducible again: a nested field's is an irreducible
+factor from cz_split, and a flattened field's is a minimal polynomial over
+F_p, its degree checked against the exact order. newton_lift_root proves the
+one modulus that leaves the tower, as its input; _verify_primitive checks
+the root.
 """
 
 from __future__ import annotations
@@ -139,14 +144,14 @@ def build_root_of_unity(p: int, s_factored, rng: random.Random) -> UnityRoot:
             if e == 1:
                 cur = work.neg(fac[0])
             else:
-                work = ExtensionField(work, fac, check=False)
+                work = ExtensionField(work, fac)
                 zeta_a, cur = work.embed(zeta_a), work.gen()
             j += n
         a *= p0**v
         mp = minimal_poly_from_orbit(work, work.mul(zeta_a, cur))
         if len(mp) - 1 != multiplicative_order(p, a):
             raise OrbitNotClosed("flattened degree does not match the exact order")
-        field = ExtensionField(prime, list(mp), check=True)
+        field = ExtensionField(prime, list(mp))
         zeta = field.gen()
 
     _verify_primitive(field, zeta, s)

@@ -55,6 +55,27 @@ def test_mul_example(tmp_path, capsys):
     assert out_path.read_text() == "3 4\n0\n1\n2\n1\n"
 
 
+def test_mul_with_a_given_length_matches_the_default(tmp_path, capsys):
+    # -s and -N build the one plan they name and multiply on it; the product file is the default path's, byte for byte
+    rng = random.Random(49)
+    a, b = tmp_path / "a.poly", tmp_path / "b.poly"
+    write_poly(a, PolyData(7, 16, 2, [rng.randrange(7**16) for _ in range(40)]))
+    write_poly(b, PolyData(7, 16, -1, [rng.randrange(7**16) for _ in range(30)]))
+    outputs = []
+    for flags in ((), ("-s", "96"), ("-N", "100")):
+        out_path = tmp_path / f"c{len(outputs)}.poly"
+        assert run(capsys, "mul", str(a), str(b), "-o", str(out_path), *flags)[0] == 0
+        outputs.append(out_path.read_bytes())
+    assert outputs[1] == outputs[2] == outputs[0]
+
+
+def test_dft_more_coefficients_than_s(tmp_path, capsys):
+    src = tmp_path / "f.poly"
+    write_poly(src, PolyData(3, 4, 0, list(range(1, 10))))
+    code, _, err = run(capsys, "dft", "-i", str(src), "-o", str(tmp_path / "f.evals"), "-s", "8")
+    assert code == 3 and err.startswith("error precondition LengthMismatch: 9 coefficients do not fit in length 8")
+
+
 def test_mul_past_the_planner_length_12584(tmp_path, capsys):
     # without -s or -N the product plans s = 13754312 (d = 210) and runs on a divisor of it in its own ring
     rng = random.Random(12585)

@@ -34,7 +34,7 @@ from padicfft.tower import cz_split
 F3 = PrimeField(3)
 F3_10 = ExtensionField(F3, [2, 1, 1, 2, 2, 0, 0, 1, 0, 0, 1])  # flat, from the s=88 tower
 F9 = ExtensionField(F3, [2, 1, 1])  # the s=12584 tower's F_9
-F9_5 = ExtensionField(F9, cz_split(F9, [F9.one()] * 11, 5, random.Random(1)), check=False)  # nested, D=10
+F9_5 = ExtensionField(F9, cz_split(F9, [F9.one()] * 11, 5, random.Random(1)))  # nested, D=10
 M61 = 2**61 - 1  # coordinates beyond int64: object arrays
 F61_2 = ExtensionField(PrimeField(M61), [1, 0, 1])  # p = 3 mod 4, so -1 is not a square
 FIELDS = [F3_10, F9_5, F61_2]

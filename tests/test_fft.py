@@ -15,7 +15,9 @@ from padicfft.errors import (
     BadInput,
     CoefficientNotRational,
     DegreeOverflow,
+    FactoringFailure,
     LengthMismatch,
+    OutOfRange,
     ParentMismatch,
     PrecisionTooLow,
     RootNotPrimitive,
@@ -585,6 +587,13 @@ def test_make_plan_keeps_no_power_table():
     assert peak < plan.s * plan.ring.degree * 8 / 4
 
 
+@pytest.mark.parametrize("p,K,s", [(3, 32, 104), (7, 16, 2736), (7, 32, 2736), (3, 32, 12584)])
+def test_make_plan_charges_only_its_model(p, K, s):
+    # a built plan's ring holds the model's power table of s rows and nothing else: not the root checks, not zeta_g
+    plan = build_pipeline(p, K, s=s).plan
+    assert plan.ring.counter.count == (s - 2) * plan.ring.mul_cost()
+
+
 @pytest.mark.parametrize("p,K,s", [(3, 32, 104), (7, 16, 2736), (7, 32, 2736)])
 def test_transforms_fold_no_maps(monkeypatch, p, K, s):
     # make_plan prepares every map a transform runs (butterflies, twiddles, idft's first stage times s^-1) and the
@@ -662,6 +671,7 @@ def test_poly_multiply_planner_path():
     assert poly_multiply([5], [7], 3, 4) == [35]  # one chunk: s' = 2, the smallest plan the tower builds
     assert poly_multiply([], [1, 2], 3, 4) == []
     assert poly_multiply([3**4, 0], [1, 1], 3, 4) == []
+    assert poly_multiply([1, 3**4], [1, 3**4], 3, 8) == [1, 162]  # the top coefficient 3^8 vanishes
 
 
 def test_poly_multiply_prebuilt_plan():
@@ -689,6 +699,15 @@ def test_poly_multiply_degree_overflow(monkeypatch):
     with pytest.raises(DegreeOverflow, match="pack into 9 elements of 1 coefficients, plan has s = 8$"):
         poly_multiply(f, f, 3, 4, planner=tiny_planner)
     assert builds == []
+
+
+@pytest.mark.parametrize("error", [OutOfRange, FactoringFailure])
+def test_poly_multiply_planner_failure_is_degree_overflow(error):
+    def failing_planner(p, N):
+        raise error(f"no length above {N}")
+
+    with pytest.raises(DegreeOverflow, match="no transform length above 3 is available"):
+        poly_multiply([1, 2], [3, 4, 5], 3, 4, planner=failing_planner)
 
 
 def test_poly_multiply_plan_mismatch():

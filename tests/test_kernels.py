@@ -294,6 +294,25 @@ def test_prepared_maps_are_not_folded_again():
             prepare(*args)
 
 
+@pytest.mark.parametrize("m, lengths", [(7**32, {1: 3, 2: 4, 114: 5, 2913: 6}), (19**32, {1: 6, 16: 7, 107: 8})])
+def test_digit_row_folds_match_python_ints(m, lengths):
+    # Python-int maps prepared for digit rows, at a contraction length n where the kernel picks each La: entry
+    # (i, c, j, l) is digit j of 2^(wa i) b[c, l] mod m, wa = ceil(bits / La) and digits of ceil(bits / Lb) bits
+    rng = random.Random(m)
+    bits = (m - 1).bit_length()
+    Lb = -(-bits // 17)
+    w = -(-bits // Lb)
+    for n, La in lengths.items():
+        maps = np.array([[[rng.randrange(m) for _ in range(2)] for _ in range(n)]], dtype=object)
+        maps[0, 0] = m - 1
+        folded = prepare(maps, m).folded
+        wa = -(-bits // La)
+        want = [[[[[(pow(2, wa * i, m) * int(x) % m) >> (w * j) & ((1 << w) - 1) for x in row] for j in range(Lb)]
+                  for row in maps[0]] for i in range(La)]]
+        assert folded.shape == (1, La, n, Lb, 2)
+        assert folded.tolist() == want
+
+
 @pytest.mark.parametrize("m", [3**8, 2**51 - 1, 7**32])
 def test_matmul_mod_tiles(monkeypatch, m):
     # a 16-element tile cuts every product below into several tiles, the last one short

@@ -59,3 +59,22 @@ def test_seed_determinism():
     # the two known factors of the degree-2 case show up under other seeds
     c = build_pipeline(19, 2, s=5)  # default seed
     assert c.tower.modulus != a.tower.modulus
+
+
+def test_one_irreducibility_test_per_pipeline(monkeypatch):
+    # the tower's moduli are irreducible by construction; only the one that leaves it is proved, as
+    # newton_lift_root's input
+    from padicfft import ffield, lifting, padic
+
+    real, degrees = ffield.is_irreducible, []
+
+    def spy(F, modulus):
+        degrees.append(len(modulus) - 1)
+        return real(F, modulus)
+
+    for module in (ffield, lifting, padic):
+        monkeypatch.setattr(module, "is_irreducible", spy)
+    for (p, K), size, d in (((3, 32), {"N": 10**4}, 30), ((7, 16), {"s": 2736}, 6)):
+        degrees.clear()
+        assert build_pipeline(p, K, **size).d == d
+        assert degrees == [d]
