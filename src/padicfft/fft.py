@@ -5,18 +5,18 @@ transform (see _index_maps): one gather reads the input in Good's
 index order, each axis runs a decimation-in-time transform of length g
 on its own, and one scatter writes the output in CRT order. Inside an
 axis the input is digit-reversed over its radices and one stage per radix
-(last radix first) combines blocks: a twiddle pass multiplies entry
-(j, k1) by zeta_g^((g/(r t)) j k1), t the length combined so far on that
-axis, and a radix-r pass evaluates the short DFT sum with the fixed powers
-zeta_g^((g/r) j k2), zeta_g = alpha^(s/g). Each q^v runs fused as radices
-q^a, a the largest exponent whose map fits in the stage array (see
-_fused_radices), so only an axis with two or more stages makes twiddles:
-s = 2736 = 2^4 3^2 19 at d = 6 runs stages 16, 9 and 19 with none, and
-s = 12584 = 2^3 11^2 13 at d = 30 runs 8, 11, 11 and 13 with one twiddle
-pass, inside 11^2.
+(last radix first) combines blocks: with t the length combined so far on
+that axis, entry (j, k1) goes to output k1 + t k2 times zeta_(r t)^(j (k1 +
+t k2)), zeta_(r t) = zeta_g^(g/(r t)), zeta_g = alpha^(s/g), the twiddle
+zeta_(r t)^(j k1) and the short DFT's zeta_r^(j k2) in one power. Each q^v
+runs fused as radices q^a, a the largest exponent whose map fits in the
+stage array (see _fused_radices), so only an axis with two or more stages
+has t > 1: s = 2736 = 2^4 3^2 19 at d = 6 runs stages 16, 9 and 19 all at
+t = 1, and s = 12584 = 2^3 11^2 13 at d = 30 runs 8, 11, 11 and 13, the
+second 11 at t = 11.
 There is one direction: idft(X)[n] = s^(-1) dft(X)[-n mod s], so idft runs
 the forward schedule on its input read at -k mod s, its first stage's maps
-times s^(-1): that stage has no twiddles (t = 1), so it scales its output.
+times s^(-1), which scales its output.
 
 Each axis runs over its own Galois subring: zeta_g lies in GR(p^K, d_g)
 inside A = GR(p^K, d), d_g = ord_g(p) (see subring_axes). Axes whose d_g
@@ -36,18 +36,17 @@ stage's maps once (see _stages): the multiplication matrices of fixed
 elements, from kernels.multiplication_maps of each axis's g powers of
 zeta_g, so no plan holds the s powers of alpha. It also prepares them once
 (kernels.prepare: folded for the plan's rows), so a transform folds no map
-and makes none. A twiddle pass shares each
-twiddle with the rows of the later axes and other factors, may split it
-into two factors each shared by more rows, and multiplies every group of
-rows by its factor's matrix in one stacked kernels.matmul_mod (see
-_twiddle). The radix-r pass is the same Z/p^K-linear map of size rD x rD
-for every block of a stage, block (j, k2) the stage's map at j k2 mod r,
-and runs as one kernels.block_matmul_mod of all rows.
+and makes none. A stage keeps the r t maps of zeta_(r t)^e, e < r t. All
+rows of one k1 (the later axes and the other factors' coordinates are rows
+too) share one Z/p^K-linear map of size rD x rD, whose block (j, k2) is the
+map at j (k1 + t k2) mod r t, so each stage runs as one
+kernels.block_matmul_mod with a group of rows per k1.
 The multiplication counter is a model, not a timer: it charges the
 schoolbook products of the paper's prime schedule plan.radices, whatever
-radices the stages run. A twiddle or a butterfly product is counted exactly
-when its exponent is nonzero, never based on operand values, so the count
-depends only on d and the plan.
+radices the stages run, with a twiddle product per entry (j, k1) and a
+butterfly product per (j, k2), each exactly when its exponent j k1 or j k2 is
+nonzero, never based on operand values, so the count depends only on d and
+the plan.
 
 One schedule runs on an (s, d) array whose dtype is the backend: int64 when
 p^K <= 2^51, else numpy object arrays of Python ints. make_plan picks the
@@ -95,10 +94,11 @@ from .orders import FactoredOrder, multiplicative_order
 from .padic import PadicContext, RingElement, RingExtension, residue_inverse, ring_mul, ring_pow
 from .planner import choose_parameters, predicted_mults
 
-# Bytes of the plans poly_multiply keeps (FFTPlan.nbytes: stage maps and their folds, P, P^-1 and the index maps),
-# the least recently used dropped first. The 29 plans of the divisors of 7^16's planner s = 2736 hold 0.85 MB
-# together, those of 7^32 1.7 MB, and the 23 of 3^32's s = 12584 3.9 MB (s' = 6292 the largest, 0.71 MB), so all
-# stay; past that, a 3^32 plan on the axis 1093 = Phi_7(3) holds 4.4 to 8.2 MB, so one or two stay at a time.
+# Bytes of the plans poly_multiply keeps (FFTPlan.nbytes: stage maps, their folds and block indices, P, P^-1 and the
+# index maps), the least recently used dropped first. The 29 plans of the divisors of 7^16's planner s = 2736 hold
+# 0.94 MB together, those of 7^32 1.9 MB, and the 23 of 3^32's s = 12584 5.1 MB (s' = 968 the largest, 0.80 MB), so
+# all stay; past that, a 3^32 plan on the axis 1093 = Phi_7(3) holds 6.7 MB (s' = 2186) to 8.8 MB (s' = 113672), so
+# one stays at a time, kept as the newest even where it alone is past the bound.
 PLAN_CACHE_BYTES = 8 << 20
 # Products per element an end stage may add by folding in the basis change, about what a pass of its own costs
 # (see basis_routes): on int64 in row splits and recombination, on digit arrays (p^K > 2^51) in recuts and
@@ -109,20 +109,19 @@ DIGIT_FOLD_LIMIT = 40
 
 @dataclass(frozen=True)
 class Stage:
-    """One radix-r stage of a prime-power axis and the maps make_plan built for it, each kernels.prepare()d once.
+    """One radix-r stage of a prime-power axis and the maps make_plan built for it, kernels.prepare()d once.
 
-    shape is (blocks, r, t, post) of the stage's view of the (s, d) array. The twiddles read the d coordinates
-    as layout = (a, D, b) and act on the middle D, the axis's tensor factor: twiddles holds the stacks of the two
-    passes of _twiddle, split at c. The butterfly's r maps read them as bf_layout: layout, or (1, d, 1) at a folded
-    end stage of a split basis; a basis change run on its own is a radix-1 stage with one map, P^-1 or P.
+    shape is (blocks, r, t, post) of the stage's view of the (s, d) array, which reads the d coordinates as
+    layout = (a, D, b): the maps act on the middle D, the axis's tensor factor, or on all d, (1, d, 1), at a folded
+    end stage of a split basis. maps are the r t maps of zeta_(r t)^e, e < r t, prepared as the blocks of an r x r
+    block matrix, and index (t, r, r) gives each k1 < t its block matrix: block (j, k2) is map j (k1 + t k2) mod r t.
+    A basis change run on its own is a radix-1 stage with one map, P^-1 or P.
     """
 
     shape: tuple
     layout: tuple
-    c: int
-    twiddles: tuple  # two prepared stacks of maps
-    bf_layout: tuple
-    butterfly: object  # the r maps, prepared as the blocks of an r x r block matrix
+    maps: object
+    index: np.ndarray
 
 
 @dataclass
@@ -145,7 +144,7 @@ class FFTPlan:
     basis: np.ndarray  # P, (d, d): row i is tensor basis element i in X coordinates
     basis_inv: np.ndarray  # P^-1 mod p^K
     stages: tuple  # Stage per stage, in the order they run
-    inverse_stages: tuple  # the stages idft runs: the first one's butterfly maps times s^-1
+    inverse_stages: tuple  # the stages idft runs: the first one's maps times s^-1
     index_maps: tuple  # (gather, scatter), the Good-Thomas input and output permutations (see _index_maps)
 
     @property
@@ -158,10 +157,10 @@ class FFTPlan:
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the plan's arrays: its stages' maps and folds, P, P^-1 and the index maps."""
-        stages = (*self.stages, *self.inverse_stages)  # idft's share all but one butterfly with dft's
-        prepared = {id(x): x for stage in stages for x in (*stage.twiddles, stage.butterfly)}
-        arrays = (self.basis, self.basis_inv, *self.index_maps)
+        """Bytes of the plan's arrays: its stages' maps, folds and block indices, P, P^-1 and the index maps."""
+        stages = (*self.stages, *self.inverse_stages)  # idft's share all maps but its first stage's with dft's
+        prepared = {id(stage.maps): stage.maps for stage in stages}
+        arrays = (self.basis, self.basis_inv, *self.index_maps, *(stage.index for stage in self.stages))
         return sum(x.nbytes for x in prepared.values()) + sum(a.nbytes for a in arrays)
 
 
@@ -292,30 +291,18 @@ def _stages(s: FactoredOrder, factors, rows, tops, fhead, basis, basis_inv, m: i
         g = math.prod(radices)
         post = s.value // (pre * g)
         powers, head, layout = coords[g]
-        a, D, b = layout
-
-        def maps(exponents):  # an empty stack (every twiddle pass at t = 1) needs no kernel call
-            if not exponents.size:
-                return np.empty((0, D, D), dtype=powers.dtype)
-            return kernels.multiplication_maps(powers[exponents.ravel()], head, m)
-
         t = 1
         for r in reversed(radices):
-            if (r - 1) * t * D * D <= s.value * d:
-                c = t
-            else:
-                c = next(q for q in range(1, t + 1) if t % q == 0 and q * q >= t)
-            j = np.arange(1, r)[:, None]
-            twiddles = tuple(maps(g // (r * t) * step * j * np.arange(1, n)) for step, n in ((1, c), (c, t // c)))
-            bf_layout, butterfly = layout, maps(g // r * np.arange(r))
+            # map e is zeta_(r t)^e, zeta_(r t) = zeta_g^(g / (r t)); block (j, k2) of group k1 is map j (k1 + t k2)
+            maps = kernels.multiplication_maps(powers[g // (r * t) * np.arange(r * t)], head, m)
+            index = (np.arange(r)[:, None] * (np.arange(t)[:, None, None] + t * np.arange(r)) % (r * t)).astype(
+                np.min_scalar_type(r * t - 1))  # at r = 1093, t = 1, 2.4 MB on uint16 where intp would take 9.6 MB
+            at = layout
             if routes and routes[0] == "fold" and not stages:  # X coordinates in: P^-1 (I x N x I)
-                bf_layout, butterfly = (1, d, 1), _fold_basis(basis_inv, butterfly, layout, m)
+                at, maps = (1, d, 1), _fold_basis(basis_inv, maps, layout, m)
             elif routes and routes[1] == "fold" and post == 1 and r * t == g:  # out: (I x N x I) P, transposed
-                folded = _fold_basis(basis.T, butterfly.swapaxes(1, 2), layout, m)
-                bf_layout, butterfly = (1, d, 1), folded.swapaxes(1, 2)
-            twiddles = tuple(kernels.prepare(x, m) for x in twiddles)
-            stages.append(Stage((pre * g // (r * t), r, t, post), layout, c, twiddles, bf_layout,
-                                kernels.prepare(butterfly, m, r)))
+                at, maps = (1, d, 1), _fold_basis(basis.T, maps.swapaxes(1, 2), layout, m).swapaxes(1, 2)
+            stages.append(Stage((pre * g // (r * t), r, t, post), at, kernels.prepare(maps, m, r), index))
             t *= r
         pre *= g
     if routes and routes[0] == "pass":  # X coordinates in and out by stages of their own
@@ -326,15 +313,13 @@ def _stages(s: FactoredOrder, factors, rows, tops, fhead, basis, basis_inv, m: i
 
 
 def _basis_pass(change, s: int, m: int) -> Stage:
-    """A radix-1 stage whose one map is the basis change P^-1 or P: no twiddles, one d x d product per row."""
-    none, d = kernels.prepare(np.zeros((0, *change.shape), dtype=change.dtype), m), len(change)
-    return Stage((s, 1, 1, 1), (1, d, 1), 1, (none, none), (1, d, 1), kernels.prepare(change[None], m, 1))
+    """A radix-1 stage whose one map is the basis change P^-1 or P: one d x d product per row."""
+    return Stage((s, 1, 1, 1), (1, len(change), 1), kernels.prepare(change[None], m, 1), np.zeros((1, 1, 1), np.uint8))
 
 
 def _scaled(stage: Stage, factor: int, m: int) -> Stage:
-    """stage with its butterfly maps times factor mod m; at t = 1 it runs no twiddles, so its output is scaled."""
-    maps = kernels.mul_mod(stage.butterfly.maps, factor, m)
-    return replace(stage, butterfly=kernels.prepare(maps, m, stage.shape[1]))
+    """stage with every map times factor mod m, so its output is scaled."""
+    return replace(stage, maps=kernels.prepare(kernels.mul_mod(stage.maps.maps, factor, m), m, stage.shape[1]))
 
 
 def basis_routes(p: int, K: int, s: FactoredOrder, d: int) -> tuple:
@@ -430,15 +415,15 @@ def _transform(arr, plan: FFTPlan, stages):
     arr = kernels.to_digits(arr[gather], m)
     for stage in stages:
         blocks, r, t, post = stage.shape
-        _twiddle(arr.reshape(stage.shape + stage.layout), stage, m)
-        # radix-r pass: out[k2] = sum_j arr[j] * zeta^(j k2) on the butterfly's D coordinates, one block
-        # product by the r maps at j k2 mod r; each copy frees the one before, so two (s, d) arrays live at most
-        a, D, b = stage.bf_layout
-        rows = arr.reshape(blocks, r, t * post, a, D, b).transpose(0, 2, 3, 5, 1, 4).reshape(-1, r * D)
+        a, D, b = stage.layout
+        # out[k2, k1] = sum_j zeta_(r t)^(j (k1 + t k2)) arr[j, k1] on the stage's D coordinates: one block product
+        # whose rows of each k1 run by the maps at stage.index[k1]; each copy frees the one before, so two (s, d)
+        # arrays live at most
+        rows = arr.reshape(blocks, r, t, post, a, D, b).transpose(2, 0, 3, 4, 6, 1, 5).reshape(t, -1, r * D)
         del arr
-        arr = kernels.block_matmul_mod(rows, stage.butterfly, np.outer(np.arange(r), np.arange(r)) % r, m)
+        arr = kernels.block_matmul_mod(rows, stage.maps, stage.index, m)
         del rows
-        arr = arr.reshape(blocks, t * post, a, b, r, D).transpose(0, 4, 1, 2, 5, 3).reshape(s, d)
+        arr = arr.reshape(t, blocks, post, a, b, r, D).transpose(1, 5, 0, 2, 3, 6, 4).reshape(s, d)
     out = np.empty_like(arr)
     out[scatter] = arr
     # the count models the paper's prime-radix stages, whatever radices ran: per stage the twiddle
@@ -483,25 +468,6 @@ def _fused_radices(s: FactoredOrder, d: int) -> tuple:
         a = max((a for a in range(2, v + 1) if (q**a * d) ** 2 <= s.value * d), default=1)
         groups.append((q**a,) * (v // a) + ((q ** (v % a),) if v % a else ()))
     return tuple(groups)
-
-
-def _twiddle(view, stage: Stage, m: int):
-    """Twiddle pass, in place: entry (b, j, k1, i) of view times zeta_(r t)^(j k1), as batched exact matmuls.
-
-    view is (blocks, r, t, post, a, D, b): the radix-r stage of one prime-power axis, t its length so far
-    inside that axis, post the axes after it and (a, b) the other tensor factors, whose rows i all share every
-    twiddle, a map on the D coordinates. With k1 = h c + l the twiddle is zeta^(j l) * zeta^(j c h): one pass
-    multiplies the rows sharing (j, l) by one map, a second those sharing (j, h). So a stage stores (r-1)(c + t/c)
-    maps, not one per twiddle; c = t, a single pass, when (r-1) t maps of D x D fit in the (s, d) array's entries.
-    """
-    blocks, r, t, post, a, D, b = view.shape
-    c = stage.c
-    grid = view.reshape(blocks, r, t // c, c, post, a, D, b)
-    # pass 1 batches over (j, l >= 1), pass 2 over (j, h >= 1); the rows are the other five axes
-    for x, maps in ((grid[:, 1:, :, 1:].transpose(1, 3, 0, 2, 4, 5, 7, 6), stage.twiddles[0]),
-                    (grid[:, 1:, 1:].transpose(1, 2, 0, 3, 4, 5, 7, 6), stage.twiddles[1])):
-        if x.size:
-            x[...] = kernels.matmul_mod(x.reshape(maps.shape[0], -1, D), maps, m).reshape(x.shape)
 
 
 def naive_dft(coeffs, root, s: int):

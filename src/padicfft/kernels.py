@@ -12,8 +12,10 @@ each element holds Lb = limb_count(m) canonical int64 digits of width
 ceil(bits(m-1)/Lb) <= 17, so only those two conversions touch Python ints.
 
 block_matmul_mod multiplies rows by a block matrix of fixed maps mod m on
-float64 BLAS, exactly, and owns the limb format and the tiling; matmul_mod
-is its 1 x 1 case, or runs a stack of maps entry by entry. Both run on the
+float64 BLAS, exactly, or each group of rows by its own block matrix of the
+same maps (a transform stage: one group per k1), and owns the limb format
+and the tiling; matmul_mod is its 1 x 1 case, or runs a stack of maps entry
+by entry (power_table, a plan's basis fold). Both run on the
 fixed map b folded (fold): B_i = 2^(w i) b mod m, cut into Lb limbs, for
 each of the La limbs of width w that a is cut into. prepare folds maps once
 for one form of rows into a PreparedMaps, which either product takes in
@@ -23,11 +25,12 @@ again; maps given as an array are prepared on entry. One matmul of
 sum of La*n integers below 2^(w+17) for contraction length n, so exact while
 La*n*2^(w+17) < 2^53: w is the widest width that keeps that bound (at 3^32
 and n <= 511, 2 limbs of 26 bits: 2 x 3 limb planes), which is checked,
-with OutOfRange beyond it. int64 rows are cut into limbs of 17-bit
-classes, recombined by the quotient estimate above; digit rows are recut
-from their digits, their classes are in the digit base, and _reduce
-carries them into canonical digits by the same estimate and an exact
-residual over the digits, so no rounding reaches any result.
+with OutOfRange beyond it; past MODULUS_BITS not even n = 1 is exact, so
+padic refuses such a p^K before building it. int64 rows are cut into
+limbs of 17-bit classes, recombined by the quotient estimate above; digit
+rows are recut from their digits, their classes are in the digit base, and
+_reduce carries them into canonical digits by the same estimate and an
+exact residual over the digits, so no rounding reaches any result.
 
 multiplication_maps turns fixed elements of (Z/m)[X]/F into the d x d
 matrices of their ring products, so a batch of products is one matmul_mod;
@@ -38,6 +41,7 @@ ring_mul_batch reduces mod F by the map of X^d, prepared once per (F, m).
 from __future__ import annotations
 
 import functools
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -47,6 +51,9 @@ from .errors import OutOfRange
 MODULUS_LIMIT = 1 << 51
 LIMB_BITS = 17
 FLOAT_EXACT = 1 << 53
+# Widest modulus of any exact product: its limb_count(m) limbs of 17 bits must contract one term, Lb 2^34 < 2^53,
+# so contraction_limit(m) >= 1 exactly when (m - 1).bit_length() <= MODULUS_BITS = 17 (2^19 - 1).
+MODULUS_BITS = LIMB_BITS * ((FLOAT_EXACT - 1) >> 2 * LIMB_BITS)
 # Elements per matmul_mod tile: bounds every temporary a product makes.
 TILE = 1 << 16
 # Largest degree whose ring_mul_batch products reduce mod F by elementwise passes: from d = 4 on, at
@@ -93,6 +100,14 @@ class _Radix(NamedTuple):
 
 def supports_modulus(m: int) -> bool:
     return 2 <= m <= MODULUS_LIMIT
+
+
+def precision_fits(p: int, K: int) -> bool:
+    """Whether p^K - 1 has at most MODULUS_BITS bits, for p >= 2 and K >= 1; p^K is computed only near that bound."""
+    bits = K * math.log2(p)
+    if abs(bits - MODULUS_BITS) > 1:
+        return bits < MODULUS_BITS
+    return (p**K - 1).bit_length() <= MODULUS_BITS
 
 
 def _dtype(*arrays):
@@ -385,41 +400,55 @@ def matmul_mod(a, b, m: int):
 
 @_object_edges
 def block_matmul_mod(a, maps, index, m: int):
-    """Exact (a @ M) % m for a (rows, J n) and the (J n) x (C k) matrix M whose block (j, c) is maps[index[j, c]].
+    """Exact (a @ M) % m for a (rows, J n) and the (J n) x (C k) matrix M whose block (j, c) is maps[index[j, c]];
+    for a stacked index (N, J, C) and a (N, rows, J n), group u of the rows by the M of index[u].
 
-    maps (N, n, k), or their prepare()d form for J block rows, are folded once. M runs in map tiles of whole blocks,
-    each gathered by one index (_map_block): the contraction within TILE and the float64 bound, the limb block
-    within a.size or 2 TILE. Per map tile the rows run in tiles of TILE // max(La n, Lb k), cut into limbs there
-    (int64) or recut from their digits (digit arrays, whose tiles are evened out rather than leave a short last one);
-    contraction tiles add up mod m.
+    maps (N', n, k), or their prepare()d form for J block rows, are folded once. M runs in map tiles of whole blocks,
+    each group's gathered by one index (_map_block): the contraction within TILE and the float64 bound, the limb
+    block within a group's a size or 2 TILE. Per map tile the rows run in tiles of TILE // max(La n, Lb k), which
+    split a group or take several whole groups, their map tiles together within that same bound; they are cut into
+    limbs there (int64) or recut from their digits (digit arrays, whose tiles are evened out rather than leave a
+    short last one). Contraction tiles add up mod m.
     """
-    (J, C), (n, k) = index.shape, maps.shape[-2:]
+    stacked = index.ndim == 3
+    if not stacked:
+        a, index = a[None], index[None]
+    (N, J, C), (n, k) = index.shape, maps.shape[-2:]
     maps = prepare(maps, m, J, a.dtype.kind == "V")
-    out = np.empty((len(a), C * k), dtype=a.dtype)
+    rows = a.shape[1]
+    out = np.empty((N, rows, C * k), dtype=a.dtype)
+    La, Lb = maps.folded.shape[0], limb_count(m)
+    gather = max(rows * J * n, 2 * TILE) // (La * n * Lb * k)  # blocks a map tile may gather
     j_step = min(J, maps.j_step)
-    k_step = min(C, max(1, max(a.size, 2 * TILE) // (maps.folded.size // len(maps.maps) * j_step)))
+    k_step = min(C, max(1, gather // j_step))
     for c0 in range(0, C, k_step):
         for j0 in range(0, J, j_step):
-            block = _map_block(maps, index[j0 : j0 + j_step, c0 : c0 + k_step])
-            step = max(1, TILE // max(block.shape[0] * block.shape[1], block.shape[2] * block.shape[3]))
+            tile_index = index[:, j0 : j0 + j_step, c0 : c0 + k_step]
+            Jt, Ct = tile_index.shape[1:]
+            step = max(1, TILE // max(La * Jt * n, Lb * Ct * k))
+            groups = max(1, min(step // max(1, rows), gather // (Jt * Ct)))
             if a.dtype.kind == "V":  # no short last tile: each digit tile pays a fixed cost in _reduce
-                step = max(1, -(-len(a) // max(1, round(len(a) / step))))
-            for u in range(0, len(a), step):
-                rows = a[u : u + step, ..., j0 * n : j0 * n + block.shape[1]]
-                dst = out[u : u + step, c0 * k : c0 * k + block.shape[3]]
-                tile = _folded_matmul(rows, block, m, np.empty_like(dst) if j0 else dst)
-                if j0:
-                    dst[...] = _add_mod(dst, tile, m)
-    return out
+                step = max(1, -(-rows // max(1, round(rows / step))))
+            for u in range(0, N, groups):
+                block = _map_block(maps, tile_index[u : u + groups])
+                for v in range(0, rows, step):
+                    src = a[u : u + groups, v : v + step, j0 * n : (j0 + Jt) * n]
+                    dst = out[u : u + groups, v : v + step, c0 * k : (c0 + Ct) * k]
+                    tile = _folded_matmul(src, block, m, np.empty_like(dst) if j0 else dst)
+                    if j0:
+                        dst[...] = _add_mod(dst, tile, m)
+    return out if stacked else out[0]
 
 
 def _map_block(prepared: PreparedMaps, index):
-    """Tile of a block matrix's prepared maps with block (j, c) maps[index[j, c]], (La, J n, Lb, C k), by one index."""
+    """Tiles of a block matrix's prepared maps, (..., La, J n, Lb, C k) for index (..., J, C) with block (j, c) of
+    each maps[index[..., j, c]], by one gather."""
     n = prepared.shape[-2]
     La, rows, k = prepared.folded.shape
     width = rows // len(prepared.maps)  # n Lb
-    block = np.take(prepared.folded, index[:, None] * width + np.arange(width)[:, None], axis=1)
-    return block.reshape(La, index.shape[0] * n, width // n, index.shape[1] * k)
+    flat = index[..., None, :, None, :].astype(np.intp) * width + np.arange(width)[:, None]
+    block = np.take(prepared.folded.reshape(-1, k), flat + rows * np.arange(La)[:, None, None, None], axis=0)
+    return block.reshape(index.shape[:-2] + (La, index.shape[-2] * n, width // n, index.shape[-1] * k))
 
 
 def _folded_matmul(a, folded, m: int, out):

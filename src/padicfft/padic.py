@@ -20,9 +20,11 @@ from .errors import (
     DegreeTooSmall,
     EvenPrime,
     NonUnit,
+    OutOfRange,
     ParentMismatch,
 )
 from .ffield import MulCounter, PrimeField, is_irreducible, power
+from .kernels import MODULUS_BITS, precision_fits
 from .orders import is_prime
 
 
@@ -38,6 +40,7 @@ class PadicContext:
             raise EvenPrime("p must be odd")
         if K < 1:
             raise BadInput("precision K must be >= 1")
+        check_precision(p, K)
         self.p = p
         self.K = K
         self.pK = p**K
@@ -71,6 +74,12 @@ class PadicContext:
 
     def __repr__(self):
         return f"PadicContext(p={self.p}, K={self.K})"
+
+
+def check_precision(p: int, K: int):
+    """Refuse, before computing it, a p^K wider than kernels.MODULUS_BITS, past which no exact product runs."""
+    if not precision_fits(p, K):
+        raise OutOfRange(f"{p}^{K} is wider than the {MODULUS_BITS} bits of any exact product")
 
 
 def residue_inverse(u: int, ctx: PadicContext) -> int:

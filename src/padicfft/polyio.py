@@ -18,6 +18,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import FileFormatError
+from .kernels import MODULUS_BITS, precision_fits
 
 DECIMAL = re.compile(r"[+-]?[0-9]+")
 
@@ -30,9 +31,11 @@ class PolyData:
     coeffs: list
 
     def __post_init__(self):
-        bound = self.p**self.K
         if self.p < 2 or self.K < 1:
             raise FileFormatError("need p >= 2 and K >= 1")
+        if not precision_fits(self.p, self.K):
+            raise FileFormatError(f"{self.p}^{self.K} is wider than the {MODULUS_BITS} bits of any exact product")
+        bound = self.p**self.K
         if any(not 0 <= c < bound for c in self.coeffs):
             raise FileFormatError(f"coefficients must lie in [0, {self.p}^{self.K})")
 

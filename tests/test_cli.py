@@ -1,4 +1,5 @@
 import random
+import time
 
 import numpy as np
 import pytest
@@ -173,6 +174,21 @@ def test_exit_code_precondition(capsys):
     assert code == 3 and err.startswith("error precondition")
     code, _, err = run(capsys, "root", "-p", "3", "-s", "9", "-K", "1")
     assert code == 3  # s not coprime to p
+
+
+def test_huge_precision_is_refused_at_once(tmp_path, capsys):
+    # a p^K wider than the float64 kernels' bound is refused before p^K is built: on the command line (exit 3) and
+    # in a file header (exit 2), with one stderr line each, within a second
+    a, big = tmp_path / "a.poly", tmp_path / "big.poly"
+    write_poly(a, PolyData(3, 8, 0, [1, 2, 3]))
+    big.write_text("3 99999999999\n0\n1\n2\n")
+    for argv, want in ((("mul", str(a), str(a), "-o", str(tmp_path / "o"), "-K", "100000000000"), 3),
+                       (("mul", str(big), str(big), "-o", str(tmp_path / "o")), 2)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == want and out == "" and len(err.splitlines()) == 1 and "is wider than" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_exit_code_internal(tmp_path, capsys):

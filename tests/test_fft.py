@@ -83,31 +83,28 @@ def object_copy(plan):
     m = plan.ring.ctx.pK
 
     def big(stage):
-        twiddles = tuple(kernels.prepare(x.maps.astype(object), m) for x in stage.twiddles)
-        butterfly = kernels.prepare(stage.butterfly.maps.astype(object), m, stage.shape[1])
-        return dataclasses.replace(stage, twiddles=twiddles, butterfly=butterfly)
+        return dataclasses.replace(stage, maps=kernels.prepare(stage.maps.maps.astype(object), m, stage.shape[1]))
 
     return dataclasses.replace(plan, dtype=np.dtype(object), basis=plan.basis.astype(object),
                                basis_inv=plan.basis_inv.astype(object), stages=tuple(map(big, plan.stages)),
                                inverse_stages=tuple(map(big, plan.inverse_stages)))
 
 
-def twiddle_passes(monkeypatch):
-    """A list that gets the (r, t, post) of a stage's view once per product its twiddle pass issues."""
-    import padicfft.fft as fft_mod
+def block_products(monkeypatch):
+    """A list that gets the block index shape of each kernels.block_matmul_mod call and each matmul_mod call's None."""
     from padicfft import kernels
 
-    passes, products = [], []
-    real = fft_mod._twiddle, kernels.matmul_mod
+    calls = []
+    real = kernels.block_matmul_mod, kernels.matmul_mod
+    monkeypatch.setattr(kernels, "block_matmul_mod", lambda a, maps, index, m: calls.append(index.shape)
+                        or real[0](a, maps, index, m))
+    monkeypatch.setattr(kernels, "matmul_mod", lambda *args: calls.append(None) or real[1](*args))
+    return calls
 
-    def twiddle(view, *args):
-        before = len(products)
-        real[0](view, *args)
-        passes.extend([view.shape[1:4]] * (len(products) - before))
 
-    monkeypatch.setattr(fft_mod, "_twiddle", twiddle)
-    monkeypatch.setattr(kernels, "matmul_mod", lambda *args, **kw: products.append(1) or real[1](*args, **kw))
-    return passes
+def stage_indices(stages):
+    """The (t, r, r) block index of each stage: one block product per stage, in the order they run."""
+    return [(stage.shape[2], stage.shape[1], stage.shape[1]) for stage in stages]
 
 
 def test_frozen_length_four():
@@ -266,12 +263,11 @@ def test_transform_outputs_pinned():
 @pytest.mark.parametrize("p,K,s", [(3, 32, 104), (7, 32, 2736), (5, 32, 9), (3, 32, 16)])
 def test_tiled_butterflies_match_untiled(monkeypatch, p, K, s):
     # a tiny tile splits the radix-13 (s=104) and radix-19 (s=2736, digit
-    # arrays, on 3 x 3 maps, so a tile of 32) stages into several contraction, output and row tiles, the
-    # s=104 twiddle products into several batch tiles and the axes' power-table
-    # products into several tiles, which must rebuild the same plan; s=9
-    # (object arrays) and s=16 run twiddles whose maps outgrow the stage array. make_plan folds every stage's
-    # maps under the tile it runs with, and the transforms fold none
-    import padicfft.fft as fft_mod
+    # arrays, on 3 x 3 maps, so a tile of 32) stages into several contraction, output and row tiles, the stages
+    # with t > 1 (inside 8 = 2 * 4 at s=104, 9 = 3 * 3, 16 = 2^4) into map and row tiles per group, and the axes'
+    # power-table products into several tiles, which must rebuild the same plan; s=9 (object arrays) and s=16 run
+    # stages whose r t maps outgrow the stage array. make_plan folds every stage's maps under the tile it runs with,
+    # and the transforms fold none
     from padicfft import kernels
 
     pipe = build_pipeline(p, K, s=s, seed=2)
@@ -279,17 +275,17 @@ def test_tiled_butterflies_match_untiled(monkeypatch, p, K, s):
     rng = random.Random(s)
     x = random_vector(plan.ring, s, rng)
     y = random_vector(plan.ring, s, rng)
-    # log of stages (view shape), their twiddle products (a and b shapes), their butterfly map tiles (index
-    # shape, in blocks of d x d), the row tiles under each, by row count, and the maps folded (shape)
+    # log of block products (index shape), their map tiles (index shape: groups, then blocks of D x D), the row
+    # tiles under each (groups, rows), and the maps folded (shape)
     log = []
-    real = fft_mod._twiddle, kernels.matmul_mod, kernels._map_block, kernels._folded_matmul, kernels.fold
-    monkeypatch.setattr(fft_mod, "_twiddle", lambda view, *a: log.append(("stage", view.shape)) or real[0](view, *a))
-    monkeypatch.setattr(kernels, "matmul_mod", lambda a, b, m: log.append(("product", a.shape, b.shape))
-                        or real[1](a, b, m))
+    real = kernels.block_matmul_mod, kernels._map_block, kernels._folded_matmul, kernels.fold
+    monkeypatch.setattr(kernels, "block_matmul_mod", lambda a, maps, index, m: log.append(("stage", index.shape))
+                        or real[0](a, maps, index, m))
     monkeypatch.setattr(kernels, "_map_block", lambda prepared, index: log.append(("map", index.shape))
-                        or real[2](prepared, index))
-    monkeypatch.setattr(kernels, "_folded_matmul", lambda a, *rest: log.append(("tile", len(a))) or real[3](a, *rest))
-    monkeypatch.setattr(kernels, "fold", lambda b, *rest: log.append(("fold", b.shape)) or real[4](b, *rest))
+                        or real[1](prepared, index))
+    monkeypatch.setattr(kernels, "_folded_matmul", lambda a, *rest: log.append(("tile", a.shape[:-1]))
+                        or real[2](a, *rest))
+    monkeypatch.setattr(kernels, "fold", lambda b, *rest: log.append(("fold", b.shape)) or real[3](b, *rest))
     runs = []
     for tile in (kernels.TILE, 32 if s == 2736 else 64):
         monkeypatch.setattr(kernels, "TILE", tile)
@@ -298,9 +294,8 @@ def test_tiled_butterflies_match_untiled(monkeypatch, p, K, s):
         folded = [math.prod(shape) for kind, shape, *_ in log if kind == "fold"]  # entries
         assert np.array_equal(rebuilt.basis, plan.basis) and len(rebuilt.stages) == len(plan.stages)
         for ours, theirs in zip(rebuilt.stages, plan.stages):
-            ours, theirs = ((stage.butterfly.maps, *(x.maps for x in stage.twiddles)) for stage in (ours, theirs))
-            assert all(map(np.array_equal, ours, theirs))
-            assert all(maps.size in folded for maps in ours)
+            assert np.array_equal(ours.maps.maps, theirs.maps.maps) and np.array_equal(ours.index, theirs.index)
+            assert ours.maps.maps.size in folded
         outs, counts = [], []
         for op, args in ((dft, (x,)), (idft, (x,)), (cyclic_convolution, (x, y))):
             rebuilt.ring.counter.reset()
@@ -313,32 +308,28 @@ def test_tiled_butterflies_match_untiled(monkeypatch, p, K, s):
                 dft_log = list(log)
         runs.append((outs, counts))
     assert runs[0] == runs[1]
-    # per stage of the small-tile dft, keyed by (r, t, post) of its (blocks, r, t, post, d) view: its twiddle
-    # passes, each with its a shape, b shape and row tiles, and its butterfly map tiles, each with its index
-    # shape and row tiles
-    stages = {}
-    for kind, *shapes in dft_log:
+    # the small-tile dft runs one block product per stage, index (t, r, r); its map tiles cover each group's r x r
+    # blocks once, and the row tiles under each map tile cover its groups' s d / (t r D) rows each, D the width
+    # of the stage's maps; at this tile every stage with t > 1 gathers one group per map tile
+    stages = []
+    for kind, shape in dft_log:
         if kind == "stage":
-            stage = stages.setdefault(shapes[0][1:4], (shapes[0], [], []))
-        elif kind == "tile":
-            product[-1].append(shapes[0])
+            stages.append((shape, []))
+        elif kind == "map":
+            stages[-1][1].append((shape, []))
         else:
-            product = [*shapes, []]
-            stage[1 if kind == "product" else 2].append(product)
-    # twiddles run only inside a prime power of two or more stages (8 = 4 * 2 at s=104, 9 = 3 * 3, 16 = 2^4),
-    # as (maps, tiles) per pass: (r-1)(c-1) maps, then (r-1)(t/c - 1) when c < t
-    twiddles = {key: [(b[0], len(tiles)) for _, b, tiles in passes]
-                for key, (_, passes, _) in stages.items() if passes}
-    assert twiddles == {104: {(4, 2, 13): [(3, 3)]}, 2736: {}, 9: {(3, 3, 1): [(4, 2)]},
-                        16: {(2, 2, 1): [(1, 1)], (2, 4, 1): [(3, 2)], (2, 8, 1): [(3, 2), (1, 1)]}}[s]
-    # the widest radix stage's map tiles cover the map once, each over all s d / (r D) rows, D the width of its
-    # maps; at s=104 and s=2736 it runs several contraction and output tiles, each in several row tiles
-    (_, r, t, post, *_), _, blocks = max(stages.values(), key=lambda stage: stage[0][1])
-    width = next(stage.bf_layout[1] for stage in plan.stages if stage.shape[1:] == (r, t, post))
-    assert sum(J * C for (J, C), _ in blocks) == r * r
-    assert all(sum(tiles) == s * plan.ring.degree // (r * width) for _, tiles in blocks)
+            stages[-1][1][-1][1].append(shape)
+    assert [shape for shape, _ in stages] == stage_indices(plan.stages)
+    for stage, ((t, r, _), blocks) in zip(plan.stages, stages):
+        rows = s * plan.ring.degree // (t * r * stage.layout[1])
+        assert sum(G * J * C for (G, J, C), _ in blocks) == t * r * r
+        assert all(sum(math.prod(tile) for tile in tiles) == G * rows for (G, *_), tiles in blocks)
+        if t > 1:
+            assert all(G == 1 for (G, *_), _ in blocks)
+    # at s=104 and s=2736 the widest stage runs several contraction and output tiles, each in several row tiles
+    (_, r, _), blocks = max(stages, key=lambda stage: stage[0][1])
     if s >= 104:
-        assert all(J < r and C < r and len(tiles) > 1 for (J, C), tiles in blocks)
+        assert all(J < r and C < r and len(tiles) > 1 for (_, J, C), tiles in blocks)
     evals = runs[1][0][0]
     if s <= 104:
         assert evals == naive_dft(x, plan.root, s)
@@ -376,19 +367,21 @@ def test_index_maps_are_permutations(s):
 
 
 @pytest.mark.parametrize("p,K,s,samples,passes", [
-    (5, 16, 9, None, [(3, 3, 1)]),
-    (7, 16, 16, None, [(2, 2, 1), (2, 4, 1), (2, 8, 1)]),
-    (3, 8, 104, None, [(4, 2, 13)]),
-    (7, 16, 60, None, [(2, 2, 15)]),
-    (7, 16, 2736, 8, []),
-    (3, 32, 12584, 2, [(11, 11, 13)]),
+    (5, 16, 9, None, [(3, 1), (3, 3)]),
+    (7, 16, 16, None, [(2, 1), (2, 2), (2, 4), (2, 8)]),
+    (3, 8, 104, None, [(2, 1), (4, 2), (13, 1)]),
+    (7, 16, 60, None, [(2, 1), (2, 2), (3, 1), (5, 1)]),
+    (7, 16, 2736, 8, [(16, 1), (9, 1), (19, 1)]),
+    (3, 32, 12584, 2, [(1, 1), (8, 1), (11, 1), (11, 11), (13, 1), (1, 1)]),
 ])
 def test_good_thomas_matches_naive(monkeypatch, p, K, s, samples, passes):
     # one prime-power axis (s = 9, 16), two (104 = 8 * 13) and three (60 = 4 * 3 * 5, 2736 = 16 * 9 * 19),
     # on the int64 plan and its object copy, all outputs against naive_dft or, at s = 2736 and 12584,
-    # sampled ones against Horner; twiddle passes, as the (r, t, post) of their stage, run only inside an
-    # axis of two or more stages
+    # sampled ones against Horner, with the idft round trip; the passes over the array, one per stage as its
+    # (r, t), t > 1 only inside an axis of two or more stages, each in dft and idft one block product with t groups
+    # of rows, and no other product
     plan = build_pipeline(p, K, s=s, seed=2).plan
+    assert [stage.shape[1:3] for stage in plan.stages] == passes
     assert plan.dtype == np.int64
     rng = random.Random(s)
     x = random_vector(plan.ring, s, rng)
@@ -397,14 +390,16 @@ def test_good_thomas_matches_naive(monkeypatch, p, K, s, samples, passes):
     else:
         js = [1, s - 1] + rng.sample(range(2, s - 1), samples - 2)
         want = [horner(x, ring_pow(plan.root, j)) for j in js]
-    log = twiddle_passes(monkeypatch)
+    log = block_products(monkeypatch)
     for q in (plan, object_copy(plan)):
         xa = np.array([v.coeffs for v in x], dtype=q.dtype)
         log.clear()
         evals = dft(xa, q)
-        assert log == passes
+        assert log == stage_indices(q.stages)
         assert [tuple(evals[j].tolist()) for j in js] == [v.coeffs for v in want]
+        log.clear()
         assert np.array_equal(idft(evals, q), xa)
+        assert log == stage_indices(q.inverse_stages)
 
 
 @pytest.mark.parametrize("p,K,s,samples,factors", [
@@ -479,10 +474,10 @@ def test_basis_routes_match_naive(p, K, s, samples, routes):
     # a pass is one d x d map, and the end stage beside it keeps its factor's D x D maps
     for (end, beside), route in zip(((plan.stages[0], plan.stages[1]), (plan.stages[-1], plan.stages[-2])), routes):
         if route == "pass":
-            assert (end.shape, end.bf_layout, end.butterfly.shape) == ((s, 1, 1, 1), (1, d, 1), (1, d, d))
-            assert beside.bf_layout == beside.layout and beside.butterfly.shape[1] < d
+            assert (end.shape, end.layout, end.maps.shape) == ((s, 1, 1, 1), (1, d, 1), (1, d, d))
+            assert beside.layout[1] == beside.maps.shape[1] < d
         else:
-            assert end.bf_layout == (1, d, 1) and end.butterfly.shape[1:] == (d, d)
+            assert end.layout == (1, d, 1) and end.maps.shape[1:] == (d, d)
     rng = random.Random(s * p + K)
     x = random_vector(plan.ring, s, rng)
     if samples is None:
@@ -545,30 +540,63 @@ def test_object_transform_crosses_once(monkeypatch):
 ])
 def test_benchmark_plans_fold(p, K, s, stages):
     # the polymul-mixed plans (7^16, int64) fold the basis change at both ends, and the transform-bigmod plan
-    # (7^32, digit arrays) runs it as a pass at both ends; each stage's view and butterfly layout pinned
+    # (7^32, digit arrays) runs it as a pass at both ends; each stage's view and layout pinned
     plan = build_pipeline(p, K, s=s, seed=2).plan
     routes = ("pass", "pass") if K == 32 else ("fold", "fold")
     assert routes_of(plan) == basis_routes(p, K, plan.s_factored, plan.ring.degree) == routes
-    assert tuple((stage.shape, stage.bf_layout) for stage in plan.stages) == stages
+    assert tuple((stage.shape, stage.layout) for stage in plan.stages) == stages
 
 
 @pytest.mark.parametrize("p,K,s", [(3, 4, 4), (3, 1, 8), (5, 8, 24), (7, 16, 48), (19, 32, 40), (3, 32, 104),
                                    (7, 16, 2736), (7, 32, 2736), (3, 32, 12584), (3, 32, 16)])
 def test_plan_maps_bounded(p, K, s):
-    # the plans of test_transform_outputs_pinned and s=16: no stage stores more map entries in its twiddles, nor in
-    # its butterfly, than the s d entries of a transform's array, and the large plans' maps together hold under a
-    # tenth of that; a plan-wide bound cannot hold below s=24, where the log2(s) radix-2 butterflies alone outgrow it
+    # the plans of test_transform_outputs_pinned and s=16: each stage stores its r t maps of D x D, D the width of
+    # its layout, and from s=24 on none holds more entries than the s d of a transform's array; the large plans'
+    # maps together hold under a tenth of that. Below s=24 neither bound holds: a one-axis plan's last stage holds
+    # r t = s maps of d x d, d times the array
     plan = build_pipeline(p, K, s=s, seed=2).plan
-    twiddles = [sum(x.maps.size for x in stage.twiddles) for stage in plan.stages]
-    butterflies = [stage.butterfly.maps.size for stage in plan.stages]
-    assert max(twiddles + butterflies) <= s * plan.ring.degree
+    sizes = [stage.maps.maps.size for stage in plan.stages]
+    for stage in plan.stages:
+        D = stage.layout[1]
+        assert stage.maps.shape == (stage.shape[1] * stage.shape[2], D, D)
+    if s >= 24:
+        assert max(sizes) <= s * plan.ring.degree
     if s >= 2736:
-        assert 10 * sum(twiddles + butterflies) < s * plan.ring.degree
+        assert 10 * sum(sizes) < s * plan.ring.degree
     if s == 16:
-        # one factor of degree d = 4: the last stage (r = 2, t = 8) keeps _twiddle's two-factor split, as its
-        # (r - 1) t = 7 maps of 4 x 4 would hold 112 entries against the array's 64
-        stage = plan.stages[-1]
-        assert (stage.shape[1:3], stage.c, twiddles[-1]) == ((2, 8), 4, 64)
+        # one factor of degree d = 4: the last stage (r = 2, t = 8) holds 16 maps of 4 x 4, 256 entries against the
+        # array's 64
+        assert (plan.stages[-1].shape[1:3], sizes[-1]) == ((2, 8), 256)
+
+
+@pytest.mark.parametrize("p,K,s", [(5, 16, 9), (7, 16, 16), (3, 8, 104), (7, 16, 36), (7, 16, 60), (7, 32, 2736),
+                                   (3, 32, 286)])
+def test_stage_maps_are_root_powers(p, K, s):
+    # map e of a stage of radix r after t is the multiplication map of zeta_(r t)^e = root^(e s / (r t)), e < r t,
+    # on its layout's coordinates, checked against ring_pow: X coordinates, or the tensor basis P, which a folded end
+    # stage (s = 36 at its last stage, t = 3) or a radix-1 pass (7^32; 3^32 at s = 286 at its end) enters or leaves;
+    # idft's first stage holds its maps times s^-1
+    plan = build_pipeline(p, K, s=s, seed=2).plan
+    ring, m, d = plan.ring, plan.ring.ctx.pK, plan.ring.degree
+    X, basis = np.identity(d, dtype=object), plan.basis.astype(object)
+    routes = basis_routes(p, K, plan.s_factored, d)
+    coords = X  # rows: the X coordinates of the basis the stage's input is in
+    for i, stage in enumerate(plan.stages):
+        _, r, t, _ = stage.shape
+        a, D, b = stage.layout
+        maps = stage.maps.maps.astype(object)
+        assert maps.shape == (r * t, D, D)
+        out = (basis if i == 0 else X) if routes and i in (0, len(plan.stages) - 1) else coords
+        for e, N in enumerate(maps):
+            z = ring_pow(plan.root, e * s // (r * t))
+            full = np.kron(np.kron(np.identity(a, dtype=object), N), np.identity(b, dtype=object))
+            want = [list(ring_mul(ring.element([int(c) for c in row]), z).coeffs) for row in coords]
+            assert (full @ out % m).tolist() == want
+        coords = out
+    assert coords is X
+    inv_s = pow(s, -1, m)
+    assert np.array_equal(plan.inverse_stages[0].maps.maps.astype(object),
+                          plan.stages[0].maps.maps.astype(object) * inv_s % m)
 
 
 def test_make_plan_keeps_no_power_table():
@@ -596,7 +624,7 @@ def test_make_plan_charges_only_its_model(p, K, s):
 
 @pytest.mark.parametrize("p,K,s", [(3, 32, 104), (7, 16, 2736), (7, 32, 2736)])
 def test_transforms_fold_no_maps(monkeypatch, p, K, s):
-    # make_plan prepares every map a transform runs (butterflies, twiddles, idft's first stage times s^-1) and the
+    # make_plan prepares every map a transform runs (every stage's, idft's first stage's times s^-1) and the
     # pointwise reduction is prepared once per ring: on a built plan, int64 (3^32, 7^16) or digit rows (7^32),
     # dft, idft and cyclic_convolution, and a warm poly_multiply, fold no map and make no multiplication map
     from padicfft import kernels
@@ -620,20 +648,20 @@ def test_transforms_fold_no_maps(monkeypatch, p, K, s):
 
 
 def test_fused_stages_match_naive(monkeypatch):
-    # s = 48 runs stages (4, 4) and (3,) on both backends, with one twiddle pass inside 16, while the plan and
-    # its count keep the prime schedule
+    # s = 48 runs stages (4, 4) and (3,) on both backends, one block product each, the second radix-4 stage with
+    # its twiddles in its maps (t = 4), while the plan and its count keep the prime schedule
     plan = build_pipeline(7, 16, s=48, seed=2).plan
     assert plan.radices == (2, 2, 2, 2, 3)
     assert _fused_radices(plan.s_factored, plan.ring.degree) == ((4, 4), (3,))
     x = random_vector(plan.ring, 48, random.Random(48))
     want = naive_dft(x, plan.root, 48)
     counts = []
-    passes = twiddle_passes(monkeypatch)
+    products = block_products(monkeypatch)
     for q in (plan, object_copy(plan)):
         plan.ring.counter.reset()
-        passes.clear()
+        products.clear()
         assert dft(x, q) == want
-        assert passes == [(4, 4, 3)]
+        assert products == [(1, 4, 4), (4, 4, 4), (1, 3, 3)]
         counts.append(plan.ring.counter.count)
         assert idft(want, q) == x
     cost = plan.ring.mul_cost()

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from padicfft import kernels
 from padicfft.errors import OutOfRange
 from padicfft.kernels import (
+    MODULUS_BITS,
     MODULUS_LIMIT,
     _folded_matmul,
     _map_block,
@@ -23,6 +24,7 @@ from padicfft.kernels import (
     matmul_mod,
     mul_mod,
     power_table,
+    precision_fits,
     prepare,
     ring_mul_batch,
     split_limbs,
@@ -321,7 +323,7 @@ def test_matmul_mod_tiles(monkeypatch, m):
     monkeypatch.setattr(kernels_mod, "TILE", 16)
     tiles = []
     real = kernels_mod._folded_matmul
-    monkeypatch.setattr(kernels_mod, "_folded_matmul", lambda a, *rest: tiles.append(len(a)) or real(a, *rest))
+    monkeypatch.setattr(kernels_mod, "_folded_matmul", lambda a, *rest: tiles.append(a.shape[:-1]) or real(a, *rest))
     dtype = np.int64 if supports_modulus(m) else object
     rng = random.Random(m % 997)
 
@@ -329,10 +331,11 @@ def test_matmul_mod_tiles(monkeypatch, m):
         return np.array([rng.randrange(m) for _ in range(int(np.prod(shape)))], dtype=dtype).reshape(shape)
 
     def check(a, b, want, sizes):
+        # a tile's size: its rows, for one map (a block product of one group), or its entries of a stack
         tiles.clear()
         got = matmul_mod(a, b, m)
         assert got.dtype == dtype and got.tolist() == want
-        assert tiles == sizes
+        assert [shape[1] if b.ndim == 2 else shape[0] for shape in tiles] == sizes
 
     # 2-D b: row tiles of 16 // max(La n, Lb k) rows, at least one; La = 1, 2, 3 at n = 1 and Lb = 1, 3, 6
     small = m == 3**8
@@ -353,6 +356,57 @@ def test_matmul_mod_tiles(monkeypatch, m):
     # a broadcast a, one low table against a batch of maps, as the basis fold passes it
     low, maps = rand(3, 4), rand(7, 4, 4)
     check(np.broadcast_to(low, (7, 3, 4)), maps, [_matmul_reference(low, v, m) for v in maps], [1] * 7)
+
+
+@pytest.mark.parametrize("m", [3**8, 2**51 - 1, 7**32])
+def test_stacked_block_index_tiles(monkeypatch, m):
+    # a stacked index (N, J, C) runs group u of the rows (N, rows, J n) by the block matrix of index[u]: against the
+    # per-group Python-int product by that matrix, with a 16-element tile, so that rows of one group split over
+    # several row tiles, one-row groups pack into one tile, and J n past the tile splits the contraction into tiles
+    # of j_step < J blocks, on a non-contiguous column slice of a wider array
+    import padicfft.kernels as kernels_mod
+
+    monkeypatch.setattr(kernels_mod, "TILE", 16)
+    log = []
+    real = kernels_mod._map_block, kernels_mod._folded_matmul
+    monkeypatch.setattr(kernels_mod, "_map_block", lambda prepared, index: log.append(("map", index.shape))
+                        or real[0](prepared, index))
+    monkeypatch.setattr(kernels_mod, "_folded_matmul", lambda a, *rest: log.append(("tile", a.shape[:-1]))
+                        or real[1](a, *rest))
+    dtype = np.int64 if supports_modulus(m) else object
+    rng = random.Random(m % 991)
+
+    def rand(*shape):
+        return np.array([rng.randrange(m) for _ in range(int(np.prod(shape)))], dtype=dtype).reshape(shape)
+
+    for N, rows, J, C, n, k in ((3, 11, 2, 2, 2, 2), (6, 1, 1, 1, 1, 1), (2, 3, 5, 3, 8, 1)):
+        maps = rand(4, n, k)
+        index = np.array([rng.randrange(4) for _ in range(N * J * C)]).reshape(N, J, C)
+        a = rand(N, rows, J * n + 3)[..., 1 : 1 + J * n]
+        log.clear()
+        got = block_matmul_mod(a, maps, index, m)
+        assert got.dtype == dtype and got.shape == (N, rows, C * k)
+        for u in range(N):
+            block = maps[index[u]].transpose(0, 2, 1, 3).reshape(J * n, C * k)
+            assert got[u].tolist() == _matmul_reference(a[u], block, m)
+        # map tiles, each with the row tiles (groups, rows) that run on it: together they cover every group's
+        # blocks once, and each map tile's row tiles cover all rows of the groups it gathered
+        blocks = []
+        for kind, shape in log:
+            if kind == "map":
+                blocks.append((shape, []))
+            else:
+                blocks[-1][1].append(shape)
+        assert sum(G * Jt * Ct for (G, Jt, Ct), _ in blocks) == N * J * C
+        assert all(sum(g * r for g, r in tiles) == G * rows and {g for g, _ in tiles} == {G}
+                   for (G, *_), tiles in blocks)
+        if rows == 11:
+            assert all(G == 1 and len(tiles) > 1 for (G, *_), tiles in blocks)
+        if rows == 1:  # one-row groups share a tile, up to its rows; at 7^32 two groups' blocks, of 3 x 6 limbs
+            # each, would gather past 2 TILE, so each runs on its own
+            assert [G for (G, *_), _ in blocks] == {3**8: [6], 2**51 - 1: [5, 1], 7**32: [1] * 6}[m]
+        if J == 5:
+            assert all(Jt < J for (_, Jt, _), _ in blocks)
 
 
 # moduli above 2^51, and 3^8, which fits int64, run on Python ints all the same
@@ -402,6 +456,16 @@ def test_object_products_at_contraction_limit(m):
         matmul_mod(past, past.T, m)
     with pytest.raises(OutOfRange):
         block_matmul_mod(past, past.T[None], np.zeros((1, 1), dtype=np.intp), m)
+
+
+def test_precision_limit_is_the_float64_bound():
+    # p^K fits exactly while its limbs still contract one term exactly, decided from K log2 p away from the bound
+    # and from p^K within a bit of it; a far wider p^K is refused without being built, and PadicContext refuses it
+    assert contraction_limit(1 << MODULUS_BITS) == 1 and contraction_limit(2 << MODULUS_BITS) == 0
+    assert precision_fits(2, MODULUS_BITS) and not precision_fits(2, MODULUS_BITS + 1)
+    assert precision_fits(3, 32) and precision_fits(7, 10**6) and not precision_fits(3, 10**11)
+    with pytest.raises(OutOfRange):
+        PadicContext(3, 10**11)
 
 
 def test_digit_arrays_round_trip():
