@@ -30,10 +30,10 @@ at the first stage and P leaves it at the last, folded into the end stage's
 maps or, where those would be far wider (see basis_routes), as a radix-1
 stage of one d x d map; a plan of one factor keeps X coordinates and d x d maps.
 
-Every product inside a stage runs on the exact float64 products of
-kernels, which own the limb format and the tiling. make_plan builds every
-stage's maps once (see _stages): the multiplication matrices of fixed
-elements, from kernels.multiplication_maps of each axis's g powers of
+Every product inside a stage runs on kernels.block_matmul_mod, the one
+exact float64 product, which owns the limb format and the tiling. make_plan
+builds every stage's maps once (see _stages): the multiplication matrices of
+fixed elements, from kernels.multiplication_maps of each axis's g powers of
 zeta_g, so no plan holds the s powers of alpha. It also prepares them once
 (kernels.prepare: folded for the plan's rows), so a transform folds no map
 and makes none. A stage keeps the r t maps of zeta_(r t)^e, e < r t. All
@@ -208,7 +208,7 @@ def make_plan(s, lift, K: int) -> FFTPlan:
     fhead = _fhead(ring, dtype)
     # per prime power g = q^v of s: zeta_g^k, k < g, zeta_g = root^(s/g), in X coordinates, all in one table
     zetas = np.asarray([ring_pow(root, s.value // q**v).coeffs for q, v in s.factors], dtype=dtype).reshape(-1, d)
-    table = kernels.power_table(zetas, max((q**v for q, v in s.factors), default=1), fhead, m)
+    table = kernels.power_table(zetas, [q**v for q, v in s.factors], fhead, m)
     rows = {q**v: powers[: q**v] for (q, v), powers in zip(s.factors, table)}
     for q, v in s.factors:
         if np.array_equal(rows[q**v][q ** (v - 1)], rows[q**v][0]):  # zeta_g^(g/q) = root^(s/q)
@@ -340,12 +340,13 @@ def basis_routes(p: int, K: int, s: FactoredOrder, d: int) -> tuple:
 
 
 def _fold_basis(left, maps, layout, m: int):
-    """(r, d, d): left (I_a x N x I_b) mod m for each D x D map N of maps, layout (a, D, b); one stacked product."""
+    """(r, d, d): left (I_a x N x I_b) mod m for each D x D map N of maps, layout (a, D, b); one product by the
+    maps side by side."""
     a, D, b = layout
     d = len(left)
     rows = left.reshape(d, a, D, b).transpose(0, 1, 3, 2).reshape(-1, D)
-    out = kernels.matmul_mod(np.broadcast_to(rows, (len(maps), *rows.shape)), maps, m)
-    return out.reshape(-1, d, a, b, D).transpose(0, 1, 2, 4, 3).reshape(-1, d, d)
+    out = kernels.matmul_mod(rows, maps.transpose(1, 0, 2).reshape(D, -1), m)
+    return out.reshape(d, a, b, -1, D).transpose(3, 0, 1, 4, 2).reshape(-1, d, d)
 
 
 def _fhead(ring: RingExtension, dtype):

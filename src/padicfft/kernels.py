@@ -6,21 +6,21 @@ m below 2^51; the residual a*b - q*m is then computed in wrapping uint64
 arithmetic, reinterpreted as signed (it lies in (-2m, 3m), far inside
 int64), and snapped into [0, m) with one mod. Object arrays of Python ints
 (any m) are the outside form: mul_mod and ring_mul_batch's products are
-plain (a*b) % m there, and the exact products below convert them at their
-own edges into digit arrays (to_digits, from_digits), the working form:
+plain (a*b) % m there, and the exact product below converts them at its
+edges into digit arrays (to_digits, from_digits), the working form:
 each element holds Lb = limb_count(m) canonical int64 digits of width
 ceil(bits(m-1)/Lb) <= 17, so only those two conversions touch Python ints.
 
-block_matmul_mod multiplies rows by a block matrix of fixed maps mod m on
-float64 BLAS, exactly, or each group of rows by its own block matrix of the
-same maps (a transform stage: one group per k1), and owns the limb format
-and the tiling; matmul_mod is its 1 x 1 case, or runs a stack of maps entry
-by entry (power_table, a plan's basis fold). Both run on the
-fixed map b folded (fold): B_i = 2^(w i) b mod m, cut into Lb limbs, for
-each of the La limbs of width w that a is cut into. prepare folds maps once
-for one form of rows into a PreparedMaps, which either product takes in
-place of the maps, so maps used again (a plan's stages) are never folded
-again; maps given as an array are prepared on entry. One matmul of
+block_matmul_mod, the one exact product, multiplies rows by a block matrix
+of fixed maps mod m on float64 BLAS, or each group of rows by its own block
+matrix of the same maps (a transform stage: one group per k1; power_table:
+one group per element), and owns the limb format and the tiling;
+matmul_mod is its 1 x 1 case. It runs on the fixed map b folded (fold):
+B_i = 2^(w i) b mod m, cut into Lb limbs, for each of the La limbs of width
+w that a is cut into. prepare folds maps once for one form of rows into a
+PreparedMaps, which it takes in place of the maps, so maps used again (a
+plan's stages) are never folded again; maps given as an array are prepared
+on entry. One matmul of
 [a_0 | ... | a_(La-1)] by those limbs gives Lb weight classes, each entry a
 sum of La*n integers below 2^(w+17) for contraction length n, so exact while
 La*n*2^(w+17) < 2^53: w is the widest width that keeps that bound (at 3^32
@@ -34,7 +34,7 @@ exact residual over the digits, so no rounding reaches any result.
 
 multiplication_maps turns fixed elements of (Z/m)[X]/F into the d x d
 matrices of their ring products, so a batch of products is one matmul_mod;
-power_table doubles on them, one stacked matmul_mod per doubling.
+power_table doubles on them, one stacked block_matmul_mod per doubling.
 ring_mul_batch reduces mod F by the map of X^d, prepared once per (F, m).
 """
 
@@ -54,7 +54,7 @@ FLOAT_EXACT = 1 << 53
 # Widest modulus of any exact product: its limb_count(m) limbs of 17 bits must contract one term, Lb 2^34 < 2^53,
 # so contraction_limit(m) >= 1 exactly when (m - 1).bit_length() <= MODULUS_BITS = 17 (2^19 - 1).
 MODULUS_BITS = LIMB_BITS * ((FLOAT_EXACT - 1) >> 2 * LIMB_BITS)
-# Elements per matmul_mod tile: bounds every temporary a product makes.
+# Elements per block_matmul_mod tile: bounds every temporary a product makes.
 TILE = 1 << 16
 # Largest degree whose ring_mul_batch products reduce mod F by elementwise passes: from d = 4 on, at
 # s = 12584, one block_matmul_mod by X^d's map is cheaper despite its fixed cost of about 0.2 ms a call.
@@ -64,16 +64,16 @@ ONE_BLOCK = np.zeros((1, 1), dtype=np.intp)
 
 
 class PreparedMaps(NamedTuple):
-    """Fixed maps (N, n, k) mod m folded once (see prepare), which matmul_mod and block_matmul_mod take for maps.
+    """Fixed maps (N, n, k) mod m folded once (see prepare), which block_matmul_mod takes for maps.
 
-    A stack holds fold(maps, m, La, count) as fold gives it, (N, La, n, Lb, k); the maps of a block matrix hold
-    it in _map_block's flat layout (La, N n Lb, k), with La chosen for contraction tiles of j_step blocks.
+    folded holds fold(maps, m, La, count) in _map_block's flat layout (La, N n Lb, k), with La chosen for
+    contraction tiles of j_step blocks.
     """
 
     maps: np.ndarray
     folded: np.ndarray
     digits: bool  # folded for digit arrays (to_digits), else for int64 rows
-    j_step: int | None  # None for a stack
+    j_step: int
 
     @property
     def shape(self):
@@ -186,22 +186,29 @@ def multiplication_maps(powers, fhead, m: int):
     return maps
 
 
-def power_table(elts, s: int, fhead, m: int):
-    """(n, s, d) array of elts' dtype: rows elt^0 .. elt^(s-1) for each of the n elts in [0, m)^d, by doubling.
+def power_table(elts, lengths, fhead, m: int):
+    """(n, max(lengths), d) array of elts' dtype: rows elt^0 .. elt^(s-1) for each of the n elts in [0, m)^d and
+    its own length s in lengths, by doubling; its rows from s on are 0.
 
-    With rows [0, h) filled and step = elt^h per elt, one stacked matmul_mod
-    of the rows [table[:take]; step] by step's multiplication map fills rows
-    [h, h + take) and leaves elt^(2h) in its last row.
+    With rows [0, h) filled and step = elt^h per elt, one block_matmul_mod of the rows [table[:take]; step] of the
+    elts still short of their length, each group by its own step's multiplication map, fills rows [h, h + take)
+    and leaves elt^(2h) in its last row.
     """
     elts = np.asarray(elts, dtype=_dtype(elts))
+    lengths = np.asarray(lengths, dtype=np.intp)
+    s = lengths.max(initial=1)
     table = np.zeros((len(elts), s, elts.shape[1]), dtype=elts.dtype)
     table[:, 0, 0] = 1
-    step, h = elts, 1
+    live, step, h = np.arange(len(elts)), elts, 1
     while h < s:
         take = min(h, s - h)
-        out = matmul_mod(np.hstack([table[:, :take], step[:, None]]), multiplication_maps(step, fhead, m), m)
-        table[:, h : h + take], step = out[:, :take], out[:, take]
+        short = lengths[live] > h
+        live, step = live[short], step[short]
+        rows = np.concatenate([table[live, :take], step[:, None]], axis=1)
+        out = block_matmul_mod(rows, multiplication_maps(step, fhead, m), np.arange(len(live))[:, None, None], m)
+        table[live, h : h + take], step = out[:, :take], out[:, take]
         h += take
+    table[np.arange(s) >= lengths[:, None]] = 0
     return table
 
 
@@ -277,23 +284,6 @@ def from_digits(x, m: int):
     return acc
 
 
-def _object_edges(product):
-    """product on Python-int rows: they cross into a digit array and the result back, once per call.
-
-    The contraction length of the maps (args[0]) is checked against the float64 bound before any conversion.
-    """
-
-    @functools.wraps(product)
-    def run(a, *args):
-        m = args[-1]
-        if a.dtype == object:
-            a_limb_count(m, args[0].shape[-2])
-            return from_digits(product(to_digits(a, m), *args), m)
-        return product(a, *args)
-
-    return run
-
-
 def split_limbs(x, m: int, count: int | None = None):
     """float64 (..., count, n) for x (..., n): count limbs of width _width(m, count) of residues mod m, lowest first.
 
@@ -311,7 +301,7 @@ def split_limbs(x, m: int, count: int | None = None):
 
 
 def fold(b, m: int, La: int, count: int | None = None):
-    """float64 (..., La, n, Lb, k) for maps b (..., n, k): entry (i, c, j, l) is limb j of 2^(w i) b[c, l] mod m.
+    """float64 (La, n, Lb, k) for a map b (n, k): entry (i, c, j, l) is limb j of 2^(w i) b[c, l] mod m.
 
     w = _width(m, La); the limbs are those of split_limbs(., m, count). As one (La n) x (Lb k) block it multiplies
     a's La limbs side by side.
@@ -360,50 +350,36 @@ def _recut(digits, m: int, La: int):
     return out
 
 
-def prepare(maps, m: int, blocks: int | None = None, digits: bool | None = None) -> PreparedMaps:
-    """maps (N, n, k) mod m folded once, for rows that are digit arrays (by default when maps hold Python ints) or
-    int64: as a stack for matmul_mod, or, given blocks, as the maps of a block matrix of that many block rows for
-    block_matmul_mod, whose contraction tiles are then of j_step blocks, within TILE and the float64 bound. A
-    PreparedMaps comes back as it is: folding it again for other rows would repeat the work prepare saves."""
+def prepare(maps, m: int, blocks: int, digits: bool | None = None) -> PreparedMaps:
+    """maps (N, n, k) mod m folded once as the maps of a block matrix of blocks block rows for block_matmul_mod,
+    for rows that are digit arrays (by default when maps hold Python ints) or int64; its contraction tiles are of
+    j_step blocks, within TILE and the float64 bound. A PreparedMaps comes back as it is, for any number of block
+    rows: folding it again for other rows would repeat the work prepare saves."""
     if isinstance(maps, PreparedMaps):
-        if digits not in (None, maps.digits) or (maps.j_step is None) != (blocks is None):
-            raise ValueError("maps prepared for other rows or another block shape")
+        if digits not in (None, maps.digits):
+            raise ValueError("maps prepared for other rows")
         return maps
     maps = np.asarray(maps)
     digits = maps.dtype == object if digits is None else digits
     n, k = maps.shape[-2:]
-    if blocks is None:
-        return PreparedMaps(maps, fold(maps, m, *_limbs(digits, m, n)), digits, None)
     j_step = min(blocks, max(1, min(TILE, contraction_limit(m)) // n))
     La, count = _limbs(digits, m, j_step * n)
     # the maps stacked as one (N n) x k map fold straight into the flat layout
     return PreparedMaps(maps, fold(maps.reshape(-1, k), m, La, count).reshape(La, -1, k), digits, j_step)
 
 
-@_object_edges
 def matmul_mod(a, b, m: int):
-    """Exact (a @ b) % m for integer a and b in [0, m), as a new array of a's dtype.
-
-    b is one (n, k) map for a (rows, n), the 1 x 1 block_matmul_mod, or a stack (N, n, k) for a (N, rows, n), or its
-    prepare()d form, entry by entry, cut with a into tiles of TILE // (rows max(La n, Lb k)) entries or one.
-    """
-    if len(b.shape) == 2:
-        return block_matmul_mod(a, b[None], ONE_BLOCK, m)
-    b = prepare(b, m, digits=a.dtype.kind == "V")
-    n, k = b.shape[-2:]
-    out = np.empty(a.shape[:-1] + (k,), dtype=a.dtype)
-    step = max(1, TILE // max(1, a.shape[1] * max(b.folded.shape[1] * n, limb_count(m) * k)))
-    for u in range(0, len(a), step):
-        _folded_matmul(a[u : u + step], b.folded[u : u + step], m, out[u : u + step])
-    return out
+    """Exact (a @ b) % m for integer a (rows, n) and one map b (n, k) in [0, m), as a new array of a's dtype: the
+    1 x 1 block_matmul_mod."""
+    return block_matmul_mod(a, b[None], ONE_BLOCK, m)
 
 
-@_object_edges
 def block_matmul_mod(a, maps, index, m: int):
     """Exact (a @ M) % m for a (rows, J n) and the (J n) x (C k) matrix M whose block (j, c) is maps[index[j, c]];
     for a stacked index (N, J, C) and a (N, rows, J n), group u of the rows by the M of index[u].
 
-    maps (N', n, k), or their prepare()d form for J block rows, are folded once. M runs in map tiles of whole blocks,
+    maps (N', n, k), or their prepare()d form, are folded once, which refuses n past the float64 bound before
+    Python-int rows cross into a digit array (and the result back). M runs in map tiles of whole blocks,
     each group's gathered by one index (_map_block): the contraction within TILE and the float64 bound, the limb
     block within a group's a size or 2 TILE. Per map tile the rows run in tiles of TILE // max(La n, Lb k), which
     split a group or take several whole groups, their map tiles together within that same bound; they are cut into
@@ -414,7 +390,9 @@ def block_matmul_mod(a, maps, index, m: int):
     if not stacked:
         a, index = a[None], index[None]
     (N, J, C), (n, k) = index.shape, maps.shape[-2:]
-    maps = prepare(maps, m, J, a.dtype.kind == "V")
+    crossing = a.dtype == object  # Python ints cross into a digit array here, and the result back at the end
+    maps = prepare(maps, m, J, crossing or a.dtype.kind == "V")
+    a = to_digits(a, m) if crossing else a
     rows = a.shape[1]
     out = np.empty((N, rows, C * k), dtype=a.dtype)
     La, Lb = maps.folded.shape[0], limb_count(m)
@@ -437,6 +415,7 @@ def block_matmul_mod(a, maps, index, m: int):
                     tile = _folded_matmul(src, block, m, np.empty_like(dst) if j0 else dst)
                     if j0:
                         dst[...] = _add_mod(dst, tile, m)
+    out = from_digits(out, m) if crossing else out
     return out if stacked else out[0]
 
 

@@ -14,7 +14,7 @@ from .errors import BadInput
 from .fft import FFTPlan, make_plan
 from .lifting import LiftResult, newton_lift_root
 from .orders import FactoredOrder
-from .padic import check_precision
+from .padic import PadicContext
 from .planner import PlannerResult, choose_parameters
 from .tower import UnityRoot, build_root_of_unity
 
@@ -56,9 +56,9 @@ def build_pipeline(p: int, K: int, N: int | None = None, s=None, seed: int | Non
     """
     if (N is None) == (s is None):
         raise BadInput("give exactly one of N and s")
+    # p must be an odd prime, and past kernels.MODULUS_BITS no product runs: refuse before the tower or the lift
+    PadicContext(p, K)
     steps = precision_steps(K)
-    if p >= 2:  # past kernels.MODULUS_BITS no product runs: refuse before the Newton lift works toward K
-        check_precision(p, K)
     planner_result = None
     if N is not None:
         planner_result = choose_parameters(p, N)

@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from padicfft.cli import main
 from padicfft.polyio import PolyData, read_poly, write_poly
@@ -174,6 +176,24 @@ def test_exit_code_precondition(capsys):
     assert code == 3 and err.startswith("error precondition")
     code, _, err = run(capsys, "root", "-p", "3", "-s", "9", "-K", "1")
     assert code == 3  # s not coprime to p
+    code, out, err = run(capsys, "root", "-p", "0", "-s", "4", "-K", "2")  # refused before the tower divides by p
+    assert code == 3 and out == "" and len(err.splitlines()) == 1 and err.startswith("error precondition BadInput")
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(["root", "plan"]), st.integers(-1, 13), st.integers(-1, 21), st.integers(-1, 4))
+def test_root_and_plan_keep_the_exit_contract(capsys, command, p, size, K):
+    # small p, s (root) or N (plan) and K, with s <= 21 so that each tower is quick: every input ends in exit 0, 2, 3
+    # or 4, and a nonzero exit prints exactly one stderr line; an exception that escapes main fails the test
+    capsys.readouterr()
+    try:
+        code = main([command, "-p", str(p), "-s" if command == "root" else "-N", str(size), "-K", str(K)])
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert len(err.splitlines()) == 1 and err.startswith("error ") and "Traceback" not in err
 
 
 def test_huge_precision_is_refused_at_once(tmp_path, capsys):

@@ -133,7 +133,7 @@ def test_object_backend_matches_python_ints():
         for row in range(20):
             expect = ring_mul(ring.element(x[row].tolist()), ring.element(y[row].tolist()))
             assert got[row].tolist() == list(expect.coeffs)
-        table = power_table(x[:1], 30, fhead, m)[0]
+        table = power_table(x[:1], [30], fhead, m)[0]
         assert table.dtype == object
         for k in (0, 1, 2, 17, 29):
             assert table[k].tolist() == list(ring_pow(ring.element(x[0].tolist()), k).coeffs)
@@ -141,30 +141,38 @@ def test_object_backend_matches_python_ints():
 
 def test_power_table_matches_ring_pow():
     # every row of each of a stack of elements, for lengths that end a doubling early, exactly, or past it, on
-    # both dtypes
+    # both dtypes; one length for all or each element its own, as make_plan passes each axis's g, where the rows
+    # from an element's length to the longest stay 0 though it left the doubling in a product that ran past it
     rng = random.Random(5)
     for p, K, d, dtype in ((3, 8, 2, np.int64), (3, 32, 4, np.int64), (7, 32, 3, object), (3, 8, 1, object)):
         ring = _random_ring(rng, p, K, d)
         m = ring.ctx.pK
         fhead = np.array(ring.modulus[:-1], dtype=dtype)
         elts = [ring.element([rng.randrange(m) for _ in range(d)]) for _ in range(3)]
-        for s in (1, 2, 3, 5, 7, 104):
-            table = power_table(np.array([elt.coeffs for elt in elts], dtype=dtype), s, fhead, m)
-            assert table.dtype == dtype and table.shape == (3, s, d)
-            assert table.tolist() == [[list(ring_pow(elt, k).coeffs) for k in range(s)] for elt in elts]
+        for lengths in [[s] * 3 for s in (1, 2, 3, 5, 7, 104)] + [[8, 121, 13], [16, 9, 19]]:
+            table = power_table(np.array([elt.coeffs for elt in elts], dtype=dtype), lengths, fhead, m)
+            assert table.dtype == dtype and table.shape == (3, max(lengths), d)
+            for elt, s, rows in zip(elts, lengths, table):
+                assert rows[:s].tolist() == [list(ring_pow(elt, k).coeffs) for k in range(s)]
+                assert not rows[s:].any()
 
 
 def test_power_table_edges():
     fhead = np.array([2, 0], dtype=np.int64)
-    one = power_table(np.array([[0, 1]], dtype=np.int64), 1, fhead, 81)
+    one = power_table(np.array([[0, 1]], dtype=np.int64), [1], fhead, 81)
     assert one.tolist() == [[[1, 0]]]
-    two = power_table(np.array([[5, 7], [0, 1]], dtype=np.int64), 2, fhead, 81)
+    two = power_table(np.array([[5, 7], [0, 1]], dtype=np.int64), [2, 2], fhead, 81)
     assert two.tolist() == [[[1, 0], [5, 7]], [[1, 0], [0, 1]]]
-    assert power_table(np.zeros((0, 2), dtype=np.int64), 1, fhead, 81).shape == (0, 1, 2)
+    assert power_table(np.zeros((0, 2), dtype=np.int64), [], fhead, 81).shape == (0, 1, 2)
 
 
 def _matmul_reference(a, b, m):
     return [[sum(int(x) * int(y) for x, y in zip(row, col)) % m for col in zip(*b)] for row in a]
+
+
+def _groups(N):
+    """The stacked block index (N, 1, 1) that runs group u of the rows by map u alone."""
+    return np.arange(N)[:, None, None]
 
 
 @pytest.mark.parametrize("m", [2, 3**8, 3**32, 2**51, 7**32, 19**32])
@@ -179,11 +187,11 @@ def test_matmul_mod_differential(m):
         assert got.tolist() == _matmul_reference(a, b, m)
     top = np.full((3, 50), m - 1, dtype=dtype)
     assert matmul_mod(top, top.T, m).tolist() == _matmul_reference(top, top.T, m)
-    # stacked: a batch of (rows, n) matrices times a batch of (n, cols) maps, entry by entry
+    # stacked: a batch of (rows, n) matrices times a batch of (n, cols) maps, group u by map u of an (N, 1, 1) index
     for batch, rows, n, cols in ((4, 7, 13, 5), (3, 1, 30, 30), (1, 20, 2, 2)):
         a = np.array([rng.randrange(m) for _ in range(batch * rows * n)], dtype=dtype).reshape(batch, rows, n)
         b = np.array([rng.randrange(m) for _ in range(batch * n * cols)], dtype=dtype).reshape(batch, n, cols)
-        got = matmul_mod(a, b, m)
+        got = block_matmul_mod(a, b, _groups(batch), m)
         assert got.dtype == dtype and got.shape == (batch, rows, cols)
         assert got.tolist() == [_matmul_reference(u, v, m) for u, v in zip(a, b)]
 
@@ -211,12 +219,13 @@ def test_matmul_mod_float_bound():
     a = np.full((1, n + 1), m - 1, dtype=np.int64)
     with pytest.raises(OutOfRange):
         matmul_mod(a, a.T, m)
-    # a stacked b is bounded by its own contraction axis, not by its batch size
+    # a stack of maps on the stacked block index is bounded by its own contraction axis, not by its batch size
     stacked = np.full((2, 1, n + 1), m - 1, dtype=np.int64)
     with pytest.raises(OutOfRange):
-        matmul_mod(stacked, stacked.transpose(0, 2, 1), m)
+        block_matmul_mod(stacked, stacked.transpose(0, 2, 1), _groups(2), m)
     wide = np.full((n + 1, 1, 3), m - 1, dtype=np.int64)
-    assert matmul_mod(wide, wide[:, 0, :, None], m).tolist() == [[[3 * (m - 1) ** 2 % m]]] * (n + 1)
+    got = block_matmul_mod(wide, wide[:, 0, :, None], _groups(n + 1), m)
+    assert got.tolist() == [[[3 * (m - 1) ** 2 % m]]] * (n + 1)
 
 
 # products of more terms than this are checked for their width choice and refusal only, to keep memory small
@@ -281,19 +290,23 @@ def test_map_block_matches_residue_block(data):
 
 
 def test_prepared_maps_are_not_folded_again():
-    # prepared maps pass through prepare and both products as they are, and refuse rows or a block shape they were
-    # not folded for, rather than fold again per call
+    # prepared maps pass through prepare and the product as they are, for any number of block rows, one index or a
+    # stacked one, and refuse rows they were not folded for, rather than fold again per call
     m = 3**32
     maps = np.array([[[1, 2], [3, 4]]], dtype=np.int64)
     a = np.array([[5, 6]], dtype=np.int64)
-    stack, block = prepare(maps, m), prepare(maps, m, 1)
-    assert prepare(stack, m, digits=False) is stack and prepare(block, m, 1, False) is block
+    block = prepare(maps, m, 1)
+    assert prepare(block, m, 1, False) is block and prepare(block, m, 3) is block
+    assert block.j_step == 1
     want = _matmul_reference(a, maps[0], m)
-    assert matmul_mod(a[None], stack, m)[0].tolist() == want
     assert block_matmul_mod(a, block, np.zeros((1, 1), int), m).tolist() == want
-    for args in ((stack, m, 1), (block, m), (stack, m, None, True)):
-        with pytest.raises(ValueError):
-            prepare(*args)
+    assert block_matmul_mod(np.stack([a, a]), block, np.zeros((2, 1, 1), int), m).tolist() == [want] * 2
+    twice = _matmul_reference(np.hstack([a, a]), np.vstack([maps[0], maps[0]]), m)
+    assert block_matmul_mod(np.hstack([a, a]), block, np.zeros((2, 1), int), m).tolist() == twice
+    with pytest.raises(ValueError):
+        prepare(block, m, 1, True)
+    with pytest.raises(ValueError):
+        block_matmul_mod(a.astype(object), block, np.zeros((1, 1), int), m)
 
 
 @pytest.mark.parametrize("m, lengths", [(7**32, {1: 3, 2: 4, 114: 5, 2913: 6}), (19**32, {1: 6, 16: 7, 107: 8})])
@@ -307,12 +320,12 @@ def test_digit_row_folds_match_python_ints(m, lengths):
     for n, La in lengths.items():
         maps = np.array([[[rng.randrange(m) for _ in range(2)] for _ in range(n)]], dtype=object)
         maps[0, 0] = m - 1
-        folded = prepare(maps, m).folded
+        folded = prepare(maps, m, 1).folded
         wa = -(-bits // La)
-        want = [[[[[(pow(2, wa * i, m) * int(x) % m) >> (w * j) & ((1 << w) - 1) for x in row] for j in range(Lb)]
-                  for row in maps[0]] for i in range(La)]]
-        assert folded.shape == (1, La, n, Lb, 2)
-        assert folded.tolist() == want
+        want = [[[[(pow(2, wa * i, m) * int(x) % m) >> (w * j) & ((1 << w) - 1) for x in row] for j in range(Lb)]
+                 for row in maps[0]] for i in range(La)]
+        assert folded.shape == (La, n * Lb, 2)
+        assert folded.reshape(La, n, Lb, 2).tolist() == want
 
 
 @pytest.mark.parametrize("m", [3**8, 2**51 - 1, 7**32])
@@ -330,12 +343,12 @@ def test_matmul_mod_tiles(monkeypatch, m):
     def rand(*shape):
         return np.array([rng.randrange(m) for _ in range(int(np.prod(shape)))], dtype=dtype).reshape(shape)
 
-    def check(a, b, want, sizes):
-        # a tile's size: its rows, for one map (a block product of one group), or its entries of a stack
+    def check(a, b, want, sizes, index=None):
+        # a tile's size: its rows, for one map (a block product of one group), or its (groups, rows) on a stacked index
         tiles.clear()
-        got = matmul_mod(a, b, m)
+        got = matmul_mod(a, b, m) if index is None else block_matmul_mod(a, b, index, m)
         assert got.dtype == dtype and got.tolist() == want
-        assert [shape[1] if b.ndim == 2 else shape[0] for shape in tiles] == sizes
+        assert [shape[1] if index is None else shape for shape in tiles] == sizes
 
     # 2-D b: row tiles of 16 // max(La n, Lb k) rows, at least one; La = 1, 2, 3 at n = 1 and Lb = 1, 3, 6
     small = m == 3**8
@@ -347,15 +360,18 @@ def test_matmul_mod_tiles(monkeypatch, m):
     # a non-contiguous column slice of a, as the butterflies pass their contraction tiles
     wide, b = rand(9, 12), rand(5, 3)
     check(wide[:, 4:9], b, _matmul_reference(wide[:, 4:9], b, m), [3, 3, 3] if small else [1] * 9)
-    # stacked b: tiles of whole batch entries, 16 // (rows max(La n, Lb k)) of them, or one when an entry alone
-    # is larger
-    for batch, rows, n, cols, sizes in ((7, 1, 3, 3, [5, 2] if small else [1] * 7),
-                                        (5, 2, 3, 3, [2, 2, 1] if small else [1] * 5), (3, 4, 5, 5, [1, 1, 1])):
+    # a stack of maps on an (N, 1, 1) index: tiles of whole groups, min(16 // (rows max(La n, Lb k)),
+    # 32 // (La n Lb k)) of them (the map tile within 2 TILE), or one group's rows in tiles of 16 // max(La n, Lb k)
+    # when a group alone is larger
+    for batch, rows, n, cols, sizes in ((7, 1, 3, 3, [(3, 1), (3, 1), (1, 1)]), (5, 2, 3, 3, [(2, 2), (2, 2), (1, 2)]),
+                                        (3, 4, 5, 5, [(1, 3), (1, 1)] * 3)):
         a, b = rand(batch, rows, n), rand(batch, n, cols)
-        check(a, b, [_matmul_reference(u, v, m) for u, v in zip(a, b)], sizes)
-    # a broadcast a, one low table against a batch of maps, as the basis fold passes it
+        check(a, b, [_matmul_reference(u, v, m) for u, v in zip(a, b)], sizes if small else [(1, 1)] * (batch * rows),
+              _groups(batch))
+    # a broadcast a, one low table against a batch of maps
     low, maps = rand(3, 4), rand(7, 4, 4)
-    check(np.broadcast_to(low, (7, 3, 4)), maps, [_matmul_reference(low, v, m) for v in maps], [1] * 7)
+    check(np.broadcast_to(low, (7, 3, 4)), maps, [_matmul_reference(low, v, m) for v in maps],
+          [(1, 3)] * 7 if small else [(1, 1)] * 21, _groups(7))
 
 
 @pytest.mark.parametrize("m", [3**8, 2**51 - 1, 7**32])
@@ -416,7 +432,7 @@ OBJECT_MODULI = [7**32, 3**64, 5**55, 3**8]
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_object_products_match_python_ints(data):
-    # matmul_mod (one map or a stack) and block_matmul_mod on Python ints, which cross into digit arrays and back,
+    # matmul_mod and block_matmul_mod (one index or a stacked one) on Python ints, which cross into digit arrays and back,
     # against the Python-int (a @ b) % m, with random, all-(m-1) or all-0 rows and maps
     m = data.draw(st.sampled_from(OBJECT_MODULI))
     rows, n, k, N = (data.draw(st.integers(lo, hi)) for lo, hi in ((0, 7), (1, 40), (1, 9), (1, 4)))
@@ -433,7 +449,7 @@ def test_object_products_match_python_ints(data):
     assert got.dtype == object and got.shape == (rows, k)
     assert got.tolist() == ((a @ b) % m).tolist()
     stack_a, stack_b = operand(N, rows, n), operand(N, n, k)
-    got = matmul_mod(stack_a, stack_b, m)
+    got = block_matmul_mod(stack_a, stack_b, _groups(N), m)
     assert got.tolist() == [((u @ v) % m).tolist() for u, v in zip(stack_a, stack_b)]
     J, C = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
     index = np.array(data.draw(st.lists(st.integers(0, N - 1), min_size=J * C, max_size=J * C))).reshape(J, C)

@@ -1,6 +1,6 @@
 import pytest
 
-from padicfft.errors import BadInput
+from padicfft.errors import BadInput, PreconditionError
 from padicfft.pipeline import build_pipeline, precision_steps
 
 
@@ -25,6 +25,10 @@ def test_precision_checked_before_the_tower(monkeypatch):
     for K in (0, -3):
         with pytest.raises(BadInput):
             build_pipeline(3, K, N=10**4)
+    for p in (0, 1, 4, 2, -3):  # a p that is no odd prime, on both size arguments
+        for size in ({"s": 4}, {"N": 10}):
+            with pytest.raises(PreconditionError):
+                build_pipeline(p, 2, **size)
 
 
 def test_exactly_one_size_argument():
