@@ -3,20 +3,21 @@
 Subcommands: plan, root, dft, idft, mul, selftest, bench. All state comes
 in through flags (no environment variables); the seed defaults to a fixed
 constant so repeated runs produce byte-identical artifacts. Exit codes:
-0 ok, 2 usage or malformed file, 3 violated mathematical precondition,
-4 broken internal invariant.
+0 ok, also when stdout is closed before all of it is written (as by
+`| head`), which then prints nothing more; 2 usage or malformed file,
+3 violated mathematical precondition, 4 broken internal invariant.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
 
 from . import polyio
 from .errors import (
-    BadInput,
     CoefficientNotRational,
     FileFormatError,
     InternalError,
@@ -25,7 +26,7 @@ from .errors import (
 )
 from .fft import basis_routes, dft, idft, poly_multiply, subring_axes
 from .lifting import expand_lifted_factor
-from .padic import poly_text
+from .padic import PadicContext, poly_text
 from .pipeline import DEFAULT_SEED, build_pipeline
 from .planner import asymptotic_report, choose_parameters, report_csv
 from .selftest import CRITERIA, run_selftest
@@ -114,8 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_plan(args) -> int:
-    if args.K < 1:
-        raise BadInput("need K >= 1")
+    PadicContext(args.p, args.K)  # refuses a bad p or K, and a p^K past every exact product, before basis_routes
     res = choose_parameters(args.p, args.N)
     factors = " * ".join(f"{q}^{v}" if v > 1 else str(q) for q, v in res.s_factored.factors)
     print(f"p={res.p} N={res.N}")
@@ -239,7 +239,13 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed stdout breaks here, not in the interpreter's final flush
+        return code
+    except BrokenPipeError:
+        # the reader wanted no more output; stdout goes to the null device so nothing is left to flush into the pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except FileFormatError as exc:
         print(f"error usage {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

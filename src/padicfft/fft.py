@@ -35,8 +35,8 @@ exact float64 product, which owns the limb format and the tiling. make_plan
 builds every stage's maps once (see _stages): the multiplication matrices of
 fixed elements, from kernels.multiplication_maps of each axis's g powers of
 zeta_g, so no plan holds the s powers of alpha. It also prepares them once
-(kernels.prepare: folded for the plan's rows), so a transform folds no map
-and makes none. A stage keeps the r t maps of zeta_(r t)^e, e < r t. All
+(kernels.prepare: folded for rows of either backend), so a transform folds
+no map and makes none. A stage keeps the r t maps of zeta_(r t)^e, e < r t. All
 rows of one k1 (the later axes and the other factors' coordinates are rows
 too) share one Z/p^K-linear map of size rD x rD, whose block (j, k2) is the
 map at j (k1 + t k2) mod r t, so each stage runs as one

@@ -16,21 +16,22 @@ of fixed maps mod m on float64 BLAS, or each group of rows by its own block
 matrix of the same maps (a transform stage: one group per k1; power_table:
 one group per element), and owns the limb format and the tiling;
 matmul_mod is its 1 x 1 case. It runs on the fixed map b folded (fold):
-B_i = 2^(w i) b mod m, cut into Lb limbs, for each of the La limbs of width
-w that a is cut into. prepare folds maps once for one form of rows into a
-PreparedMaps, which it takes in place of the maps, so maps used again (a
-plan's stages) are never folded again; maps given as an array are prepared
-on entry. One matmul of
-[a_0 | ... | a_(La-1)] by those limbs gives Lb weight classes, each entry a
+B_i = 2^(w i) b mod m, cut into its Lb digits, for each of the La limbs of
+width w that a is cut into. Each modulus has one digit base, that of
+to_digits, so one fold serves int64 rows and digit arrays alike. prepare
+folds maps once into a PreparedMaps, which it takes in place of the maps,
+so maps used again (a plan's stages) are never folded again; maps given as
+an array are prepared on entry. One matmul of
+[a_0 | ... | a_(La-1)] by those digits gives Lb weight classes, each entry a
 sum of La*n integers below 2^(w+17) for contraction length n, so exact while
 La*n*2^(w+17) < 2^53: w is the widest width that keeps that bound (at 3^32
 and n <= 511, 2 limbs of 26 bits: 2 x 3 limb planes), which is checked,
 with OutOfRange beyond it; past MODULUS_BITS not even n = 1 is exact, so
-padic refuses such a p^K before building it. int64 rows are cut into
-limbs of 17-bit classes, recombined by the quotient estimate above; digit
-rows are recut from their digits, their classes are in the digit base, and
-_reduce carries them into canonical digits by the same estimate and an
-exact residual over the digits, so no rounding reaches any result.
+padic refuses such a p^K before building it. On int64 rows the classes
+are recombined in the digit base by the quotient estimate above; digit
+rows are recut from their digits, and _reduce carries the classes into
+canonical digits by the same estimate and an exact residual over the
+digits, so no rounding reaches any result.
 
 multiplication_maps turns fixed elements of (Z/m)[X]/F into the d x d
 matrices of their ring products, so a batch of products is one matmul_mod;
@@ -64,15 +65,14 @@ ONE_BLOCK = np.zeros((1, 1), dtype=np.intp)
 
 
 class PreparedMaps(NamedTuple):
-    """Fixed maps (N, n, k) mod m folded once (see prepare), which block_matmul_mod takes for maps.
+    """Fixed maps (N, n, k) mod m folded once (see prepare), which block_matmul_mod takes for maps, whatever rows.
 
-    folded holds fold(maps, m, La, count) in _map_block's flat layout (La, N n Lb, k), with La chosen for
-    contraction tiles of j_step blocks.
+    folded holds fold(maps, m, La) in _map_block's flat layout (La, N n Lb, k), with La chosen for contraction
+    tiles of j_step blocks.
     """
 
     maps: np.ndarray
     folded: np.ndarray
-    digits: bool  # folded for digit arrays (to_digits), else for int64 rows
     j_step: int
 
     @property
@@ -159,17 +159,18 @@ def ring_mul_batch(x, y, fhead, m: int):
         for i in range(2 * d - 2, d - 1, -1):
             conv[..., i - d : i] = (conv[..., i - d : i] - mul(conv[..., i : i + 1], fhead)) % m
     else:
-        reduce = _reducer(tuple(fhead.tolist()), m, dtype is object)
+        reduce = _reducer(tuple(fhead.tolist()), m)
         top = block_matmul_mod(conv[..., d:].reshape(-1, d - 1), reduce, ONE_BLOCK, m)
         conv[..., :d] = (conv[..., :d] + top.reshape(conv.shape[:-1] + (d,))) % m
     return conv[..., :d]
 
 
 @functools.lru_cache(maxsize=16)
-def _reducer(fhead: tuple, m: int, digits: bool):
-    """X^d .. X^(2d-2) mod F, the top rows of X^d = -fhead's map, prepared for int64 or digit rows."""
-    fhead = np.array(fhead, dtype=object if digits else np.int64)
-    return prepare(multiplication_maps(-fhead[None] % m, fhead, m)[:, : len(fhead) - 1], m, 1, digits)
+def _reducer(fhead: tuple, m: int):
+    """X^d .. X^(2d-2) mod F, the top rows of X^d = -fhead's map, prepared for rows of either form; built on int64
+    where m allows it."""
+    fhead = np.array(fhead, dtype=np.int64 if supports_modulus(m) else object)
+    return prepare(multiplication_maps(-fhead[None] % m, fhead, m)[:, : len(fhead) - 1], m, 1)
 
 
 def multiplication_maps(powers, fhead, m: int):
@@ -223,9 +224,13 @@ def _width(m: int, La: int) -> int:
 
 
 def a_limb_count(m: int, n: int) -> int:
-    """La for contraction length n: the fewest limbs of a, so the widest, that keep the class sums exact."""
-    for La in range(1, limb_count(m) + 1):
-        if n <= contraction_limit(m, La):
+    """La for contraction length n: the fewest limbs of a, so the widest, that keep the class sums exact; past
+    MODULUS_LIMIT, where every row is a digit array, the fewest of those whose class bound also lets _reduce correct
+    once, else Lb."""
+    Lb = limb_count(m)
+    for La in range(1, Lb + 1):
+        once = supports_modulus(m) or La == Lb or _near(m, La * n << _width(m, La) + _width(m, Lb))
+        if n <= contraction_limit(m, La) and once:
             return La
     raise OutOfRange(f"contraction length {n} exceeds the float64 bound mod {m}")
 
@@ -284,14 +289,10 @@ def from_digits(x, m: int):
     return acc
 
 
-def split_limbs(x, m: int, count: int | None = None):
-    """float64 (..., count, n) for x (..., n): count limbs of width _width(m, count) of residues mod m, lowest first.
-
-    By default limb_count(m) limbs of 17 bits.
-    """
+def split_limbs(x, m: int, count: int):
+    """float64 (..., count, n) for x (..., n): count limbs of width _width(m, count) of residues mod m, lowest first."""
     x = np.asarray(x, dtype=_dtype(x))
-    width = LIMB_BITS if count is None else _width(m, count)
-    count = count or limb_count(m)
+    width = _width(m, count)
     if x.dtype == object:
         return np.moveaxis(_cut(x, width, count), -1, -2).astype(np.float64)
     out = np.empty(x.shape[:-1] + (count, x.shape[-1]))
@@ -300,24 +301,14 @@ def split_limbs(x, m: int, count: int | None = None):
     return out
 
 
-def fold(b, m: int, La: int, count: int | None = None):
-    """float64 (La, n, Lb, k) for a map b (n, k): entry (i, c, j, l) is limb j of 2^(w i) b[c, l] mod m.
+def fold(b, m: int, La: int):
+    """float64 (La, n, Lb, k) for a map b (n, k): entry (i, c, j, l) is digit j of 2^(w i) b[c, l] mod m.
 
-    w = _width(m, La); the limbs are those of split_limbs(., m, count). As one (La n) x (Lb k) block it multiplies
-    a's La limbs side by side.
+    w = _width(m, La); the Lb = limb_count(m) digits are to_digits', in m's one base. As one (La n) x (Lb k) block it
+    multiplies a's La limbs side by side, whether a is int64 or a digit array.
     """
     shifted = np.stack([mul_mod(b, pow(2, _width(m, La) * i, m), m) if i else b for i in range(La)], axis=-3)
-    return split_limbs(shifted, m, count)
-
-
-def _limbs(digits: bool, m: int, n: int):
-    """(La, count) for rows at contraction length n: La = a_limb_count, with 17-bit classes, or for digit arrays
-    their own classes and the fewest La from there whose class bound lets _reduce correct once."""
-    La = a_limb_count(m, n)
-    if not digits:
-        return La, None
-    Lb = limb_count(m)
-    return next((L for L in range(La, Lb) if _near(m, L * n << _width(m, L) + _width(m, Lb))), Lb), Lb
+    return split_limbs(shifted, m, limb_count(m))
 
 
 def _recut(digits, m: int, La: int):
@@ -350,22 +341,18 @@ def _recut(digits, m: int, La: int):
     return out
 
 
-def prepare(maps, m: int, blocks: int, digits: bool | None = None) -> PreparedMaps:
-    """maps (N, n, k) mod m folded once as the maps of a block matrix of blocks block rows for block_matmul_mod,
-    for rows that are digit arrays (by default when maps hold Python ints) or int64; its contraction tiles are of
-    j_step blocks, within TILE and the float64 bound. A PreparedMaps comes back as it is, for any number of block
-    rows: folding it again for other rows would repeat the work prepare saves."""
+def prepare(maps, m: int, blocks: int) -> PreparedMaps:
+    """maps (N, n, k) mod m, int64 or Python ints, folded once as the maps of a block matrix of blocks block rows
+    for block_matmul_mod, for int64 rows and digit arrays alike; its contraction tiles are of j_step blocks, within
+    TILE and the float64 bound. A PreparedMaps comes back as it is, for any number of block rows."""
     if isinstance(maps, PreparedMaps):
-        if digits not in (None, maps.digits):
-            raise ValueError("maps prepared for other rows")
         return maps
     maps = np.asarray(maps)
-    digits = maps.dtype == object if digits is None else digits
     n, k = maps.shape[-2:]
     j_step = min(blocks, max(1, min(TILE, contraction_limit(m)) // n))
-    La, count = _limbs(digits, m, j_step * n)
+    La = a_limb_count(m, j_step * n)
     # the maps stacked as one (N n) x k map fold straight into the flat layout
-    return PreparedMaps(maps, fold(maps.reshape(-1, k), m, La, count).reshape(La, -1, k), digits, j_step)
+    return PreparedMaps(maps, fold(maps.reshape(-1, k), m, La).reshape(La, -1, k), j_step)
 
 
 def matmul_mod(a, b, m: int):
@@ -391,7 +378,7 @@ def block_matmul_mod(a, maps, index, m: int):
         a, index = a[None], index[None]
     (N, J, C), (n, k) = index.shape, maps.shape[-2:]
     crossing = a.dtype == object  # Python ints cross into a digit array here, and the result back at the end
-    maps = prepare(maps, m, J, crossing or a.dtype.kind == "V")
+    maps = prepare(maps, m, J)
     a = to_digits(a, m) if crossing else a
     rows = a.shape[1]
     out = np.empty((N, rows, C * k), dtype=a.dtype)
@@ -431,7 +418,7 @@ def _map_block(prepared: PreparedMaps, index):
 
 
 def _folded_matmul(a, folded, m: int, out):
-    """One tile: out = (a @ b) % m for folded = fold(b, m, La, count) as _limbs gives them for a; one matmul, checked."""
+    """One tile: out = (a @ b) % m for folded = fold(b, m, La); one matmul, checked."""
     La, n, Lb, k = folded.shape[-4:]
     if n > contraction_limit(m, La):
         raise OutOfRange(f"contraction length {n} with {La} limbs exceeds the float64 bound")
@@ -447,13 +434,14 @@ def _folded_matmul(a, folded, m: int, out):
     a_limbs = split_limbs(a, m, La)
     classes = a_limbs.reshape(a_limbs.shape[:-2] + (La * n,)) @ folded.reshape(folded.shape[:-4] + (La * n, Lb * k))
     classes = classes.reshape(classes.shape[:-1] + (Lb, k))
-    # sum_j c_j 2^(17 j) < 2^53 m: its float64 quotient by m is off by a few units at most, so the residual,
-    # exact in wrapping uint64 arithmetic, lies in (-6m, 6m) and one mod snaps it into [0, m)
-    est = classes[..., Lb - 1, :] * (float(1 << LIMB_BITS * (Lb - 1)) / m)
+    # sum_j c_j B^j < 2^40 m in the digit base B = 2^w: its float64 quotient by m is off by under one unit, so the
+    # residual, exact in wrapping uint64 arithmetic, lies in (-2m, 2m) and one mod snaps it into [0, m)
+    w = _width(m, Lb)
+    est = classes[..., Lb - 1, :] * (float(1 << w * (Lb - 1)) / m)
     exact = classes[..., Lb - 1, :].astype(np.uint64)
     for j in range(Lb - 2, -1, -1):
-        est += classes[..., j, :] * (float(1 << LIMB_BITS * j) / m)
-        exact <<= np.uint64(LIMB_BITS)
+        est += classes[..., j, :] * (float(1 << w * j) / m)
+        exact <<= np.uint64(w)
         exact += classes[..., j, :].astype(np.uint64)
     with np.errstate(over="ignore"):
         exact -= est.astype(np.uint64) * np.uint64(m)

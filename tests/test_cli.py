@@ -1,11 +1,16 @@
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import padicfft
 from padicfft.cli import main
 from padicfft.polyio import PolyData, read_poly, write_poly
 
@@ -196,14 +201,79 @@ def test_root_and_plan_keep_the_exit_contract(capsys, command, p, size, K):
         assert len(err.splitlines()) == 1 and err.startswith("error ") and "Traceback" not in err
 
 
+@settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_file_commands_keep_the_exit_contract(tmp_path, capsys, data):
+    # dft, idft and mul on generated files: small p (primes and not), K, s or N, up to 7 coefficients just inside
+    # or outside [0, p^K), mul headers that may disagree, idft bodies a line short or long; every input ends in
+    # exit 0, 2, 3 or 4, and a nonzero exit prints exactly one stderr line
+    command = data.draw(st.sampled_from(["dft", "idft", "mul"]))
+    # odd primes half the time, so that runs which pass every check are not rare
+    primes = st.one_of(st.sampled_from([3, 5, 7, 13]), st.sampled_from([-1, 0, 1, 2, 9]))
+    precisions = st.integers(-1, 4)
+    p, K = data.draw(primes), data.draw(precisions)
+
+    def poly(path, p, K):
+        bound = p**K if K >= 0 else 1
+        inside = [0, 1, bound // 2, bound - 1]
+        coeffs = data.draw(st.lists(st.sampled_from(inside if data.draw(st.booleans()) else inside + [-1, bound]),
+                                    max_size=7))
+        path.write_text("".join(f"{x}\n" for x in [f"{p} {K}", 0, *coeffs]))
+        return str(path)
+
+    size = [] if command == "idft" else data.draw(st.sampled_from([[], ["-s"], ["-N"]]))
+    size += [str(data.draw(st.integers(-1, 21)))] if size else []
+    out = str(tmp_path / "out")
+    if command == "dft":
+        argv = ["dft", "-i", poly(tmp_path / "f.poly", p, K), "-o", out, *size]
+    elif command == "mul":
+        other = (p, K) if data.draw(st.booleans()) else (data.draw(primes), data.draw(precisions))
+        argv = ["mul", poly(tmp_path / "f.poly", p, K), poly(tmp_path / "g.poly", *other), "-o", out, *size]
+    else:
+        s, d = data.draw(st.integers(-1, 21)), data.draw(st.integers(-1, 7))
+        lines = max(0, s * d) + data.draw(st.sampled_from([-1, 0, 1]))
+        body = data.draw(st.lists(st.sampled_from([0, 1, max(0, p) ** max(0, K)]), min_size=max(0, lines),
+                                  max_size=max(0, lines)))
+        (tmp_path / "e.evals").write_text("".join(f"{x}\n" for x in [f"{s} {d}", 0, *body]))
+        argv = ["idft", "-i", str(tmp_path / "e.evals"), "-o", out, "-p", str(p), "-K", str(K)]
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert len(err.splitlines()) == 1 and err.startswith("error ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_exits_quietly(unbuffered):
+    # a reader that has gone (as `| head` goes after its lines): stdout a pipe whose read end is closed, so each
+    # write to it breaks, whether in a print (unbuffered) or in the last flush; exit 0 and no stderr line
+    env = {**os.environ, "PYTHONPATH": str(Path(padicfft.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "padicfft.cli", "plan", "-p", "3", "-N", "100"], stdout=write,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
 def test_huge_precision_is_refused_at_once(tmp_path, capsys):
     # a p^K wider than the float64 kernels' bound is refused before p^K is built: on the command line (exit 3) and
-    # in a file header (exit 2), with one stderr line each, within a second
+    # in a file header (exit 2), with one stderr line each, within a second; plan too, whose basis routes need p^K
     a, big = tmp_path / "a.poly", tmp_path / "big.poly"
     write_poly(a, PolyData(3, 8, 0, [1, 2, 3]))
     big.write_text("3 99999999999\n0\n1\n2\n")
     for argv, want in ((("mul", str(a), str(a), "-o", str(tmp_path / "o"), "-K", "100000000000"), 3),
-                       (("mul", str(big), str(big), "-o", str(tmp_path / "o")), 2)):
+                       (("mul", str(big), str(big), "-o", str(tmp_path / "o")), 2),
+                       (("plan", "-p", "3", "-N", "1000", "-K", "10000000"), 3)):
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
         assert time.perf_counter() - start < 1

@@ -77,17 +77,9 @@ def horner(coeffs, point):
 
 
 def object_copy(plan):
-    """The plan on the object backend: its basis and every stage's maps as Python ints, prepared for digit rows."""
-    from padicfft import kernels
-
-    m = plan.ring.ctx.pK
-
-    def big(stage):
-        return dataclasses.replace(stage, maps=kernels.prepare(stage.maps.maps.astype(object), m, stage.shape[1]))
-
+    """The plan on the object backend: its basis as Python ints, its stages' prepared maps shared with plan."""
     return dataclasses.replace(plan, dtype=np.dtype(object), basis=plan.basis.astype(object),
-                               basis_inv=plan.basis_inv.astype(object), stages=tuple(map(big, plan.stages)),
-                               inverse_stages=tuple(map(big, plan.inverse_stages)))
+                               basis_inv=plan.basis_inv.astype(object))
 
 
 def block_products(monkeypatch):

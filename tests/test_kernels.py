@@ -197,14 +197,18 @@ def test_matmul_mod_differential(m):
 
 
 def test_split_limbs_round_trip():
-    for m in (2, 3**32, 2**51, 7**32, 19**32):
+    # count limbs of ceil(bits / count) bits: any count on int64, as rows are cut, and Lb, m's digit base, on
+    # Python ints, as maps are folded
+    for m in (2, 3**8, 7**16, 3**32, 2**51, 7**32, 19**32):
         values = [0, 1, m - 1, m // 3, (1 << 17) % m, ((1 << 51) - 1) % m]
         x = np.array(values, dtype=np.int64 if supports_modulus(m) else object)
-        limbs = split_limbs(x, m)
-        assert limbs.dtype == np.float64 and limbs.shape == (limb_count(m), len(values))
-        assert limbs.max() < 1 << 17
-        back = [sum(int(limb[i]) << (17 * k) for k, limb in enumerate(limbs)) for i in range(len(values))]
-        assert back == values
+        for count in range(1, limb_count(m) + 1) if supports_modulus(m) else [limb_count(m)]:
+            width = -(-(m - 1).bit_length() // count)
+            limbs = split_limbs(x, m, count)
+            assert limbs.dtype == np.float64 and limbs.shape == (count, len(values))
+            assert limbs.max() < 1 << width
+            back = [sum(int(limb[i]) << (width * k) for k, limb in enumerate(limbs)) for i in range(len(values))]
+            assert back == values
     assert [limb_count(m) for m in (2, 1 << 17, (1 << 17) + 1, 3**32, 7**16, 7**32)] == [1, 1, 2, 3, 3, 6]
 
 
@@ -238,7 +242,7 @@ def test_matmul_mod_at_each_width_bound(m, dtype):
     # a cut into La limbs of width w = ceil(bits/La) holds exactly up to the largest n with La*n*2^(w+17) < 2^53:
     # all-(m-1) operands there, in one tile against the map folded for La, and through matmul_mod when La is
     # the kernel's own choice at n; at n+1 the tile refuses the folded map and matmul_mod takes more limbs or
-    # refuses. Python ints run as digit arrays, whose maps fold into digit limbs.
+    # refuses. Python ints run as digit arrays, on the same fold as int64 rows.
     bits, Lb = (m - 1).bit_length(), limb_count(m)
     digits = dtype is object
     out = to_digits(np.zeros((1, 1), dtype=object), m) if digits else np.empty((1, 1), dtype=dtype)
@@ -249,7 +253,7 @@ def test_matmul_mod_at_each_width_bound(m, dtype):
         if 0 < n <= BOUND_TERMS:
             a, b = np.full((1, n), m - 1, dtype=dtype), np.full((n, 1), m - 1, dtype=dtype)
             want = [[n * (m - 1) ** 2 % m]]
-            tile = _folded_matmul(to_digits(a, m), fold(b, m, La, Lb if digits else None), m, out)
+            tile = _folded_matmul(to_digits(a, m), fold(b, m, La), m, out)
             assert from_digits(tile, m).tolist() == want
             if a_limb_count(m, n) == La:
                 assert matmul_mod(a, b, m).tolist() == want
@@ -266,8 +270,8 @@ def test_matmul_mod_at_each_width_bound(m, dtype):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_map_block_matches_residue_block(data):
-    # the block product by N maps at an arbitrary (J, C) index equals the integer product mod m by the residue
-    # matrix it stands for, and its map tile, assembled from the folded maps, is the fold of that matrix
+    # the block product by N prepared maps at an arbitrary (J, C) index equals the integer product mod m by the
+    # residue matrix it stands for, and its map tile, assembled from the folded maps, is the fold of that matrix
     m = data.draw(st.sampled_from([3**8, 3**32, 2**51 - 1, 7**32, 19**32]))
     dtype = data.draw(st.sampled_from([np.int64, object] if supports_modulus(m) else [object]))
     N, n, k, rows = (data.draw(st.integers(lo, hi)) for lo, hi in ((1, 5), (1, 4), (1, 4), (0, 6)))
@@ -281,38 +285,38 @@ def test_map_block_matches_residue_block(data):
     maps, a = rand(N, n, k), rand(rows, J * n)
     residue = maps[index].transpose(0, 2, 1, 3).reshape(J * n, C * k)
     La = a_limb_count(m, J * n)
-    prepared = prepare(maps, m, J, digits=False)
+    prepared = prepare(maps, m, J)
     assert prepared.folded.shape[0] == La
     assert np.array_equal(_map_block(prepared, index), fold(residue, m, La))
-    got = block_matmul_mod(a, maps, index, m)
+    got = block_matmul_mod(a, prepared, index, m)
     assert got.dtype == dtype
     assert got.tolist() == matmul_mod(a, residue, m).tolist() == _matmul_reference(a, residue, m)
 
 
-def test_prepared_maps_are_not_folded_again():
+def test_prepared_maps_are_not_folded_again(monkeypatch):
     # prepared maps pass through prepare and the product as they are, for any number of block rows, one index or a
-    # stacked one, and refuse rows they were not folded for, rather than fold again per call
+    # stacked one, and run int64 rows and Python-int rows on the same block, rather than fold again per call
     m = 3**32
     maps = np.array([[[1, 2], [3, 4]]], dtype=np.int64)
     a = np.array([[5, 6]], dtype=np.int64)
     block = prepare(maps, m, 1)
-    assert prepare(block, m, 1, False) is block and prepare(block, m, 3) is block
+    assert prepare(block, m, 1) is block and prepare(block, m, 3) is block
     assert block.j_step == 1
+    monkeypatch.setattr(kernels, "fold", None)
     want = _matmul_reference(a, maps[0], m)
-    assert block_matmul_mod(a, block, np.zeros((1, 1), int), m).tolist() == want
-    assert block_matmul_mod(np.stack([a, a]), block, np.zeros((2, 1, 1), int), m).tolist() == [want] * 2
     twice = _matmul_reference(np.hstack([a, a]), np.vstack([maps[0], maps[0]]), m)
-    assert block_matmul_mod(np.hstack([a, a]), block, np.zeros((2, 1), int), m).tolist() == twice
-    with pytest.raises(ValueError):
-        prepare(block, m, 1, True)
-    with pytest.raises(ValueError):
-        block_matmul_mod(a.astype(object), block, np.zeros((1, 1), int), m)
+    for rows in (a, a.astype(object)):
+        got = block_matmul_mod(rows, block, np.zeros((1, 1), int), m)
+        assert got.dtype == rows.dtype and got.tolist() == want
+        assert block_matmul_mod(np.stack([rows, rows]), block, np.zeros((2, 1, 1), int), m).tolist() == [want] * 2
+        assert block_matmul_mod(np.hstack([rows, rows]), block, np.zeros((2, 1), int), m).tolist() == twice
 
 
 @pytest.mark.parametrize("m, lengths", [(7**32, {1: 3, 2: 4, 114: 5, 2913: 6}), (19**32, {1: 6, 16: 7, 107: 8})])
 def test_digit_row_folds_match_python_ints(m, lengths):
-    # Python-int maps prepared for digit rows, at a contraction length n where the kernel picks each La: entry
-    # (i, c, j, l) is digit j of 2^(wa i) b[c, l] mod m, wa = ceil(bits / La) and digits of ceil(bits / Lb) bits
+    # Python-int maps past 2^51, where every row is a digit array, at a contraction length n where the kernel picks
+    # each La: entry (i, c, j, l) is digit j of 2^(wa i) b[c, l] mod m, wa = ceil(bits / La) and digits of
+    # ceil(bits / Lb) bits
     rng = random.Random(m)
     bits = (m - 1).bit_length()
     Lb = -(-bits // 17)
@@ -326,6 +330,34 @@ def test_digit_row_folds_match_python_ints(m, lengths):
                  for row in maps[0]] for i in range(La)]
         assert folded.shape == (La, n * Lb, 2)
         assert folded.reshape(La, n, Lb, 2).tolist() == want
+
+
+@pytest.mark.parametrize("m", [3**8, 7**16, 3**32, 2**51 - 1, 7**32])
+def test_one_fold_serves_both_row_forms(m):
+    # maps prepared from int64 and from Python ints fold into the same array, entry (i, c, j, l) digit j of
+    # 2^(wa i) b[c, l] mod m in to_digits' base, and one PreparedMaps multiplies int64 rows and Python-int rows to the
+    # Python-int product, by one of its maps and on a stacked block index; past 2^51 on Python ints only
+    rng = random.Random(m % 983)
+    N, rows, n, k = 3, 5, 7, 4
+    values = [[[rng.randrange(m) for _ in range(k)] for _ in range(n)] for _ in range(N)]
+    values[0][0] = [m - 1] * k
+    dtypes = (np.int64, object) if supports_modulus(m) else (object,)
+    prepared = [prepare(np.array(values, dtype=dtype), m, 1) for dtype in dtypes]
+    folded = prepared[0].folded
+    assert all(np.array_equal(other.folded, folded) for other in prepared)
+    La, Lb = folded.shape[0], limb_count(m)
+    wa = -(-(m - 1).bit_length() // La)
+    for i in range(La):
+        shifted = to_digits(np.array(values, dtype=object) * pow(2, wa * i, m) % m, m)["digits"]
+        assert np.array_equal(folded[i].reshape(N, n, Lb, k), shifted.transpose(0, 1, 3, 2))
+    a = [[[rng.randrange(m) for _ in range(n)] for _ in range(rows)] for _ in range(N)]
+    a[0][0] = [m - 1] * n
+    for dtype in dtypes:
+        stack = np.array(a, dtype=dtype)
+        got = block_matmul_mod(stack[1], prepared[0], np.ones((1, 1), dtype=np.intp), m)
+        assert got.dtype == dtype and got.tolist() == _matmul_reference(a[1], values[1], m)
+        got = block_matmul_mod(stack, prepared[0], _groups(N), m)
+        assert got.dtype == dtype and got.tolist() == [_matmul_reference(u, v, m) for u, v in zip(a, values)]
 
 
 @pytest.mark.parametrize("m", [3**8, 2**51 - 1, 7**32])

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from padicfft.errors import FileFormatError
 from padicfft.polyio import (
@@ -96,3 +98,28 @@ def test_file_round_trip(tmp_path):
     evals = tmp_path / "f.evals"
     write_evals(evals, EvalData(2, 2, 0, [(0, 1), (2, 3)]))
     assert read_evals(evals) == EvalData(2, 2, 0, [(0, 1), (2, 3)])
+
+
+# numbers a reader takes, small or wide, or short text that it may not take
+FIELD = st.one_of(st.integers(-2, 12), st.integers(-(10**30), 10**30)).map(str) | st.text(max_size=4)
+
+
+def _line(fields):
+    return st.lists(FIELD, min_size=fields, max_size=fields).map(" ".join) | st.text(max_size=8)
+
+
+# the header, the exponent and up to 9 coefficient lines, each as its place wants it or else any text
+FILES = st.builds(lambda head, exp, body: "\n".join([head, exp, *body]) + "\n", _line(2), _line(1),
+                  st.lists(_line(1), max_size=9))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(), FILES))
+def test_readers_return_data_or_refuse_the_format(text):
+    # any text either reads as a file or is refused with FileFormatError; no other exception escapes
+    for read in (read_poly_text, read_evals_text):
+        try:
+            data = read(text)
+        except FileFormatError:
+            continue
+        assert isinstance(data, (PolyData, EvalData))
