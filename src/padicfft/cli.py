@@ -26,6 +26,7 @@ from .errors import (
 )
 from .fft import basis_routes, dft, idft, poly_multiply, subring_axes
 from .lifting import expand_lifted_factor
+from .orders import FactoredOrder, multiplicative_order
 from .padic import PadicContext, poly_text
 from .pipeline import DEFAULT_SEED, build_pipeline
 from .planner import asymptotic_report, choose_parameters, report_csv
@@ -143,21 +144,23 @@ def _cmd_root(args) -> int:
     return 0
 
 
-def _plan_for(args, p: int, K: int, degree: int | None = None):
-    """The plan for -s, for -N, or else for the planner on degree."""
+def _length_for(args, p: int, K: int, degree: int | None = None) -> FactoredOrder:
+    """The transform length for -s, for -N, or else for the planner on degree; p and K are checked first."""
+    PadicContext(p, K)
     if args.s is not None:
-        return build_pipeline(p, K, s=args.s, seed=args.seed).plan
+        return FactoredOrder.of(args.s)
     N = args.N if args.N is not None else max(1, degree)
-    return build_pipeline(p, K, N=N, seed=args.seed).plan
+    return choose_parameters(p, N).s_factored
 
 
 def _cmd_dft(args) -> int:
     data = polyio.read_poly(args.input)
     p = args.p if args.p is not None else data.p
     K = args.K if args.K is not None else data.K
-    plan = _plan_for(args, p, K, max(1, len(data.coeffs) - 1))
-    if len(data.coeffs) > plan.s:
-        raise LengthMismatch(f"{len(data.coeffs)} coefficients do not fit in length {plan.s}")
+    s = _length_for(args, p, K, max(1, len(data.coeffs) - 1))
+    if len(data.coeffs) > s.value:  # refused before the tower, the lift and the plan are built
+        raise LengthMismatch(f"{len(data.coeffs)} coefficients do not fit in length {s.value}")
+    plan = build_pipeline(p, K, s=s, seed=args.seed).plan
     xs = np.zeros((plan.s, plan.ring.degree), dtype=object)
     xs[: len(data.coeffs), 0] = data.coeffs
     evals = [tuple(v) for v in dft(xs, plan).tolist()]
@@ -167,10 +170,12 @@ def _cmd_dft(args) -> int:
 
 def _cmd_idft(args) -> int:
     data = polyio.read_evals(args.input)
+    PadicContext(args.p, args.K)
+    if data.s > 1 and data.s % args.p:  # else the build refuses s
+        d = multiplicative_order(args.p, data.s)  # the ring's degree, known before the tower is built
+        if d != data.d:
+            raise LengthMismatch(f"file carries degree {data.d}, ring for (p={args.p}, s={data.s}) has {d}")
     plan = build_pipeline(args.p, args.K, s=data.s, seed=args.seed).plan
-    if plan.ring.degree != data.d:
-        raise LengthMismatch(
-            f"file carries degree {data.d}, ring for (p={args.p}, s={data.s}) has {plan.ring.degree}")
     out = idft(np.array(data.elements, dtype=object), plan)
     bad = np.flatnonzero((out[:, 1:] != 0).any(axis=1))
     if bad.size:
@@ -188,7 +193,7 @@ def _cmd_mul(args) -> int:
     K = args.K if args.K is not None else a.K
     plan = None
     if args.s is not None or args.N is not None:
-        plan = _plan_for(args, p, K)
+        plan = build_pipeline(p, K, s=_length_for(args, p, K), seed=args.seed).plan
     coeffs = poly_multiply(a.coeffs, b.coeffs, p, K, plan=plan, seed=args.seed)
     polyio.write_poly(args.output, polyio.PolyData(p=p, K=K, exp=a.exp + b.exp, coeffs=coeffs))
     return 0

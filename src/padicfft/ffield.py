@@ -4,10 +4,11 @@ A field is PrimeField(p) with int elements, or ExtensionField(base, f), also
 nested, with elements as flat tuples of D ints mod p (D its degree over F_p):
 coordinate k*D_base + i is coordinate i of the Z^k coefficient over base.
 ExtensionField takes f irreducible on trust: proving it (is_irreducible) is
-the caller's job, done once where a modulus comes from outside.
+the caller's job, done once where a modulus comes from outside. PrimeField
+shares its arithmetic with padic.PadicContext (Z/p^K) through ResidueRing.
 
 The poly_* functions take lists over any coefficient ring with the small
-protocol below (a field, or padic.PadicContext), constant first, no trailing
+protocol below (a field, or a ResidueRing), constant first, no trailing
 zeros. The ff_* functions, which the tower runs on, take packed polynomials
 over a field: (n, D) int arrays, row i the X^i coefficient. ff_poly_mul is
 the one product of field elements: X and every tower variable go to one
@@ -74,7 +75,42 @@ class MulCounter:
         self.count = 0
 
 
-class PrimeField:
+class ResidueRing:
+    """Z/order, order a power of the prime p, with int representatives in [0, order).
+
+    The coefficient-ring methods of PrimeField (order p) and padic.PadicContext (order p^K);
+    inv takes units only, the elements p does not divide."""
+
+    __slots__ = ()
+
+    def zero(self):
+        return 0
+
+    def one(self):
+        return 1
+
+    def add(self, a, b):
+        return (a + b) % self.order
+
+    def sub(self, a, b):
+        return (a - b) % self.order
+
+    def neg(self, a):
+        return -a % self.order
+
+    def mul(self, a, b):
+        return a * b % self.order
+
+    def inv(self, a):
+        if a % self.p == 0:
+            raise NonUnit(f"{a} is divisible by {self.p}")
+        return pow(a, -1, self.order)
+
+    def is_zero(self, a):
+        return a == 0
+
+
+class PrimeField(ResidueRing):
     """F_p with canonical int representatives in [0, p); counter is the tower's cost model."""
 
     __slots__ = ("p", "counter", "dtype", "reduce_map")
@@ -94,42 +130,16 @@ class PrimeField:
     degree_over_prime = property(lambda self: 1)
     prime = property(lambda self: self)
 
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
     def from_int(self, n: int):
         return n % self.p
 
     def element(self, row):
         return row[0]
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise NonUnit("zero has no inverse")
-        return pow(a, -1, self.p)
-
     def pow(self, a, e: int):
         if e < 0:
             return pow(self.inv(a), -e, self.p)
         return pow(a, e, self.p)
-
-    def is_zero(self, a):
-        return a == 0
 
     def rand(self, rng):
         return rng.randrange(self.p)

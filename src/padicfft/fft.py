@@ -91,7 +91,7 @@ from .errors import (
     RootNotPrimitive,
 )
 from .orders import FactoredOrder, multiplicative_order
-from .padic import PadicContext, RingElement, RingExtension, residue_inverse, ring_mul, ring_pow
+from .padic import PadicContext, RingElement, RingExtension, ring_mul, ring_pow
 from .planner import choose_parameters, predicted_mults
 
 # Bytes of the plans poly_multiply keeps (FFTPlan.nbytes: stage maps, their folds and block indices, P, P^-1 and the
@@ -124,7 +124,7 @@ class Stage:
     index: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class FFTPlan:
     """Precomputed schedule for length-s transforms at precision K.
 
@@ -228,7 +228,7 @@ def make_plan(s, lift, K: int) -> FFTPlan:
         powers = functools.reduce(lambda x, y: kernels.ring_mul_batch(x, y, fhead, m), axes)
         basis, tops = np.split(powers, [d])
         basis_inv = _inverse_mod(basis, p, K, m)
-    inv_s = residue_inverse(s.value % m, ring.ctx)
+    inv_s = ring.ctx.inv(s.value)
     index_maps = _index_maps(_fused_radices(s, d), s.value)  # before the stages' folds, which would add to its peak
     stages = _stages(s, factors, rows, tops, fhead, basis, basis_inv, m, basis_routes(p, K, s, d))
     return FFTPlan(

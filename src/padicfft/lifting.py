@@ -13,7 +13,7 @@ products beyond alpha^s and no separate inversion. The lifted factor of
 Y^s - 1 is then the product of (Y - alpha^(p^j)) over the Frobenius orbit,
 and a classical linear Hensel factor lift is kept alongside as an
 independent cross-check; it runs on ffield's polynomial functions with
-PadicContext(p, k+1) as the coefficient ring.
+PadicContext(p, k+1), the ResidueRing Z/p^(k+1), as the coefficient ring.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .ffield import (
     poly_sub,
 )
 from .orders import FactoredOrder, padic_valuation
-from .padic import PadicContext, RingExtension, residue_inverse, ring_mul, ring_pow, scalar_mul
+from .padic import PadicContext, RingExtension, ring_mul, ring_pow, scalar_mul
 
 
 @dataclass
@@ -100,29 +100,22 @@ def newton_lift_root(fbar, s, n: int, p: int, lift_coeffs=None, trace=None) -> L
         if any((mc - fc) % p for mc, fc in zip(modulus, fbar)):
             raise BadInput("lift does not reduce to fbar mod p")
 
-    if d == 1:
-        coeffs = [(-modulus[0]) % p]
-    else:
-        coeffs = [0, 1] + [0] * (d - 2)
+    ring = RingExtension(PadicContext(p, 1), [c % p for c in modulus], check=False)
+    root = ring.gen()
     work = 0
-    ring = None
     for i in range(1, n + 1):
         ki = 2**i
         ring = RingExtension(PadicContext(p, ki), [c % p**ki for c in modulus], check=False)
-        alpha = ring.element(coeffs)
+        alpha = ring.element(root.coeffs)
         power = ring_pow(alpha, s.value)
         correction = (power - 1) * alpha * (2 - power)
-        sinv = residue_inverse(s.value % p**ki, ring.ctx)
-        alpha = alpha - scalar_mul(sinv, correction)
-        coeffs = list(alpha.coeffs)
+        sinv = ring.ctx.inv(s.value)
+        root = alpha - scalar_mul(sinv, correction)
         if trace is not None:
-            trace.append((i, ki, _residual_valuation(ring, alpha, s.value)))
+            trace.append((i, ki, _residual_valuation(ring, root, s.value)))
         if i < n:
             work += ring.counter.count
 
-    if ring is None:
-        ring = RingExtension(PadicContext(p, 1), [c % p for c in modulus], check=False)
-    root = ring.element(coeffs)
     if ring_pow(root, s.value) != ring.one():
         raise InternalError("newton iteration did not converge")
     work += ring.counter.count

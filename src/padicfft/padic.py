@@ -1,9 +1,9 @@
 """Truncated p-adic arithmetic: Z/p^K and its unramified extensions.
 
 A context fixes the prime p >= 3 and the digit count K, so base elements are
-plain ints kept canonical in [0, p^K). The context also carries ffield's
-coefficient-ring methods (zero, one, add, sub, neg, mul, inv, is_zero), so
-ffield's poly_* functions work over Z/p^K unchanged; inv takes units only.
+plain ints kept canonical in [0, p^K). The context is an ffield.ResidueRing of
+order p^K, the one residue arithmetic it shares with PrimeField, so ffield's
+poly_* functions work over Z/p^K unchanged; inv takes units only.
 RingExtension is (Z/p^K)[X]/(F) for a monic F whose reduction mod p is
 irreducible; its elements carry coefficient tuples of length deg F,
 constant first.
@@ -19,17 +19,16 @@ from .errors import (
     BadInput,
     DegreeTooSmall,
     EvenPrime,
-    NonUnit,
     OutOfRange,
     ParentMismatch,
 )
-from .ffield import MulCounter, PrimeField, is_irreducible, power
+from .ffield import MulCounter, PrimeField, ResidueRing, is_irreducible, power
 from .kernels import MODULUS_BITS, precision_fits
 from .orders import is_prime
 
 
-class PadicContext:
-    """The base ring Z/p^K, also usable as a coefficient ring for ffield's poly_* functions."""
+class PadicContext(ResidueRing):
+    """The base ring Z/p^K: a ResidueRing of order p^K, so also a coefficient ring for ffield's poly_* functions."""
 
     __slots__ = ("p", "K", "pK")
 
@@ -45,32 +44,10 @@ class PadicContext:
         self.K = K
         self.pK = p**K
 
+    order = property(lambda self: self.pK)
+
     def same(self, other: "PadicContext") -> bool:
         return self.p == other.p and self.K == other.K
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def add(self, a, b):
-        return (a + b) % self.pK
-
-    def sub(self, a, b):
-        return (a - b) % self.pK
-
-    def neg(self, a):
-        return -a % self.pK
-
-    def mul(self, a, b):
-        return a * b % self.pK
-
-    def inv(self, a):
-        return residue_inverse(a, self)
-
-    def is_zero(self, a):
-        return a == 0
 
     def __repr__(self):
         return f"PadicContext(p={self.p}, K={self.K})"
@@ -80,14 +57,6 @@ def check_precision(p: int, K: int):
     """Refuse, before computing it, a p^K wider than kernels.MODULUS_BITS, past which no exact product runs."""
     if not precision_fits(p, K):
         raise OutOfRange(f"{p}^{K} is wider than the {MODULUS_BITS} bits of any exact product")
-
-
-def residue_inverse(u: int, ctx: PadicContext) -> int:
-    """Inverse of a unit in Z/p^K."""
-    u %= ctx.pK
-    if u % ctx.p == 0:
-        raise NonUnit(f"{u} is divisible by {ctx.p}")
-    return pow(u, -1, ctx.pK)
 
 
 class RingExtension:

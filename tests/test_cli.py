@@ -84,6 +84,23 @@ def test_dft_more_coefficients_than_s(tmp_path, capsys):
     assert code == 3 and err.startswith("error precondition LengthMismatch: 9 coefficients do not fit in length 8")
 
 
+def test_mismatched_files_are_refused_before_the_build(tmp_path, capsys, monkeypatch):
+    # the length and the ring degree follow from p and s alone, so no tower, lift or plan is built to refuse them
+    def tripwire(*args, **kwargs):
+        raise AssertionError("build_pipeline ran")
+
+    monkeypatch.setattr(padicfft.cli, "build_pipeline", tripwire)
+    src, evals = tmp_path / "f.poly", tmp_path / "f.evals"
+    write_poly(src, PolyData(3, 4, 0, list(range(1, 10))))
+    evals.write_text("4 3\n0\n" + "0\n" * 12)  # ord_4(3) = 2
+    out = str(tmp_path / "out")
+    for argv in (("dft", "-i", str(src), "-o", out, "-s", "8"), ("dft", "-i", str(src), "-o", out, "-N", "5"),
+                 ("idft", "-i", str(evals), "-o", out, "-p", "3", "-K", "4")):
+        code, _, err = run(capsys, *argv)
+        assert code == 3 and len(err.splitlines()) == 1 and err.startswith("error precondition LengthMismatch")
+    assert "ring for (p=3, s=4) has 2" in err
+
+
 def test_mul_past_the_planner_length_12584(tmp_path, capsys):
     # without -s or -N the product plans s = 13754312 (d = 210) and runs on a divisor of it in its own ring
     rng = random.Random(12585)

@@ -113,6 +113,14 @@ def test_frozen_length_four():
     assert idft(out, plan) == x
 
 
+def test_plan_fields_are_frozen():
+    # poly_multiply's cache shares one plan among callers, so no caller may reassign its fields
+    plan = build_pipeline(3, 4, s=4, seed=7).plan
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.stages = ()
+    assert object_copy(plan).stages is plan.stages
+
+
 @pytest.mark.parametrize("p,s", [(3, 2), (3, 4), (3, 8), (3, 104),
                                  (5, 6), (5, 12), (5, 24), (19, 5), (19, 8)])
 def test_matches_naive(p, s):

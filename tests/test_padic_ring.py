@@ -5,11 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicfft.errors import BadInput, EvenPrime, NonUnit, ParentMismatch
-from padicfft.ffield import poly_divmod, poly_mul, poly_sub
+from padicfft.ffield import PrimeField, ResidueRing, poly_divmod, poly_mul, poly_sub, poly_trim
 from padicfft.padic import (
     PadicContext,
     RingExtension,
-    residue_inverse,
     ring_mul,
     ring_pow,
     scalar_mul,
@@ -33,14 +32,14 @@ def test_context_validation():
 
 def test_residue_inverse_examples():
     # frozen from the extended-Euclid oracle below
-    assert residue_inverse(2, CTX81) == 41
-    assert residue_inverse(5, CTX361) == 289
+    assert CTX81.inv(2) == 41
+    assert CTX361.inv(5) == 289
     assert pow(2, -1, 81) == 41
     assert pow(5, -1, 361) == 289
     with pytest.raises(NonUnit):
-        residue_inverse(6, CTX81)
+        CTX81.inv(6)
     with pytest.raises(NonUnit):
-        residue_inverse(0, CTX81)
+        CTX81.inv(0)
 
 
 def test_residue_inverse_matches_euclid_oracle():
@@ -51,7 +50,7 @@ def test_residue_inverse_matches_euclid_oracle():
             u = rng.randrange(1, ctx.pK)
             if u % p == 0:
                 continue
-            assert residue_inverse(u, ctx) == pow(u, -1, ctx.pK)
+            assert ctx.inv(u) == pow(u, -1, ctx.pK)
 
 
 def test_context_is_a_coefficient_ring():
@@ -62,6 +61,54 @@ def test_context_is_a_coefficient_ring():
     assert CTX81.inv(2) == 41 and CTX81.neg(1) == 80 and CTX81.is_zero(CTX81.zero())
     with pytest.raises(NonUnit):
         poly_divmod(CTX81, [1, 1], [0, 3])
+
+
+def _int_divmod(num, den):
+    """Quotient and remainder over Z of num by the monic den."""
+    num, q = list(num), [0] * max(0, len(num) - len(den) + 1)
+    for i in reversed(range(len(q))):
+        q[i] = num[i + len(den) - 1]
+        for j, c in enumerate(den):
+            num[i + j] -= q[i] * c
+    return q, num[: len(den) - 1]
+
+
+def _results(ring, a, b, den, u):
+    """poly_mul, poly_divmod by the monic den, and inv of u and of p*u over ring (NonUnit where it raises)."""
+    a, b, den = ([c % ring.order for c in x] for x in (a, b, den))
+    out = [poly_mul(ring, poly_trim(ring, a), poly_trim(ring, b)), poly_divmod(ring, poly_trim(ring, a), den)]
+    for x in (u % ring.order, ring.p * u % ring.order):
+        try:
+            out.append(ring.inv(x))
+        except NonUnit:
+            out.append(NonUnit)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([3, 5, 7, 19]), st.integers(1, 4), st.data())
+def test_prime_field_and_context_share_one_residue_ring(p, k, data):
+    # the list polynomials and inv over F_p and Z/p^k run on one ResidueRing: both match integer arithmetic mod
+    # the ring's order, and PrimeField(p) agrees with PadicContext(p, 1) on every result
+    coeffs = st.lists(st.integers(0, p**k - 1), max_size=6)
+    a, b, low = data.draw(coeffs), data.draw(coeffs), data.draw(st.lists(st.integers(0, p**k - 1), max_size=3))
+    den, u = low + [1], data.draw(st.integers(0, p**k - 1))
+    for ring in (PadicContext(p, k), PrimeField(p)):
+        assert isinstance(ring, ResidueRing)
+        m = ring.order
+        mul, (quo, rem), inv_u, inv_pu = _results(ring, a, b, den, u)
+        product = [0] * max(0, len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                product[i + j] += x * y
+        assert mul == poly_trim(ring, [c % m for c in product])
+        assert (quo, rem) == tuple(poly_trim(ring, [c % m for c in x]) for x in _int_divmod(a, den))
+        if u % p:
+            assert inv_u * u % m == 1
+        else:
+            assert inv_u is NonUnit
+        assert inv_pu is NonUnit
+    assert _results(PrimeField(p), a, b, den, u) == _results(PadicContext(p, 1), a, b, den, u)
 
 
 def test_ring_mul_examples():
