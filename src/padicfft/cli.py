@@ -138,9 +138,11 @@ def _cmd_root(args) -> int:
     d = pipe.d
     fbar = pipe.tower.modulus
     factor = expand_lifted_factor(pipe.plan.ring, pipe.plan.root)
-    print(f"f = {poly_text(fbar[:-1], monic_top=True, top_degree=d)}  (mod {args.p})")
-    print(f"F = {poly_text(factor[:-1], monic_top=True, top_degree=d)}  (mod {args.p}^{args.K})")
-    print(f"alpha = {pipe.plan.root}")
+    with polyio.int_digits(polyio.residue_digits(args.p, args.K)):
+        lines = [f"f = {poly_text(fbar[:-1], monic_top=True, top_degree=d)}  (mod {args.p})",
+                 f"F = {poly_text(factor[:-1], monic_top=True, top_degree=d)}  (mod {args.p}^{args.K})",
+                 f"alpha = {pipe.plan.root}"]
+    print("\n".join(lines))
     return 0
 
 
@@ -169,8 +171,8 @@ def _cmd_dft(args) -> int:
 
 
 def _cmd_idft(args) -> int:
-    data = polyio.read_evals(args.input)
     PadicContext(args.p, args.K)
+    data = polyio.read_evals(args.input, polyio.residue_digits(args.p, args.K))
     if data.s > 1 and data.s % args.p:  # else the build refuses s
         d = multiplicative_order(args.p, data.s)  # the ring's degree, known before the tower is built
         if d != data.d:

@@ -132,11 +132,11 @@ class FFTPlan:
     concurrent calls on distinct buffers. Only ring.counter changes: every
     transform on the plan adds its modelled multiplications there, including
     those of other callers of a plan poly_multiply shares from its cache.
+    The fields are what make_plan built or chose; s and radices, the
+    model's prime schedule, are read off s_factored, and p and K off ring.
     """
 
-    s: int
     s_factored: FactoredOrder
-    radices: tuple
     ring: RingExtension
     root: object
     dtype: np.dtype  # the transform's backend: int64, or object for Python ints
@@ -147,13 +147,10 @@ class FFTPlan:
     inverse_stages: tuple  # the stages idft runs: the first one's maps times s^-1
     index_maps: tuple  # (gather, scatter), the Good-Thomas input and output permutations (see _index_maps)
 
-    @property
-    def p(self) -> int:
-        return self.ring.ctx.p
-
-    @property
-    def K(self) -> int:
-        return self.ring.ctx.K
+    s = property(lambda self: self.s_factored.value)
+    radices = property(lambda self: tuple(self.s_factored.radix_schedule()))
+    p = property(lambda self: self.ring.ctx.p)
+    K = property(lambda self: self.ring.ctx.K)
 
     @property
     def nbytes(self) -> int:
@@ -190,8 +187,7 @@ def make_plan(s, lift, K: int) -> FFTPlan:
     The lift's ring and root are truncated from their own precision down to
     K; the root must still be a primitive s-th root of unity there.
     """
-    if not isinstance(s, FactoredOrder):
-        s = FactoredOrder.of(s)
+    s = FactoredOrder.of(s)
     if K < 1:
         raise BadInput("need K >= 1")
     if lift.precision < K:
@@ -232,9 +228,7 @@ def make_plan(s, lift, K: int) -> FFTPlan:
     index_maps = _index_maps(_fused_radices(s, d), s.value)  # before the stages' folds, which would add to its peak
     stages = _stages(s, factors, rows, tops, fhead, basis, basis_inv, m, basis_routes(p, K, s, d))
     return FFTPlan(
-        s=s.value,
         s_factored=s,
-        radices=tuple(s.radix_schedule()),
         ring=ring,
         root=root,
         dtype=dtype,
@@ -370,7 +364,7 @@ def _to_array(values, plan: FFTPlan):
         elif values.dtype.kind not in "iu":
             raise BadInput(f"array entries must be integers, got dtype {values.dtype}")
         if values.size and (values.min() < 0 or values.max() >= m):
-            raise BadInput(f"array entries must lie in [0, {m})")
+            raise BadInput(f"array entries must lie in [0, {plan.p}^{plan.K})")  # p^K may be past str()'s digit limit
         return values.astype(plan.dtype, copy=False)
     if len(values) != s:
         raise LengthMismatch(f"expected {s} elements, got {len(values)}")

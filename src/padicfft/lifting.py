@@ -50,7 +50,7 @@ from .padic import PadicContext, RingExtension, ring_mul, ring_pow, scalar_mul
 
 @dataclass
 class LiftResult:
-    """Outcome of the Newton lift.
+    """Outcome of the Newton lift: stored ring, root, steps and base_mults; precision is read off ring, K = 2^steps.
 
     ring.counter is reset before return, so downstream transform work is
     counted separately from base_mults, the lift's own multiplication bill.
@@ -58,9 +58,10 @@ class LiftResult:
 
     ring: RingExtension
     root: object
-    precision: int
     steps: int
     base_mults: int
+
+    precision = property(lambda self: self.ring.ctx.K)
 
 
 def newton_lift_root(fbar, s, n: int, p: int, lift_coeffs=None, trace=None) -> LiftResult:
@@ -72,8 +73,7 @@ def newton_lift_root(fbar, s, n: int, p: int, lift_coeffs=None, trace=None) -> L
     valuation) triple is appended per Newton step; tracing leaves
     base_mults unchanged.
     """
-    if not isinstance(s, FactoredOrder):
-        s = FactoredOrder.of(s)
+    s = FactoredOrder.of(s)
     if n < 0:
         raise BadInput("need n >= 0")
     PadicContext(p, 1)  # validates p
@@ -120,7 +120,7 @@ def newton_lift_root(fbar, s, n: int, p: int, lift_coeffs=None, trace=None) -> L
         raise InternalError("newton iteration did not converge")
     work += ring.counter.count
     ring.counter.reset()
-    return LiftResult(ring=ring, root=root, precision=K, steps=n, base_mults=work)
+    return LiftResult(ring=ring, root=root, steps=n, base_mults=work)
 
 
 def _residual_valuation(ring, alpha, s: int) -> int:

@@ -125,8 +125,9 @@ class FactoredOrder:
             raise BadInput(f"factorization does not multiply back to {self.value}")
 
     @classmethod
-    def of(cls, n: int) -> "FactoredOrder":
-        return cls(n, tuple(factorize(n)))
+    def of(cls, n) -> "FactoredOrder":
+        """n factored; a FactoredOrder is returned as it is."""
+        return n if isinstance(n, FactoredOrder) else cls(n, tuple(factorize(n)))
 
     def radix_schedule(self) -> list[int]:
         """All prime factors with multiplicity, ascending."""

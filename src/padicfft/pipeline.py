@@ -23,21 +23,21 @@ DEFAULT_SEED = 0x5EED
 
 @dataclass
 class PipelineResult:
-    p: int
-    K: int
-    s_factored: FactoredOrder
+    """The four stages' results.
+
+    Stored: planner_result (None when s was given), tower, lift and plan. p, K, s_factored, s and d are read off plan.
+    """
+
     planner_result: PlannerResult | None
     tower: UnityRoot
     lift: LiftResult
     plan: FFTPlan
 
-    @property
-    def s(self) -> int:
-        return self.s_factored.value
-
-    @property
-    def d(self) -> int:
-        return self.plan.ring.degree
+    p = property(lambda self: self.plan.p)
+    K = property(lambda self: self.plan.K)
+    s_factored = property(lambda self: self.plan.s_factored)
+    s = property(lambda self: self.plan.s)
+    d = property(lambda self: self.plan.ring.degree)
 
 
 def precision_steps(K: int) -> int:
@@ -64,10 +64,9 @@ def build_pipeline(p: int, K: int, N: int | None = None, s=None, seed: int | Non
         planner_result = choose_parameters(p, N)
         s_factored = planner_result.s_factored
     else:
-        s_factored = s if isinstance(s, FactoredOrder) else FactoredOrder.of(s)
+        s_factored = FactoredOrder.of(s)
     rng = random.Random(DEFAULT_SEED if seed is None else seed)
     tower = build_root_of_unity(p, s_factored, rng)
     lift = newton_lift_root(tower.modulus, s_factored, steps, p)
     plan = make_plan(s_factored, lift, K)
-    return PipelineResult(p=p, K=K, s_factored=s_factored, planner_result=planner_result,
-                          tower=tower, lift=lift, plan=plan)
+    return PipelineResult(planner_result=planner_result, tower=tower, lift=lift, plan=plan)

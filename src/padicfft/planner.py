@@ -5,6 +5,10 @@ first r primes q, with r minimal so that s exceeds N. Each factor is
 cheap to factor on its own, the extension degree d comes out as the product
 of the first r primes, and s/N tends to 1 as N grows, which is what makes
 the transform cost nearly linear.
+
+A PlannerResult stores what choose_parameters decided (r, s factored, d)
+with p and N; the cost model, the ratios to N and the check of d against
+the prime product are read off them, and asymptotic_report is one per N.
 """
 
 from __future__ import annotations
@@ -19,15 +23,20 @@ from .orders import FactoredOrder, is_prime, multiplicative_order
 
 @dataclass(frozen=True)
 class PlannerResult:
+    """The planner's choice for (p, N). Stored: p, N, r, s_factored, d; every other attribute is derived from them."""
+
     p: int
     N: int
     r: int
-    s: int
     s_factored: FactoredOrder
     d: int
-    predicted_mults: int
-    d_matches_prime_product: bool
-    small_d_regime: bool
+
+    s = property(lambda self: self.s_factored.value)
+    predicted_mults = property(lambda self: predicted_mults(self.s_factored, self.d))
+    d_matches_prime_product = property(lambda self: self.d == math.prod(_first_primes(self.r)))
+    small_d_regime = property(lambda self: self.predicted_mults < self.s * self.s)
+    s_over_N = property(lambda self: self.s / self.N)
+    cost_over_N = property(lambda self: self.predicted_mults / self.N)
 
 
 def _first_primes(r: int):
@@ -67,18 +76,7 @@ def choose_parameters(p: int, N: int) -> PlannerResult:
     claim = math.prod(primes)
     if d != claim:
         warnings.warn(f"exact order {d} differs from the prime product {claim} at p={p}, N={N}", stacklevel=2)
-    cost = predicted_mults(s_factored, d)
-    return PlannerResult(
-        p=p,
-        N=N,
-        r=len(primes),
-        s=s,
-        s_factored=s_factored,
-        d=d,
-        predicted_mults=cost,
-        d_matches_prime_product=d == claim,
-        small_d_regime=cost < s * s,
-    )
+    return PlannerResult(p=p, N=N, r=len(primes), s_factored=s_factored, d=d)
 
 
 def predicted_mults(s: FactoredOrder, d: int) -> int:
@@ -86,36 +84,9 @@ def predicted_mults(s: FactoredOrder, d: int) -> int:
     return d * d * s.value * sum(v * q for q, v in s.factors)
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    N: int
-    r: int
-    s: int
-    d: int
-    s_over_N: float
-    predicted_mults: int
-    cost_over_N: float
-    small_d_regime: bool
-
-
 def asymptotic_report(p: int, N_list) -> list:
-    """One row per N: how s/N and cost/N move as N grows. Report only."""
-    rows = []
-    for N in N_list:
-        res = choose_parameters(p, N)
-        rows.append(
-            ReportRow(
-                N=N,
-                r=res.r,
-                s=res.s,
-                d=res.d,
-                s_over_N=res.s / N,
-                predicted_mults=res.predicted_mults,
-                cost_over_N=res.predicted_mults / N,
-                small_d_regime=res.small_d_regime,
-            )
-        )
-    return rows
+    """One PlannerResult per N: how s/N and cost/N move as N grows. Report only."""
+    return [choose_parameters(p, N) for N in N_list]
 
 
 REPORT_COLUMNS = ("N", "r", "s", "d", "s_over_N", "predicted_mults", "cost_over_N", "small_d_regime")

@@ -100,26 +100,25 @@ def _smaller_factor(field, f, h):
 
 @dataclass
 class UnityRoot:
-    """A primitive s-th root of unity presented as the generator of F_p[Y]/f."""
+    """A primitive s-th root of unity presented as the generator of F_p[Y]/f.
 
-    p: int
+    Stored: s and field, F_p[Y]/f itself. Derived from field: p, the modulus f (ints over F_p, constant first,
+    monic), its degree, the root zeta (the generator Y) and base_counter, the F_p counter that billed the tower.
+    """
+
     s: int
-    modulus: tuple  # f as ints over F_p, constant first, monic
     field: ExtensionField
-    zeta: tuple
 
-    @property
-    def degree(self) -> int:
-        return len(self.modulus) - 1
-
-    @property
-    def base_counter(self):
-        return self.field.base.counter
+    p = property(lambda self: self.field.char)
+    modulus = property(lambda self: self.field.modulus)
+    degree = property(lambda self: self.field.degree)
+    zeta = property(lambda self: self.field.gen())
+    base_counter = property(lambda self: self.field.base.counter)
 
 
 def build_root_of_unity(p: int, s_factored, rng: random.Random) -> UnityRoot:
     """Construct F_p[Y]/f containing a primitive s-th root of unity as Y."""
-    s = s_factored if isinstance(s_factored, FactoredOrder) else FactoredOrder.of(s_factored)
+    s = FactoredOrder.of(s_factored)
     if s.value < 2:
         raise BadInput("need s >= 2")
     if s.value % p == 0:
@@ -155,7 +154,7 @@ def build_root_of_unity(p: int, s_factored, rng: random.Random) -> UnityRoot:
         zeta = field.gen()
 
     _verify_primitive(field, zeta, s)
-    return UnityRoot(p=p, s=s.value, modulus=tuple(field.modulus), field=field, zeta=zeta)
+    return UnityRoot(s=s.value, field=field)
 
 
 def _verify_primitive(field, zeta, s: FactoredOrder):

@@ -298,6 +298,34 @@ def test_huge_precision_is_refused_at_once(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_residues_past_the_interpreters_digit_limit(tmp_path, capsys):
+    # 3^1400 has 668 digits, past a digit limit of 640 on CPython's int <-> str conversions: mul, dft, idft and root
+    # write the same bytes under it as under the default limit, which each command leaves as it was
+    rng = random.Random(5)
+    src = tmp_path / "a.poly"
+    write_poly(src, PolyData(3, 1400, 0, [rng.randrange(3**1400) for _ in range(3)]))
+
+    def outputs(out):
+        out.mkdir()
+        codes = [run(capsys, *map(str, argv))[0] for argv in (
+            ("mul", src, src, "-o", out / "mul.poly"),
+            ("dft", "-i", src, "-o", out / "dft.evals", "-s", 4),
+            ("idft", "-i", tmp_path / "default" / "dft.evals", "-o", out / "idft.poly", "-p", 3, "-K", 1400))]
+        code, text, _ = run(capsys, "root", "-p", "3", "-s", "2", "-K", "1400")
+        (out / "root.txt").write_text(text)
+        return codes + [code], {path.name: path.read_bytes() for path in out.iterdir()}
+
+    want = outputs(tmp_path / "default")
+    assert want[0] == [0] * 4 and want[1]["idft.poly"] == src.read_bytes()
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert outputs(tmp_path / "low") == want
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_exit_code_internal(tmp_path, capsys):
     # an evaluation vector that is not the transform of any polynomial file
     evals = tmp_path / "fake.evals"

@@ -1028,7 +1028,7 @@ def test_validation():
     for p, K, s, exponents in ((7, 16, 48, (2, 3)), (19, 32, 40, (2, 5))):
         base = build_pipeline(p, K, s=s, seed=2).plan
         for e in exponents:
-            lift = LiftResult(base.ring, ring_pow(base.root, e), K, steps=0, base_mults=0)
+            lift = LiftResult(base.ring, ring_pow(base.root, e), steps=0, base_mults=0)
             with pytest.raises(RootNotPrimitive, match=f"root order divides {s}/{e}$"):
                 make_plan(s, lift, K)
     # arrays come from outside: shape, type and range are checked on both backends

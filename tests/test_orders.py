@@ -167,3 +167,9 @@ def test_tower_step_degree_closed_form_odd_p0():
                 for v in range(2, ell + 3):
                     want = 1 if v <= ell else p0
                     assert tower_step_degree(p, a, p0, v) == want
+
+
+def test_factored_order_of_a_factored_order_is_itself():
+    fo = FactoredOrder.of(12584)
+    assert FactoredOrder.of(fo) is fo
+    assert FactoredOrder.of(12584) == fo

@@ -1,7 +1,15 @@
+import dataclasses
+import math
+
 import pytest
 
 from padicfft.errors import BadInput, PreconditionError
-from padicfft.pipeline import build_pipeline, precision_steps
+from padicfft.fft import FFTPlan
+from padicfft.lifting import LiftResult
+from padicfft.orders import multiplicative_order
+from padicfft.pipeline import PipelineResult, build_pipeline, precision_steps
+from padicfft.planner import PlannerResult
+from padicfft.tower import UnityRoot
 
 
 def test_precision_steps():
@@ -82,3 +90,43 @@ def test_one_irreducibility_test_per_pipeline(monkeypatch):
         degrees.clear()
         assert build_pipeline(p, K, **size).d == d
         assert degrees == [d]
+
+
+@pytest.mark.parametrize("p, K, size", [(3, 32, {"N": 100}), (7, 32, {"s": 48})])  # int64 and object backends
+def test_results_store_each_fact_once(p, K, size):
+    pipe = build_pipeline(p, K, **size)
+    s = size.get("s", 104)
+    assert (pipe.p, pipe.K, pipe.s, pipe.d) == (p, K, s, multiplicative_order(p, s))
+    assert pipe.s_factored is pipe.plan.s_factored
+    planned = pipe.planner_result
+    if planned is not None:
+        assert (planned.p, planned.N, planned.s) == (p, size["N"], s)
+        assert planned.predicted_mults == planned.d**2 * s * sum(v * q for q, v in planned.s_factored.factors)
+        assert planned.d_matches_prime_product and planned.d == math.prod([2, 3][: planned.r])
+    tower, lift, plan = pipe.tower, pipe.lift, pipe.plan
+    assert (tower.p, tower.s, tower.degree) == (p, s, pipe.d)
+    assert tower.modulus == lift.ring.modulus  # the lift runs on fbar itself read as integers
+    assert tower.zeta == tower.field.gen() and tower.base_counter is tower.field.base.counter
+    assert lift.precision == 2**lift.steps == lift.ring.ctx.K
+    assert plan.radices == tuple(plan.s_factored.radix_schedule()) and plan.s == s
+    stored = {
+        PlannerResult: ("p", "N", "r", "s_factored", "d"),
+        UnityRoot: ("s", "field"),
+        LiftResult: ("ring", "root", "steps", "base_mults"),
+        PipelineResult: ("planner_result", "tower", "lift", "plan"),
+        FFTPlan: ("s_factored", "ring", "root", "dtype", "factors", "basis", "basis_inv", "stages", "inverse_stages",
+                  "index_maps"),
+    }
+    for cls, names in stored.items():
+        assert tuple(f.name for f in dataclasses.fields(cls)) == names
+    # a derived attribute is no argument: it cannot be passed out of step with the fields it is read from
+    with pytest.raises(TypeError):
+        PlannerResult(p=3, N=100, r=2, s_factored=pipe.s_factored, d=6, s=105)
+    with pytest.raises(TypeError):
+        UnityRoot(s=s, field=tower.field, modulus=tower.modulus)
+    with pytest.raises(TypeError):
+        LiftResult(lift.ring, lift.root, steps=lift.steps, base_mults=0, precision=lift.precision)
+    with pytest.raises(TypeError):
+        PipelineResult(planned, tower, lift, plan, p=p)
+    with pytest.raises(TypeError):
+        dataclasses.replace(plan, s=s)

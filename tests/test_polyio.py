@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from padicfft.polyio import (
     read_evals_text,
     read_poly,
     read_poly_text,
+    residue_digits,
     write_evals,
     write_evals_text,
     write_poly,
@@ -98,6 +101,29 @@ def test_file_round_trip(tmp_path):
     evals = tmp_path / "f.evals"
     write_evals(evals, EvalData(2, 2, 0, [(0, 1), (2, 3)]))
     assert read_evals(evals) == EvalData(2, 2, 0, [(0, 1), (2, 3)])
+
+
+def test_residues_past_the_interpreters_digit_limit():
+    # CPython converts at most sys.get_int_max_str_digits() digits between int and str; 3^1400 - 1 has 668, past a
+    # limit of 640, and reads and writes to the same bytes as under the default limit, which is left as it was
+    big = 3**1400 - 1
+    poly, evals = PolyData(3, 1400, -1, [big, 1]), EvalData(2, 1, 0, [(big,), (2,)])
+    poly_text, evals_text = write_poly_text(poly), write_evals_text(evals)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert (write_poly_text(poly), write_evals_text(evals)) == (poly_text, evals_text)
+        assert read_poly_text(poly_text) == poly
+        assert read_evals_text(evals_text, residue_digits(3, 1400)) == evals
+        # a number longer than any residue mod p^K is refused before int() sees it
+        with pytest.raises(FileFormatError, match="more than the 479 digits"):
+            read_evals_text(evals_text, residue_digits(3, 1000))
+        with pytest.raises(FileFormatError, match="more than the 2 digits"):
+            read_poly_text("3 2\n0\n0001\n")
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert residue_digits(3, 1400) == 669 and len(str(big)) == 668
 
 
 # numbers a reader takes, small or wide, or short text that it may not take
