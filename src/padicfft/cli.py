@@ -193,11 +193,13 @@ def _cmd_mul(args) -> int:
         raise FileFormatError(f"input headers disagree: {a.p} {a.K} vs {b.p} {b.K}")
     p = args.p if args.p is not None else a.p
     K = args.K if args.K is not None else a.K
+    exp = a.exp + b.exp
+    polyio.check_exponent(exp)  # refused before the product: its file must read back
     plan = None
     if args.s is not None or args.N is not None:
         plan = build_pipeline(p, K, s=_length_for(args, p, K), seed=args.seed).plan
     coeffs = poly_multiply(a.coeffs, b.coeffs, p, K, plan=plan, seed=args.seed)
-    polyio.write_poly(args.output, polyio.PolyData(p=p, K=K, exp=a.exp + b.exp, coeffs=coeffs))
+    polyio.write_poly(args.output, polyio.PolyData(p=p, K=K, exp=exp, coeffs=coeffs))
     return 0
 
 

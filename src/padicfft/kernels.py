@@ -37,12 +37,32 @@ multiplication_maps turns fixed elements of (Z/m)[X]/F into the d x d
 matrices of their ring products, so a batch of products is one matmul_mod;
 power_table doubles on them, one stacked block_matmul_mod per doubling.
 ring_mul_batch reduces mod F by the map of X^d, prepared once per (F, m).
+
+Scratch. Every temporary that lives only within one digit tile comes from
+this thread's scratch (_temporary), a threading.local of grow-only buffers,
+one per role: _recut's limbs, digit plane and high part; the classes
+product; _reduce's quotient q, its int64 and float64 pieces and both
+residual rows; _carry's carry row. Each thread has its own, so concurrent
+callers never share a buffer, and a role's pages are faulted in once per
+thread rather than once per tile. A view of the scratch is valid only until
+the next kernel call on its thread, so no kernel returns one: _folded_matmul
+and _add_mod copy _reduce's digits into their out. Bound: a tile's limbs
+and classes hold at most U = max(2 TILE, R) elements, R its widest block
+row (La Jt n or Lb Ct k for Jt x Ct blocks of n x k maps), the plane and
+high part at most U each, and _reduce's and _carry's roles, on the U / Lb
+columns of the classes, at most 12 U together; so one thread's scratch
+holds at most 16 U float64s, 16 MiB whatever s while R <= 2 TILE (a
+transform stage's R is Lb r D at most, for radix r and subring degree D:
+342 at 7^32, s = 2736). _map_block's gathered block is bounded by the stage's
+maps rather than by TILE, so it stays a fresh array, as do the int64 rows'
+temporaries.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -96,6 +116,26 @@ class _Radix(NamedTuple):
     high: np.ndarray  # (pieces,) int64: piece a's product with m above digit Lb - 1, wrapped
     top: int  # lowest digit the second quotient reads
     top_weights: np.ndarray  # B^j / m for the digits from top to Lb
+
+
+class _Scratch(threading.local):
+    """This thread's grow-only buffers, one per temporary role of a digit tile (see the module docstring)."""
+
+    def __init__(self):
+        self.buffers = {}
+
+
+_scratch = _Scratch()
+
+
+def _temporary(role: str, shape, dtype=np.float64):
+    """An uninitialised array of shape and dtype on this thread's buffer for role, grown to the largest request and
+    kept; it is valid until the next request for role, so no array a kernel returns may be one."""
+    need = math.prod(shape) * np.dtype(dtype).itemsize
+    buffer = _scratch.buffers.get(role)
+    if buffer is None or buffer.nbytes < need:
+        buffer = _scratch.buffers[role] = np.empty(need, dtype=np.uint8)
+    return buffer[:need].view(dtype).reshape(shape)
 
 
 def supports_modulus(m: int) -> bool:
@@ -314,24 +354,29 @@ def fold(b, m: int, La: int):
 def _recut(digits, m: int, La: int):
     """float64 (..., La, n, rows) for digits (..., rows, n, Lb) mod m: La limbs of width _width(m, La), lowest first.
 
-    A digit that straddles two limbs is split there in float64, exactly: its part above the cut is a floor.
+    A digit that straddles two limbs is split there in float64, exactly: its part above the cut is a floor. The
+    limbs are a view of this thread's scratch.
     """
     Lb = digits.shape[-1]
     w, wa = _width(m, Lb), _width(m, La)
-    planes = np.ascontiguousarray(np.moveaxis(digits, (-1, -3), (-3, -1)), dtype=np.float64)
+    planes = np.moveaxis(digits, (-1, -3), (-3, -1))
+    out = _temporary("limbs", planes.shape[:-3] + (La,) + planes.shape[-2:])
     if La == Lb:
-        return planes
-    out = np.empty(planes.shape[:-3] + (La,) + planes.shape[-2:])
+        out[...] = planes
+        return out
+    d, high = (_temporary(role, planes.shape[:-3] + planes.shape[-2:]) for role in ("plane", "high"))
     filled = [False] * La
     for j in range(Lb):
-        d = planes[..., j, :, :]
+        d[...] = planes[..., j, :, :]
         i, cut = w * j // wa, wa * (w * j // wa + 1) - w * j  # the digit's low limb and its bits below that limb's top
-        parts = [(i, d)]
+        parts, scale = [(i, d)], 2.0 ** (w * j - wa * i)
         if cut < w and i + 1 < La:  # above the top limb a residue's bits are 0
-            high = np.floor(d * 2.0**-cut)
-            d -= high * 2.0**cut
+            d *= 2.0**-cut  # powers of two scale exactly: the digit's part above the cut is the floor, its rest below
+            np.floor(d, out=high)
+            d -= high
+            scale *= 2.0**cut
             parts.append((i + 1, high))
-        d *= 2.0 ** (w * j - wa * i)
+        d *= scale
         for limb, part in parts:
             if filled[limb]:
                 out[..., limb, :, :] += part
@@ -424,9 +469,11 @@ def _folded_matmul(a, folded, m: int, out):
         raise OutOfRange(f"contraction length {n} with {La} limbs exceeds the float64 bound")
     if a.dtype.kind == "V":
         # the transposed product leaves each weight class contiguous
+        maps = folded.reshape(folded.shape[:-4] + (La * n, Lb * k)).swapaxes(-1, -2)
         limbs = _recut(a["digits"], m, La)
-        classes = (folded.reshape(folded.shape[:-4] + (La * n, Lb * k)).swapaxes(-1, -2)
-                   @ limbs.reshape(limbs.shape[:-3] + (La * n, -1)))
+        limbs = limbs.reshape(limbs.shape[:-3] + (La * n, -1))
+        shape = np.broadcast_shapes(maps.shape[:-2], limbs.shape[:-2]) + (Lb * k, limbs.shape[-1])
+        classes = np.matmul(maps, limbs, out=_temporary("classes", shape))
         bound = La * n << _width(m, La) + _width(m, Lb)
         digits = _reduce(classes.reshape(classes.shape[:-2] + (Lb, -1)), m, bound)
         out["digits"].swapaxes(-1, -3)[...] = digits.reshape(digits.shape[:-1] + (k, -1))
@@ -483,21 +530,28 @@ def _reduce(c, m: int, bound: int):
     floor((V - q m) / m) or one below. Either way V - q m (formed digit by digit: q in pieces of h bits, whose
     products with m's digits are exact in float64, the part above digit Lb - 1 in wrapping int64) or
     V - (q + k) m lies in [0, 2m): it and the same less m are carried together, with signed carries, and the one
-    in [0, m) is kept.
+    in [0, m) is kept. The digits are a view of this thread's scratch.
     """
     z = _radix(m)
     Lb = len(z.digits) - 1
     near = _near(m, bound)
-    q = z.weights @ c
+    row = c.shape[:-2] + c.shape[-1:]
+    q = np.matmul(z.weights, c, out=_temporary("q", row))
     if near:
         q -= 0.25
-    pieces = np.maximum(np.floor(q, out=q), 0, out=q).astype(np.int64)[..., None, :] >> z.shifts[:, None]
+    np.maximum(np.floor(q, out=q), 0, out=q)
+    whole = _temporary("whole q", row, np.int64)
+    whole[...] = q
+    pieces = _temporary("pieces", row[:-1] + (len(z.shifts),) + row[-1:], np.int64)
+    np.right_shift(whole[..., None, :], z.shifts[:, None], out=pieces)
     pieces &= (1 << z.h) - 1
-    both = np.empty((2,) + c.shape[:-2] + (Lb + 1, c.shape[-1]), dtype=np.int64)
-    c -= np.matmul(z.low, pieces.astype(np.float64), out=both[1, ..., :Lb, :].view(np.float64))
+    both = _temporary("both", (2,) + c.shape[:-2] + (Lb + 1, c.shape[-1]), np.int64)
+    float_pieces = _temporary("float pieces", pieces.shape)
+    float_pieces[...] = pieces
+    c -= np.matmul(z.low, float_pieces, out=both[1, ..., :Lb, :].view(np.float64))
     r = both[0]
     r[..., :Lb, :] = c
-    r[..., Lb, :] = -(z.high @ pieces)
+    np.negative(np.matmul(z.high, pieces, out=r[..., Lb, :]), out=r[..., Lb, :])
     if not near:
         _carry(r, z.w)
         k = np.floor(z.top_weights @ r[..., z.top :, :].astype(np.float64) - 2.0**-10).astype(np.int64)
@@ -519,7 +573,7 @@ def _near(m: int, bound: int) -> bool:
 
 def _carry(r, w: int):
     """Carry r (..., L, N) in place into digits of w bits, lowest first, the top row keeping the signed rest."""
-    carry = np.empty(r.shape[:-2] + r.shape[-1:], dtype=np.int64)
+    carry = _temporary("carry", r.shape[:-2] + r.shape[-1:], np.int64)
     for j in range(r.shape[-2] - 1):
         np.right_shift(r[..., j, :], w, out=carry)
         r[..., j, :] &= (1 << w) - 1

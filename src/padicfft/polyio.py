@@ -17,7 +17,8 @@ writers convert under int_digits, which raises that limit only as far as
 residue_digits(p, K) and restores it after; a reader given p^K refuses a
 longer number before converting it. The polynomial reader takes p and K from
 the header, the evaluation reader from its caller, and the evaluation writer
-the digits from its largest coordinate.
+the digits from its largest coordinate. The exponent line converts under the
+interpreter's limit as it stands; check_exponent refuses an exponent past it.
 """
 
 from __future__ import annotations
@@ -77,13 +78,26 @@ def residue_digits(p: int, K: int) -> int:
     return math.ceil(K * math.log10(p)) + 1
 
 
+def _digit_limit() -> int:
+    """The interpreter's limit on the digits of an int <-> str conversion; 0 for none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def check_exponent(exp: int):
+    """Refuse an exponent that no reader takes back: one with more digits than the interpreter's limit, under which
+    readers convert the exponent line."""
+    limit = _digit_limit()
+    if limit and abs(exp) >= 10**limit:
+        raise FileFormatError(f"exponent has more than the {limit} digits an exponent line may hold")
+
+
 @contextlib.contextmanager
 def int_digits(n: int | None):
     """Let int and str convert numbers of up to n digits inside the block (n None: as they are).
 
     The limit is the interpreter's, so a thread that converts meanwhile sees it raised, and may see it restored.
     """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: the interpreter has no limit
+    limit = _digit_limit()
     if n is None or not limit or n <= limit:
         yield
         return

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 import padicfft
 from padicfft.cli import main
 from padicfft.polyio import PolyData, read_poly, write_poly
+from padicfft.selftest import CRITERIA
 
 
 def run(capsys, *argv):
@@ -61,6 +63,29 @@ def test_mul_example(tmp_path, capsys):
     code, _, _ = run(capsys, "mul", str(a), str(a), "-o", str(out_path))
     assert code == 0
     assert out_path.read_text() == "3 4\n0\n1\n2\n1\n"
+
+
+def test_mul_refuses_an_exponent_no_reader_takes(tmp_path, capsys):
+    # the exponent line converts under the interpreter's digit limit: two exponents of as many digits as it allows
+    # sum past it, and mul refuses them with one stderr line and no output file; a sum within it writes a file that
+    # mul and dft read back
+    limit = sys.get_int_max_str_digits()
+    out = tmp_path / "o.poly"
+    for exp, want in ((9 * 10 ** (limit - 1), 2), (4 * 10 ** (limit - 1), 0), (-9 * 10 ** (limit - 1), 2)):
+        src = tmp_path / "e.poly"
+        write_poly(src, PolyData(3, 4, exp, [1, 2]))
+        code, _, err = run(capsys, "mul", str(src), str(src), "-o", str(out))
+        assert code == want
+        if code:
+            assert len(err.splitlines()) == 1 and err.startswith("error usage FileFormatError") and not out.exists()
+            continue
+        assert read_poly(out).exp == 2 * exp
+        one = tmp_path / "one.poly"
+        write_poly(one, PolyData(3, 4, 0, [1]))
+        for argv in (("mul", out, one, "-o", tmp_path / "again.poly"), ("dft", "-i", out, "-o", tmp_path / "o.evals")):
+            assert run(capsys, *map(str, argv))[0] == 0
+        assert read_poly(tmp_path / "again.poly") == read_poly(out)
+        out.unlink()
 
 
 def test_mul_with_a_given_length_matches_the_default(tmp_path, capsys):
@@ -202,20 +227,27 @@ def test_exit_code_precondition(capsys):
     assert code == 3 and out == "" and len(err.splitlines()) == 1 and err.startswith("error precondition BadInput")
 
 
+def _exit_contract(capsys, argv):
+    """main's exit code and stdout on argv, checked against the contract: exit 0, 2, 3 or 4, and one stderr line
+    when nonzero."""
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert len(err.splitlines()) == 1 and err.startswith("error ") and "Traceback" not in err
+    return code, out
+
+
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.sampled_from(["root", "plan"]), st.integers(-1, 13), st.integers(-1, 21), st.integers(-1, 4))
 def test_root_and_plan_keep_the_exit_contract(capsys, command, p, size, K):
     # small p, s (root) or N (plan) and K, with s <= 21 so that each tower is quick: every input ends in exit 0, 2, 3
     # or 4, and a nonzero exit prints exactly one stderr line; an exception that escapes main fails the test
-    capsys.readouterr()
-    try:
-        code = main([command, "-p", str(p), "-s" if command == "root" else "-N", str(size), "-K", str(K)])
-    except SystemExit as exc:  # argparse's usage errors
-        code = exc.code
-    err = capsys.readouterr().err
-    assert code in (0, 2, 3, 4)
-    if code:
-        assert len(err.splitlines()) == 1 and err.startswith("error ") and "Traceback" not in err
+    _exit_contract(capsys, [command, "-p", str(p), "-s" if command == "root" else "-N", str(size), "-K", str(K)])
 
 
 @settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -253,15 +285,35 @@ def test_file_commands_keep_the_exit_contract(tmp_path, capsys, data):
                                   max_size=max(0, lines)))
         (tmp_path / "e.evals").write_text("".join(f"{x}\n" for x in [f"{s} {d}", 0, *body]))
         argv = ["idft", "-i", str(tmp_path / "e.evals"), "-o", out, "-p", str(p), "-K", str(K)]
-    capsys.readouterr()
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse's usage errors
-        code = exc.code
-    err = capsys.readouterr().err
-    assert code in (0, 2, 3, 4)
-    if code:
-        assert len(err.splitlines()) == 1 and err.startswith("error ") and "Traceback" not in err
+    _exit_contract(capsys, argv)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(st.integers(-3, 40), st.sampled_from([97, 1009, 2**31 - 1])),
+       st.lists(st.one_of(st.integers(-2, 10**5), st.sampled_from([10**9, 10**12])), max_size=4),
+       st.integers(-2, 10**6))
+def test_bench_keeps_the_exit_contract(capsys, p, sizes, K):
+    # bench --no-measure plans only, whatever K: p primes and not, N lists empty, nonpositive or large; every input
+    # ends in exit 0, 2 or 3 with one stderr line when nonzero, and a zero exit prints one CSV row per N
+    code, out = _exit_contract(capsys, ["bench", "-p", str(p), "-K", str(K), "--no-measure",
+                                        *(["-N", *map(str, sizes)] if sizes else [])])
+    assert code in (0, 2, 3)
+    if not code:
+        assert len(out.splitlines()) == 1 + (len(sizes) or 3)  # the header, then the default N list's 3 rows
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.text(st.sampled_from("0123456789,+- "), max_size=8))
+def test_selftest_only_keeps_the_exit_contract(capsys, monkeypatch, only):
+    # --only parsing, with run_selftest replaced by one that passes without running a criterion: a list of criterion
+    # numbers reaches it as their set and exits 0, anything else exits 2 with one `error usage` line
+    ran = []
+    passed = [SimpleNamespace(passed=True)]
+    monkeypatch.setattr("padicfft.cli.run_selftest", lambda numbers: ran.append(numbers) or passed)
+    code, _ = _exit_contract(capsys, ["selftest", "--only", only])
+    parts = only.split(",")
+    valid = all(part.strip().isdigit() and 1 <= int(part) <= len(CRITERIA) for part in parts)
+    assert (code, ran) == ((0, [{int(part) for part in parts}]) if valid else (2, []))
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])

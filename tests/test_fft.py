@@ -4,6 +4,8 @@ import hashlib
 import itertools
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -530,6 +532,42 @@ def test_object_transform_crosses_once(monkeypatch):
     for j in (1, 7, plan.s - 1):
         assert tuple(evals[j].tolist()) == horner(x, ring_pow(plan.root, j)).coeffs
     assert np.array_equal(run(idft, evals), xa)
+
+
+def test_threads_sharing_plans_match_serial_runs():
+    # FFTPlan serves concurrent calls: two threads, started together, each run dft, idft and cyclic_convolution on a
+    # shared 7^32 plan (digit rows, whose tile temporaries come from each thread's own scratch) and a shared 3^32
+    # plan (int64 rows), on inputs of their own, and every output is bit-identical to the same call run alone
+    plans = [build_pipeline(7, 32, s=2736, seed=2).plan, build_pipeline(3, 32, s=1144, seed=2).plan]
+    rng = random.Random(29)
+    inputs = [[np.array([[rng.randrange(plan.ring.ctx.pK) for _ in range(plan.ring.degree)] for _ in range(plan.s)],
+                        dtype=plan.dtype) for _ in range(3)] for plan in plans]
+
+    def calls(thread):
+        for plan, (x, y, z) in zip(plans, inputs):
+            x, y = (x, y) if thread else (y, z)
+            yield from ((dft, (x, plan)), (idft, (y, plan)), (cyclic_convolution, (x, y, plan)))
+
+    want = [[op(*args).tolist() for op, args in calls(thread)] for thread in range(2)]
+    got, start = [[], []], threading.Barrier(2)
+
+    def run(thread):
+        start.wait()
+        for _ in range(2):
+            got[thread].append([op(*args).tolist() for op, args in calls(thread)])
+
+    workers = [threading.Thread(target=run, args=(thread,)) for thread in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # the threads trade the interpreter between kernel calls far more often
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert got == [[want[0]] * 2, [want[1]] * 2]
 
 
 @pytest.mark.parametrize("p,K,s,stages", [

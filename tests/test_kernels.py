@@ -1,7 +1,9 @@
 """Differential tests for the vectorized mod-m kernels against int arithmetic."""
 
 import itertools
+import mmap
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from padicfft import kernels
 from padicfft.errors import OutOfRange
+from padicfft.fft import dft, idft
 from padicfft.kernels import (
     MODULUS_BITS,
     MODULUS_LIMIT,
@@ -32,6 +35,7 @@ from padicfft.kernels import (
     to_digits,
 )
 from padicfft.padic import PadicContext, RingExtension, ring_mul, ring_pow
+from padicfft.pipeline import build_pipeline
 
 MODULI = [3, 19, 2**51, 2**51 - 1, 3**32, 5**21, 7**18, 2**51 - 33]
 
@@ -562,3 +566,56 @@ def test_reduce_second_quotient():
         width = -(-(m - 1).bit_length() // Lb)
         got = [sum(int(digits[j, u]) << (width * j) for j in range(Lb)) for u in range(c.shape[1])]
         assert got == [sum(int(c[j, u]) << (width * j) for j in range(Lb)) % m for u in range(c.shape[1])]
+
+
+def _digit_vector(plan, seed):
+    rng = random.Random(seed)
+    m = plan.ring.ctx.pK
+    return np.array([[rng.randrange(m) for _ in range(plan.ring.degree)] for _ in range(plan.s)], dtype=object)
+
+
+def test_warm_digit_transforms_fault_in_no_temporaries():
+    # every temporary of a digit tile comes from this thread's scratch, so once warm, ten 7^32 s=2736 dfts fault in
+    # almost no fresh pages (about 34,000 when each tile allocated its own); counted around the calls only
+    resource = pytest.importorskip("resource")
+
+    def faults():
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+    probe = mmap.mmap(-1, 256 * mmap.PAGESIZE)
+    before = faults()
+    for i in range(0, len(probe), mmap.PAGESIZE):
+        probe[i] = 1
+    counted = faults() - before >= 128
+    probe.close()
+    if not counted:
+        pytest.skip("this platform does not count minor page faults")
+    plan = build_pipeline(7, 32, s=2736, seed=2).plan
+    x = _digit_vector(plan, 32)
+    for _ in range(3):
+        dft(x, plan)
+    before = faults()
+    for _ in range(10):
+        dft(x, plan)
+    assert faults() - before < 1000
+
+
+def test_scratch_stays_within_its_bound():
+    # the module docstring's bound, 16 arrays of 2 TILE float64s while no block row of a tile exceeds 2 TILE
+    # elements, holds on a fresh thread's scratch after digit transforms at two plan sizes; the smaller plan reuses
+    # the larger one's buffers and grows none
+    plans = [build_pipeline(7, 32, s=s, seed=2).plan for s in (2736, 456)]
+    inputs = [_digit_vector(plan, 7) for plan in plans]
+    seen = []
+
+    def run():
+        for plan, x in zip(plans, inputs):
+            idft(dft(x, plan), plan)
+            seen.append({role: buffer.nbytes for role, buffer in kernels._scratch.buffers.items()})
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive() and len(seen) == 2
+    assert seen[0] and seen[1] == seen[0]
+    assert sum(seen[0].values()) <= 16 * 2 * kernels.TILE * 8
