@@ -15,20 +15,20 @@ has t > 1: s = 2736 = 2^4 3^2 19 at d = 6 runs stages 16, 9 and 19 all at
 t = 1, and s = 12584 = 2^3 11^2 13 at d = 30 runs 8, 11, 11 and 13, the
 second 11 at t = 11.
 There is one direction: idft(X)[n] = s^(-1) dft(X)[-n mod s], so idft runs
-the forward schedule on its input read at -k mod s, its first stage's maps
-times s^(-1), which scales its output.
+the forward schedule on its input gathered at -gather mod s, its first
+stage's maps times s^(-1), which scales its output.
 
-Each axis runs over its own Galois subring: zeta_g lies in GR(p^K, d_g)
-inside A = GR(p^K, d), d_g = ord_g(p) (see subring_axes). Axes whose d_g
-share a prime join one tensor factor of degree D = lcm d_g; the degrees are
-pairwise coprime with product d, so the products of each factor's powers
-zeta_G^e, e < D, G its axes' product, are a basis of A, the rows of the
-plan's matrix P. In it a product by zeta_g^j is a D x D map on its factor's
-coordinates, the other factors' being extra rows: at s = 12584 the factors
-8, 121 and 13 have degrees 2, 5 and 3 against d = 30. P^-1 enters the basis
-at the first stage and P leaves it at the last, folded into the end stage's
-maps or, where those would be far wider (see basis_routes), as a radix-1
-stage of one d x d map; a plan of one factor keeps X coordinates and d x d maps.
+Each axis runs over its own Galois subring: zeta_g lies in GR(p^K, d_g) inside
+A = GR(p^K, d), d_g = ord_g(p) (see subring_axes). Axes whose d_g share a
+prime join one tensor factor of degree D = lcm d_g; the degrees are pairwise
+coprime with product d, so the products of each factor's powers zeta_G^e,
+e < D, G its axes' product, are a basis of A, the rows of a matrix P that
+only make_plan holds. In it a product by zeta_g^j is a D x D map on its factor's
+coordinates, the other factors' being extra rows: at s = 12584 the factors 8,
+121 and 13 have degrees 2, 5 and 3 against d = 30. P^-1 enters the basis at
+the first stage and P leaves it at the last, folded into the end stage's maps
+or, where those would be far wider (see basis_routes), as a radix-1 stage of
+one d x d map; a plan of one factor keeps X coordinates and d x d maps.
 
 Every product inside a stage runs on kernels.block_matmul_mod, the one
 exact float64 product, which owns the limb format and the tiling. make_plan
@@ -94,10 +94,10 @@ from .orders import FactoredOrder, multiplicative_order
 from .padic import PadicContext, RingElement, RingExtension, ring_mul, ring_pow
 from .planner import choose_parameters, predicted_mults
 
-# Bytes of the plans poly_multiply keeps (FFTPlan.nbytes: stage maps, their folds and block indices, P, P^-1 and the
-# index maps), the least recently used dropped first. The 29 plans of the divisors of 7^16's planner s = 2736 hold
-# 0.94 MB together, those of 7^32 1.9 MB, and the 23 of 3^32's s = 12584 5.1 MB (s' = 968 the largest, 0.80 MB), so
-# all stay; past that, a 3^32 plan on the axis 1093 = Phi_7(3) holds 6.7 MB (s' = 2186) to 8.8 MB (s' = 113672), so
+# Bytes of the plans poly_multiply keeps (FFTPlan.nbytes: stage maps, their folds and block indices, and the index
+# maps), the least recently used dropped first. The 29 plans of the divisors of 7^16's planner s = 2736 hold 0.93 MB
+# together, those of 7^32 1.9 MB, and the 23 of 3^32's s = 12584 5.1 MB (s' = 968 the largest, 0.80 MB), so all
+# stay; past that, a 3^32 plan on the axis 1093 = Phi_7(3) holds 6.7 MB (s' = 2186) to 8.8 MB (s' = 113672), so
 # one stays at a time, kept as the newest even where it alone is past the bound.
 PLAN_CACHE_BYTES = 8 << 20
 # Products per element an end stage may add by folding in the basis change, about what a pass of its own costs
@@ -132,17 +132,14 @@ class FFTPlan:
     concurrent calls on distinct buffers. Only ring.counter changes: every
     transform on the plan adds its modelled multiplications there, including
     those of other callers of a plan poly_multiply shares from its cache.
-    The fields are what make_plan built or chose; s and radices, the
-    model's prime schedule, are read off s_factored, and p and K off ring.
+    The fields are what dft and idft read; s and radices, the model's prime
+    schedule, are read off s_factored, and p and K off ring.
     """
 
     s_factored: FactoredOrder
     ring: RingExtension
     root: object
     dtype: np.dtype  # the transform's backend: int64, or object for Python ints
-    factors: tuple  # (axes, D) per tensor factor: its prime powers g of s and its degree
-    basis: np.ndarray  # P, (d, d): row i is tensor basis element i in X coordinates
-    basis_inv: np.ndarray  # P^-1 mod p^K
     stages: tuple  # Stage per stage, in the order they run
     inverse_stages: tuple  # the stages idft runs: the first one's maps times s^-1
     index_maps: tuple  # (gather, scatter), the Good-Thomas input and output permutations (see _index_maps)
@@ -154,10 +151,10 @@ class FFTPlan:
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the plan's arrays: its stages' maps, folds and block indices, P, P^-1 and the index maps."""
+        """Bytes of the plan's arrays: its stages' maps, folds and block indices, and the index maps."""
         stages = (*self.stages, *self.inverse_stages)  # idft's share all maps but its first stage's with dft's
         prepared = {id(stage.maps): stage.maps for stage in stages}
-        arrays = (self.basis, self.basis_inv, *self.index_maps, *(stage.index for stage in self.stages))
+        arrays = (*self.index_maps, *(stage.index for stage in self.stages))
         return sum(x.nbytes for x in prepared.values()) + sum(a.nbytes for a in arrays)
 
 
@@ -232,9 +229,6 @@ def make_plan(s, lift, K: int) -> FFTPlan:
         ring=ring,
         root=root,
         dtype=dtype,
-        factors=factors,
-        basis=basis,
-        basis_inv=basis_inv,
         stages=stages,
         inverse_stages=(_scaled(stages[0], inv_s, m), *stages[1:]) if stages else (),
         index_maps=index_maps,
@@ -373,6 +367,8 @@ def _to_array(values, plan: FFTPlan):
             raise BadInput(f"entry {v!r} is not a ring element")
         if v.parent is not plan.ring and not v.parent.same(plan.ring):
             raise ParentMismatch("element does not belong to the plan's ring")
+        if len(v.coeffs) != d:  # fromiter below reads the flat run of coefficients s d at a time
+            raise LengthMismatch(f"element has {len(v.coeffs)} coefficients, the plan's ring has {d}")
     coeffs = itertools.chain.from_iterable(v.coeffs for v in values)
     return np.fromiter(coeffs, dtype=plan.dtype, count=s * d).reshape(s, d)
 
@@ -389,24 +385,23 @@ def dft(coeffs, plan: FFTPlan):
     integer array of their coefficients in [0, p^K), giving an array of
     plan.dtype.
     """
-    out = _transform(_to_array(coeffs, plan), plan, plan.stages)
+    out = _transform(_to_array(coeffs, plan), plan, plan.stages, plan.index_maps[0])
     return out if isinstance(coeffs, np.ndarray) else _to_elements(out, plan)
 
 
 def idft(evals, plan: FFTPlan):
     """Exact inverse of dft: coefficients from evaluations, in the form of evals."""
-    ring = plan.ring
-    out = _transform(_to_array(evals, plan)[-np.arange(plan.s) % plan.s], plan, plan.inverse_stages)
-    ring.counter.add(plan.s * ring.degree)  # scaling by s^-1, d multiplications per element
+    out = _transform(_to_array(evals, plan), plan, plan.inverse_stages, -plan.index_maps[0] % plan.s)
+    plan.ring.counter.add(plan.s * plan.ring.degree)  # scaling by s^-1, d multiplications per element
     return out if isinstance(evals, np.ndarray) else _to_elements(out, plan)
 
 
-def _transform(arr, plan: FFTPlan, stages):
+def _transform(arr, plan: FFTPlan, stages, gather):
+    """stages run on the rows arr[gather], the one copy of arr; the output is written in CRT order."""
     s = plan.s
     ring = plan.ring
     m = ring.ctx.pK
     d = ring.degree
-    gather, scatter = plan.index_maps
     arr = kernels.to_digits(arr[gather], m)
     for stage in stages:
         blocks, r, t, post = stage.shape
@@ -420,7 +415,7 @@ def _transform(arr, plan: FFTPlan, stages):
         del rows
         arr = arr.reshape(t, blocks, post, a, b, r, D).transpose(1, 5, 0, 2, 3, 6, 4).reshape(s, d)
     out = np.empty_like(arr)
-    out[scatter] = arr
+    out[plan.index_maps[1]] = arr
     # the count models the paper's prime-radix stages, whatever radices ran: per stage the twiddle
     # products with exponent j*k1 != 0, then the schoolbook products with exponent j*k2 != 0
     t = 1

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -172,6 +173,42 @@ def test_dft_output_is_deterministic(tmp_path, capsys):
     assert run(capsys, "dft", "-i", str(src), "-o", str(one), "-N", "20")[0] == 0
     assert run(capsys, "dft", "-i", str(src), "-o", str(two), "-N", "20")[0] == 0
     assert one.read_bytes() == two.read_bytes()
+
+
+# The sha256 of every dft and mul output of test_output_bytes_are_pinned, its first 16 hex digits, as the
+# transform wrote them when the test was added.
+PINNED_OUTPUTS = {
+    "a16.36": "8f16fe2afc0564df", "a16.2736": "eb64899b70c164f4", "a16.planned": "3ec8f7d3aa4a96e3",
+    "a32.36": "d9b855f9683143d6", "a32.2736": "94d5405d7928aa9a", "one.24": "2d7f675fcd10fdda",
+    "c32.286": "e912efa381108dc6", "c40.286": "1fe606375429dcad",
+    "a16xb16": "d59bd12a19289bc1", "a32xb32": "6e59985151db5eb1", "onexone": "615acf19c9f68328",
+    "c32xc32": "39556cd72c0d5dd6", "c40xd40": "73ee9308f4be9573",
+}
+
+
+def test_output_bytes_are_pinned(tmp_path, capsys):
+    # dft, idft and mul on fixed files: the int64 (7^16) and digit (7^32, 3^40) backends, a plan of one tensor
+    # factor (5^8 s=24), split plans whose ends fold (7^k s=36, 7^16 s=2736) or pass (7^32 s=2736 both ends, 3^32
+    # and 3^40 s=286 the last), the planner's length, and products on the default divisor plans and on -s 286; every
+    # output's bytes are pinned and every idft gives back its dft's input file
+    rng = random.Random(30)
+    inputs = {"a16": (7, 16, 0, 30), "b16": (7, 16, -2, 45), "a32": (7, 32, 3, 33), "b32": (7, 32, 0, 25),
+              "one": (5, 8, -1, 20), "c32": (3, 32, 0, 200), "c40": (3, 40, 1, 100), "d40": (3, 40, -3, 70)}
+    for name, (p, K, exp, n) in inputs.items():
+        write_poly(tmp_path / name, PolyData(p, K, exp, [rng.randrange(p**K) for _ in range(n)]))
+    for name, s in (("a16", 36), ("a16", 2736), ("a16", None), ("a32", 36), ("a32", 2736), ("one", 24),
+                    ("c32", 286), ("c40", 286)):
+        evals, back = tmp_path / f"{name}.{s or 'planned'}", tmp_path / "back"
+        assert run(capsys, "dft", "-i", str(tmp_path / name), "-o", str(evals), *(("-s", str(s)) if s else ()))[0] == 0
+        p, K = inputs[name][:2]
+        assert run(capsys, "idft", "-i", str(evals), "-o", str(back), "-p", str(p), "-K", str(K))[0] == 0
+        assert back.read_bytes() == (tmp_path / name).read_bytes()
+    for a, b, flags in (("a16", "b16", ()), ("a32", "b32", ()), ("one", "one", ()), ("c32", "c32", ("-s", "286")),
+                        ("c40", "d40", ())):
+        argv = ("mul", tmp_path / a, tmp_path / b, "-o", tmp_path / f"{a}x{b}", *flags)
+        assert run(capsys, *map(str, argv))[0] == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()[:16] for name in PINNED_OUTPUTS}
+    assert digests == PINNED_OUTPUTS
 
 
 def test_dft_planner_default_uses_degree(tmp_path, capsys):

@@ -27,6 +27,8 @@ from padicfft.errors import (
 from padicfft.fft import (
     _fused_radices,
     _index_maps,
+    _inverse_mod,
+    _tensor_factors,
     basis_routes,
     cyclic_convolution,
     dft,
@@ -34,10 +36,11 @@ from padicfft.fft import (
     make_plan,
     naive_dft,
     poly_multiply,
+    subring_axes,
 )
 from padicfft.lifting import LiftResult, newton_lift_root
 from padicfft.orders import FactoredOrder, is_prime, multiplicative_order
-from padicfft.padic import RingExtension, ring_mul, ring_pow
+from padicfft.padic import RingElement, RingExtension, ring_mul, ring_pow
 from padicfft.pipeline import build_pipeline
 from padicfft.planner import choose_parameters
 
@@ -79,9 +82,25 @@ def horner(coeffs, point):
 
 
 def object_copy(plan):
-    """The plan on the object backend: its basis as Python ints, its stages' prepared maps shared with plan."""
-    return dataclasses.replace(plan, dtype=np.dtype(object), basis=plan.basis.astype(object),
-                               basis_inv=plan.basis_inv.astype(object))
+    """The plan on the object backend, its stages' prepared maps shared with plan."""
+    return dataclasses.replace(plan, dtype=np.dtype(object))
+
+
+def tensor_factors(plan):
+    """(axes, D) per tensor factor of the plan, as make_plan splits its ring."""
+    return _tensor_factors(subring_axes(plan.p, plan.s_factored), plan.ring.degree)
+
+
+def tensor_basis(plan):
+    """P as Python ints from ring_pow: row i is root^(sum e_i s/G_i), e_i < D_i in C order, in X coordinates, G_i the
+    product of factor i's axes; the identity for a plan of one factor."""
+    factors = tensor_factors(plan)
+    if len(factors) == 1:
+        return np.identity(plan.ring.degree, dtype=object)
+    exponents = np.zeros((), dtype=np.int64)
+    for gs, D in factors:
+        exponents = np.add.outer(exponents, plan.s // math.prod(gs) * np.arange(D))
+    return np.array([ring_pow(plan.root, int(e)).coeffs for e in exponents.ravel()], dtype=object)
 
 
 def block_products(monkeypatch):
@@ -294,7 +313,7 @@ def test_tiled_butterflies_match_untiled(monkeypatch, p, K, s):
         log.clear()
         rebuilt = make_plan(plan.s_factored, pipe.lift, K)
         folded = [math.prod(shape) for kind, shape, *_ in log if kind == "fold"]  # entries
-        assert np.array_equal(rebuilt.basis, plan.basis) and len(rebuilt.stages) == len(plan.stages)
+        assert len(rebuilt.stages) == len(plan.stages)
         for ours, theirs in zip(rebuilt.stages, plan.stages):
             assert np.array_equal(ours.maps.maps, theirs.maps.maps) and np.array_equal(ours.index, theirs.index)
             assert ours.maps.maps.size in folded
@@ -422,19 +441,14 @@ def test_subring_matches_naive(p, K, s, samples, factors):
     # s = 2736 and 12584, sampled ones against Horner, with the idft round trip, on each plan and its object copy
     plan = build_pipeline(p, K, s=s, seed=2).plan
     ring, m, d = plan.ring, plan.ring.ctx.pK, plan.ring.degree
-    assert plan.factors == factors
+    assert tensor_factors(plan) == factors
     degrees = [D for _, D in factors]
     assert all(D == math.lcm(*(multiplicative_order(p, g) for g in gs)) for gs, D in factors)
     assert all(math.gcd(a, b) == 1 for a, b in itertools.combinations(degrees, 2))
     assert math.prod(degrees) == d
-    if len(factors) > 1:  # rows alpha^(sum e_i s/G_i), e_i < D_i, in C order
-        exponents = np.zeros((), dtype=np.int64)
-        for gs, D in factors:
-            exponents = np.add.outer(exponents, s // math.prod(gs) * np.arange(D))
-        assert plan.basis.tolist() == [list(ring_pow(plan.root, int(e)).coeffs) for e in exponents.ravel()]
-    else:
-        assert np.array_equal(plan.basis, np.identity(d, dtype=plan.dtype))
-    assert ((plan.basis.astype(object) @ plan.basis_inv.astype(object)) % m == np.identity(d, dtype=object)).all()
+    basis = tensor_basis(plan)  # the root powers are a basis of the ring: P is invertible mod p^K
+    inverse = _inverse_mod(basis.astype(plan.dtype), p, K, m).astype(object)
+    assert (basis @ inverse % m == np.identity(d, dtype=object)).all()
     rng = random.Random(s * p)
     x = random_vector(ring, s, rng)
     if samples is None:
@@ -451,7 +465,7 @@ def test_subring_matches_naive(p, K, s, samples, factors):
 
 def routes_of(plan):
     """The basis change each end of a split-basis plan runs: a radix-1 stage there is a pass, else the end folds."""
-    if len(plan.factors) == 1:
+    if len(tensor_factors(plan)) == 1:
         return ()
     return tuple("pass" if stage.shape[1] == 1 else "fold" for stage in (plan.stages[0], plan.stages[-1]))
 
@@ -616,7 +630,7 @@ def test_stage_maps_are_root_powers(p, K, s):
     # idft's first stage holds its maps times s^-1
     plan = build_pipeline(p, K, s=s, seed=2).plan
     ring, m, d = plan.ring, plan.ring.ctx.pK, plan.ring.degree
-    X, basis = np.identity(d, dtype=object), plan.basis.astype(object)
+    X, basis = np.identity(d, dtype=object), tensor_basis(plan)
     routes = basis_routes(p, K, plan.s_factored, d)
     coords = X  # rows: the X coordinates of the basis the stage's input is in
     for i, stage in enumerate(plan.stages):
@@ -1088,6 +1102,46 @@ def test_validation():
         dft(np.zeros((8, d)), plan)
     with pytest.raises(BadInput):
         dft(np.full((8, d), 0.5, dtype=object), plan)
+
+
+def test_elements_with_the_wrong_number_of_coefficients_are_refused():
+    # the list path reads the elements' coefficients as one flat run: a coefficient too many on element 0 would shift
+    # every later one (evaluation 0 read (1, 35) where it is (36, 0)), one on the last element would be dropped
+    # unseen, and one too few would leave the run short; each is refused, in any position, by dft, idft and
+    # cyclic_convolution
+    plan = build_pipeline(3, 8, s=8, seed=2).plan
+    ring = plan.ring
+    x = [ring.from_int(k + 1) for k in range(8)]
+    assert dft(x, plan)[0].coeffs == (36, 0)
+    for at in (0, 5, 7):
+        for coeffs in ((at + 1, 0, 0), (at + 1,), ()):
+            bad = x[:at] + [RingElement(ring, coeffs)] + x[at + 1:]
+            for op, args in ((dft, (bad,)), (idft, (bad,)), (cyclic_convolution, (bad, x)),
+                             (cyclic_convolution, (x, bad))):
+                with pytest.raises(LengthMismatch, match=f"element has {len(coeffs)} coefficients"):
+                    op(*args, plan)
+
+
+def test_idft_reads_its_input_through_the_one_gather(monkeypatch):
+    # idft hands its input array to _transform as it is, with the gather read at -k mod s, so the gather is the one
+    # (s, d) copy of its input; the output is s^-1 times the dft of the input read at -k mod s, on both backends
+    import padicfft.fft as fft_mod
+
+    plan = build_pipeline(7, 16, s=36, seed=2).plan
+    s, m = plan.s, plan.ring.ctx.pK
+    seen = []
+    real = fft_mod._transform
+    monkeypatch.setattr(fft_mod, "_transform", lambda arr, pl, stages, gather: seen.append((arr, gather))
+                        or real(arr, pl, stages, gather))
+    rng = random.Random(36)
+    for q in (plan, object_copy(plan)):
+        x = np.array([v.coeffs for v in random_vector(q.ring, s, rng)], dtype=q.dtype)
+        seen.clear()
+        out = idft(x, q)
+        [(arr, gather)] = seen
+        assert arr is x and np.array_equal(gather, -q.index_maps[0] % s)
+        want = dft(x[-np.arange(s) % s], q).astype(object) * pow(s, -1, m) % m
+        assert out.dtype == q.dtype and (out.astype(object) == want).all()
 
 
 def test_equal_ring_elements_accepted():

@@ -114,8 +114,7 @@ def test_results_store_each_fact_once(p, K, size):
         UnityRoot: ("s", "field"),
         LiftResult: ("ring", "root", "steps", "base_mults"),
         PipelineResult: ("planner_result", "tower", "lift", "plan"),
-        FFTPlan: ("s_factored", "ring", "root", "dtype", "factors", "basis", "basis_inv", "stages", "inverse_stages",
-                  "index_maps"),
+        FFTPlan: ("s_factored", "ring", "root", "dtype", "stages", "inverse_stages", "index_maps"),
     }
     for cls, names in stored.items():
         assert tuple(f.name for f in dataclasses.fields(cls)) == names
