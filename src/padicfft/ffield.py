@@ -155,7 +155,7 @@ class ExtensionField:
     Coordinate k*D_base + i goes to Kronecker slot k*base.span + base.slots[i] (span and slots),
     and reduce_map is the R that takes slots back to coordinates."""
 
-    __slots__ = ("base", "modulus", "degree", "prime", "dtype", "span", "slots", "reduce_map")
+    __slots__ = ("base", "modulus", "degree", "degree_over_prime", "prime", "dtype", "span", "slots", "reduce_map")
 
     def __init__(self, base, modulus):
         modulus = list(modulus)
@@ -167,6 +167,7 @@ class ExtensionField:
         self.base = base
         self.modulus = tuple(modulus)
         self.degree = e
+        self.degree_over_prime = base.degree_over_prime * e
         self.prime = base.prime
         self.dtype = base.dtype
         self.span = base.span * (2 * e - 1)
@@ -175,7 +176,6 @@ class ExtensionField:
 
     order = property(lambda self: self.base.order**self.degree)
     char = property(lambda self: self.prime.p)
-    degree_over_prime = property(lambda self: self.base.degree_over_prime * self.degree)
 
     def zero(self):
         return (0,) * self.degree_over_prime
@@ -340,8 +340,10 @@ def unpacked(F, a):
 
 def ff_trim(a):
     """a without its zero top rows."""
-    nonzero = np.flatnonzero(a.any(axis=1))
-    return a[: nonzero[-1] + 1 if len(nonzero) else 0]
+    n = len(a)
+    while n and not a[n - 1].any():
+        n -= 1
+    return a[:n]
 
 
 def ff_poly_sub(F, a, b, shift: int = 0):
@@ -352,12 +354,35 @@ def ff_poly_sub(F, a, b, shift: int = 0):
     return ff_trim(out % F.char)
 
 
+_UINT = {k: np.dtype(f"<u{k}") for k in (1, 2, 4, 8)}
+
+
 def _kronecker(F, a, width: int) -> int:
     """a on byte slots of the given width: a[n, i] fills slot n*F.span + F.slots[i]."""
-    buf = np.zeros((len(a), F.span, width), dtype=np.uint8)
-    for k in range(-(-(F.char - 1).bit_length() // 8)):
-        buf[:, F.slots, k] = (a >> 8 * k) & 255
+    if a.dtype == object:
+        buf = np.zeros((len(a), F.span), dtype=object)
+        buf[:, F.slots] = a
+        return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in buf.flat), "little")
+    native = 1 << (width - 1).bit_length()  # the narrowest numpy uint that holds a slot: 1, 2, 4 or 8 bytes
+    buf = np.zeros((len(a), F.span), dtype=_UINT[native])
+    buf[:, F.slots] = a
+    if native > width:
+        buf = buf.view(np.uint8).reshape(-1, native)[:, :width]
     return int.from_bytes(buf.tobytes(), "little")
+
+
+def _slots(product: int, shape, width: int, dtype):
+    """The byte slots of product, of the given width, as a dtype array of the given shape."""
+    raw = product.to_bytes(shape[0] * shape[1] * width, "little")
+    if dtype == object:
+        return np.array([int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)],
+                        dtype=object).reshape(shape)
+    native = 1 << (width - 1).bit_length()
+    if native == width:
+        return np.frombuffer(raw, dtype=_UINT[width]).reshape(shape).astype(dtype)
+    buf = np.zeros((len(raw) // width, native), dtype=np.uint8)  # high bytes zero
+    buf[:, :width] = np.frombuffer(raw, dtype=np.uint8).reshape(-1, width)
+    return buf.view(_UINT[native]).reshape(shape).astype(dtype)
 
 
 def ff_poly_mul(F, a, b):
@@ -375,27 +400,26 @@ def ff_poly_mul(F, a, b):
     if dtype != object and bound >> 63:
         raise OutOfRange(f"Kronecker slots of {bound} overflow int64")
     width = -(-bound.bit_length() // 8)
-    n = n1 + n2 - 1
-    product = _kronecker(F, a, width) * _kronecker(F, b, width)
-    digits = np.frombuffer(product.to_bytes(n * span * width, "little"), dtype=np.uint8)
-    weights = np.array([1 << 8 * k for k in range(width)], dtype=dtype)
-    slots = digits.reshape(n, span, width).astype(dtype) @ weights % p
-    if dtype != object and span * (p - 1) ** 2 >> 63:
-        raise OutOfRange(f"R contraction over {span} slots overflows int64 mod {p}")
+    slots = _slots(_kronecker(F, a, width) * _kronecker(F, b, width), (n1 + n2 - 1, span), width, dtype)
+    if bound * span * (p - 1) >> 63:  # the R contraction of unreduced slots could pass int64: reduce them first
+        if dtype != object and span * (p - 1) ** 2 >> 63:
+            raise OutOfRange(f"R contraction over {span} slots overflows int64 mod {p}")
+        slots %= p
     return slots @ F.reduce_map % p
 
 
 def _reversed_inverse(F, f, k: int):
     """The first k coefficients of 1 / rev(f), by Newton iteration; f must be monic."""
-    one = packed(F, [F.one()])
-    if not np.array_equal(f[-1:], one):
+    if not len(f) or f[-1, 0] != 1 or f[-1, 1:].any():
         raise BadInput("divisor must be monic")
-    rev, inv, prec = f[::-1], one, 1
+    rev, inv, prec = f[::-1], f[-1:].copy(), 1
     while prec < k:
         prec = min(2 * prec, k)
         err = ff_poly_mul(F, rev[:prec], inv)[:prec]  # 1 + O(X^(old prec))
         err[0, 0] = (err[0, 0] - 1) % F.char
-        inv = (np.pad(inv, ((0, prec - len(inv)), (0, 0))) - ff_poly_mul(F, inv, err)[:prec]) % F.char
+        step = ff_poly_mul(F, inv, err)[:prec]  # all prec rows: len(inv) + len(err) - 1 >= prec
+        step[: len(inv)] -= inv
+        inv = -step % F.char
     return inv
 
 
@@ -433,11 +457,12 @@ def ff_poly_gcd(F, a, b):
     return ff_poly_monic(F, a)
 
 
-def ff_poly_modpow(F, g, e: int, f):
-    """g^e mod f by square and multiply, for a monic f."""
+def ff_poly_modpow(F, g, e: int, f, inv=None):
+    """g^e mod f by square and multiply, for a monic f; inv, when given, is _reversed_inverse(F, f, len(f) - 2)."""
     if len(f) < 2:
         raise DegreeTooSmall("modulus must have degree >= 1")
-    inv = _reversed_inverse(F, f, len(f) - 2)  # enough for any product of two remainders
+    if inv is None:
+        inv = _reversed_inverse(F, f, len(f) - 2)  # enough for any product of two remainders
     return power(lambda u, v: ff_poly_divmod(F, ff_poly_mul(F, u, v), f, inv)[1],
                  packed(F, [F.one()]), ff_poly_divmod(F, ff_trim(g), f)[1], e)
 
@@ -459,8 +484,9 @@ def is_irreducible(F, modulus) -> bool:
     proper = {d // ell for ell, _ in factorize(d)}
     y = packed(F, [F.zero(), F.one()])
     frob = y
+    inv = _reversed_inverse(F, f, d - 1)  # one division by f for all d powers
     for j in range(1, d + 1):
-        frob = ff_poly_modpow(F, frob, q, f)
+        frob = ff_poly_modpow(F, frob, q, f, inv)
         if j in proper:
             diff = ff_poly_sub(F, frob, y)
             if not len(diff) or len(ff_poly_gcd(F, diff, f)) > 1:

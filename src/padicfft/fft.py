@@ -95,9 +95,9 @@ from .padic import PadicContext, RingElement, RingExtension, ring_mul, ring_pow
 from .planner import choose_parameters, predicted_mults
 
 # Bytes of the plans poly_multiply keeps (FFTPlan.nbytes: stage maps, their folds and block indices, and the index
-# maps), the least recently used dropped first. The 29 plans of the divisors of 7^16's planner s = 2736 hold 0.93 MB
-# together, those of 7^32 1.9 MB, and the 23 of 3^32's s = 12584 5.1 MB (s' = 968 the largest, 0.80 MB), so all
-# stay; past that, a 3^32 plan on the axis 1093 = Phi_7(3) holds 6.7 MB (s' = 2186) to 8.8 MB (s' = 113672), so
+# maps), the least recently used dropped first. The 29 plans of the divisors of 7^16's planner s = 2736 hold 0.87 MB
+# together, those of 7^32 1.9 MB, and the 23 of 3^32's s = 12584 4.8 MB (s' = 968 the largest, 0.79 MB), so all
+# stay; past that, a 3^32 plan on the axis 1093 = Phi_7(3) holds 6.7 MB (s' = 2186) to 7.9 MB (s' = 113672), so
 # one stays at a time, kept as the newest even where it alone is past the bound.
 PLAN_CACHE_BYTES = 8 << 20
 # Products per element an end stage may add by folding in the basis change, about what a pass of its own costs
@@ -436,15 +436,23 @@ def _index_maps(groups, s: int):
     (g, ...) reads input gather[i], whose n_g runs digit-reversed over its
     axis's radices (n_0 + n_1 r_0 + n_2 r_0 r_1 + ... sits where its
     digits, most significant first, are n_0, n_1, ...), and its result is
-    output scatter[i]. Both are permutations of range(s).
+    output scatter[i]. Both are permutations of range(s), int32 where s
+    fits, as every planner s does, and each is built whole before the other.
     """
-    gather = scatter = np.zeros((), dtype=np.int64)
-    for radices in groups:
-        g, n = math.prod(radices), len(radices)
-        reverse = np.arange(g).reshape(radices[::-1]).transpose(range(n - 1, -1, -1)).ravel()
-        gather = np.add.outer(gather, reverse * (s // g))
-        scatter = np.add.outer(scatter, np.arange(g) * (s // g * pow(s // g, -1, g)))
-    return gather.ravel() % s, scatter.ravel() % s
+    sizes = [math.prod(radices) for radices in groups]
+    gather = _crt_sum([np.arange(g).reshape(r[::-1]).transpose(range(len(r) - 1, -1, -1)).ravel() * (s // g)
+                       for g, r in zip(sizes, groups)], s)
+    scatter = _crt_sum([np.arange(g) * (s // g * pow(s // g, -1, g)) for g in sizes], s)
+    return gather, scatter
+
+
+def _crt_sum(terms, s: int):
+    """The C-ordered outer sum of the int64 terms mod s, flat: int32 where s fits, else int64."""
+    out = np.zeros((), dtype=np.int64)
+    for term in terms:
+        out = np.add.outer(out, term)
+        out %= s
+    return out.ravel().astype(np.int64 if s >> 31 else np.int32)
 
 
 def _fused_radices(s: FactoredOrder, d: int) -> tuple:

@@ -37,8 +37,10 @@ F9 = ExtensionField(F3, [2, 1, 1])  # the s=12584 tower's F_9
 F9_5 = ExtensionField(F9, cz_split(F9, [F9.one()] * 11, 5, random.Random(1)))  # nested, D=10
 M61 = 2**61 - 1  # coordinates beyond int64: object arrays
 F61_2 = ExtensionField(PrimeField(M61), [1, 0, 1])  # p = 3 mod 4, so -1 is not a square
-FIELDS = [F3_10, F9_5, F61_2]
-IDS = ["F3^10", "F9[Z]/5", "F(2^61-1)^2"]
+# prime fields run the lift's irreducibility test (F_3) and put slots of 1 to 5 bytes through ff_poly_mul: one slot
+# holds up to min(n1, n2) D (p-1)^2, so 1 byte at p = 3, 2 and 3 at p = 251, 4 and 5 at p = 65521
+FIELDS = [F3, PrimeField(251), PrimeField(65521), F3_10, F9_5, F61_2]
+IDS = ["F3", "F251", "F65521", "F3^10", "F9[Z]/5", "F(2^61-1)^2"]
 
 
 def ref_mul(F, a, b):
@@ -83,7 +85,7 @@ class Reference:
 def elements(F):
     p = F.char
     coord = st.sampled_from([0, 1, p - 1]) | st.integers(0, p - 1)
-    return st.tuples(*[coord] * F.degree_over_prime)
+    return st.tuples(*[coord] * F.degree_over_prime).map(F.element)
 
 
 def polys(F, min_size=0, max_size=6):

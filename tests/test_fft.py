@@ -382,6 +382,7 @@ def test_index_maps_are_permutations(s):
         groups = _fused_radices(FactoredOrder.of(s), d)
         gather, scatter = _index_maps(groups, s)
         assert sorted(gather.tolist()) == sorted(scatter.tolist()) == list(range(s))
+        assert gather.dtype == scatter.dtype == np.int32
         sizes = [math.prod(radices) for radices in groups]
         for g, k_g in zip(sizes, np.unravel_index(np.arange(s), sizes)):
             assert np.array_equal(scatter % g, k_g)

@@ -111,6 +111,27 @@ def test_prime_field_and_context_share_one_residue_ring(p, k, data):
     assert _results(PrimeField(p), a, b, den, u) == _results(PadicContext(p, 1), a, b, den, u)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([(7, 16), (3, 32), (7, 32), (3, 512)]), st.integers(1, 30), st.data())
+def test_ring_mul_matches_schoolbook(pk, d, data):
+    # moduli below 2^51 (7^16, 3^32), past 2^64 (7^32) and past KRONECKER_BITS (3^512); degrees on both sides of
+    # KRONECKER_DEGREE, where ring_mul changes form; each product charged d^2 + d(d - 1) whatever its form
+    p, K = pk
+    m = p**K
+    coeff = st.sampled_from([0, m - 1]) | st.integers(0, m - 1)
+    modulus, a, b = (data.draw(st.lists(coeff, min_size=d, max_size=d)) for _ in range(3))
+    A = RingExtension(PadicContext(p, K), modulus + [1], check=False)
+    for x, y in ((a, b), ([m - 1] * d, [m - 1] * d)):  # the drawn pair, then the largest slots
+        product = [0] * (2 * d - 1)
+        for i, u in enumerate(x):
+            for j, v in enumerate(y):
+                product[i + j] += u * v
+        A.counter.reset()
+        got = ring_mul(A.element(x), A.element(y))
+        assert got.coeffs == tuple(c % m for c in _int_divmod(product, modulus + [1])[1])
+        assert A.counter.count == d * d + d * (d - 1)
+
+
 def test_ring_mul_examples():
     x = A81.gen()
     assert (x * x).coeffs == (80, 0)

@@ -63,6 +63,17 @@ def test_precision_reaches_k():
     assert pipe.plan.ring.ctx.pK == 3**5
 
 
+@pytest.mark.parametrize("p,K,N,bill", [
+    (3, 32, 10**4, (11382985, 198390, 22270140)),  # s = 12584, d = 30
+    (7, 32, 1000, (1656357, 6630, 180444)),  # s = 2736, d = 6
+])
+def test_setup_bills_are_pinned(p, K, N, bill):
+    # the tower's F_p count, the lift's bill and make_plan's modelled count at the default seed, the set-up model
+    # tuples of the two transform benchmark workloads: a faster product must leave each bill as it is
+    pipe = build_pipeline(p, K, N=N)
+    assert (pipe.tower.base_counter.count, pipe.lift.base_mults, pipe.plan.ring.counter.count) == bill
+
+
 def test_seed_determinism():
     a = build_pipeline(19, 2, s=5, seed=1)
     b = build_pipeline(19, 2, s=5, seed=1)
