@@ -1,14 +1,15 @@
 """Vectorized exact arithmetic mod m on numpy arrays.
 
-Three forms of residues. On int64 arrays (m up to 2^51) the quotient of
-a*b by m is estimated in double precision, which is off by at most 2 for
-m below 2^51; the residual a*b - q*m is then computed in wrapping uint64
-arithmetic, reinterpreted as signed (it lies in (-2m, 3m), far inside
-int64), and snapped into [0, m) with one mod. Object arrays of Python ints
-(any m) are the outside form: mul_mod and ring_mul_batch's products are
-plain (a*b) % m there, and the exact product below converts them at its
-edges into digit arrays (to_digits, from_digits), the working form:
-each element holds Lb = limb_count(m) canonical int64 digits of width
+Three forms of residues. On int64 arrays (m up to 2^51), which must be
+canonical, in [0, m), the quotient of a*b by m is estimated in double
+precision, and its floor q is off by at most one; the residual a*b - q*m
+is then computed in wrapping signed int64 arithmetic, exact mod 2^64 and
+so exact, as it lies in [-m, 2m), far inside int64, and _snap takes it
+into [0, m) by two unsigned minima, with no division. Object arrays of
+Python ints (any m) are the outside form: mul_mod and ring_mul_batch's
+products are plain (a*b) % m there, and the exact product below converts
+them at its edges into digit arrays (to_digits, from_digits), the working
+form: each element holds Lb = limb_count(m) canonical int64 digits of width
 ceil(bits(m-1)/Lb) <= 17, so only those two conversions touch Python ints.
 
 block_matmul_mod, the one exact product, multiplies rows by a block matrix
@@ -27,8 +28,10 @@ sum of La*n integers below 2^(w+17) for contraction length n, so exact while
 La*n*2^(w+17) < 2^53: w is the widest width that keeps that bound (at 3^32
 and n <= 511, 2 limbs of 26 bits: 2 x 3 limb planes), which is checked,
 with OutOfRange beyond it; past MODULUS_BITS not even n = 1 is exact, so
-padic refuses such a p^K before building it. On int64 rows the classes
-are recombined in the digit base by the quotient estimate above; digit
+padic refuses such a p^K before building it. Int64 rows are cut into
+limbs whose top one is not masked, as canonical rows lie below 2^(La w),
+and their classes are recombined in the digit base by the quotient
+estimate above, the residual in (-2m, 2m) snapped the same way; digit
 rows are recut from their digits, and _reduce carries the classes into
 canonical digits by the same estimate and an exact residual over the
 digits, so no rounding reaches any result.
@@ -55,7 +58,9 @@ holds at most 16 U float64s, 16 MiB whatever s while R <= 2 TILE (a
 transform stage's R is Lb r D at most, for radix r and subring degree D:
 342 at 7^32, s = 2736). _map_block's gathered block is bounded by the stage's
 maps rather than by TILE, so it stays a fresh array, as do the int64 rows'
-temporaries.
+temporaries: their limbs, classes, quotient estimate and residual taken from
+the scratch measured no faster on the s = 12584 transform than fresh ones,
+so they stay fresh.
 """
 
 from __future__ import annotations
@@ -156,17 +161,23 @@ def _dtype(*arrays):
 
 
 def mul_mod(a, b, m: int):
-    """Exact elementwise (a*b) % m for canonical inputs in [0, m)."""
+    """Exact elementwise (a*b) % m for canonical inputs in [0, m).
+
+    On int64, a*b / m < 2^51 is estimated with three float64 roundings, so off by under 3/4 and its floor q by at
+    most one: the residual a*b - q*m, wrapped exactly in int64, lies in [-m, 2m), and _snap takes it into [0, m).
+    A 0-d result comes back as a numpy scalar.
+    """
     if _dtype(a, b) is object:
         return np.asarray(a, dtype=object) * np.asarray(b, dtype=object) % m
     if not supports_modulus(m):
         raise OutOfRange(f"modulus {m} is outside [2, 2^51]")
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    with np.errstate(over="ignore"):
-        q = (a.astype(np.float64) * b.astype(np.float64) * (1.0 / m)).astype(np.uint64)
-        r = np.asarray(a.astype(np.uint64) * b.astype(np.uint64) - q * np.uint64(m))
-    return np.mod(r.view(np.int64), m)
+    with np.errstate(over="ignore"):  # 0-d operands give numpy scalars, whose wrapping warns
+        q = (a.astype(np.float64) * b.astype(np.float64) * (1.0 / m)).astype(np.int64)
+        r = np.asarray(a * b - q * m)
+    out = _snap(r, m, np.empty_like(r))
+    return out if out.ndim else out[()]
 
 
 def ring_mul_batch(x, y, fhead, m: int):
@@ -330,14 +341,18 @@ def from_digits(x, m: int):
 
 
 def split_limbs(x, m: int, count: int):
-    """float64 (..., count, n) for x (..., n): count limbs of width _width(m, count) of residues mod m, lowest first."""
+    """float64 (..., count, n) for x (..., n): count limbs of width _width(m, count) of residues mod m, lowest first.
+
+    x must be canonical: below m <= 2^(count width), its top limb is its bits from (count - 1) width on, unmasked.
+    """
     x = np.asarray(x, dtype=_dtype(x))
     width = _width(m, count)
     if x.dtype == object:
         return np.moveaxis(_cut(x, width, count), -1, -2).astype(np.float64)
     out = np.empty(x.shape[:-1] + (count, x.shape[-1]))
     for i in range(count):
-        out[..., i, :] = (x >> (width * i)) & ((1 << width) - 1)
+        limb = x >> (width * i) if i else x
+        out[..., i, :] = limb & ((1 << width) - 1) if i + 1 < count else limb
     return out
 
 
@@ -482,17 +497,31 @@ def _folded_matmul(a, folded, m: int, out):
     classes = a_limbs.reshape(a_limbs.shape[:-2] + (La * n,)) @ folded.reshape(folded.shape[:-4] + (La * n, Lb * k))
     classes = classes.reshape(classes.shape[:-1] + (Lb, k))
     # sum_j c_j B^j < 2^40 m in the digit base B = 2^w: its float64 quotient by m is off by under one unit, so the
-    # residual, exact in wrapping uint64 arithmetic, lies in (-2m, 2m) and one mod snaps it into [0, m)
+    # residual, exact in wrapping int64 arithmetic, lies in (-2m, 2m), and _snap takes it into [0, m) in out. The
+    # rows must be canonical: split_limbs leaves their top limb unmasked.
     w = _width(m, Lb)
     est = classes[..., Lb - 1, :] * (float(1 << w * (Lb - 1)) / m)
-    exact = classes[..., Lb - 1, :].astype(np.uint64)
+    exact = classes[..., Lb - 1, :].astype(np.int64)
     for j in range(Lb - 2, -1, -1):
         est += classes[..., j, :] * (float(1 << w * j) / m)
-        exact <<= np.uint64(w)
-        exact += classes[..., j, :].astype(np.uint64)
-    with np.errstate(over="ignore"):
-        exact -= est.astype(np.uint64) * np.uint64(m)
-    return np.mod(exact.view(np.int64), m, out=out)
+        exact <<= w
+        exact += classes[..., j, :].astype(np.int64)
+    exact -= est.astype(np.int64) * m
+    return _snap(exact, m, out)
+
+
+def _snap(r, m: int, out):
+    """r mod m written into out, for an int64 array r in (-2m, 2m), a residual wrapped exactly; no division runs.
+
+    Read as uint64, a negative r lies above every r >= 0, so the unsigned min(r, r + 2m) is r's residue in [0, 2m),
+    and min(r, r - m) then its residue in [0, m). r is overwritten, and out serves as the scratch for r + 2m.
+    """
+    low, high = r.view(np.uint64), out.view(np.uint64)
+    np.add(r, 2 * m, out=out)
+    np.minimum(low, high, out=low)
+    np.subtract(r, m, out=out)
+    np.minimum(low, high, out=high)
+    return out
 
 
 def _add_mod(x, y, m: int):

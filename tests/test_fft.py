@@ -29,6 +29,8 @@ from padicfft.fft import (
     _index_maps,
     _inverse_mod,
     _tensor_factors,
+    _to_array,
+    _to_elements,
     basis_routes,
     cyclic_convolution,
     dft,
@@ -180,6 +182,17 @@ def test_round_trip_python_engine():
     rng = random.Random(9)
     x = random_vector(plan.ring, 40, rng)
     assert idft(dft(x, plan), plan) == x
+
+
+@pytest.mark.parametrize("p, K, s", [(7, 16, 3), (19, 32, 40)])
+def test_to_elements_round_trip(p, K, s):
+    # d = 1 (7 = 1 mod 3), and an object-dtype plan (19^32 > 2^51)
+    plan = build_pipeline(p, K, s=s, seed=2).plan
+    assert (plan.ring.degree == 1) == (p == 7) and (plan.dtype == object) == (p == 19)
+    x = random_vector(plan.ring, s, random.Random(s))
+    back = _to_elements(_to_array(x, plan), plan)
+    assert back == x
+    assert all(type(v.coeffs) is tuple and all(type(c) is int for c in v.coeffs) for v in back)
 
 
 def test_length_one_plan():

@@ -4,6 +4,7 @@ import itertools
 import mmap
 import random
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,28 @@ def test_mul_mod_broadcast_and_range_guard():
         mul_mod(a, b, 2**51 + 1)
     with pytest.raises(OutOfRange):
         mul_mod(a, b, 1)
+
+
+@pytest.mark.parametrize("m", [2, 3, 3**32, 7**18, 2**51 - 1, 2**51])
+def test_snap_window_endpoints(m):
+    # (-2m, 2m) holds the residuals of a tile's recombined classes and of mul_mod's products
+    values = [-2 * m + 1, -m - 1, -m, -1, 0, m - 1, m, 2 * m - 1]
+    out = np.empty(len(values), dtype=np.int64)
+    assert kernels._snap(np.array(values, dtype=np.int64), m, out) is out
+    assert out.tolist() == [v % m for v in values]
+
+
+def test_scalar_operands_wrap_without_warning():
+    # 0-d operands make numpy scalars, whose int64 wrapping warns where arrays' does not
+    m = MODULUS_LIMIT
+    want = (m - 1) ** 2 % m
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for top in (np.int64(m - 1), np.array(m - 1, dtype=np.int64)):
+            for got in (mul_mod(top, top, m), mul_mod(top, m - 1, m)):
+                assert np.ndim(got) == 0 and int(got) == want
+            rows = np.array([[top]], dtype=np.int64)
+            assert matmul_mod(rows, rows, m).tolist() == [[want]]
 
 
 def _random_ring(rng, p, K, d):
