@@ -10,10 +10,12 @@ that axis, entry (j, k1) goes to output k1 + t k2 times zeta_(r t)^(j (k1 +
 t k2)), zeta_(r t) = zeta_g^(g/(r t)), zeta_g = alpha^(s/g), the twiddle
 zeta_(r t)^(j k1) and the short DFT's zeta_r^(j k2) in one power. Each q^v
 runs fused as radices q^a, a the largest exponent whose map fits in the
-stage array (see _fused_radices), so only an axis with two or more stages
-has t > 1: s = 2736 = 2^4 3^2 19 at d = 6 runs stages 16, 9 and 19 all at
-t = 1, and s = 12584 = 2^3 11^2 13 at d = 30 runs 8, 11, 11 and 13, the
-second 11 at t = 11.
+stage array or whose stage adds no more products per element over a stages
+of q than one pass of its own costs (see _fused_radices), so only an axis
+with two or more stages has t > 1: s = 2736 = 2^4 3^2 19 at d = 6 runs
+stages 16, 9 and 19 all at t = 1, as does each of its divisors (16 at s =
+16, d = 2, fused as it pays, not as it fits), and s = 12584 = 2^3 11^2 13 at
+d = 30 runs 8, 11, 11 and 13, the second 11 at t = 11.
 There is one direction: idft(X)[n] = s^(-1) dft(X)[-n mod s], so idft runs
 the forward schedule on its input gathered at -gather mod s, its first
 stage's maps times s^(-1), which scales its output.
@@ -100,9 +102,9 @@ from .planner import choose_parameters, predicted_mults
 # stay; past that, a 3^32 plan on the axis 1093 = Phi_7(3) holds 6.7 MB (s' = 2186) to 7.9 MB (s' = 113672), so
 # one stays at a time, kept as the newest even where it alone is past the bound.
 PLAN_CACHE_BYTES = 8 << 20
-# Products per element an end stage may add by folding in the basis change, about what a pass of its own costs
-# (see basis_routes): on int64 in row splits and recombination, on digit arrays (p^K > 2^51) in recuts and
-# reductions.
+# Products per element an end stage may add by folding in the basis change, or a fused stage over its prime
+# stages, about what a pass of its own costs (see basis_routes, _fused_radices): on int64 in row splits and
+# recombination, on digit arrays (p^K > 2^51) in recuts and reductions.
 FOLD_LIMIT = 90
 DIGIT_FOLD_LIMIT = 40
 
@@ -222,8 +224,9 @@ def make_plan(s, lift, K: int) -> FFTPlan:
         basis, tops = np.split(powers, [d])
         basis_inv = _inverse_mod(basis, p, K, m)
     inv_s = ring.ctx.inv(s.value)
-    index_maps = _index_maps(_fused_radices(s, d), s.value)  # before the stages' folds, which would add to its peak
-    stages = _stages(s, factors, rows, tops, fhead, basis, basis_inv, m, basis_routes(p, K, s, d))
+    groups = _fused_radices(s, d, _pass_limit(m))
+    index_maps = _index_maps(groups, s.value)  # before the stages' folds, which would add to its peak
+    stages = _stages(s, groups, factors, rows, tops, fhead, basis, basis_inv, m, basis_routes(p, K, s, d))
     return FFTPlan(
         s_factored=s,
         ring=ring,
@@ -253,8 +256,9 @@ def _inverse_mod(a, p: int, K: int, m: int):
     return inv
 
 
-def _stages(s: FactoredOrder, factors, rows, tops, fhead, basis, basis_inv, m: int, routes) -> tuple:
-    """Every stage's maps, built once per plan from the axes' rows zeta_g^k, k < g, in X coordinates.
+def _stages(s: FactoredOrder, groups, factors, rows, tops, fhead, basis, basis_inv, m: int, routes) -> tuple:
+    """Every stage's maps, built once per plan from the axes' rows zeta_g^k, k < g, in X coordinates, an axis of
+    radices per group (see _fused_radices).
 
     Axis g's products are by powers of zeta_g = zeta_G^(G/g), G the product of its factor's
     axes. The factor's coordinates are those of the basis zeta_G^e, e < D, and its products
@@ -275,7 +279,7 @@ def _stages(s: FactoredOrder, factors, rows, tops, fhead, basis, basis_inv, m: i
         before *= D
 
     stages, pre = [], 1
-    for radices in _fused_radices(s, d):
+    for radices in groups:
         g = math.prod(radices)
         post = s.value // (pre * g)
         powers, head, layout = coords[g]
@@ -315,16 +319,23 @@ def basis_routes(p: int, K: int, s: FactoredOrder, d: int) -> tuple:
 
     A fold makes an end stage of radix r run d x d maps, r d products per element, where a pass adds a stage of
     d and leaves it r D. A pass runs where the fold adds more than FOLD_LIMIT products per element on int64, or
-    DIGIT_FOLD_LIMIT on digit arrays, where a wider contraction also needs more limbs per row.
+    DIGIT_FOLD_LIMIT on digit arrays, where a wider contraction also needs more limbs per row; the end stages are
+    those _fused_radices runs under the same limit.
     """
     factors = _tensor_factors(subring_axes(p, s), d)
     if len(factors) == 1:
         return ()
     degree = {g: D for gs, D in factors for g in gs}
-    ends = _fused_radices(s, d)
-    limit = FOLD_LIMIT if kernels.supports_modulus(p**K) else DIGIT_FOLD_LIMIT
+    limit = _pass_limit(p**K)
+    ends = _fused_radices(s, d, limit)
     return tuple("pass" if r * (d - degree[math.prod(radices)]) - d > limit else "fold"
                  for r, radices in ((ends[0][-1], ends[0]), (ends[-1][0], ends[-1])))
+
+
+def _pass_limit(m: int) -> int:
+    """About the products per element that one pass over the array costs mod m: FOLD_LIMIT on int64, DIGIT_FOLD_LIMIT
+    on digit arrays."""
+    return FOLD_LIMIT if kernels.supports_modulus(m) else DIGIT_FOLD_LIMIT
 
 
 def _fold_basis(left, maps, layout, m: int):
@@ -457,19 +468,26 @@ def _crt_sum(terms, s: int):
     return out.ravel().astype(np.int64 if s >> 31 else np.int32)
 
 
-def _fused_radices(s: FactoredOrder, d: int) -> tuple:
+def _fused_radices(s: FactoredOrder, d: int, limit: int = FOLD_LIMIT) -> tuple:
     """The radices the stages run, one tuple per prime power q^v of s: chunks of q^a, the remainder last.
 
-    a is the largest exponent <= v whose (q^a d) x (q^a d) map holds no more
-    entries than the (s, d) stage array, and 1 when even q's map does not.
-    The rule is on d, not on the axis's subring degree D <= d, on purpose: a
-    fused q^a stage costs q^a D products per element where a stages of q
-    cost a q D, so the smaller maps that D allows would fuse stages that
-    then cost more (at s = 12584, 121 as one stage of 11^2: a slower dft).
+    a is the largest exponent <= v for which one stage of q^a fits or pays: its (q^a d) x (q^a d) map holds no
+    more entries than the (s, d) stage array, or the products per element it adds over a stages of q, d (q^a -
+    a q), are at most limit, what one pass of its own costs (_pass_limit: FOLD_LIMIT on int64, DIGIT_FOLD_LIMIT
+    on digit arrays); a is 1 when q^2 does neither. Both tests get harder as a grows, so the exponents that pass
+    run from 2 up to a. The second is for small arrays, where each stage is one block_matmul_mod whose fixed
+    cost per call (its tiles, map gather and the two transposing copies of the array) outweighs the products:
+    16 at s = 16, d = 2 adds 16 products per element over 2, 2, 2, 2 and saves three calls (a 7^16 dft took
+    60 against 190 us). Large arrays keep the first test's stages (s = 2736 at d = 6: 16, 9, 19; s = 12584 at
+    d = 30: 8, 11, 11, 13), where 11^2 as one stage would add 2970 products per element.
+    Both tests are on d, not on the axis's subring degree D <= d, on purpose: a fused q^a stage costs q^a D
+    products per element where a stages of q cost a q D, so the smaller maps that D allows would fuse stages
+    that then cost more (at s = 12584, 121 as one stage of 11^2: a slower dft).
     """
     groups = []
     for q, v in s.factors:
-        a = max((a for a in range(2, v + 1) if (q**a * d) ** 2 <= s.value * d), default=1)
+        a = max((a for a in range(2, v + 1) if (q**a * d) ** 2 <= s.value * d or d * (q**a - a * q) <= limit),
+                default=1)
         groups.append((q**a,) * (v // a) + ((q ** (v % a),) if v % a else ()))
     return tuple(groups)
 

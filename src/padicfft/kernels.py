@@ -39,7 +39,14 @@ digits, so no rounding reaches any result.
 multiplication_maps turns fixed elements of (Z/m)[X]/F into the d x d
 matrices of their ring products, so a batch of products is one matmul_mod;
 power_table doubles on them, one stacked block_matmul_mod per doubling.
-ring_mul_batch reduces mod F by the map of X^d, prepared once per (F, m).
+ring_mul_batch is the pointwise product, and lazy on int64: each column
+product x_j y keeps the quotient estimate above but not the snap, as its
+residual in (-m, 2m), the d residuals of each coefficient add up in int64
+(an accumulator bound it checks) and one mod takes the sum into [0, m).
+Its reduction mod F by the rows X^d .. X^(2d-2) mod F, prepared once per
+(F, m), runs the same way up to SCHOOLBOOK_DEGREE and as one
+block_matmul_mod above it (Dumas, Giorgi and Pernet's delayed reduction,
+FFLAS-FFPACK, ACM TOMS 35(3), 2008).
 
 Scratch. Every temporary that lives only within one digit tile comes from
 this thread's scratch (_temporary), a threading.local of grow-only buffers,
@@ -82,9 +89,13 @@ FLOAT_EXACT = 1 << 53
 MODULUS_BITS = LIMB_BITS * ((FLOAT_EXACT - 1) >> 2 * LIMB_BITS)
 # Elements per block_matmul_mod tile: bounds every temporary a product makes.
 TILE = 1 << 16
-# Largest degree whose ring_mul_batch products reduce mod F by elementwise passes: from d = 4 on, at
-# s = 12584, one block_matmul_mod by X^d's map is cheaper despite its fixed cost of about 0.2 ms a call.
-SCHOOLBOOK_DEGREE = 3
+# Largest degree whose int64 ring_mul_batch products reduce mod F by lazy column passes, not by one block_matmul_mod
+# by X^d's map. Measured on random 7^16 rows (one BLAS thread, min of 15 alternating rounds, s = 12 to 2736): at
+# d <= 5 the passes are faster or within 4% (d = 5: 126 against 143 us at s = 144, 425 against 410 at s = 912, 1247
+# against 1376 at s = 2736); at d = 6 they are even at s = 144 (158 against 160 us) and behind from s = 456 (322
+# against 298, 560 against 481 at s = 912); at d = 30, s = 12584 (3^32) the block product is far ahead (135 against
+# 226 ms). Python ints reduce one coefficient at a time up to the same degree.
+SCHOOLBOOK_DEGREE = 5
 # The block index of a single map: a 1 x 1 block matrix.
 ONE_BLOCK = np.zeros((1, 1), dtype=np.intp)
 
@@ -184,44 +195,72 @@ def ring_mul_batch(x, y, fhead, m: int):
     """Row-wise product of coefficient arrays in (Z/m)[X]/F.
 
     x has shape (..., d) and supplies the output shape; y broadcasts against
-    it. fhead is F without the monic leading 1. On int64, column
-    accumulation stays below d*m <= 2^62 before the single mod; Python ints
-    need no mod before it at all. Up to SCHOOLBOOK_DEGREE the top d-1
-    coefficients reduce one at a time, top first, by X^i = -X^(i-d) fhead;
-    above it in one matmul_mod by X^d .. X^(2d-2) mod F, the top rows of
-    X^d = -fhead's map.
+    it. fhead is F without the monic leading 1. On int64 the products are
+    lazy: x goes to float64 and y to y / m once, each column product x_j y
+    stays the unsnapped residual of _residual, in (-m, 2m), and the d
+    residuals of each coefficient add up in int64, within d (2m - 1) of 0,
+    which must stay below 2^63 (else OutOfRange), before one mod. Up to
+    SCHOOLBOOK_DEGREE the top d-1 coefficients reduce mod F the same way:
+    the residuals of their products by the rows X^d .. X^(2d-2) mod F add up
+    with the d low coefficients, within d (2m - 1) too, before one mod. Above
+    it they reduce in one block_matmul_mod by those rows, the top rows of
+    X^d = -fhead's map. Python ints take one mod after the convolution and
+    reduce one coefficient at a time, top first, by X^i = -X^(i-d) fhead, up
+    to SCHOOLBOOK_DEGREE, and by the block product above it.
     """
     dtype = _dtype(x, y)
     x = np.asarray(x, dtype=dtype)
     y = np.asarray(y, dtype=dtype)
     d = x.shape[-1]
-    if dtype is object:
-        mul = np.multiply
-    elif d * (m - 1) >= 1 << 62:
-        raise OutOfRange(f"degree {d} with modulus {m} overflows the lazy accumulator")
-    else:
-        mul = functools.partial(mul_mod, m=m)
-    conv = np.zeros(x.shape[:-1] + (2 * d - 1,), dtype=dtype)
-    for j in range(d):
-        conv[..., j : j + d] += mul(x[..., j : j + 1], y)
-    conv %= m
     fhead = np.asarray(fhead, dtype=dtype)
-    if d <= SCHOOLBOOK_DEGREE:
-        for i in range(2 * d - 2, d - 1, -1):
-            conv[..., i - d : i] = (conv[..., i - d : i] - mul(conv[..., i : i + 1], fhead)) % m
-    else:
-        reduce = _reducer(tuple(fhead.tolist()), m)
-        top = block_matmul_mod(conv[..., d:].reshape(-1, d - 1), reduce, ONE_BLOCK, m)
-        conv[..., :d] = (conv[..., :d] + top.reshape(conv.shape[:-1] + (d,))) % m
-    return conv[..., :d]
+    conv = np.zeros(x.shape[:-1] + (2 * d - 1,), dtype=dtype)
+    if dtype is object:
+        for j in range(d):
+            conv[..., j : j + d] += x[..., j : j + 1] * y
+        conv %= m
+        if d <= SCHOOLBOOK_DEGREE:
+            for i in range(2 * d - 2, d - 1, -1):
+                conv[..., i - d : i] = (conv[..., i - d : i] - conv[..., i : i + 1] * fhead) % m
+            return conv[..., :d]
+    else:  # the accumulator bound of the two lazy sums
+        if not supports_modulus(m) or d * (2 * m - 1) >= 1 << 63:
+            raise OutOfRange(f"degree {d} with modulus {m} overflows the lazy accumulator")
+        xf, ym = x.astype(np.float64), y * (1.0 / m)
+        for j in range(d):
+            conv[..., j : j + d] += _residual(x[..., j : j + 1], xf[..., j : j + 1], y, ym, m)
+        conv %= m
+    low, top = conv[..., :d], conv[..., d:]
+    if d > SCHOOLBOOK_DEGREE:
+        low += block_matmul_mod(top.reshape(-1, d - 1), _reducer(tuple(fhead.tolist()), m), ONE_BLOCK, m).reshape(
+            low.shape)
+        low %= m
+    elif d > 1:  # int64 rows: Python ints returned above
+        rows = _reduction_rows(tuple(fhead.tolist()), m)
+        tf, rm = top.astype(np.float64), rows * (1.0 / m)
+        for i in range(d - 1):
+            low += _residual(top[..., i : i + 1], tf[..., i : i + 1], rows[i], rm[i], m)
+        low %= m
+    return low
+
+
+def _residual(a, af, b, bm, m: int):
+    """a b - q m for int64 a, b in [0, m), given af = a and bm = b / m in float64: q, the truncated estimate af bm
+    of a b / m < 2^51, is off by under 3/4 (as in mul_mod), so the residual, exact in wrapping int64, lies in
+    (-m, 2m)."""
+    return a * b - (af * bm).astype(np.int64) * m
+
+
+@functools.lru_cache(maxsize=16)
+def _reduction_rows(fhead: tuple, m: int):
+    """(d - 1, d): X^d .. X^(2d-2) mod F, the top rows of X^d = -fhead's map; built on int64 where m allows it."""
+    fhead = np.array(fhead, dtype=np.int64 if supports_modulus(m) else object)
+    return multiplication_maps(-fhead[None] % m, fhead, m)[0, : len(fhead) - 1]
 
 
 @functools.lru_cache(maxsize=16)
 def _reducer(fhead: tuple, m: int):
-    """X^d .. X^(2d-2) mod F, the top rows of X^d = -fhead's map, prepared for rows of either form; built on int64
-    where m allows it."""
-    fhead = np.array(fhead, dtype=np.int64 if supports_modulus(m) else object)
-    return prepare(multiplication_maps(-fhead[None] % m, fhead, m)[:, : len(fhead) - 1], m, 1)
+    """_reduction_rows(fhead, m) prepared for rows of either form, for the block product above SCHOOLBOOK_DEGREE."""
+    return prepare(_reduction_rows(fhead, m)[None], m, 1)
 
 
 def multiplication_maps(powers, fhead, m: int):

@@ -25,6 +25,8 @@ from padicfft.errors import (
     RootNotPrimitive,
 )
 from padicfft.fft import (
+    DIGIT_FOLD_LIMIT,
+    FOLD_LIMIT,
     _fused_radices,
     _index_maps,
     _inverse_mod,
@@ -41,7 +43,7 @@ from padicfft.fft import (
     subring_axes,
 )
 from padicfft.lifting import LiftResult, newton_lift_root
-from padicfft.orders import FactoredOrder, is_prime, multiplicative_order
+from padicfft.orders import FactoredOrder, multiplicative_order
 from padicfft.padic import RingElement, RingExtension, ring_mul, ring_pow
 from padicfft.pipeline import build_pipeline
 from padicfft.planner import choose_parameters
@@ -294,13 +296,13 @@ def test_transform_outputs_pinned():
     assert digest == "1a604c47f0d66affe44f1a5f6fd1406cbabaac6fb0d2d62bb0c654507f7f4d4f"
 
 
-@pytest.mark.parametrize("p,K,s", [(3, 32, 104), (7, 32, 2736), (5, 32, 9), (3, 32, 16)])
+@pytest.mark.parametrize("p,K,s", [(3, 32, 104), (7, 32, 2736), (5, 32, 9), (3, 32, 16), (3, 32, 64)])
 def test_tiled_butterflies_match_untiled(monkeypatch, p, K, s):
     # a tiny tile splits the radix-13 (s=104) and radix-19 (s=2736, digit
-    # arrays, on 3 x 3 maps, so a tile of 32) stages into several contraction, output and row tiles, the stages
-    # with t > 1 (inside 8 = 2 * 4 at s=104, 9 = 3 * 3, 16 = 2^4) into map and row tiles per group, and the axes'
+    # arrays, on 3 x 3 maps, so a tile of 32) stages into several contraction, output and row tiles, the stage
+    # with t > 1 (the second 8 of 64 = 8 * 8 at d = 16) into map and row tiles per group, and the axes'
     # power-table products into several tiles, which must rebuild the same plan; s=9 (object arrays) and s=16 run
-    # stages whose r t maps outgrow the stage array. make_plan folds every stage's maps under the tile it runs with,
+    # one stage whose r t maps outgrow the stage array. make_plan folds every stage's maps under the tile it runs with,
     # and the transforms fold none
     from padicfft import kernels
 
@@ -373,18 +375,33 @@ def test_tiled_butterflies_match_untiled(monkeypatch, p, K, s):
 
 
 @pytest.mark.parametrize("s,d,fused", [(12584, 30, ((8,), (11, 11), (13,))), (2736, 6, ((16,), (9,), (19,))),
-                                       (48, 2, ((4, 4), (3,))), (104, 6, ((4, 2), (13,)))])
+                                       (48, 2, ((16,), (3,))), (104, 6, ((8,), (13,))), (64, 16, ((8, 8),)),
+                                       (242, 5, ((2,), (11, 11)))])
 def test_fused_radices(s, d, fused):
-    # each prime power q^v runs as stages of the largest q^a whose map fits in the stage array, remainder last
+    # each prime power q^v runs as stages of the largest q^a whose map fits in the stage array or which adds at
+    # most FOLD_LIMIT = 90 products per element over a stages of q, d (q^a - a q), remainder last: 8 fits at
+    # s = 12584 and 16 at s = 2736; 16 at d = 2 adds 16 and 8 at d = 6 adds 12; at d = 16, 8 adds 32 and 16 would
+    # add 128, so 2^6 runs as 8, 8; 11^2 at d = 5 would add 495, and at d = 30 2970
     assert _fused_radices(FactoredOrder.of(s), d) == fused
 
 
 def test_fused_radices_cover_s():
+    # the stages cover each prime power q^v, in chunks of q^a and a remainder; a > 1 only where q^a fits the stage
+    # array or adds at most the limit's products per element over a stages of q, and q^(a+1), where v allows it,
+    # does neither; both limits, int64's and the digit arrays'
+    def pays(q, a, s, d, limit):
+        return (q**a * d) ** 2 <= s * d or d * (q**a - a * q) <= limit
+
     for s in range(1, 400):
-        for d in (1, 2, 6, 30):
-            groups = _fused_radices(FactoredOrder.of(s), d)
-            assert [math.prod(radices) for radices in groups] == [q**v for q, v in FactoredOrder.of(s).factors]
-            assert all((r * d) ** 2 <= s * d or is_prime(r) for radices in groups for r in radices)
+        order = FactoredOrder.of(s)
+        for d, limit in itertools.product((1, 2, 6, 30), (FOLD_LIMIT, DIGIT_FOLD_LIMIT)):
+            groups = _fused_radices(order, d, limit)
+            assert [math.prod(radices) for radices in groups] == [q**v for q, v in order.factors]
+            for (q, v), radices in zip(order.factors, groups):
+                a = next(a for a in range(1, v + 1) if q**a == radices[0])
+                assert all(r == q**a for r in radices[:-1]) and radices[-1] in (q**a, q ** (v % a))
+                assert a == 1 or pays(q, a, s, d, limit)
+                assert a == v or not pays(q, a + 1, s, d, limit)
 
 
 @pytest.mark.parametrize("s", [9, 16, 48, 104, 2736, 12584])
@@ -402,19 +419,21 @@ def test_index_maps_are_permutations(s):
 
 
 @pytest.mark.parametrize("p,K,s,samples,passes", [
-    (5, 16, 9, None, [(3, 1), (3, 3)]),
-    (7, 16, 16, None, [(2, 1), (2, 2), (2, 4), (2, 8)]),
-    (3, 8, 104, None, [(2, 1), (4, 2), (13, 1)]),
-    (7, 16, 60, None, [(2, 1), (2, 2), (3, 1), (5, 1)]),
+    (5, 16, 9, None, [(9, 1)]),
+    (7, 16, 16, None, [(16, 1)]),
+    (3, 8, 104, None, [(8, 1), (13, 1)]),
+    (7, 16, 60, None, [(4, 1), (3, 1), (5, 1)]),
     (7, 16, 2736, 8, [(16, 1), (9, 1), (19, 1)]),
     (3, 32, 12584, 2, [(1, 1), (8, 1), (11, 1), (11, 11), (13, 1), (1, 1)]),
+    (3, 32, 64, None, [(8, 1), (8, 8)]),
+    (3, 32, 242, 8, [(2, 1), (11, 1), (11, 11)]),
 ])
 def test_good_thomas_matches_naive(monkeypatch, p, K, s, samples, passes):
-    # one prime-power axis (s = 9, 16), two (104 = 8 * 13) and three (60 = 4 * 3 * 5, 2736 = 16 * 9 * 19),
-    # on the int64 plan and its object copy, all outputs against naive_dft or, at s = 2736 and 12584,
+    # one prime-power axis (s = 9, 16, 64), two (104 = 8 * 13, 242 = 2 * 121) and three (60 = 4 * 3 * 5,
+    # 2736 = 16 * 9 * 19), on the int64 plan and its object copy, all outputs against naive_dft or, from s = 242,
     # sampled ones against Horner, with the idft round trip; the passes over the array, one per stage as its
-    # (r, t), t > 1 only inside an axis of two or more stages, each in dft and idft one block product with t groups
-    # of rows, and no other product
+    # (r, t), t > 1 only inside an axis of two or more stages (64 = 8 * 8 at d = 16, 121 = 11 * 11 at d = 5 and
+    # d = 30), each in dft and idft one block product with t groups of rows, and no other product
     plan = build_pipeline(p, K, s=s, seed=2).plan
     assert [stage.shape[1:3] for stage in plan.stages] == passes
     assert plan.dtype == np.int64
@@ -447,12 +466,14 @@ def test_good_thomas_matches_naive(monkeypatch, p, K, s, samples, passes):
     (19, 32, 72, None, (((8,), 2), ((9,), 1))),
     (7, 16, 2736, 6, (((16,), 2), ((9, 19), 3))),
     (3, 32, 12584, 2, (((8,), 2), ((121,), 5), ((13,), 3))),
+    (19, 12, 432, 6, (((16,), 4), ((27,), 3))),
 ])
 def test_subring_matches_naive(p, K, s, samples, factors):
-    # each axis runs over its own tensor factor: one factor (s=24, X coordinates), two of degrees 2 and 3 whose
-    # end axes both run two or more stages (s=36, 72 at p=7), a degree-1 factor (p=13, 5), object plans with a
-    # split basis (7^32, 19^32), and axes 9 and 19 sharing a factor (s=2736); outputs against naive_dft or, at
-    # s = 2736 and 12584, sampled ones against Horner, with the idft round trip, on each plan and its object copy
+    # each axis runs over its own tensor factor: one factor (s=24, X coordinates), two of degrees 2 and 3 (s=36,
+    # 72 at p=7), two of degrees 4 and 3 whose end axes both run two stages (s = 432 = 16 * 27 at p=19: 8, 2 and
+    # 9, 3), a degree-1 factor (p=13, 5), object plans with a split basis (7^32, 19^32), and axes
+    # 9 and 19 sharing a factor (s=2736); outputs against naive_dft or, from s = 432, sampled ones against Horner,
+    # with the idft round trip, on each plan and its object copy
     plan = build_pipeline(p, K, s=s, seed=2).plan
     ring, m, d = plan.ring, plan.ring.ctx.pK, plan.ring.degree
     assert tensor_factors(plan) == factors
@@ -486,7 +507,7 @@ def routes_of(plan):
 
 @pytest.mark.parametrize("p,K,s,samples,routes", [
     (3, 32, 286, None, ("fold", "pass")),
-    (3, 32, 1144, 4, ("fold", "pass")),
+    (3, 32, 1144, 4, ("pass", "pass")),
     (3, 32, 12584, 2, ("pass", "pass")),
     (3, 40, 1144, 4, ("fold", "pass")),
     (7, 16, 2736, 4, ("fold", "fold")),
@@ -495,8 +516,10 @@ def routes_of(plan):
 def test_basis_routes_match_naive(p, K, s, samples, routes):
     # each end of a split basis folds P^-1 or P into its stage's maps, or runs it as a radix-1 stage of its own:
     # int64 passes where the folded maps are much wider than the end axis's factor (the last stage 13 at d = 15,
-    # 30, both ends at s = 12584), digit arrays (3^40) from a lower limit; outputs against naive_dft or sampled
-    # Horner evaluations, and the idft round trip, on each plan and on its object copy, which keeps its routes
+    # 30, both ends at s = 12584 and at s = 1144, whose first stage 8 at d = 30 would add 194 products per
+    # element), digit arrays (3^40) from a lower limit, which fuses 8 at d = 30 no further than 4, 2, so s = 1144
+    # folds its first end there; outputs against naive_dft or sampled Horner evaluations, and the idft round trip,
+    # on each plan and on its object copy, which keeps its routes
     plan = build_pipeline(p, K, s=s, seed=2).plan
     d = plan.ring.degree
     assert routes_of(plan) == basis_routes(p, K, plan.s_factored, d) == routes
@@ -602,7 +625,7 @@ def test_threads_sharing_plans_match_serial_runs():
     (7, 32, 2736, (((2736, 1, 1, 1), (1, 6, 1)), ((1, 16, 1, 171), (1, 2, 3)), ((16, 9, 1, 19), (2, 3, 1)),
                    ((144, 19, 1, 1), (2, 3, 1)), ((2736, 1, 1, 1), (1, 6, 1)))),
     (7, 16, 2736, (((1, 16, 1, 171), (1, 6, 1)), ((16, 9, 1, 19), (2, 3, 1)), ((144, 19, 1, 1), (1, 6, 1)))),
-    (7, 16, 48, (((4, 4, 1, 3), (1, 2, 1)), ((1, 4, 4, 3), (1, 2, 1)), ((16, 3, 1, 1), (1, 2, 1)))),
+    (7, 16, 48, (((1, 16, 1, 3), (1, 2, 1)), ((16, 3, 1, 1), (1, 2, 1)))),
 ])
 def test_benchmark_plans_fold(p, K, s, stages):
     # the polymul-mixed plans (7^16, int64) fold the basis change at both ends, and the transform-bigmod plan
@@ -630,18 +653,18 @@ def test_plan_maps_bounded(p, K, s):
     if s >= 2736:
         assert 10 * sum(sizes) < s * plan.ring.degree
     if s == 16:
-        # one factor of degree d = 4: the last stage (r = 2, t = 8) holds 16 maps of 4 x 4, 256 entries against the
+        # one factor of degree d = 4: the one stage (r = 16, t = 1) holds 16 maps of 4 x 4, 256 entries against the
         # array's 64
-        assert (plan.stages[-1].shape[1:3], sizes[-1]) == ((2, 8), 256)
+        assert (plan.stages[-1].shape[1:3], sizes[-1]) == ((16, 1), 256)
 
 
 @pytest.mark.parametrize("p,K,s", [(5, 16, 9), (7, 16, 16), (3, 8, 104), (7, 16, 36), (7, 16, 60), (7, 32, 2736),
-                                   (3, 32, 286)])
+                                   (3, 32, 286), (3, 32, 242)])
 def test_stage_maps_are_root_powers(p, K, s):
     # map e of a stage of radix r after t is the multiplication map of zeta_(r t)^e = root^(e s / (r t)), e < r t,
     # on its layout's coordinates, checked against ring_pow: X coordinates, or the tensor basis P, which a folded end
-    # stage (s = 36 at its last stage, t = 3) or a radix-1 pass (7^32; 3^32 at s = 286 at its end) enters or leaves;
-    # idft's first stage holds its maps times s^-1
+    # stage (s = 36 at its last stage; s = 242 at its last, t = 11) or a radix-1 pass (7^32; 3^32 at s = 286 at its
+    # end) enters or leaves; idft's first stage holds its maps times s^-1
     plan = build_pipeline(p, K, s=s, seed=2).plan
     ring, m, d = plan.ring, plan.ring.ctx.pK, plan.ring.degree
     X, basis = np.identity(d, dtype=object), tensor_basis(plan)
@@ -714,26 +737,55 @@ def test_transforms_fold_no_maps(monkeypatch, p, K, s):
 
 
 def test_fused_stages_match_naive(monkeypatch):
-    # s = 48 runs stages (4, 4) and (3,) on both backends, one block product each, the second radix-4 stage with
-    # its twiddles in its maps (t = 4), while the plan and its count keep the prime schedule
-    plan = build_pipeline(7, 16, s=48, seed=2).plan
-    assert plan.radices == (2, 2, 2, 2, 3)
-    assert _fused_radices(plan.s_factored, plan.ring.degree) == ((4, 4), (3,))
-    x = random_vector(plan.ring, 48, random.Random(48))
-    want = naive_dft(x, plan.root, 48)
+    # s = 64 at d = 16 runs stages (8, 8) on both backends, one block product each, the second radix-8 stage with
+    # its twiddles in its maps (t = 8), while the plan and its count keep the prime schedule
+    plan = build_pipeline(3, 8, s=64, seed=2).plan
+    assert plan.radices == (2, 2, 2, 2, 2, 2)
+    assert _fused_radices(plan.s_factored, plan.ring.degree) == ((8, 8),)
+    x = random_vector(plan.ring, 64, random.Random(64))
+    want = naive_dft(x, plan.root, 64)
     counts = []
     products = block_products(monkeypatch)
     for q in (plan, object_copy(plan)):
         plan.ring.counter.reset()
         products.clear()
         assert dft(x, q) == want
-        assert products == [(1, 4, 4), (4, 4, 4), (1, 3, 3)]
+        assert products == [(1, 8, 8), (8, 8, 8)]
         counts.append(plan.ring.counter.count)
         assert idft(want, q) == x
     cost = plan.ring.mul_cost()
-    # the schoolbook prime-radix model: stages r = 3, 2, 2, 2, 2 at t = 1, 3, 6, 12, 24
-    model = sum((r - 1) * (48 // (r * t)) * ((t - 1) + (r - 1) * t) for r, t in ((3, 1), (2, 3), (2, 6), (2, 12), (2, 24)))
+    # the schoolbook prime-radix model: six stages r = 2 at t = 1, 2, 4, 8, 16, 32
+    model = sum((r - 1) * (64 // (r * t)) * ((t - 1) + (r - 1) * t) for r, t in ((2, 2**i) for i in range(6)))
     assert counts == [model * cost] * 2
+
+
+@pytest.mark.parametrize("p,K,s", [(7, 16, t) for t in range(2, 2737) if 2736 % t == 0]
+                         + [(3, 8, t) for t in range(2, 105) if 104 % t == 0])
+def test_small_plans_match_naive(p, K, s):
+    # every divisor s >= 2 of 7^16's planner s = 2736 (the plans poly_multiply draws from there) and of 3^8's s = 104,
+    # whose stages fuse where fusing pays: on the int64 plan and its object copy, dft against naive_dft, or past
+    # s = 200 against Horner at sampled points, the idft round trip, and poly_multiply on the plan against
+    # schoolbook, its chunks filling all s elements; each plan is the one poly_multiply builds, at the default seed
+    plan = build_pipeline(p, K, s=s).plan
+    m, c = plan.ring.ctx.pK, (plan.ring.degree + 1) // 2
+    rng = random.Random(s * p)
+    x = random_vector(plan.ring, s, rng)
+    if s <= 200:
+        js, want = range(s), naive_dft(x, plan.root, s)
+    else:
+        js = [1, s - 1] + rng.sample(range(2, s - 1), 4)
+        want = [horner(x, ring_pow(plan.root, j)) for j in js]
+    short = min(8, (s + 1) // 2)  # chunks of g; f's fill the rest: ceil(len f / c) + short - 1 = s
+    f = [rng.randrange(m) for _ in range(c * (s + 1 - short))]
+    g = [rng.randrange(m) for _ in range(c * short - (c > 1))]
+    product = schoolbook(f, g, m)
+    assert plan.dtype == np.int64
+    for q in (plan, object_copy(plan)):
+        xa = np.array([v.coeffs for v in x], dtype=q.dtype)
+        evals = dft(xa, q)
+        assert [tuple(evals[j].tolist()) for j in js] == [v.coeffs for v in want]
+        assert np.array_equal(idft(evals, q), xa)
+        assert poly_multiply(f, g, p, K, plan=q) == product
 
 
 def test_count_is_input_independent():

@@ -146,6 +146,60 @@ def test_ring_mul_batch_accumulator_guard():
         ring_mul_batch(x, x, np.zeros(d, dtype=np.int64), m)
 
 
+def test_ring_mul_batch_accumulator_edge(monkeypatch):
+    # the lazy sums need d (2m - 1) < 2^63: at m = 2^51, the widest int64 modulus, the guard admits d = 2048 and
+    # refuses d = 2049. At d = 2048, with every coefficient of x, y and F m - 1, the int64 product matches the
+    # object path, the lazy reduction mod F raised to this degree so that its sum of the d low coefficients and
+    # d - 1 residuals runs at the bound too
+    m = MODULUS_LIMIT
+    d = (1 << 63) // (2 * m - 1)
+    assert d == 2048 and d * (2 * m - 1) < 1 << 63 <= (d + 1) * (2 * m - 1)
+    past = np.full((1, d + 1), m - 1, dtype=np.int64)
+    with pytest.raises(OutOfRange):
+        ring_mul_batch(past, past, past[0], m)
+    x = np.full((1, d), m - 1, dtype=np.int64)
+    monkeypatch.setattr(kernels, "SCHOOLBOOK_DEGREE", d)
+    try:
+        got = ring_mul_batch(x, x, x[0], m)
+        want = ring_mul_batch(x.astype(object), x.astype(object), x[0].astype(object), m)
+    finally:
+        kernels._reduction_rows.cache_clear()  # X^d .. X^(2d-2) mod F at d = 2048 hold 32 MB
+    assert got.dtype == np.int64 and want.dtype == object
+    assert got.tolist() == want.tolist()
+
+
+def _python_ring_product(x, y, fhead, m):
+    """x y in (Z/m)[X]/F on Python ints: the full convolution, then X^i = -X^(i-d) fhead, top first."""
+    d = len(x)
+    conv = [0] * (2 * d - 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            conv[i + j] += a * b
+    for i in range(2 * d - 2, d - 1, -1):
+        for k, f in enumerate(fhead):
+            conv[i - d + k] -= conv[i] * f
+    return [c % m for c in conv[:d]]
+
+
+@pytest.mark.parametrize("m", [3, 7**16, 3**32, 2**51 - 129, 2**51])
+def test_ring_mul_batch_lazy_sums_match_python_ints(m):
+    # the int64 products on both sides of SCHOOLBOOK_DEGREE (the lazy reduction mod F, then one block product),
+    # and at d = 1, against the object path and Python ints: random rows, then a row of m - 1 and a row of 0, y as
+    # whole rows and as one broadcast row; the moduli run up to 2^51 and the largest prime below it
+    rng = random.Random(m)
+    for d in (1, 2, kernels.SCHOOLBOOK_DEGREE, kernels.SCHOOLBOOK_DEGREE + 1):
+        fhead = np.array([rng.randrange(m) for _ in range(d)], dtype=np.int64)
+        x = np.array([[rng.randrange(m) for _ in range(d)] for _ in range(30)] + [[m - 1] * d, [0] * d],
+                     dtype=np.int64)
+        for y in (x[::-1].copy(), x[7]):
+            got = ring_mul_batch(x, y, fhead, m)
+            want = ring_mul_batch(x.astype(object), y.astype(object), fhead.astype(object), m)
+            assert got.dtype == np.int64 and got.tolist() == want.tolist()
+            ys = y if y.ndim == 2 else [y] * len(x)
+            assert got.tolist() == [_python_ring_product(a.tolist(), b.tolist(), fhead.tolist(), m)
+                                    for a, b in zip(x, ys)]
+
+
 def test_object_backend_matches_python_ints():
     rng = random.Random(4)
     for p, K, d in ((19, 32, 3), (7, 32, 1), (3, 8, 4)):
