@@ -45,7 +45,8 @@ map at j (k1 + t k2) mod r t, so each stage runs as one
 kernels.block_matmul_mod with a group of rows per k1.
 The multiplication counter is a model, not a timer: it charges the
 schoolbook products of the paper's prime schedule plan.radices, whatever
-radices the stages run, with a twiddle product per entry (j, k1) and a
+radices the stages run, counted once per plan (plan.mults) and added per
+transform, with a twiddle product per entry (j, k1) and a
 butterfly product per (j, k2), each exactly when its exponent j k1 or j k2 is
 nonzero, never based on operand values, so the count depends only on d and
 the plan.
@@ -135,7 +136,8 @@ class FFTPlan:
     transform on the plan adds its modelled multiplications there, including
     those of other callers of a plan poly_multiply shares from its cache.
     The fields are what dft and idft read; s and radices, the model's prime
-    schedule, are read off s_factored, and p and K off ring.
+    schedule, are read off s_factored, p and K off ring, and mults, the count
+    a transform adds, off both, once per plan.
     """
 
     s_factored: FactoredOrder
@@ -150,6 +152,18 @@ class FFTPlan:
     radices = property(lambda self: tuple(self.s_factored.radix_schedule()))
     p = property(lambda self: self.ring.ctx.p)
     K = property(lambda self: self.ring.ctx.K)
+
+    @functools.cached_property
+    def mults(self) -> int:
+        """The modelled multiplications of one transform, counted once per plan: the paper's prime-radix stages,
+        whatever radices run; per stage the twiddle products with exponent j*k1 != 0, then the schoolbook products
+        with exponent j*k2 != 0."""
+        count, t = 0, 1
+        for r in reversed(self.radices):
+            blocks = self.s // (r * t)
+            count += (r - 1) * blocks * (t - 1) + (r - 1) ** 2 * blocks * t
+            t *= r
+        return count * self.ring.mul_cost()
 
     @property
     def nbytes(self) -> int:
@@ -429,13 +443,7 @@ def _transform(arr, plan: FFTPlan, stages, gather):
         arr = arr.reshape(t, blocks, post, a, b, r, D).transpose(1, 5, 0, 2, 3, 6, 4).reshape(s, d)
     out = np.empty_like(arr)
     out[plan.index_maps[1]] = arr
-    # the count models the paper's prime-radix stages, whatever radices ran: per stage the twiddle
-    # products with exponent j*k1 != 0, then the schoolbook products with exponent j*k2 != 0
-    t = 1
-    for r in reversed(plan.radices):
-        blocks = s // (r * t)
-        ring.counter.add(((r - 1) * blocks * (t - 1) + (r - 1) ** 2 * blocks * t) * ring.mul_cost())
-        t *= r
+    ring.counter.add(plan.mults)
     return kernels.from_digits(out, m)
 
 

@@ -10,7 +10,11 @@ Python ints (any m) are the outside form: mul_mod and ring_mul_batch's
 products are plain (a*b) % m there, and the exact product below converts
 them at its edges into digit arrays (to_digits, from_digits), the working
 form: each element holds Lb = limb_count(m) canonical int64 digits of width
-ceil(bits(m-1)/Lb) <= 17, so only those two conversions touch Python ints.
+ceil(bits(m-1)/Lb), so only those two conversions touch Python ints. Digits
+are as wide as the float64 bound below allows: up to 2^51 they have at most
+WIDE_DIGIT_BITS = 23 bits (7^16: two of 23, 3^32: three of 17), past it at
+most 17 (LIMB_BITS), so that a product of one term stays exact up to
+MODULUS_BITS: Lb digits of 23 bits would stop at Lb = 127.
 
 block_matmul_mod, the one exact product, multiplies rows by a block matrix
 of fixed maps mod m on float64 BLAS, or each group of rows by its own block
@@ -24,11 +28,16 @@ folds maps once into a PreparedMaps, which it takes in place of the maps,
 so maps used again (a plan's stages) are never folded again; maps given as
 an array are prepared on entry. One matmul of
 [a_0 | ... | a_(La-1)] by those digits gives Lb weight classes, each entry a
-sum of La*n integers below 2^(w+17) for contraction length n, so exact while
-La*n*2^(w+17) < 2^53: w is the widest width that keeps that bound (at 3^32
-and n <= 511, 2 limbs of 26 bits: 2 x 3 limb planes), which is checked,
-with OutOfRange beyond it; past MODULUS_BITS not even n = 1 is exact, so
-padic refuses such a p^K before building it. Int64 rows are cut into
+sum of La*n integers below 2^(w+wb) for contraction length n and digits of
+wb bits, so exact while La*n*2^(w+max(17, wb)) < 2^53: La is the fewest
+limbs, so w the widest width, that keeps that bound (at 3^32 and n <= 511,
+2 limbs of 26 bits: 2 x 3 limb planes; at 7^16 and n <= 63, 2 limbs of 23
+bits: 2 x 2 planes, and from 64 terms 3 limbs of 15 bits, La > Lb), which
+is checked, with OutOfRange beyond it; La runs up to where the bound is no
+tighter than with 17-bit digits, so wide digits shorten no contraction
+(the cut chosen from the float64 bound, as in Dumas, Giorgi and Pernet's
+FFLAS-FFPACK). Past MODULUS_BITS not even n = 1 is exact, so padic
+refuses such a p^K before building it. Int64 rows are cut into
 limbs whose top one is not masked, as canonical rows lie below 2^(La w),
 and their classes are recombined in the digit base by the quotient
 estimate above, the residual in (-2m, 2m) snapped the same way; digit
@@ -84,8 +93,12 @@ from .errors import OutOfRange
 MODULUS_LIMIT = 1 << 51
 LIMB_BITS = 17
 FLOAT_EXACT = 1 << 53
-# Widest modulus of any exact product: its limb_count(m) limbs of 17 bits must contract one term, Lb 2^34 < 2^53,
-# so contraction_limit(m) >= 1 exactly when (m - 1).bit_length() <= MODULUS_BITS = 17 (2^19 - 1).
+# Widest digit of an int64 modulus (m <= MODULUS_LIMIT): the widest w with 2 * 63 * 2^(2w) < 2^53, so that two limbs
+# of w bits against digits of w bits contract 63 terms exactly; 23, where 3^32's 51 bits still take three digits.
+WIDE_DIGIT_BITS = max(w for w in range(1, 27) if (2 * 63) << (2 * w) < FLOAT_EXACT)
+# Widest modulus of any exact product: past MODULUS_LIMIT digits have 17 bits at most, and its limb_count(m) limbs of
+# 17 bits must contract one term, Lb 2^34 < 2^53, so contraction_limit(m) >= 1 exactly when (m - 1).bit_length() <=
+# MODULUS_BITS = 17 (2^19 - 1).
 MODULUS_BITS = LIMB_BITS * ((FLOAT_EXACT - 1) >> 2 * LIMB_BITS)
 # Elements per block_matmul_mod tile: bounds every temporary a product makes.
 TILE = 1 << 16
@@ -104,12 +117,16 @@ class PreparedMaps(NamedTuple):
     """Fixed maps (N, n, k) mod m folded once (see prepare), which block_matmul_mod takes for maps, whatever rows.
 
     folded holds fold(maps, m, La) in _map_block's flat layout (La, N n Lb, k), with La chosen for contraction
-    tiles of j_step blocks.
+    tiles of j_step blocks. offsets are _map_block's flat row offsets in it, built once with the fold: (n Lb, 1) of
+    entry c of a map's n Lb rows, c, and (La, 1, 1, 1) of limb i's rows, N n Lb i. Built with the fold, not in a
+    transform's first gather, they hold no heap pages the transform's temporaries would free (a cache of them
+    filled mid-transform raised a 7^32 dft's peak RSS by 0.5 MB).
     """
 
     maps: np.ndarray
     folded: np.ndarray
     j_step: int
+    offsets: tuple
 
     @property
     def shape(self):
@@ -117,7 +134,7 @@ class PreparedMaps(NamedTuple):
 
     @property
     def nbytes(self) -> int:
-        return self.maps.nbytes + self.folded.nbytes
+        return self.maps.nbytes + self.folded.nbytes + sum(a.nbytes for a in self.offsets)
 
 
 class _Radix(NamedTuple):
@@ -303,32 +320,52 @@ def power_table(elts, lengths, fhead, m: int):
     return table
 
 
+@functools.lru_cache(maxsize=64)
 def limb_count(m: int) -> int:
-    """Lb, the number of 17-bit limbs that hold every residue mod m."""
-    return max(1, -(-(m - 1).bit_length() // LIMB_BITS))
+    """Lb, the number of digits that hold every residue mod m: of WIDE_DIGIT_BITS bits at most up to MODULUS_LIMIT
+    (7^16's 45 bits: two of 23), of LIMB_BITS past it."""
+    bits = WIDE_DIGIT_BITS if supports_modulus(m) else LIMB_BITS
+    return max(1, -(-(m - 1).bit_length() // bits))
 
 
+@functools.lru_cache(maxsize=256)
 def _width(m: int, La: int) -> int:
     """Width of each of La limbs that hold every residue mod m."""
     return -(-(m - 1).bit_length() // La)
 
 
+@functools.lru_cache(maxsize=64)
+def _most_a_limbs(m: int) -> int:
+    """The most limbs a is cut into mod m: the fewest, from Lb on, whose contraction limit is at least that of the cut
+    into limbs and digits of 17 bits at most, so that digits wider than 17 bits shorten no contraction. Lb itself
+    where m's digits have 17 bits at most; 6 limbs of 8 bits at 7^16."""
+    narrow = max(1, -(-(m - 1).bit_length() // LIMB_BITS))
+    longest = (FLOAT_EXACT - 1) // (narrow << (_width(m, narrow) + LIMB_BITS))
+    La = limb_count(m)
+    while contraction_limit(m, La) < longest:
+        La += 1
+    return La
+
+
 def a_limb_count(m: int, n: int) -> int:
-    """La for contraction length n: the fewest limbs of a, so the widest, that keep the class sums exact; past
+    """La for contraction length n: the fewest limbs of a, so the widest, that keep the class sums exact, up to
+    _most_a_limbs(m), which may exceed Lb (7^16: two limbs of 23 bits up to 63 terms, three of 15 from 64); past
     MODULUS_LIMIT, where every row is a digit array, the fewest of those whose class bound also lets _reduce correct
     once, else Lb."""
     Lb = limb_count(m)
-    for La in range(1, Lb + 1):
+    for La in range(1, _most_a_limbs(m) + 1):
         once = supports_modulus(m) or La == Lb or _near(m, La * n << _width(m, La) + _width(m, Lb))
         if n <= contraction_limit(m, La) and once:
             return La
     raise OutOfRange(f"contraction length {n} exceeds the float64 bound mod {m}")
 
 
+@functools.lru_cache(maxsize=256)
 def contraction_limit(m: int, La: int | None = None) -> int:
-    """Largest n with La*n*2^(w+17) < 2^53, w = _width(m, La): by default La = Lb, the largest of all La."""
-    La = La or limb_count(m)
-    return (FLOAT_EXACT - 1) // (La << (_width(m, La) + LIMB_BITS))
+    """Largest n with La n 2^(wa + max(17, wb)) < 2^53, wa = _width(m, La) and wb the width of m's digits, so the
+    bound of 17-bit digits holds wherever they are narrower: by default La = _most_a_limbs(m), the largest of all La."""
+    La = La or _most_a_limbs(m)
+    return (FLOAT_EXACT - 1) // (La << (_width(m, La) + max(LIMB_BITS, _width(m, limb_count(m)))))
 
 
 def _cut(x, width: int, count: int):
@@ -350,7 +387,8 @@ def _cut(x, width: int, count: int):
 def to_digits(x, m: int):
     """The working form of residues x mod m: Python ints become a digit array of x's shape, others pass unchanged.
 
-    Each element of a digit array holds Lb = limb_count(m) int64 digits of width _width(m, Lb) <= 17, lowest first.
+    Each element of a digit array holds Lb = limb_count(m) int64 digits of width _width(m, Lb), lowest first: at most
+    WIDE_DIGIT_BITS up to MODULUS_LIMIT, at most 17 past it.
     """
     x = np.asarray(x)
     if x.dtype != object:
@@ -408,8 +446,8 @@ def fold(b, m: int, La: int):
 def _recut(digits, m: int, La: int):
     """float64 (..., La, n, rows) for digits (..., rows, n, Lb) mod m: La limbs of width _width(m, La), lowest first.
 
-    A digit that straddles two limbs is split there in float64, exactly: its part above the cut is a floor. The
-    limbs are a view of this thread's scratch.
+    A digit may straddle several limbs (a 23-bit digit of 7^16 spans four limbs of 8 bits): it is split there in
+    float64, exactly, top limb first, its part from each cut up a floor. The limbs are a view of this thread's scratch.
     """
     Lb = digits.shape[-1]
     w, wa = _width(m, Lb), _width(m, La)
@@ -420,23 +458,25 @@ def _recut(digits, m: int, La: int):
         return out
     d, high = (_temporary(role, planes.shape[:-3] + planes.shape[-2:]) for role in ("plane", "high"))
     filled = [False] * La
+
+    def add(limb, part):
+        if filled[limb]:
+            out[..., limb, :, :] += part
+        else:
+            out[..., limb, :, :] = part
+            filled[limb] = True
+
     for j in range(Lb):
-        d[...] = planes[..., j, :, :]
-        i, cut = w * j // wa, wa * (w * j // wa + 1) - w * j  # the digit's low limb and its bits below that limb's top
-        parts, scale = [(i, d)], 2.0 ** (w * j - wa * i)
-        if cut < w and i + 1 < La:  # above the top limb a residue's bits are 0
-            d *= 2.0**-cut  # powers of two scale exactly: the digit's part above the cut is the floor, its rest below
+        # the limbs of the digit's lowest and highest bits, the top limb at most: a residue has no bits above it
+        low, top = w * j // wa, min(La - 1, (w * j + w - 1) // wa)
+        # powers of two scale exactly: d is the digit in units of limb top, its part from that limb up the floor
+        np.multiply(planes[..., j, :, :], 2.0 ** (w * j - wa * top), out=d)
+        for limb in range(top, low, -1):
             np.floor(d, out=high)
+            add(limb, high)
             d -= high
-            scale *= 2.0**cut
-            parts.append((i + 1, high))
-        d *= scale
-        for limb, part in parts:
-            if filled[limb]:
-                out[..., limb, :, :] += part
-            else:
-                out[..., limb, :, :] = part
-                filled[limb] = True
+            d *= 2.0**wa
+        add(low, d)
     return out
 
 
@@ -451,7 +491,9 @@ def prepare(maps, m: int, blocks: int) -> PreparedMaps:
     j_step = min(blocks, max(1, min(TILE, contraction_limit(m)) // n))
     La = a_limb_count(m, j_step * n)
     # the maps stacked as one (N n) x k map fold straight into the flat layout
-    return PreparedMaps(maps, fold(maps.reshape(-1, k), m, La).reshape(La, -1, k), j_step)
+    folded = fold(maps.reshape(-1, k), m, La).reshape(La, -1, k)
+    offsets = np.arange(n * limb_count(m))[:, None], folded.shape[1] * np.arange(La)[:, None, None, None]
+    return PreparedMaps(maps, folded, j_step, offsets)
 
 
 def matmul_mod(a, b, m: int):
@@ -511,8 +553,9 @@ def _map_block(prepared: PreparedMaps, index):
     n = prepared.shape[-2]
     La, rows, k = prepared.folded.shape
     width = rows // len(prepared.maps)  # n Lb
-    flat = index[..., None, :, None, :].astype(np.intp) * width + np.arange(width)[:, None]
-    block = np.take(prepared.folded.reshape(-1, k), flat + rows * np.arange(La)[:, None, None, None], axis=0)
+    entries, limbs = prepared.offsets
+    flat = index[..., None, :, None, :].astype(np.intp) * width + entries
+    block = np.take(prepared.folded.reshape(-1, k), flat + limbs, axis=0)
     return block.reshape(index.shape[:-2] + (La, index.shape[-2] * n, width // n, index.shape[-1] * k))
 
 
@@ -564,9 +607,16 @@ def _snap(r, m: int, out):
 
 
 def _add_mod(x, y, m: int):
-    """(x + y) % m for two int64 or two digit arrays."""
+    """(x + y) % m for two canonical int64 or two digit arrays.
+
+    On int64 the sum lies in [0, 2m): read as uint64, the sum less m lies above it where negative, so their unsigned
+    minimum is the residue, as in _snap; no division runs.
+    """
     if x.dtype.kind != "V":
-        return (x + y) % m
+        total = x + y
+        low = total.view(np.uint64)
+        np.minimum(low, (total - m).view(np.uint64), out=low)
+        return total
     out = np.empty_like(x)
     sums = np.moveaxis(x["digits"] + y["digits"], -1, -2).astype(np.float64)
     out["digits"] = np.moveaxis(_reduce(sums, m, 2 << _width(m, limb_count(m))), -1, -2)

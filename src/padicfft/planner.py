@@ -13,6 +13,7 @@ the prime product are read off them, and asymptotic_report is one per N.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -54,7 +55,9 @@ def choose_parameters(p: int, N: int) -> PlannerResult:
 
     d is computed as an exact multiplicative order, then cross-checked
     against the product of the first r primes; a mismatch is surfaced as a
-    warning and flagged on the result, never silently accepted.
+    warning and flagged on the result, never silently accepted. s is
+    factored and its order computed once per (p, s) (_factored_order); p and
+    N are checked, and a mismatch warned of, on every call.
     """
     if not is_prime(p) or p < 3:
         raise BadInput("p must be an odd prime")
@@ -68,15 +71,21 @@ def choose_parameters(p: int, N: int) -> PlannerResult:
             primes.append(q)
             s *= (p**q - 1) // (p - 1)
         q += 1
-    try:
-        s_factored = FactoredOrder.of(s)
-    except OutOfRange as exc:
-        raise FactoringFailure(f"s = {s} is beyond the supported factoring range") from exc
-    d = multiplicative_order(p, s)
+    s_factored, d = _factored_order(p, s)
     claim = math.prod(primes)
     if d != claim:
         warnings.warn(f"exact order {d} differs from the prime product {claim} at p={p}, N={N}", stacklevel=2)
     return PlannerResult(p=p, N=N, r=len(primes), s_factored=s_factored, d=d)
+
+
+@functools.lru_cache(maxsize=64)
+def _factored_order(p: int, s: int) -> tuple:
+    """(s factored, ord_s(p)), computed once per (p, s): products of nearby lengths plan on the same s."""
+    try:
+        s_factored = FactoredOrder.of(s)
+    except OutOfRange as exc:
+        raise FactoringFailure(f"s = {s} is beyond the supported factoring range") from exc
+    return s_factored, multiplicative_order(p, s)
 
 
 def predicted_mults(s: FactoredOrder, d: int) -> int:

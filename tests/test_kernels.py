@@ -84,6 +84,15 @@ def test_snap_window_endpoints(m):
     assert out.tolist() == [v % m for v in values]
 
 
+@pytest.mark.parametrize("m", [2, 3, 7**16, 3**32, 2**51 - 1, 2**51])
+def test_add_mod_window_edges(m):
+    # the sum of two canonical int64 tiles lies in [0, 2m): its edges 0 + 0 and (m - 1) + (m - 1), and m itself
+    pairs = [(0, 0), (m - 1, m - 1), (m - 1, 1), (1, m - 1), (0, m - 1), (m // 2, m - m // 2)]
+    x, y = (np.array(column, dtype=np.int64) for column in zip(*pairs))
+    got = kernels._add_mod(x, y, m)
+    assert got.dtype == np.int64 and got.tolist() == [(a + b) % m for a, b in pairs]
+
+
 def test_scalar_operands_wrap_without_warning():
     # 0-d operands make numpy scalars, whose int64 wrapping warns where arrays' does not
     m = MODULUS_LIMIT
@@ -109,7 +118,8 @@ def test_ring_mul_batch_differential():
     rng = random.Random(1)
     for (p, K, d), dtype in itertools.product(
             ((3, 8, 2), (3, 8, 6), (19, 2, 5), (3, 32, 4), (5, 21, 3), (3, 1, 6), (7, 16, 1), (7, 16, 2), (3, 32, 3),
-             (7, 16, 6), (3, 32, 30), (19, 12, 30), (7, 32, 2), (7, 32, 30)), (np.int64, object)):
+             (7, 16, 6), (3, 32, 30), (19, 12, 30), (7, 32, 2), (7, 32, 30), (5, 16, kernels.SCHOOLBOOK_DEGREE),
+             (5, 16, kernels.SCHOOLBOOK_DEGREE + 1)), (np.int64, object)):
         if dtype is np.int64 and not supports_modulus(p**K):
             continue
         ring = _random_ring(rng, p, K, d)
@@ -256,7 +266,7 @@ def _groups(N):
     return np.arange(N)[:, None, None]
 
 
-@pytest.mark.parametrize("m", [2, 3**8, 3**32, 2**51, 7**32, 19**32])
+@pytest.mark.parametrize("m", [2, 3**8, 2**18 + 1, 5**16, 7**16, 3**32, 2**51, 7**32, 19**32])
 def test_matmul_mod_differential(m):
     dtype = np.int64 if supports_modulus(m) else object
     rng = random.Random(m % 1000)
@@ -290,7 +300,7 @@ def test_split_limbs_round_trip():
             assert limbs.max() < 1 << width
             back = [sum(int(limb[i]) << (width * k) for k, limb in enumerate(limbs)) for i in range(len(values))]
             assert back == values
-    assert [limb_count(m) for m in (2, 1 << 17, (1 << 17) + 1, 3**32, 7**16, 7**32)] == [1, 1, 2, 3, 3, 6]
+    assert [limb_count(m) for m in (2, 1 << 17, (1 << 17) + 1, 3**32, 7**16, 7**32)] == [1, 1, 1, 3, 2, 6]
 
 
 def test_matmul_mod_float_bound():
@@ -348,12 +358,73 @@ def test_matmul_mod_at_each_width_bound(m, dtype):
             assert a_limb_count(m, n + 1) > La
 
 
+def _wide_digit_bounds(m):
+    """{La: largest n with La n 2^(w + wb) < 2^53} for a cut into La limbs of width w = ceil(bits / La) against m's
+    digits of wb > 17 bits, La from 1 to the fewest limbs from Lb on whose n is at least that of the cut into limbs
+    and digits of 17 bits at most."""
+    bits, Lb = (m - 1).bit_length(), limb_count(m)
+    wb = -(-bits // Lb)
+    narrow = -(-bits // 17)
+    longest = ((1 << 53) - 1) // (narrow << (-(-bits // narrow) + 17))
+    bounds, La = {}, 1
+    while La <= Lb or bounds[La - 1] < longest:
+        bounds[La] = ((1 << 53) - 1) // (La << (-(-bits // La) + wb))
+        La += 1
+    return bounds
+
+
+@pytest.mark.parametrize("m,dtype", [(m, dtype) for m in ((1 << 17) + 1, 3**14, 5**16, 7**16, 3**29)
+                                     for dtype in (np.int64, object)])
+def test_matmul_mod_at_wide_digit_bounds(m, dtype):
+    # int64 moduli of 18-23 and 35-46 bits take digits wider than 17 bits, WIDE_DIGIT_BITS at most (7^16: 2 of 23,
+    # where 17 bits took 3), and a's limbs run past Lb, so no contraction is shorter than with 17-bit digits. At
+    # each La's bound, all-(m-1) operands in one tile against the map folded for La, and through matmul_mod when La
+    # is the kernel's own choice at n, come out exact; at n+1 the tile refuses the folded map, and past the last
+    # bound matmul_mod refuses. Python ints run as digit arrays recut into La limbs, a digit across up to three.
+    bits, Lb = (m - 1).bit_length(), limb_count(m)
+    assert Lb == -(-bits // kernels.WIDE_DIGIT_BITS) and -(-bits // Lb) > 17
+    bounds = _wide_digit_bounds(m)
+    assert max(bounds) > Lb and contraction_limit(m) == bounds[max(bounds)] == max(bounds.values())
+    out = to_digits(np.zeros((1, 1), dtype=object), m) if dtype is object else np.empty((1, 1), dtype=dtype)
+    for La, n in bounds.items():
+        assert contraction_limit(m, La) == n
+        if 0 < n <= BOUND_TERMS:
+            a, b = np.full((1, n), m - 1, dtype=dtype), np.full((n, 1), m - 1, dtype=dtype)
+            want = [[n * (m - 1) ** 2 % m]]
+            assert from_digits(_folded_matmul(to_digits(a, m), fold(b, m, La), m, out), m).tolist() == want
+            if a_limb_count(m, n) == La:
+                assert matmul_mod(a, b, m).tolist() == want
+        a = np.broadcast_to(np.array(m - 1, dtype=dtype), (1, n + 1))
+        with pytest.raises(OutOfRange):
+            _folded_matmul(a, np.broadcast_to(np.zeros(()), (La, n + 1, Lb, 1)), m, out)
+    past = np.broadcast_to(np.array(m - 1, dtype=dtype), (1, contraction_limit(m) + 1))
+    with pytest.raises(OutOfRange):
+        matmul_mod(past, past.T, m)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_matmul_mod_7_16_contractions(dtype):
+    # 7^16 on 2 x 2 limb planes up to 63 terms, then more limbs of a: 64 and 114 terms (the folded end stages of its
+    # d = 6 plans) and 10^4 run exactly in one tile, and 699,050, the longest contraction of 17-bit digits, is
+    # still accepted, on 6 limbs of 8 bits; one term more is refused
+    m = 7**16
+    assert limb_count(m) == 2 and contraction_limit(m) == 699050
+    assert [a_limb_count(m, n) for n in (1, 63, 64, 114, 10**4, 699050)] == [2, 2, 3, 3, 3, 6]
+    rng = random.Random(16)
+    for n in (63, 64, 114, 10**4):
+        top = np.full((2, n), m - 1, dtype=dtype)
+        top[1] = [rng.randrange(m) for _ in range(n)]
+        assert matmul_mod(top, top.T, m).tolist() == _matmul_reference(top, top.T, m)
+    with pytest.raises(OutOfRange):
+        a_limb_count(m, 699051)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_map_block_matches_residue_block(data):
     # the block product by N prepared maps at an arbitrary (J, C) index equals the integer product mod m by the
     # residue matrix it stands for, and its map tile, assembled from the folded maps, is the fold of that matrix
-    m = data.draw(st.sampled_from([3**8, 3**32, 2**51 - 1, 7**32, 19**32]))
+    m = data.draw(st.sampled_from([3**8, 7**16, 3**32, 2**51 - 1, 7**32, 19**32]))
     dtype = data.draw(st.sampled_from([np.int64, object] if supports_modulus(m) else [object]))
     N, n, k, rows = (data.draw(st.integers(lo, hi)) for lo, hi in ((1, 5), (1, 4), (1, 4), (0, 6)))
     J, C = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
@@ -538,8 +609,8 @@ def test_stacked_block_index_tiles(monkeypatch, m):
             assert all(Jt < J for (_, Jt, _), _ in blocks)
 
 
-# moduli above 2^51, and 3^8, which fits int64, run on Python ints all the same
-OBJECT_MODULI = [7**32, 3**64, 5**55, 3**8]
+# moduli above 2^51, and 3^8 and 7^16 (two digits of 23 bits), which fit int64, run on Python ints all the same
+OBJECT_MODULI = [7**32, 3**64, 5**55, 3**8, 7**16]
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from padicfft import orders, planner
 from padicfft.errors import BadInput
 from padicfft.orders import multiplicative_order
 from padicfft.planner import (
@@ -49,6 +50,31 @@ def test_validation():
         choose_parameters(2, 10)
     with pytest.raises(BadInput):
         choose_parameters(3, 0)
+
+
+def test_repeated_calls_factor_s_once(monkeypatch):
+    # s is factored and ord_s(p) computed once per (p, s): lengths N of one s give equal results and factor nothing
+    # after the first call, while p and N are still checked, and an order other than the prime product warned of,
+    # on every call
+    planner._factored_order.cache_clear()
+    seen = []
+    real = orders.factorize
+    monkeypatch.setattr(orders, "factorize", lambda n: seen.append(n) or real(n))
+    first = choose_parameters(7, 500)
+    assert first.s == 2736 and 2736 in seen
+    before = len(seen)
+    assert [choose_parameters(7, N) for N in (500, 500)] == [first] * 2
+    assert choose_parameters(7, 1000).s_factored == first.s_factored and len(seen) == before
+    with pytest.raises(BadInput):
+        choose_parameters(7, 0)
+    planner._factored_order.cache_clear()
+    monkeypatch.setattr(planner, "multiplicative_order", lambda p, s: 7)
+    try:
+        for _ in range(2):
+            with pytest.warns(UserWarning, match="differs from the prime product"):
+                assert not choose_parameters(5, 30).d_matches_prime_product
+    finally:
+        planner._factored_order.cache_clear()  # drop the patched order
 
 
 def test_minimality_and_coprimality_sweep():
